@@ -10,8 +10,7 @@ from __future__ import annotations
 from .errors import (DimensionMismatch, IncompleteDecomposition, NotAnIdeal,
                      NotIdempotent, NotSemisimple)
 from .linalg import (Matrix, in_span, inverse, kernel_basis, rref, span_rref,
-                     unit_vec, vec_add, vec_is_zero, vec_scale, vec_sub,
-                     zero_vec)
+                     unit_vec, vec_is_zero)
 
 
 class Algebra:
@@ -411,7 +410,6 @@ def quotient(alg: Algebra, form: BilinearForm, ideal):
              for i in range(len(comp))]
     qalg = Algebra(field, labels, table)
     # induced form well-defined <=> ideal is in the kernel of the form
-    zero = zero_vec(field, alg.dim)
     for v in ideal_m.data:
         for i in range(alg.dim):
             if form.apply(tuple(v), unit_vec(field, alg.dim, i)) != field.zero:

@@ -3,7 +3,7 @@
 Reproduces the closed-form Gram determinant and LDLT diagonal, certifies
 the positive-(semi)definiteness region [0, 1/6] via Sturm interval
 certificates and exact grid verdicts, decides Norton's inequality through
-the antisymmetrized n^2 x n^2 product-form matrix, certifies the Majorana
+the antisymmetrized product form on the exterior square, certifies the Majorana
 property and the 9-dimensional quotients at the boundary, and verifies
 the 4A-axis fusion rule, its C2 x C2 grading and the Jordan-type
 subalgebra generated by the three 4A axes.
@@ -18,7 +18,7 @@ from .algebra import (GradingAssignment, AbelianGroup, axis_decomposition,
                       subalgebra_closure, verify_fusion, verify_frobenius,
                       verify_grading, is_automorphism)
 from .catalog import f4a_rule, jordan_half_rule, monster_rule
-from .errors import DegreeCapExceeded, PoleAtPoint
+from .errors import DegreeCapExceeded, InvalidSetting, PoleAtPoint
 from .linalg import Matrix, determinant, in_span, ldlt, span_rref
 from .m4 import (build_m4a, reference_v_eigenvectors, specialize_m4a,
                  verify_dependencies)
@@ -38,7 +38,12 @@ MONSTER_EIGENVALUES_QQ = tuple(QQ.of(x) for x in ("1", "0", "1/4", "1/32"))
 
 def degree_cap() -> int:
     raw = os.environ.get(DEGREE_CAP_ENV)
-    return int(raw) if raw else DEFAULT_DEGREE_CAP
+    if not raw:
+        return DEFAULT_DEGREE_CAP
+    if not raw.strip().isdecimal():
+        raise InvalidSetting(f"{DEGREE_CAP_ENV} must be a nonnegative "
+                             f"integer, got {raw!r}")
+    return int(raw)
 
 
 # ---------------------------------------------------------------------------
@@ -157,12 +162,14 @@ def definiteness_report(grid=DEFAULT_GRID):
 # Norton's inequality
 # ---------------------------------------------------------------------------
 
-def norton_matrix(alg, form) -> Matrix:
-    """The antisymmetrized product-form matrix on ordered basis pairs:
-    b[(i,j),(k,l)] = <e_i e_k, e_j e_l> - <e_j e_k, e_i e_l>.
+def norton_block(alg, form) -> Matrix:
+    """The Norton form on the exterior square: the block of
+    b[(i,j),(k,l)] = <e_i e_k, e_j e_l> - <e_j e_k, e_i e_l>
+    on the pairs i < j, in lexicographic order.
 
-    Positive semidefiniteness is equivalent to Norton's inequality
-    <u.u, v.v> >= <u.v, u.v> holding for all u, v.
+    b is antisymmetric in (i, j) and in (k, l), so this block is positive
+    semidefinite iff the whole n^2 x n^2 matrix is, i.e. iff Norton's
+    inequality <u.u, v.v> >= <u.v, u.v> holds for all u, v.
     """
     field = alg.field
     n = alg.dim
@@ -183,27 +190,56 @@ def norton_matrix(alg, form) -> Matrix:
     def dot(u, v):
         return sum((a * b for a, b in zip(u, v) if not (is_zero(a))), z)
 
-    size = n * n
+    pairs = _wedge_pairs(n)
+    size = len(pairs)
     data = [[z] * size for _ in range(size)]
-    pairs = [(i, j) for i in range(n) for j in range(n)]
     for r, (i, j) in enumerate(pairs):
-        if i == j:
-            continue  # antisymmetrization vanishes; row stays zero
         for s in range(r, size):
             k, l = pairs[s]
-            if k == l:
-                continue
             val = dot(table[i][k], gp[j][l]) - dot(table[j][k], gp[i][l])
             data[r][s] = val
             data[s][r] = val
     return Matrix(field, data)
 
 
+def _wedge_pairs(n):
+    return [(i, j) for i in range(n) for j in range(i + 1, n)]
+
+
+def norton_matrix(alg, form) -> Matrix:
+    """The antisymmetrized product-form matrix on all n^2 ordered basis
+    pairs, expanded from norton_block: b[(j,i), .] = -b[(i,j), .] and the
+    rows (i,i) are zero."""
+    field = alg.field
+    n = alg.dim
+    z = field.zero
+    block = norton_block(alg, form).data
+    # where[(i, j)] = (index of the pair i<j or j<i in the block, sign)
+    where = {}
+    for r, (i, j) in enumerate(_wedge_pairs(n)):
+        where[(i, j)] = (r, False)
+        where[(j, i)] = (r, True)
+    pairs = [where.get((i, j)) for i in range(n) for j in range(n)]
+    data = []
+    for rp in pairs:
+        if rp is None:
+            data.append([z] * (n * n))
+            continue
+        r, rneg = rp
+        brow = block[r]
+        negrow = [-x for x in brow]
+        data.append([z if sp is None
+                     else (negrow if rneg != sp[1] else brow)[sp[0]]
+                     for sp in pairs])
+    return Matrix(field, data)
+
+
 def norton_check(t0, spec=None) -> bool:
-    """Exact PSD verdict of the 144 x 144 Norton matrix of M(t0)."""
+    """Exact PSD verdict of the Norton form of M(t0), from the LDLT of its
+    66 x 66 block on the exterior square."""
     if spec is None:
         spec = specialize_m4a(t0)
-    result = ldlt(norton_matrix(spec.algebra, spec.form))
+    result = ldlt(norton_block(spec.algebra, spec.form))
     return result.is_psd()
 
 
@@ -320,7 +356,7 @@ def quotient_certify(t0):
         if not dec.is_primitive or verify_fusion(qalg, dec, rule):
             fusion_ok = False
     gram_pd = ldlt(qform.gram).is_pd()
-    norton_psd = ldlt(norton_matrix(qalg, qform)).is_psd()
+    norton_psd = ldlt(norton_block(qalg, qform)).is_psd()
     report.update({
         "fusion_ok": fusion_ok, "gram_pd": gram_pd,
         "norton_psd": norton_psd,

@@ -10,6 +10,7 @@ report, otherwise a human-readable summary is printed.  Exit codes:
 from __future__ import annotations
 
 import argparse
+import re
 import sys
 
 from . import certify as cert
@@ -269,18 +270,37 @@ def _make_parser():
     return parser
 
 
+_VALUE_OPTIONS = ("--t", "--grid")
+_NEGATIVE_VALUE = re.compile(r"-\d")
+
+
+def _attach_negative_values(argv):
+    """Write "--grid -1/10,0" as "--grid=-1/10,0": argparse takes a
+    separate value that starts with a minus sign and a digit for an
+    option unless it is a plain negative number."""
+    out = []
+    i = 0
+    while i < len(argv):
+        arg = argv[i]
+        if (arg in _VALUE_OPTIONS and i + 1 < len(argv)
+                and _NEGATIVE_VALUE.match(argv[i + 1])):
+            out.append(f"{arg}={argv[i + 1]}")
+            i += 2
+            continue
+        out.append(arg)
+        i += 1
+    return out
+
+
 def run(argv) -> int:
     parser = _make_parser()
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_attach_negative_values(argv))
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:
         return args.func(args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except AxiaError as exc:
+    except (UsageError, AxiaError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -8,6 +8,8 @@ consistency between every pair of derivations.
 
 from __future__ import annotations
 
+from collections import deque
+
 from .errors import CompletionInconsistent, CompletionInsufficient
 from .linalg import Matrix
 
@@ -50,84 +52,79 @@ def _pair_coefficients(field, u, v):
     return {p: c for p, c in coeffs.items() if not field.is_zero(c)}
 
 
-def complete_table(field, dim, known, group, describe=None):
+def complete_table(field, dim, known, group, describe=None, image=None,
+                   clash="image of pair {} under the group contradicts "
+                         "known entries"):
     """Complete a partial product table under a symmetry group.
 
     known: {(i, j) with i <= j: coordinate tuple}.  group: list of Matrix
     operators (columns = images of basis vectors).  Returns the completed
     dict; raises CompletionInconsistent if two derivations disagree and
     CompletionInsufficient if the orbit closure leaves pairs undefined.
+
+    Each (group element, known pair) combination is used once, as soon as
+    at most one pair of its expansion is unknown: it then either derives
+    that pair or checks the known ones.  A combination with more unknowns
+    waits on all of them and is queued again when all but one are derived.
+    image(g, value) is the right-hand side of the identity for g; it
+    defaults to g.matvec(value), i.e. (u.v)^g = u^g . v^g.  clash formats
+    the message of an inconsistency from the described pair.
     """
     known = {_norm(p): tuple(v) for p, v in known.items()}
-    all_pairs = {(i, j) for i in range(dim) for j in range(i, dim)}
     describe = describe or (lambda p: str(p))
-    progress = True
-    while progress:
-        progress = False
-        for g in group:
-            cols = [tuple(g.data[i][j] for i in range(dim)) for j in range(dim)]
-            for (p, q), value in list(known.items()):
-                u, v = cols[p], cols[q]
-                rhs = g.matvec(value)
-                coeffs = _pair_coefficients(field, u, v)
-                unknown = [pair for pair in coeffs if pair not in known]
-                if len(unknown) > 1:
-                    continue
-                acc = list(rhs)
-                for pair, c in coeffs.items():
-                    if pair in known:
-                        w = known[pair]
-                        acc = [a - c * wk for a, wk in zip(acc, w)]
-                if not unknown:
-                    if any(not field.is_zero(a) for a in acc):
-                        raise CompletionInconsistent(
-                            f"image of pair {describe((p, q))} under the group "
-                            f"contradicts known entries (residual on "
-                            f"{describe((p, q))})")
-                    continue
-                pair = unknown[0]
-                c = coeffs[pair]
-                known[pair] = tuple(a / c for a in acc)
-                progress = True
-    missing = all_pairs - set(known)
+    image = image or (lambda g, value: g.matvec(value))
+    is_zero = field.is_zero
+    cols = [[tuple(g.data[i][j] for i in range(dim)) for j in range(dim)]
+            for g in group]
+    queue = deque((gi, pair) for pair in known for gi in range(len(group)))
+    waiting = {}  # unknown pair -> combinations waiting on it
+    pending = {}  # waiting combination -> number of its unknown pairs
+    done = set()
+    while queue:
+        combo = queue.popleft()
+        if combo in done:
+            continue
+        gi, (p, q) = combo
+        coeffs = _pair_coefficients(field, cols[gi][p], cols[gi][q])
+        unknown = [pair for pair in coeffs if pair not in known]
+        if len(unknown) > 1:
+            pending[combo] = len(unknown)
+            for pair in unknown:
+                waiting.setdefault(pair, []).append(combo)
+            continue
+        done.add(combo)
+        acc = list(image(group[gi], known[(p, q)]))
+        for pair, c in coeffs.items():
+            if pair in known:
+                for k, w in enumerate(known[pair]):
+                    if not is_zero(w):
+                        acc[k] = acc[k] - c * w
+        if not unknown:
+            if any(not is_zero(a) for a in acc):
+                raise CompletionInconsistent(clash.format(describe((p, q))))
+            continue
+        pair = unknown[0]
+        c = coeffs[pair]
+        known[pair] = tuple(a / c for a in acc)
+        queue.extend((gj, pair) for gj in range(len(group)))
+        for other in waiting.pop(pair, ()):
+            pending[other] -= 1
+            if pending[other] == 1:
+                queue.append(other)
+    missing = {(i, j) for i in range(dim) for j in range(i, dim)} - set(known)
     if missing:
         raise CompletionInsufficient([describe(p) for p in missing])
     return known
 
 
 def complete_form(field, dim, known, group, describe=None):
-    """Same completion logic for a symmetric bilinear form (scalar values),
+    """The scalar case of complete_table for a symmetric bilinear form,
     using invariance <u^g, v^g> = <u, v>."""
-    known = {_norm(p): v for p, v in known.items()}
-    all_pairs = {(i, j) for i in range(dim) for j in range(i, dim)}
-    describe = describe or (lambda p: str(p))
-    progress = True
-    while progress:
-        progress = False
-        for g in group:
-            cols = [tuple(g.data[i][j] for i in range(dim)) for j in range(dim)]
-            for (p, q), value in list(known.items()):
-                coeffs = _pair_coefficients(field, cols[p], cols[q])
-                unknown = [pair for pair in coeffs if pair not in known]
-                if len(unknown) > 1:
-                    continue
-                acc = value
-                for pair, c in coeffs.items():
-                    if pair in known:
-                        acc = acc - c * known[pair]
-                if not unknown:
-                    if not field.is_zero(acc):
-                        raise CompletionInconsistent(
-                            f"form value at {describe((p, q))} contradicts "
-                            f"group invariance")
-                    continue
-                pair = unknown[0]
-                known[pair] = acc / coeffs[pair]
-                progress = True
-    missing = all_pairs - set(known)
-    if missing:
-        raise CompletionInsufficient([describe(p) for p in missing])
-    return known
+    table = complete_table(field, dim, {p: (v,) for p, v in known.items()},
+                           group, describe, image=lambda g, value: value,
+                           clash="form value at {} contradicts group "
+                                 "invariance")
+    return {p: v[0] for p, v in table.items()}
 
 
 def _norm(pair):

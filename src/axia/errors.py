@@ -56,3 +56,7 @@ class ZeroPivotSymbolic(AxiaError):
 
 class DegreeCapExceeded(AxiaError):
     """A symbolic computation produced an entry above the degree cap."""
+
+
+class InvalidSetting(AxiaError):
+    """An environment setting has a value the program cannot use."""

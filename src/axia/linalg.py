@@ -8,7 +8,7 @@ never use floating point.
 from __future__ import annotations
 
 from .errors import DimensionMismatch, NonSquare, ZeroPivotSymbolic
-from .scalars import QQ, QT
+from .scalars import QT
 
 
 class Matrix:
@@ -62,21 +62,28 @@ class Matrix:
                    for i in range(self.rows) for j in range(i))
 
     def matmul(self, other):
+        """Product over the nonzero pairs only; most entries here are zero."""
         if self.cols != other.rows:
             raise DimensionMismatch("matmul shape mismatch")
+        is_zero = self.field.is_zero
         z = self.field.zero
+        bcols = [[(k, b) for k, b in enumerate(col) if not is_zero(b)]
+                 for col in zip(*other.data)]
         out = []
-        bt = other.transpose().data
         for arow in self.data:
-            out.append([sum((a * b for a, b in zip(arow, bcol)), z)
-                        for bcol in bt])
+            anz = [not is_zero(a) for a in arow]
+            out.append([sum((arow[k] * b for k, b in bcol if anz[k]), z)
+                        for bcol in bcols])
         return Matrix(self.field, out)
 
     def matvec(self, v):
+        """Product over the nonzero pairs only; most entries here are zero."""
         if self.cols != len(v):
             raise DimensionMismatch("matvec shape mismatch")
+        is_zero = self.field.is_zero
         z = self.field.zero
-        return tuple(sum((a * b for a, b in zip(row, v)), z)
+        nz = [(k, x) for k, x in enumerate(v) if not is_zero(x)]
+        return tuple(sum((row[k] * x for k, x in nz if not is_zero(row[k])), z)
                      for row in self.data)
 
     def scale(self, c):
@@ -203,19 +210,11 @@ def determinant(m: Matrix):
             row_i, row_k = a[i], a[k]
             for j in range(k + 1, n):
                 num = pivot * row_i[j] - aik * row_k[j]
-                row_i[j] = _exact_div(field, num, prev)
+                row_i[j] = num / prev
             row_i[k] = field.zero
         prev = pivot
     det = a[n - 1][n - 1]
     return det if sign == 1 else -det
-
-
-def _exact_div(field, num, den):
-    if field is QT:
-        # division of polynomials guaranteed exact by Bareiss
-        if den == field.one:
-            return num
-    return num / den
 
 
 # ---------------------------------------------------------------------------
@@ -252,7 +251,7 @@ class LDLTResult:
                 and all(self.field.sign(d) > 0 for d in self.D))
 
 
-def ldlt(m: Matrix, positivity_oracle=None, entry_guard=None) -> LDLTResult:
+def ldlt(m: Matrix, entry_guard=None) -> LDLTResult:
     """Semidefinite-aware LDLT in natural order with no pivoting.
 
     A zero pivot is legal only when the rest of its column (in the Schur
@@ -260,10 +259,8 @@ def ldlt(m: Matrix, positivity_oracle=None, entry_guard=None) -> LDLTResult:
     Otherwise the matrix cannot be PSD: over Q the result carries status
     FAILED_INDEFINITE, over Q(t) ZeroPivotSymbolic is raised.
 
-    positivity_oracle may override the sign test used for reporting; the
-    decomposition itself only needs exact zero tests.  entry_guard, if
-    given, is called with every computed pivot and L entry and may raise
-    to abort (used for symbolic degree caps).
+    entry_guard, if given, is called with every computed pivot and L entry
+    and may raise to abort (used for symbolic degree caps).
     """
     if m.rows != m.cols:
         raise NonSquare("ldlt of a non-square matrix")
@@ -335,26 +332,6 @@ def reconstruct_ldlt(result: LDLTResult) -> Matrix:
 # ---------------------------------------------------------------------------
 # Vector helpers (coordinate tuples over a field)
 # ---------------------------------------------------------------------------
-
-def vec_add(u, v):
-    return tuple(a + b for a, b in zip(u, v))
-
-
-def vec_sub(u, v):
-    return tuple(a - b for a, b in zip(u, v))
-
-
-def vec_scale(c, u):
-    return tuple(c * a for a in u)
-
-
-def vec_neg(u):
-    return tuple(-a for a in u)
-
-
-def zero_vec(field, n):
-    return (field.zero,) * n
-
 
 def unit_vec(field, n, i):
     return tuple(field.one if j == i else field.zero for j in range(n))

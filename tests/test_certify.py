@@ -8,6 +8,7 @@ from axia import certify as cert
 from axia.algebra import axis_decomposition, radical
 from axia.catalog import dihedral
 from axia.linalg import ldlt
+from axia.m4 import specialize_m4a
 from axia.scalars import QQ, QT, rat
 
 from conftest import rf
@@ -166,6 +167,36 @@ def test_norton_matrix_structure():
         assert all(QQ.is_zero(x) for x in b.data[r])
     # the associative 2B algebra satisfies Norton  [DERIVED sanity]
     assert ldlt(b).is_psd()
+
+
+def test_norton_matrix_matches_direct_formula(m4b):
+    # b[(i,j),(k,l)] = <e_i e_k, e_j e_l> - <e_j e_k, e_i e_l> entry by
+    # entry through Algebra.mul and BilinearForm.apply  [DERIVED]
+    alg, form = m4b.algebra, m4b.form
+    n = alg.dim
+    b = cert.norton_matrix(alg, form)
+    e = [alg.basis_vector(lab) for lab in alg.labels]
+    prods = [[alg.mul(e[i], e[k]) for k in range(n)] for i in range(n)]
+    for i in range(n):
+        for j in range(n):
+            for k in range(n):
+                for l in range(n):
+                    want = (form.apply(prods[i][k], prods[j][l])
+                            - form.apply(prods[j][k], prods[i][l]))
+                    assert b.data[i * n + j][k * n + l] == want
+
+
+@pytest.mark.parametrize("t0", ["0", "1/12", "1/6", "9/50", "9/4"])
+def test_norton_block_ldlt_matches_full_ldlt(t0):
+    spec = specialize_m4a(rat(t0))
+    n = spec.algebra.dim
+    full = ldlt(cert.norton_matrix(spec.algebra, spec.form))
+    block = ldlt(cert.norton_block(spec.algebra, spec.form))
+    assert block.is_psd() == full.is_psd() == cert.norton_check(rat(t0))
+    pivots = iter(block.D)
+    interleaved = [next(pivots) if i < j else QQ.zero
+                   for i in range(n) for j in range(n)]
+    assert list(full.D) == interleaved
 
 
 def test_norton_point_verdicts():

@@ -124,3 +124,28 @@ def test_missing_parameter_rejected(capsys):
 
 def test_unknown_flag_rejected(capsys):
     assert run(["gram", "--frobnicate"]) == 2
+
+
+def test_bad_degree_cap_exits_2(monkeypatch, capsys):
+    monkeypatch.setenv("AXIA_DEGREE_CAP", "abc")
+    assert run(["norton", "--symbolic"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "AXIA_DEGREE_CAP" in err
+
+
+def test_unwritable_out_exits_2(tmp_path, capsys):
+    path = tmp_path / "missing" / "x.json"
+    assert run(["catalog", "4A", "--out", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_negative_grid_value_is_not_an_option(tmp_path):
+    spaced, joined = tmp_path / "spaced.json", tmp_path / "joined.json"
+    assert run(["norton", "--grid", "-1/10,0", "--out", str(spaced)]) == 0
+    assert run(["norton", "--grid=-1/10,0", "--out", str(joined)]) == 0
+    rep = json.loads(spaced.read_text())
+    assert rep == json.loads(joined.read_text())
+    assert [r["t0"] for r in rep] == ["-1/10", "0"]
+    assert [r["norton_psd"] for r in rep] == [False, True]

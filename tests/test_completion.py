@@ -61,6 +61,38 @@ def test_complete_table_inconsistent_seeds():
         complete_table(QQ, 2, known, mulclose(QQ, [SWAP]))
 
 
+def test_inconsistency_through_a_derived_entry():
+    # NEG1 fixes e_0 and negates e_1.  It agrees with both seeds, and the
+    # swap derives e_1^2 = e_1 from e_0^2 = e_0; only then does NEG1 see
+    # (e_1^2)^NEG1 = -e_1 differ from (e_1^NEG1)^2 = e_1^2 = e_1.
+    neg1 = qm([[1, 0], [0, -1]])
+    known = {(0, 0): (rat(1), rat(0)), (0, 1): (rat(0), rat(0))}
+    table = complete_table(QQ, 2, dict(known), [SWAP])
+    assert table[(1, 1)] == (rat(0), rat(1))
+    with pytest.raises(CompletionInconsistent):
+        complete_table(QQ, 2, dict(known), [neg1, SWAP])
+    with pytest.raises(CompletionInconsistent):
+        complete_table(QQ, 2, dict(known), [SWAP, neg1])
+
+
+def test_combination_waiting_on_two_pairs_is_used_once_one_remains():
+    # Q^3 with idempotents eps_1, eps_2, eps_3 in the basis e_0 = eps_1,
+    # e_1 = eps_1 + eps_2, e_2 = eps_1 + eps_2 + eps_3, under S_3 permuting
+    # the eps_i.  Some images of e_0^2 expand into the two unknowns (1,1)
+    # and (1,2); the images of e_0 e_2 derive (1,2) first, and only the
+    # waiting e_0^2 combinations can then derive (1,1).
+    swap12 = qm([[-1, 0, 0], [1, 1, 0], [0, 0, 1]])
+    swap23 = qm([[1, 1, 0], [0, -1, 0], [0, 1, 1]])
+    group = mulclose(QQ, [swap12, swap23])
+    assert len(group) == 6
+    e0, e1, e2 = [tuple(rat(int(i == k)) for i in range(3)) for k in range(3)]
+    known = {(0, 0): e0, (2, 2): e2, (0, 2): e0}
+    table = complete_table(QQ, 3, known, group)
+    assert table[(1, 1)] == e1
+    assert table[(0, 1)] == e0
+    assert table[(1, 2)] == e1
+
+
 def test_complete_form_under_swap():
     known = {(0, 0): rat(1), (0, 1): rat("1/8")}
     gram = complete_form(QQ, 2, known, mulclose(QQ, [SWAP]))
@@ -69,5 +101,6 @@ def test_complete_form_under_swap():
 
 def test_complete_form_inconsistent():
     known = {(0, 0): rat(1), (1, 1): rat(2), (0, 1): rat(0)}
-    with pytest.raises(CompletionInconsistent):
+    with pytest.raises(CompletionInconsistent,
+                       match="form value at .* contradicts group invariance"):
         complete_form(QQ, 2, known, mulclose(QQ, [SWAP]))

@@ -5,7 +5,7 @@ import random
 import pytest
 import sympy
 
-from axia.errors import ZeroPivotSymbolic
+from axia.errors import DimensionMismatch, ZeroPivotSymbolic
 from axia.linalg import (LDLTResult, Matrix, determinant, in_span, inverse,
                          kernel_basis, ldlt, rank, reconstruct_ldlt, rref,
                          solve, span_rref, vec_is_zero)
@@ -19,6 +19,70 @@ def qm(rows):
 def to_sympy(m):
     return sympy.Matrix([[sympy.Rational(str(x)) for x in row]
                          for row in m.data])
+
+
+# ---------------------------------------------------------------------------
+# Zero-skipping matvec / matmul against a dense reference
+# ---------------------------------------------------------------------------
+
+def dense_matvec(m, v):
+    return tuple(sum((a * b for a, b in zip(row, v)), m.field.zero)
+                 for row in m.data)
+
+
+def dense_matmul(a, b):
+    return Matrix(a.field, [dense_matvec(b.transpose(), row) for row in a.data])
+
+
+def random_entry(field, rng, density):
+    if rng.random() >= density:
+        return field.zero
+    if field is QQ:
+        return rat(f"{rng.randint(-9, 9)}/{rng.randint(1, 5)}")
+    t = QT.t
+    return (QT.of(rng.randint(-4, 4)) * t * t + QT.of(rng.randint(-4, 4))) \
+        / (t + QT.of(rng.randint(1, 3)))
+
+
+def random_sparse(field, rng, rows, cols, density):
+    return Matrix(field, [[random_entry(field, rng, density)
+                           for _ in range(cols)] for _ in range(rows)])
+
+
+@pytest.mark.parametrize("field", [QQ, QT], ids=["QQ", "QT"])
+def test_sparse_products_equal_dense_reference(field):
+    rng = random.Random(11)
+    for density in (0.0, 0.1, 0.3, 1.0):
+        for _ in range(4):
+            r, k, c = rng.randint(1, 6), rng.randint(1, 6), rng.randint(1, 6)
+            a = random_sparse(field, rng, r, k, density)
+            b = random_sparse(field, rng, k, c, density)
+            v = tuple(random_entry(field, rng, density) for _ in range(k))
+            assert a.matvec(v) == dense_matvec(a, v)
+            assert a.matmul(b) == dense_matmul(a, b)
+
+
+@pytest.mark.parametrize("field", [QQ, QT], ids=["QQ", "QT"])
+def test_sparse_products_with_zero_rows_and_vectors(field):
+    rng = random.Random(5)
+    a = random_sparse(field, rng, 4, 4, 0.5)
+    a.data[1] = [field.zero] * 4
+    zero_vec = (field.zero,) * 4
+    assert a.matvec(zero_vec) == zero_vec
+    assert a.matvec((field.one,) * 4)[1] == field.zero
+    zeros = Matrix.zeros(field, 4, 3)
+    assert a.matmul(zeros) == zeros
+    assert Matrix.zeros(field, 2, 4).matmul(a) == Matrix.zeros(field, 2, 4)
+    ident = Matrix.identity(field, 4)
+    assert a.matmul(ident) == a and ident.matmul(a) == a
+
+
+def test_sparse_products_shape_mismatch():
+    a = qm([[1, 0, 2], [0, 0, 3]])
+    with pytest.raises(DimensionMismatch):
+        a.matvec((rat(1), rat(2)))
+    with pytest.raises(DimensionMismatch):
+        a.matmul(qm([[1, 0], [0, 1]]))
 
 
 # ---------------------------------------------------------------------------
