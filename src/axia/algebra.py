@@ -9,8 +9,8 @@ from __future__ import annotations
 
 from .errors import (DimensionMismatch, IncompleteDecomposition, NotAnIdeal,
                      NotIdempotent, NotSemisimple)
-from .linalg import (Matrix, in_span, inverse, kernel_basis, rref, span_rref,
-                     unit_vec, vec_is_zero)
+from .linalg import (Matrix, _sub_multiple, in_span, inverse, kernel_basis,
+                     rref, span_rref, unit_vec, vec_is_zero)
 
 
 class Algebra:
@@ -33,6 +33,16 @@ class Algebra:
             for j in range(self.dim):
                 if len(self.mul_table[i][j]) != self.dim:
                     raise DimensionMismatch("product entry of wrong length")
+        # the nonzero structure constants as (k, numerator) over one
+        # common denominator self._table_den
+        is_zero = field.is_zero
+        nonzero = [[[(k, w) for k, w in enumerate(entry) if not is_zero(w)]
+                    for entry in row] for row in self.mul_table]
+        nums, self._table_den = field.clear(
+            [w for row in nonzero for entry in row for _, w in entry])
+        nums = iter(nums)
+        self._table_nums = [[[(k, next(nums)) for k, _ in entry]
+                             for entry in row] for row in nonzero]
 
     def index(self, label):
         return self.labels.index(label)
@@ -48,25 +58,32 @@ class Algebra:
         return tuple(v)
 
     def mul(self, u, v):
-        """Bilinear extension of the product table."""
+        """Bilinear extension of the product table.
+
+        u, v and the table are each brought to one common denominator, the
+        products are summed as numerators, and each output coordinate is
+        normalised once.
+        """
         if len(u) != self.dim or len(v) != self.dim:
             raise DimensionMismatch("vector length != algebra dimension")
         field = self.field
         is_zero = field.is_zero
-        acc = [field.zero] * self.dim
-        table = self.mul_table
-        for i, ui in enumerate(u):
-            if is_zero(ui):
-                continue
+        iu = [i for i, x in enumerate(u) if not is_zero(x)]
+        iv = [j for j, x in enumerate(v) if not is_zero(x)]
+        nu, du = field.clear([u[i] for i in iu])
+        nv, dv = field.clear([v[j] for j in iv])
+        acc = [None] * self.dim
+        table = self._table_nums
+        for i, a in zip(iu, nu):
             row = table[i]
-            for j, vj in enumerate(v):
-                if is_zero(vj):
-                    continue
-                c = ui * vj
-                for k, w in enumerate(row[j]):
-                    if not is_zero(w):
-                        acc[k] = acc[k] + c * w
-        return tuple(acc)
+            for j, b in zip(iv, nv):
+                c = a * b
+                for k, w in row[j]:
+                    s = acc[k]
+                    acc[k] = c * w if s is None else s + c * w
+        den = du * dv * self._table_den
+        join, zero = field.join, field.zero
+        return tuple(zero if s is None else join(s, den) for s in acc)
 
     def ad(self, a) -> Matrix:
         """Matrix of the adjoint x -> a*x (columns = images of basis)."""
@@ -345,15 +362,17 @@ def subalgebra_algebra(alg: Algebra, basis_vectors, labels=None):
     m, pivots = span_rref(field, [tuple(v) for v in basis_vectors], alg.dim)
     k = len(pivots)
 
+    is_zero = field.is_zero
+
     def coords(v):
         r = list(v)
         out = []
         for row, pc in zip(m.data, pivots):
             c = r[pc]
             out.append(c)
-            if not field.is_zero(c):
-                r = [x - c * y for x, y in zip(r, row)]
-        if any(not field.is_zero(x) for x in r):
+            if not is_zero(c):
+                _sub_multiple(r, c, row, is_zero)
+        if any(not is_zero(x) for x in r):
             raise ValueError("vector outside the subalgebra")
         return tuple(out)
 
@@ -394,14 +413,15 @@ def quotient(alg: Algebra, form: BilinearForm, ideal):
         raise NotAnIdeal("subspace does not absorb products")
     pivot_set = set(pivots)
     comp = [j for j in range(alg.dim) if j not in pivot_set]
+    is_zero = field.is_zero
 
     def project(v):
         """Reduce modulo the ideal, then read off complement coordinates."""
         r = list(v)
         for row, pc in zip(ideal_m.data, pivots):
             c = r[pc]
-            if not field.is_zero(c):
-                r = [x - c * y for x, y in zip(r, row)]
+            if not is_zero(c):
+                _sub_multiple(r, c, row, is_zero)
         return tuple(r[j] for j in comp)
 
     reps = [unit_vec(field, alg.dim, j) for j in comp]

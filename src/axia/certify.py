@@ -18,10 +18,11 @@ from .algebra import (GradingAssignment, AbelianGroup, axis_decomposition,
                       subalgebra_closure, verify_fusion, verify_frobenius,
                       verify_grading, is_automorphism)
 from .catalog import f4a_rule, jordan_half_rule, monster_rule
-from .errors import DegreeCapExceeded, InvalidSetting, PoleAtPoint
-from .linalg import Matrix, determinant, in_span, ldlt, span_rref
-from .m4 import (build_m4a, reference_v_eigenvectors, specialize_m4a,
-                 verify_dependencies)
+from .errors import (DegreeCapExceeded, InvalidSetting, PoleAtPoint,
+                     ZeroPivotSymbolic)
+from .linalg import LDLTResult, Matrix, determinant, in_span, ldlt, span_rref
+from .m4 import (build_m4a, reference_v_eigenvectors, specialize_form,
+                 specialize_m4a, verify_dependencies)
 from .scalars import (QQ, QT, RationalFunction, count_roots_open,
                       format_rational, rat, rational_sign)
 
@@ -50,7 +51,7 @@ def degree_cap() -> int:
 # Gram determinant / LDLT diagonal / interval certificates
 # ---------------------------------------------------------------------------
 
-def gram_analysis(alg=None, form=None):
+def gram_analysis(form=None):
     """Exact determinant and natural-order LDLT diagonal of the Gram
     matrix (defaults to the symbolic M_4A form)."""
     if form is None:
@@ -137,15 +138,13 @@ def certify_psd_interval(diag, interval=("0", "1/6")):
 
 def definiteness_at(t0):
     """(pd, psd, radical_dim) of the specialized Gram matrix at t = t0."""
-    spec = specialize_m4a(t0)
-    result = ldlt(spec.form.gram)
-    rad = radical(spec.form)
-    return result.is_pd(), result.is_psd(), len(rad)
+    form = specialize_form(build_m4a().form, t0)
+    result = ldlt(form.gram)
+    return result.is_pd(), result.is_psd(), len(radical(form))
 
 
 def radical_dimension(t0) -> int:
-    spec = specialize_m4a(t0)
-    return len(radical(spec.form))
+    return len(radical(specialize_form(build_m4a().form, t0)))
 
 
 def definiteness_report(grid=DEFAULT_GRID):
@@ -249,60 +248,49 @@ def norton_grid_report(grid=DEFAULT_GRID):
 
 
 def norton_symbolic(cap=None):
-    """Opt-in symbolic LDLT of the Norton matrix over Q(t).
+    """Opt-in symbolic LDLT of the Norton form over Q(t).
 
-    Aborts with a partial diagonal once any computed entry exceeds the
-    degree cap (env AXIA_DEGREE_CAP); the grid verdicts never depend on
+    Factors the block on the exterior square and reports the diagonal of
+    the whole n^2 x n^2 matrix: the pivots at the pairs i < j and zeros
+    elsewhere, which is what the natural-order LDLT of the whole matrix
+    gives.  Aborts with a partial diagonal once any computed entry exceeds
+    the degree cap (env AXIA_DEGREE_CAP); the grid verdicts never depend on
     this path.
     """
     if cap is None:
         cap = degree_cap()
     m4a = build_m4a()
-    b = norton_matrix(m4a.algebra, m4a.form)
-    n = b.rows
-    field = QT
-    z = field.zero
-    lrows = [[] for _ in range(n)]
-    active = []
-    diag = []
 
-    def check(x):
+    def guard(x):
         if max(x.num.degree, x.den.degree) > cap:
-            raise DegreeCapExceeded(
-                f"entry degree exceeds cap {cap} at column {len(diag)}")
+            raise DegreeCapExceeded(f"entry degree exceeds cap {cap}")
 
-    status = "COMPLETE"
     try:
-        for j in range(n):
-            lj = lrows[j]
-            dj = b.data[j][j] - sum((lj[k] * lj[k] * diag[active[k]]
-                                     for k in range(len(lj))), z)
-            check(dj)
-            if dj.is_zero():
-                dl = [lj[k] * diag[active[k]] for k in range(len(lj))]
-                for i in range(j + 1, n):
-                    li = lrows[i]
-                    cij = b.data[i][j] - sum((a * bb for a, bb in zip(li, dl)), z)
-                    if not cij.is_zero():
-                        status = "FAILED_INDEFINITE"
-                        raise StopIteration
-                diag.append(z)
-                continue
-            diag.append(dj)
-            dl = [lj[k] * diag[active[k]] for k in range(len(lj))]
-            for i in range(j + 1, n):
-                li = lrows[i]
-                lij = (b.data[i][j]
-                       - sum((a * bb for a, bb in zip(li, dl)), z)) / dj
-                check(lij)
-                li.append(lij)
-            active.append(j)
-    except DegreeCapExceeded:
-        status = "DEGREE_CAP_EXCEEDED"
-    except StopIteration:
-        pass
+        pivots = ldlt(norton_block(m4a.algebra, m4a.form), guard).D
+        status = LDLTResult.COMPLETE
+    except ZeroPivotSymbolic as exc:
+        status, pivots = LDLTResult.FAILED_INDEFINITE, exc.pivots
+    except DegreeCapExceeded as exc:
+        status, pivots = "DEGREE_CAP_EXCEEDED", exc.pivots
+    diag = _interleave_wedge(pivots, m4a.algebra.dim)
     return {"status": status, "degree_cap": cap,
             "columns_processed": len(diag), "diagonal": diag}
+
+
+def _interleave_wedge(pivots, n):
+    """The first pivots of the exterior-square block, placed at their pairs
+    i < j among all n^2 ordered pairs, with zeros at i >= j; cut before
+    the first pair with no pivot.  Both orders are lexicographic, so the
+    block's pairs come in the same order here."""
+    pivots = iter(pivots)
+    diag = []
+    for i in range(n):
+        for j in range(n):
+            d = next(pivots, None) if i < j else QT.zero
+            if d is None:
+                return diag
+            diag.append(d)
+    return diag
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,8 @@ never use floating point.
 
 from __future__ import annotations
 
-from .errors import DimensionMismatch, NonSquare, ZeroPivotSymbolic
+from .errors import (AxiaError, DimensionMismatch, NonSquare,
+                     ZeroPivotSymbolic)
 from .scalars import QT
 
 
@@ -106,29 +107,34 @@ class Matrix:
 def rref(m: Matrix):
     """Reduced row echelon form; returns (Matrix, pivot column tuple)."""
     field = m.field
+    is_zero = field.is_zero
     data = [list(row) for row in m.data]
     nr, nc = m.rows, m.cols
     pivots = []
     r = 0
     for c in range(nc):
-        pr = next((i for i in range(r, nr) if not field.is_zero(data[i][c])),
-                  None)
+        pr = next((i for i in range(r, nr) if not is_zero(data[i][c])), None)
         if pr is None:
             continue
         data[r], data[pr] = data[pr], data[r]
         pv = data[r][c]
         if pv != field.one:
-            inv_row = data[r]
-            data[r] = [x / pv for x in inv_row]
+            data[r] = [x if is_zero(x) else x / pv for x in data[r]]
         for i in range(nr):
-            if i != r and not field.is_zero(data[i][c]):
-                f = data[i][c]
-                data[i] = [x - f * y for x, y in zip(data[i], data[r])]
+            if i != r and not is_zero(data[i][c]):
+                _sub_multiple(data[i], data[i][c], data[r], is_zero)
         pivots.append(c)
         r += 1
         if r == nr:
             break
     return Matrix(field, data), tuple(pivots)
+
+
+def _sub_multiple(r, c, row, is_zero):
+    """r -= c * row in place, over the nonzero entries of row only."""
+    for k, y in enumerate(row):
+        if not is_zero(y):
+            r[k] = r[k] - c * y
 
 
 def rank(m: Matrix) -> int:
@@ -260,47 +266,55 @@ def ldlt(m: Matrix, entry_guard=None) -> LDLTResult:
     FAILED_INDEFINITE, over Q(t) ZeroPivotSymbolic is raised.
 
     entry_guard, if given, is called with every computed pivot and L entry
-    and may raise to abort (used for symbolic degree caps).
+    and may raise an AxiaError to abort (used for symbolic degree caps).
+    An AxiaError raised here carries the pivots computed so far as its
+    attribute `pivots`.
     """
     if m.rows != m.cols:
         raise NonSquare("ldlt of a non-square matrix")
     field = m.field
     n = m.rows
-    z, one = field.zero, field.one
+    z = field.zero
     is_zero = field.is_zero
     # L stored compactly: lrows[i][k] is L[i, active[k]]
     lrows = [[] for _ in range(n)]
     active = []
     D = []
-    for j in range(n):
-        lj = lrows[j]
-        dj = m.data[j][j] - sum((lj[k] * lj[k] * D[active[k]]
-                                 for k in range(len(lj))), z)
-        if entry_guard is not None:
-            entry_guard(dj)
-        if is_zero(dj):
+    try:
+        for j in range(n):
+            lj = lrows[j]
+            dj = m.data[j][j] - sum((lj[k] * lj[k] * D[active[k]]
+                                     for k in range(len(lj))), z)
+            if entry_guard is not None:
+                entry_guard(dj)
+            if is_zero(dj):
+                for i in range(j + 1, n):
+                    li = lrows[i]
+                    cij = m.data[i][j] - sum(
+                        (a * b for a, b in zip(li, _dl(lj, D, active))), z)
+                    if not is_zero(cij):
+                        if field is QT:
+                            raise ZeroPivotSymbolic(
+                                f"zero pivot at column {j}, "
+                                f"nonzero entry at row {i}")
+                        L = _expand_l(field, lrows, active, n)
+                        return LDLTResult(field, L, D + [z] * (n - len(D)),
+                                          LDLTResult.FAILED_INDEFINITE, (i, j))
+                D.append(z)
+                continue
+            D.append(dj)
+            dl = [lj[k] * D[active[k]] for k in range(len(lj))]
             for i in range(j + 1, n):
                 li = lrows[i]
-                cij = m.data[i][j] - sum((a * b for a, b in zip(li, _dl(lj, D, active))), z)
-                if not is_zero(cij):
-                    if field is QT:
-                        raise ZeroPivotSymbolic(
-                            f"zero pivot at column {j}, nonzero entry at row {i}")
-                    L = _expand_l(field, lrows, active, n)
-                    return LDLTResult(field, L, D + [z] * (n - len(D)),
-                                      LDLTResult.FAILED_INDEFINITE, (i, j))
-            D.append(z)
-            continue
-        D.append(dj)
-        dl = [lj[k] * D[active[k]] for k in range(len(lj))]
-        for i in range(j + 1, n):
-            li = lrows[i]
-            cij = m.data[i][j] - sum((a * b for a, b in zip(li, dl)), z)
-            lij = cij / dj
-            if entry_guard is not None:
-                entry_guard(lij)
-            li.append(lij)
-        active.append(j)
+                cij = m.data[i][j] - sum((a * b for a, b in zip(li, dl)), z)
+                lij = cij / dj
+                if entry_guard is not None:
+                    entry_guard(lij)
+                li.append(lij)
+            active.append(j)
+    except AxiaError as exc:
+        exc.pivots = tuple(D)
+        raise
     L = _expand_l(field, lrows, active, n)
     return LDLTResult(field, L, D, LDLTResult.COMPLETE)
 
@@ -352,9 +366,10 @@ def span_rref(field, vectors, ncols):
 
 def in_span(field, rref_basis: Matrix, pivots, v):
     """Exact membership of v in the row span of an RREF basis."""
+    is_zero = field.is_zero
     r = list(v)
     for row, pc in zip(rref_basis.data, pivots):
         c = r[pc]
-        if not field.is_zero(c):
-            r = [x - c * y for x, y in zip(r, row)]
-    return all(field.is_zero(x) for x in r)
+        if not is_zero(c):
+            _sub_multiple(r, c, row, is_zero)
+    return all(is_zero(x) for x in r)

@@ -349,12 +349,16 @@ def build_m4a() -> ConstructedAlgebra:
 def specialize(alg: Algebra, form: BilinearForm, t0):
     """Evaluate a symbolic algebra and form at a rational point t = t0."""
     t0 = rat(t0)
-    field = QQ
     table = [[tuple(x.evaluate(t0) for x in alg.mul_table[i][j])
               for j in range(alg.dim)] for i in range(alg.dim)]
-    gram = Matrix(field, [[x.evaluate(t0) for x in row]
-                          for row in form.gram.data])
-    return Algebra(field, alg.labels, table), BilinearForm(field, gram)
+    return Algebra(QQ, alg.labels, table), specialize_form(form, t0)
+
+
+def specialize_form(form: BilinearForm, t0) -> BilinearForm:
+    """Evaluate a symbolic form alone at t = t0."""
+    t0 = rat(t0)
+    return BilinearForm(QQ, Matrix(QQ, [[x.evaluate(t0) for x in row]
+                                        for row in form.gram.data]))
 
 
 def specialize_m4a(t0) -> ConstructedAlgebra:

@@ -9,6 +9,7 @@ so equality is structural.
 
 from __future__ import annotations
 
+import math
 import re
 
 from .errors import PoleAtPoint, ZeroPolynomial
@@ -70,7 +71,7 @@ class Polynomial:
     __slots__ = ("coeffs", "_hash")
 
     def __init__(self, coeffs=()):
-        cs = [Rational(c) for c in coeffs]
+        cs = [c if type(c) is Rational else Rational(c) for c in coeffs]
         while cs and cs[-1] == 0:
             cs.pop()
         object.__setattr__(self, "coeffs", tuple(cs))
@@ -281,6 +282,14 @@ def poly_gcd(a: Polynomial, b: Polynomial) -> Polynomial:
     return a.monic()
 
 
+def _monic_lcm(a: Polynomial, b: Polynomial) -> Polynomial:
+    if a.degree <= 0:
+        return b
+    if b.degree <= 0:
+        return a
+    return a * b.exact_div(poly_gcd(a, b))
+
+
 class RationalFunction:
     """Element of Q(t): num/den with gcd 1 and monic den.  Immutable."""
 
@@ -411,6 +420,8 @@ def _rf_normalize(num, den):
         return POLY_ZERO, POLY_ONE
     if den.degree == 0:
         c = den.coeffs[0]
+        if c == 1:
+            return num, POLY_ONE
         return Polynomial([x / c for x in num.coeffs]), POLY_ONE
     g = poly_gcd(num, den)
     if g.degree > 0:
@@ -531,6 +542,18 @@ class RationalField:
     def is_zero(self, x):
         return x == 0
 
+    def clear(self, xs):
+        """(numerators, d): the rationals xs as integers over their least
+        common denominator d."""
+        d = 1
+        for x in xs:
+            d = math.lcm(d, x.denominator)
+        return [x.numerator * (d // x.denominator) for x in xs], d
+
+    def join(self, num, den):
+        """The rational num/den, normalised."""
+        return Rational(num, den)
+
     def sign(self, x):
         return rational_sign(x)
 
@@ -571,6 +594,20 @@ class FunctionField:
 
     def is_zero(self, x):
         return x.is_zero()
+
+    def clear(self, xs):
+        """(numerators, d): the rational functions xs as polynomials over
+        their monic least common denominator d."""
+        d = POLY_ONE
+        for x in xs:
+            if x.den != d:
+                d = _monic_lcm(d, x.den)
+        return [x.num if x.den == d else x.num * d.exact_div(x.den)
+                for x in xs], d
+
+    def join(self, num, den):
+        """The rational function num/den, normalised."""
+        return RationalFunction(num, den)
 
     def sign(self, x):
         raise TypeError("no sign on Q(t); specialize first")

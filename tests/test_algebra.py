@@ -2,6 +2,8 @@
 ideals, quotients, gradings — exercised on small hand-checkable algebras
 and the dihedral catalog."""
 
+import random
+
 import pytest
 
 from axia.algebra import (AbelianGroup, Algebra, BilinearForm, FusionRule,
@@ -13,7 +15,7 @@ from axia.algebra import (AbelianGroup, Algebra, BilinearForm, FusionRule,
 from axia.catalog import dihedral, monster_rule
 from axia.errors import (NotAnIdeal, NotIdempotent, NotSemisimple)
 from axia.linalg import Matrix
-from axia.scalars import QQ, rat
+from axia.scalars import QQ, QT, rat
 
 MONSTER_EVS = tuple(QQ.of(x) for x in ("1", "0", "1/4", "1/32"))
 
@@ -32,6 +34,81 @@ def test_mul_bilinearity_trivial():
     u = tuple(rat(2) * x + rat(3) * y for x, y in zip(a0, a1))
     assert alg.mul(u, u) == tuple(rat(4) * x + rat(9) * y
                                   for x, y in zip(a0, a1))  # a_0 a_1 = 0
+
+
+def bilinear_reference(alg, u, v):
+    """sum_ijk u_i v_j T[i][j][k] e_k with plain field arithmetic."""
+    acc = [alg.field.zero] * alg.dim
+    for i in range(alg.dim):
+        for j in range(alg.dim):
+            for k in range(alg.dim):
+                acc[k] = acc[k] + u[i] * v[j] * alg.mul_table[i][j][k]
+    return tuple(acc)
+
+
+def _qt_entries():
+    """Q(t) scalars with distinct nonconstant denominators sharing factors."""
+    t, c = QT.t, QT.of
+    return [QT.zero, c(1), c("-2/7"), t, c("1/32") * t,
+            c(1) / (t - 1), c(1) / (t * t - 1), c(3) / (c(2) * t + 1),
+            (t + 1) / (t - 1), (t * t - c(5)) / (c(4) * t * t - 1)]
+
+
+def _qq_entries():
+    return [QQ.zero, rat(1), rat(-3), rat("1/2"), rat("-5/6"), rat("7/32"),
+            rat("9/4"), rat("-1/3")]
+
+
+def _random_algebra(field, entries, rng, dim):
+    table = [[None] * dim for _ in range(dim)]
+    for i in range(dim):
+        for j in range(i, dim):
+            table[i][j] = table[j][i] = tuple(
+                rng.choice(entries) for _ in range(dim))
+    return Algebra(field, [f"b_{i}" for i in range(dim)], table)
+
+
+@pytest.mark.parametrize("field", [QQ, QT], ids=["QQ", "QT"])
+def test_mul_equals_bilinear_reference(field):
+    # [DERIVED] common-denominator products against plain arithmetic, on
+    # tables whose common denominator is not 1
+    entries = _qq_entries() if field is QQ else _qt_entries()
+    rng = random.Random(3)
+    for dim in (1, 2, 4):
+        alg = _random_algebra(field, entries, rng, dim)
+        zero = (field.zero,) * dim
+        for _ in range(12):
+            u = tuple(rng.choice(entries) for _ in range(dim))
+            v = tuple(rng.choice(entries) for _ in range(dim))
+            assert alg.mul(u, v) == bilinear_reference(alg, u, v)
+            assert alg.mul(u, zero) == zero and alg.mul(zero, v) == zero
+
+
+def test_mul_on_m4a_with_denominators_equals_reference(m4a):
+    # [DERIVED] the structure constants of M_4A all have denominator 1;
+    # the vectors here do not
+    alg = m4a.algebra
+    rng = random.Random(4)
+    entries = _qt_entries()
+    u = tuple(rng.choice(entries) for _ in range(alg.dim))
+    v = tuple(rng.choice(entries) for _ in range(alg.dim))
+    assert alg.mul(u, v) == bilinear_reference(alg, u, v)
+
+
+def test_mul_cancels_to_normalised_zero_and_constants():
+    # [TRIVIAL] (1/(t-1)) b * (t-1) b = b and x b - x b = 0 need the
+    # joined numerator over the common denominator reduced
+    t = QT.t
+    alg = Algebra(QT, ["b"], [[(QT.of(1) / (t * t - 1),)]])
+    p = alg.mul((t * t - 1,), (QT.of(1) / (t + 1),))
+    assert p == (QT.of(1) / (t + 1),)
+    assert p[0].den == (t + 1).num and hash(p[0]) == hash(QT.of(1) / (t + 1))
+    two = Algebra(QT, ["b", "c"], [[(QT.of(1), QT.of(1) / (t - 1)),
+                                    (QT.of(1), -QT.of(1) / (t - 1))],
+                                   [(QT.of(1), -QT.of(1) / (t - 1)),
+                                    (QT.zero, QT.zero)]])
+    assert two.mul((QT.of(1), QT.of(1)), (QT.of(1), QT.zero)) == \
+        (QT.of(2), QT.zero)
 
 
 def test_asymmetric_table_rejected():

@@ -7,7 +7,7 @@ import pytest
 from axia import certify as cert
 from axia.algebra import axis_decomposition, radical
 from axia.catalog import dihedral
-from axia.linalg import ldlt
+from axia.linalg import Matrix, ldlt
 from axia.m4 import specialize_m4a
 from axia.scalars import QQ, QT, rat
 
@@ -22,7 +22,7 @@ MONSTER_EVS = tuple(QQ.of(x) for x in ("1", "0", "1/4", "1/32"))
 
 @pytest.fixture(scope="module")
 def gram_data(m4a):
-    det, diag = cert.gram_analysis(m4a.algebra, m4a.form)
+    det, diag = cert.gram_analysis(m4a.form)
     return det, diag
 
 
@@ -208,6 +208,43 @@ def test_norton_symbolic_is_degree_capped():
     rep = cert.norton_symbolic(cap=1)
     assert rep["status"] == "DEGREE_CAP_EXCEEDED"
     assert rep["columns_processed"] < 144
+
+
+def _symbolic_block(corner):
+    """A 66 x 66 matrix over Q(t): the given leading block, then t."""
+    t = QT.t
+    n = 66
+    data = [[QT.zero] * n for _ in range(n)]
+    for i in range(n):
+        data[i][i] = t
+    for i, row in enumerate(corner):
+        data[i][:len(row)] = row
+    return Matrix(QT, data)
+
+
+def test_norton_symbolic_maps_failures_to_144_space(monkeypatch):
+    t = QT.t
+    z = QT.zero
+    # a zero pivot with a nonzero entry below it: indefinite
+    monkeypatch.setattr(cert, "norton_block",
+                        lambda alg, form: _symbolic_block([[z, t], [t, z]]))
+    rep = cert.norton_symbolic(cap=40)
+    assert rep["status"] == "FAILED_INDEFINITE"
+    assert rep["diagonal"] == [z] and rep["columns_processed"] == 1
+    # degree cap hit at the third pivot: (0,0) is zero, (0,1) and (0,2)
+    # carry the first two pivots, and the report stops before (0,3)
+    staircase = _symbolic_block([[t], [z, t * t], [z, z, t ** 3]])
+    monkeypatch.setattr(cert, "norton_block", lambda alg, form: staircase)
+    rep = cert.norton_symbolic(cap=2)
+    assert rep["status"] == "DEGREE_CAP_EXCEEDED"
+    assert rep["diagonal"] == [z, t, t * t] and rep["columns_processed"] == 3
+    # a full run: 66 pivots at the pairs i < j, zeros at i >= j
+    monkeypatch.setattr(cert, "norton_block",
+                        lambda alg, form: _symbolic_block([]))
+    rep = cert.norton_symbolic(cap=40)
+    assert rep["status"] == "COMPLETE" and rep["columns_processed"] == 144
+    assert rep["diagonal"] == [t if i < j else z
+                               for i in range(12) for j in range(12)]
 
 
 # ---------------------------------------------------------------------------

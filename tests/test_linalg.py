@@ -5,7 +5,7 @@ import random
 import pytest
 import sympy
 
-from axia.errors import DimensionMismatch, ZeroPivotSymbolic
+from axia.errors import AxiaError, DimensionMismatch, ZeroPivotSymbolic
 from axia.linalg import (LDLTResult, Matrix, determinant, in_span, inverse,
                          kernel_basis, ldlt, rank, reconstruct_ldlt, rref,
                          solve, span_rref, vec_is_zero)
@@ -124,6 +124,54 @@ def test_in_span():
     assert not in_span(QQ, basis, pivots, (rat(0), rat(0), rat(1)))
 
 
+def test_rref_and_in_span_agree_with_sympy_on_sparse_rows():
+    # [DERIVED] zero-skipping row updates against sympy's rref and rank
+    rng = random.Random(17)
+    for density in (0.2, 0.4, 0.7):
+        for _ in range(6):
+            rows, cols = rng.randint(1, 6), rng.randint(1, 7)
+            m = random_sparse(QQ, rng, rows, cols, density)
+            red, pivots = rref(m)
+            sred, spivots = to_sympy(m).rref()
+            assert to_sympy(red) == sred and pivots == spivots
+            basis, bpivots = span_rref(QQ, m.data, cols)
+            for _ in range(4):
+                v = tuple(random_entry(QQ, rng, density) for _ in range(cols))
+                if rng.random() < 0.5:
+                    cs = [random_entry(QQ, rng, 0.6) for _ in m.data]
+                    v = tuple(sum((c * row[k] for c, row in zip(cs, m.data)),
+                                  QQ.zero) for k in range(cols))
+                inside = (sympy.Matrix.vstack(to_sympy(m),
+                                              to_sympy(Matrix(QQ, [v]))).rank()
+                          == to_sympy(m).rank())
+                assert in_span(QQ, basis, bpivots, v) == inside
+
+
+def test_rref_over_function_field_with_zero_entries():
+    # [DERIVED] rref of a sparse Q(t) matrix against sympy, entrywise
+    t, c = QT.t, QT.of
+    z = QT.zero
+    m = Matrix(QT, [[z, c(1) / (t - 1), z, t],
+                    [c(2) * t, z, z, c(1) / (t * t - 1)],
+                    [c(2) * t, c(3) / (t - 1), z,
+                     c(3) * t + c(1) / (t * t - 1)]])
+    red, pivots = rref(m)
+    ts = sympy.Symbol("t")
+
+    def to_sym(x):
+        def p(q):
+            return sum(sympy.Rational(str(a)) * ts ** i
+                       for i, a in enumerate(q.coeffs))
+        return p(x.num) / p(x.den)
+
+    sred, spivots = sympy.Matrix([[to_sym(x) for x in row]
+                                  for row in m.data]).rref(simplify=True)
+    assert pivots == spivots == (0, 1)
+    for i in range(m.rows):
+        for j in range(m.cols):
+            assert sympy.cancel(to_sym(red.data[i][j]) - sred[i, j]) == 0
+
+
 # ---------------------------------------------------------------------------
 # determinant (Bareiss) against sympy and closed forms
 # ---------------------------------------------------------------------------
@@ -218,6 +266,24 @@ def test_ldlt_no_sign_verdict_over_function_field():
     assert result.status == LDLTResult.COMPLETE
     with pytest.raises(TypeError):
         result.is_psd()
+
+
+def test_ldlt_abort_carries_pivots_so_far():
+    class Stop(AxiaError):
+        pass
+
+    def guard(x):
+        if x == rat(3):
+            raise Stop()
+
+    with pytest.raises(Stop) as info:
+        ldlt(qm([[4, 2, 0], [2, 2, 0], [0, 0, 3]]), entry_guard=guard)
+    assert info.value.pivots == (rat(4), rat(1))
+    t = QT.t
+    with pytest.raises(ZeroPivotSymbolic) as info:
+        ldlt(Matrix(QT, [[t, QT.zero, QT.zero], [QT.zero, QT.zero, t],
+                         [QT.zero, t, QT.zero]]))
+    assert info.value.pivots == (t,)
 
 
 def test_ldlt_entry_guard_is_called():

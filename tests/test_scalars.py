@@ -60,6 +60,24 @@ def test_polynomial_trailing_zeros_stripped():
     assert poly(0, 0).is_zero()
 
 
+def test_polynomial_coefficients_from_int_string_and_fraction():
+    # [TRIVIAL] rationals are kept as they are, other types coerced; the
+    # results are equal, equally hashed and hold only rationals
+    from fractions import Fraction
+    polys = [Polynomial([3, 0, -2, 0]), Polynomial(["3", "0", "-2"]),
+             Polynomial([parse_rational(x) for x in ("3", "0", "-2", "0")]),
+             Polynomial([Fraction(6, 2), Fraction(0), Fraction(-4, 2)])]
+    for p in polys:
+        assert p == polys[0] and hash(p) == hash(polys[0])
+        assert p.coeffs == (rat(3), rat(0), rat(-2)) and p.degree == 2
+        assert all(type(c) is type(rat(1)) for c in p.coeffs)
+    halves = [Polynomial(["1/2"]), Polynomial([Fraction(1, 2)]),
+              Polynomial([parse_rational("2/4")])]
+    assert len({hash(p) for p in halves}) == 1 and halves[0] == halves[1:][0]
+    assert hash(RationalFunction(halves[1])) == hash(rat("1/2"))
+    assert Polynomial([0, Fraction(0)]).is_zero()
+
+
 def test_polynomial_divmod_and_exact_div():
     a = poly(-1, 0, 1)          # t^2 - 1
     b = poly(1, 1)              # t + 1
@@ -133,6 +151,20 @@ def test_field_protocol_roundtrip():
     f = QT.of("5/3") * QT.t
     assert QT.from_json(QT.to_json(f)) == f
     assert QQ.sign(QQ.of("-2")) == -1
+
+
+@pytest.mark.parametrize("field", [QQ, QT], ids=["QQ", "QT"])
+def test_clear_and_join_roundtrip(field):
+    # [TRIVIAL] clear puts xs over one denominator; join undoes it
+    if field is QQ:
+        xs = [rat("1/6"), rat("-3/4"), rat(5), rat(0)]
+    else:
+        t, c = QT.t, QT.of
+        xs = [c(1) / (t - 1), c(1) / (t * t - 1), c(3) / (c(2) * t + 1),
+              c("1/32") * t, c(0)]
+    nums, den = field.clear(xs)
+    assert [field.join(n, den) for n in nums] == xs
+    assert field.clear([]) == ([], field.clear([field.one])[1])
 
 
 def test_function_field_has_no_sign():
