@@ -370,6 +370,23 @@ def f4a_grading() -> GradingAssignment:
     return GradingAssignment(AbelianGroup.c2xc2(), assignment)
 
 
+class Checks:
+    """The named checks of one verification suite.  Each check records an
+    expected and an actual value and passes when they are equal."""
+
+    def __init__(self):
+        self.items = []
+
+    def add(self, name, expected, actual):
+        self.items.append({"name": name, "expected": expected,
+                           "actual": actual, "pass": expected == actual})
+
+    def report(self, target):
+        """The suite's JSON report: every check and the overall verdict."""
+        return {"target": target, "checks": self.items,
+                "pass": all(c["pass"] for c in self.items)}
+
+
 def v4a_certify():
     """Certify each 4A axis v_(i,j) of the symbolic M_4A: idempotency,
     eigenspace dims (1, 4, 4, 2, 1), published eigenvectors, the 4A-axis
@@ -381,18 +398,13 @@ def v4a_certify():
     t = field.t
     rule = f4a_rule()
     evs = (field.of(1), field.of(0), field.of("1/2"), field.of("3/8"), t)
-    checks = []
-
-    def add(name, expected, actual):
-        checks.append({"name": name, "expected": expected, "actual": actual,
-                       "pass": expected == actual})
-
+    checks = Checks()
     for i, j in ((1, 2), (1, 3), (2, 3)):
         lab = f"v_{i}{j}"
         v = alg.basis_vector(lab)
-        add(f"{lab} idempotent", True, alg.is_idempotent(v))
+        checks.add(f"{lab} idempotent", True, alg.is_idempotent(v))
         dec = axis_decomposition(alg, v, evs)
-        add(f"{lab} eigenspace dims", (1, 4, 4, 2, 1), dec.dims)
+        checks.add(f"{lab} eigenspace dims", (1, 4, 4, 2, 1), dec.dims)
         refs = reference_v_eigenvectors(i, j)
         ok = True
         for lam, vecs in refs.items():
@@ -400,13 +412,14 @@ def v4a_certify():
             for w in vecs:
                 if not in_span(field, bm, piv, w):
                     ok = False
-        add(f"{lab} reference eigenvectors", True, ok)
-        add(f"{lab} fusion violations", 0, len(verify_fusion(alg, dec, rule)))
-    add("C2xC2 grading", True, verify_grading(rule, f4a_grading()))
+        checks.add(f"{lab} reference eigenvectors", True, ok)
+        checks.add(f"{lab} fusion violations", 0,
+                   len(verify_fusion(alg, dec, rule)))
+    checks.add("C2xC2 grading", True, verify_grading(rule, f4a_grading()))
 
     vgens = [alg.basis_vector(f"v_{i}{j}") for i, j in ((1, 2), (1, 3), (2, 3))]
     closure = subalgebra_closure(alg, vgens)
-    add("jordan closure dim", 9, len(closure))
+    checks.add("jordan closure dim", 9, len(closure))
     sub, coords = subalgebra_algebra(alg, closure)
     jrule = jordan_half_rule(field)
     jevs = (field.of(1), field.of(0), field.of("1/2"))
@@ -415,9 +428,8 @@ def v4a_certify():
         dec = axis_decomposition(sub, coords(v), jevs)
         if not dec.is_complete or verify_fusion(sub, dec, jrule):
             ok = False
-    add("jordan fusion on closure", True, ok)
-    return {"target": "v4a", "checks": checks,
-            "pass": all(c["pass"] for c in checks)}
+    checks.add("jordan fusion on closure", True, ok)
+    return checks.report("v4a")
 
 
 # ---------------------------------------------------------------------------
@@ -452,25 +464,19 @@ def verify_m4a():
     field = QT
     rule = monster_rule(field)
     evs = tuple(field.of(x) for x in ("1", "0", "1/4", "1/32"))
-    checks = []
-
-    def add(name, expected, actual):
-        checks.append({"name": name, "expected": expected, "actual": actual,
-                       "pass": expected == actual})
-
-    add("dimension", 12, alg.dim)
+    checks = Checks()
+    checks.add("dimension", 12, alg.dim)
     for ax, key in zip(m4a.axes, (1, -1, 2, -2, 3, -3)):
         dec = axis_decomposition(alg, ax, evs)
-        add(f"a_{key} primitive", True, dec.is_primitive)
-        add(f"a_{key} fusion violations", 0,
-            len(verify_fusion(alg, dec, rule)))
-    add("frobenius violations", 0, len(verify_frobenius(alg, form)))
-    add("dependency violations", 0, len(verify_dependencies(m4a)))
+        checks.add(f"a_{key} primitive", True, dec.is_primitive)
+        checks.add(f"a_{key} fusion violations", 0,
+                   len(verify_fusion(alg, dec, rule)))
+    checks.add("frobenius violations", 0, len(verify_frobenius(alg, form)))
+    checks.add("dependency violations", 0, len(verify_dependencies(m4a)))
     for name, op in m4a.symmetries.items():
-        add(f"{name} automorphism+isometry", True,
-            is_automorphism(alg, op, form))
-    return {"target": "m4a", "checks": checks,
-            "pass": all(c["pass"] for c in checks)}
+        checks.add(f"{name} automorphism+isometry", True,
+                   is_automorphism(alg, op, form))
+    return checks.report("m4a")
 
 
 def verify_m4b():
@@ -478,22 +484,16 @@ def verify_m4b():
     m4b = build_m4b()
     alg, form = m4b.algebra, m4b.form
     rule = monster_rule()
-    checks = []
-
-    def add(name, expected, actual):
-        checks.append({"name": name, "expected": expected, "actual": actual,
-                       "pass": expected == actual})
-
-    add("dimension", 7, alg.dim)
-    add("closure dim", 7, len(subalgebra_closure(alg, m4b.axes)))
+    checks = Checks()
+    checks.add("dimension", 7, alg.dim)
+    checks.add("closure dim", 7, len(subalgebra_closure(alg, m4b.axes)))
     for ax, key in zip(m4b.axes, (1, -1, 2, -2, 3, -3)):
         dec = axis_decomposition(alg, ax, MONSTER_EIGENVALUES_QQ)
-        add(f"a_{key} primitive", True, dec.is_primitive)
-        add(f"a_{key} fusion violations", 0,
-            len(verify_fusion(alg, dec, rule)))
-    add("frobenius violations", 0, len(verify_frobenius(alg, form)))
-    return {"target": "m4b", "checks": checks,
-            "pass": all(c["pass"] for c in checks)}
+        checks.add(f"a_{key} primitive", True, dec.is_primitive)
+        checks.add(f"a_{key} fusion violations", 0,
+                   len(verify_fusion(alg, dec, rule)))
+    checks.add("frobenius violations", 0, len(verify_frobenius(alg, form)))
+    return checks.report("m4b")
 
 
 def verify_dihedral(name):
@@ -501,18 +501,13 @@ def verify_dihedral(name):
     d = dihedral(name)
     alg, form = d.algebra, d.form
     rule = monster_rule()
-    checks = []
-
-    def add(cname, expected, actual):
-        checks.append({"name": cname, "expected": expected, "actual": actual,
-                       "pass": expected == actual})
-
+    checks = Checks()
     for ax, key in zip(d.axes, d.axis_keys):
         dec = axis_decomposition(alg, ax, MONSTER_EIGENVALUES_QQ)
-        add(f"a_{key} primitive", True, dec.is_primitive)
-        add(f"a_{key} fusion violations", 0,
-            len(verify_fusion(alg, dec, rule)))
-    add("frobenius violations", 0, len(verify_frobenius(alg, form)))
+        checks.add(f"a_{key} primitive", True, dec.is_primitive)
+        checks.add(f"a_{key} fusion violations", 0,
+                   len(verify_fusion(alg, dec, rule)))
+    checks.add("frobenius violations", 0, len(verify_frobenius(alg, form)))
     dec0 = axis_decomposition(alg, alg.basis_vector("a_0"),
                               MONSTER_EIGENVALUES_QQ)
     ok = True
@@ -521,8 +516,7 @@ def verify_dihedral(name):
         for v in vecs:
             if not in_span(QQ, bm, piv, v):
                 ok = False
-    add("reference eigenvectors", True, ok)
+    checks.add("reference eigenvectors", True, ok)
     orbit = {tuple(g.matvec(d.axes[0])) for g in (d.group or [])}
-    add("axis orbit size", len(d.axes), len(orbit))
-    return {"target": f"dihedral:{name}", "checks": checks,
-            "pass": all(c["pass"] for c in checks)}
+    checks.add("axis orbit size", len(d.axes), len(orbit))
+    return checks.report(f"dihedral:{name}")

@@ -283,15 +283,15 @@ def ldlt(m: Matrix, entry_guard=None) -> LDLTResult:
     try:
         for j in range(n):
             lj = lrows[j]
-            dj = m.data[j][j] - sum((lj[k] * lj[k] * D[active[k]]
-                                     for k in range(len(lj))), z)
+            dl = [lj[k] * D[active[k]] for k in range(len(lj))]
+            dj = m.data[j][j] - sum((a * b for a, b in zip(lj, dl)), z)
             if entry_guard is not None:
                 entry_guard(dj)
             if is_zero(dj):
                 for i in range(j + 1, n):
                     li = lrows[i]
                     cij = m.data[i][j] - sum(
-                        (a * b for a, b in zip(li, _dl(lj, D, active))), z)
+                        (a * b for a, b in zip(li, dl)), z)
                     if not is_zero(cij):
                         if field is QT:
                             raise ZeroPivotSymbolic(
@@ -303,7 +303,6 @@ def ldlt(m: Matrix, entry_guard=None) -> LDLTResult:
                 D.append(z)
                 continue
             D.append(dj)
-            dl = [lj[k] * D[active[k]] for k in range(len(lj))]
             for i in range(j + 1, n):
                 li = lrows[i]
                 cij = m.data[i][j] - sum((a * b for a, b in zip(li, dl)), z)
@@ -317,10 +316,6 @@ def ldlt(m: Matrix, entry_guard=None) -> LDLTResult:
         raise
     L = _expand_l(field, lrows, active, n)
     return LDLTResult(field, L, D, LDLTResult.COMPLETE)
-
-
-def _dl(lj, D, active):
-    return [lj[k] * D[active[k]] for k in range(len(lj))]
 
 
 def _expand_l(field, lrows, active, n):

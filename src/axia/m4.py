@@ -349,7 +349,9 @@ def build_m4a() -> ConstructedAlgebra:
 def specialize(alg: Algebra, form: BilinearForm, t0):
     """Evaluate a symbolic algebra and form at a rational point t = t0."""
     t0 = rat(t0)
-    table = [[tuple(x.evaluate(t0) for x in alg.mul_table[i][j])
+    z = QQ.zero
+    table = [[tuple(z if x.is_zero() else x.evaluate(t0)
+                    for x in alg.mul_table[i][j])
               for j in range(alg.dim)] for i in range(alg.dim)]
     return Algebra(QQ, alg.labels, table), specialize_form(form, t0)
 

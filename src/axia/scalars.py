@@ -2,15 +2,18 @@
 
 Rationals are arbitrary-precision and always normalized (gcd 1, positive
 denominator); gmpy2.mpq is used when available, with fractions.Fraction as a
-drop-in fallback.  Polynomials are dense with rational coefficients (index =
-degree).  RationalFunction keeps gcd(num, den) = 1 with a monic denominator,
-so equality is structural.
+drop-in fallback.  A Polynomial in Q[t] is dense and stored as a tuple of
+int numerators (index = degree) over one positive int denominator that
+shares no factor with all of them; its arithmetic runs on those ints, with
+pseudo-division for divmod and gcd, and builds Rationals only for the
+`coeffs` view and for values.  RationalFunction keeps gcd(num, den) = 1 with
+a monic denominator, so equality is structural.
 """
 
 from __future__ import annotations
 
-import math
 import re
+from math import gcd, lcm
 
 from .errors import PoleAtPoint, ZeroPolynomial
 
@@ -62,20 +65,22 @@ def rational_sign(x) -> int:
 
 
 class Polynomial:
-    """Dense univariate polynomial over the rationals, coefficients ascending.
+    """Dense univariate polynomial over the rationals.
 
-    Immutable; no trailing zero coefficients; the zero polynomial has an
-    empty coefficient tuple and degree -inf.
+    The value is sum(_n[i] * t**i) / _d: `_n` is a tuple of ints with no
+    trailing zero, and `_d` is an int > 0 with gcd(_d, *_n) = 1.  This form
+    is canonical, so == compares the pair.  The zero polynomial is
+    ((), 1) and has degree -inf.  `coeffs`, the ascending Rational
+    coefficients, is built on first use.  Immutable.
     """
 
-    __slots__ = ("coeffs", "_hash")
+    __slots__ = ("_n", "_d", "_c")
 
-    def __init__(self, coeffs=()):
-        cs = [c if type(c) is Rational else Rational(c) for c in coeffs]
-        while cs and cs[-1] == 0:
-            cs.pop()
-        object.__setattr__(self, "coeffs", tuple(cs))
-        object.__setattr__(self, "_hash", None)
+    def __new__(cls, coeffs=()):
+        rs = [c if type(c) is Rational else Rational(c) for c in coeffs]
+        d = lcm(*[r.denominator for r in rs])
+        return _make([int(r.numerator * (d // r.denominator)) for r in rs],
+                     int(d))
 
     def __setattr__(self, *a):
         raise AttributeError("Polynomial is immutable")
@@ -83,96 +88,98 @@ class Polynomial:
     # -- constructors -------------------------------------------------
     @classmethod
     def constant(cls, c):
-        return cls((rat(c),))
+        return _from_rational(rat(c))
 
     @classmethod
     def t(cls):
-        return cls((RAT_ZERO, RAT_ONE))
+        return _make([0, 1], 1)
 
     # -- basic structure ----------------------------------------------
     @property
+    def coeffs(self):
+        """Ascending tuple of Rational coefficients."""
+        try:
+            return self._c
+        except AttributeError:
+            d = self._d
+            c = tuple(Rational(x, d) for x in self._n)
+            object.__setattr__(self, "_c", c)
+            return c
+
+    @property
     def degree(self):
         """Degree; -inf sentinel for the zero polynomial."""
-        return len(self.coeffs) - 1 if self.coeffs else float("-inf")
+        return len(self._n) - 1 if self._n else float("-inf")
 
     def is_zero(self):
-        return not self.coeffs
+        return not self._n
 
     def leading(self):
-        if not self.coeffs:
+        if not self._n:
             raise ZeroPolynomial("zero polynomial has no leading coefficient")
-        return self.coeffs[-1]
+        return Rational(self._n[-1], self._d)
 
     def __eq__(self, other):
         other = _as_poly(other)
         if other is None:
             return NotImplemented
-        return self.coeffs == other.coeffs
+        return self._n == other._n and self._d == other._d
 
     def __hash__(self):
-        h = self._hash
-        if h is None:
-            h = hash(self.coeffs) if len(self.coeffs) != 1 else hash(self.coeffs[0])
-            object.__setattr__(self, "_hash", h)
-        return h
+        c = self.coeffs
+        return hash(c) if len(c) != 1 else hash(c[0])
 
     # -- arithmetic ----------------------------------------------------
     def __add__(self, other):
         other = _as_poly(other)
         if other is None:
             return NotImplemented
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        cs = list(a)
-        for i, c in enumerate(b):
-            cs[i] = cs[i] + c
-        return Polynomial(cs)
+        return _sum(self, other, 1)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Polynomial([-c for c in self.coeffs])
+        return _make([-x for x in self._n], self._d)
 
     def __sub__(self, other):
         other = _as_poly(other)
         if other is None:
             return NotImplemented
-        return self + (-other)
+        return _sum(self, other, -1)
 
     def __rsub__(self, other):
         other = _as_poly(other)
         if other is None:
             return NotImplemented
-        return other + (-self)
+        return _sum(other, self, -1)
 
     def __mul__(self, other):
         other = _as_poly(other)
         if other is None:
             return NotImplemented
-        a, b = self.coeffs, other.coeffs
+        a, b = self._n, other._n
         if not a or not b:
-            return Polynomial()
+            return POLY_ZERO
         if len(b) == 1:
             c = b[0]
-            return Polynomial([x * c for x in a])
-        if len(a) == 1:
+            out = [x * c for x in a]
+        elif len(a) == 1:
             c = a[0]
-            return Polynomial([x * c for x in b])
-        out = [RAT_ZERO] * (len(a) + len(b) - 1)
-        for i, ai in enumerate(a):
-            if ai == 0:
-                continue
-            for j, bj in enumerate(b):
-                out[i + j] += ai * bj
-        return Polynomial(out)
+            out = [x * c for x in b]
+        else:
+            out = [0] * (len(a) + len(b) - 1)
+            for i, x in enumerate(a):
+                if x:
+                    for j, y in enumerate(b):
+                        out[i + j] += x * y
+        return _make(out, self._d * other._d)
 
     __rmul__ = __mul__
 
     def __pow__(self, n):
         if n < 0:
             raise ValueError("negative power of a polynomial")
-        result = Polynomial((RAT_ONE,))
+        result = POLY_ONE
         base = self
         while n:
             if n & 1:
@@ -185,21 +192,15 @@ class Polynomial:
         other = _as_poly(other)
         if other is None:
             return NotImplemented
-        if other.is_zero():
+        if not other._n:
             raise ZeroDivisionError("polynomial division by zero")
-        rem = list(self.coeffs)
-        dlead = other.leading()
-        dd = len(other.coeffs) - 1
-        q = [RAT_ZERO] * max(len(rem) - dd, 0)
-        for i in range(len(rem) - 1, dd - 1, -1):
-            c = rem[i]
-            if c == 0:
-                continue
-            f = c / dlead
-            q[i - dd] = f
-            for j, oc in enumerate(other.coeffs):
-                rem[i - dd + j] -= f * oc
-        return Polynomial(q), Polynomial(rem)
+        # f*A = q*B + r on the numerators, so self = A/_d and
+        # other = B/other._d give self = (q*other._d / (f*_d)) * other
+        # + r / (f*_d)
+        f, q, r = _pseudo_divmod(self._n, other._n)
+        den = f * self._d
+        b = other._d
+        return _make([x * b for x in q], den), _make(r, den)
 
     def __floordiv__(self, other):
         return divmod(self, other)[0]
@@ -210,27 +211,32 @@ class Polynomial:
     def exact_div(self, other):
         """Division known to be exact; raises if a remainder appears."""
         q, r = divmod(self, other)
-        if not r.is_zero():
+        if r._n:
             raise ValueError("inexact polynomial division")
         return q
 
     def monic(self):
-        if self.is_zero():
+        n = self._n
+        if not n or n[-1] == self._d:
             return self
-        lead = self.leading()
-        if lead == 1:
-            return self
-        return Polynomial([c / lead for c in self.coeffs])
+        return _scale(self, self._d, n[-1])
 
     def derivative(self):
-        return Polynomial([i * c for i, c in enumerate(self.coeffs)][1:])
+        return _make([i * x for i, x in enumerate(self._n)][1:], self._d)
 
     def __call__(self, t0):
-        t0 = rat(t0)
-        acc = RAT_ZERO
-        for c in reversed(self.coeffs):
-            acc = acc * t0 + c
-        return acc
+        if type(t0) is not Rational:
+            t0 = rat(t0)
+        n = self._n
+        if not n:
+            return RAT_ZERO
+        # Horner on the numerator homogenised in t0 = p/q
+        p, q = t0.numerator, t0.denominator
+        acc, qk = 0, 1
+        for c in reversed(n):
+            acc = acc * p + c * qk
+            qk *= q
+        return Rational(acc, self._d * (qk // q))
 
     # -- display ---------------------------------------------------------
     def __repr__(self):
@@ -262,24 +268,115 @@ class Polynomial:
         return " ".join(parts)
 
 
+_new = object.__new__
+_set_n = Polynomial._n.__set__
+_set_d = Polynomial._d.__set__
+
+
+def _make(nums, den):
+    """Trusted constructor: the polynomial sum(nums[i] * t**i) / den, from
+    a list of ints (consumed) and an int den > 0.  Strips trailing zeros
+    and divides out the common factor of nums and den."""
+    while nums and not nums[-1]:
+        nums.pop()
+    if not nums:
+        den = 1
+    elif den != 1:
+        g = gcd(den, *nums)
+        if g != 1:
+            nums = [x // g for x in nums]
+            den //= g
+    p = _new(Polynomial)
+    _set_n(p, tuple(nums))
+    _set_d(p, den)
+    return p
+
+
+def _from_rational(x):
+    return _make([int(x.numerator)], int(x.denominator))
+
+
+def _sum(p, q, s):
+    """p + s*q for s = 1 or -1."""
+    g = gcd(p._d, q._d)
+    fa, fb = q._d // g, s * (p._d // g)
+    a = [x * fa for x in p._n]
+    b = [y * fb for y in q._n]
+    if len(a) < len(b):
+        a, b = b, a
+    for i, y in enumerate(b):
+        a[i] += y
+    return _make(a, p._d * fa)
+
+
+def _scale(p, a, b):
+    """p * a / b for ints a and b != 0."""
+    if b < 0:
+        a, b = -a, -b
+    return _make([x * a for x in p._n], p._d * b)
+
+
+def _pseudo_divmod(a, b):
+    """(f, q, r) for int coefficient sequences a and b, b with a nonzero
+    leading entry: f*a = q*b + r with an int f > 0 and len(r) <= deg b.
+
+    Each step scales by |lead(b)| / gcd(c, lead(b)) only, where c is the
+    entry it removes, and carries the sign of lead(b) in the quotient
+    entry, so that f stays positive."""
+    n = len(b) - 1
+    lead = b[-1]
+    alead = -lead if lead < 0 else lead
+    rem = list(a)
+    q = [0] * max(len(a) - n, 0)
+    f = 1
+    for i in range(len(a) - 1, n - 1, -1):
+        c = rem[i]
+        if not c:
+            continue
+        g = gcd(c, alead)
+        m = alead // g
+        if m != 1:
+            rem = [x * m for x in rem]
+            q = [x * m for x in q]
+            f *= m
+        c //= g
+        if lead < 0:
+            c = -c
+        q[i - n] = c
+        for j, y in enumerate(b, i - n):
+            rem[j] -= c * y
+    return f, q, rem[:n]
+
+
 POLY_ZERO = Polynomial()
-POLY_ONE = Polynomial((RAT_ONE,))
+POLY_ONE = Polynomial((1,))
 POLY_T = Polynomial.t()
 
 
 def _as_poly(x):
     if isinstance(x, Polynomial):
         return x
-    if isinstance(x, (int, type(RAT_ONE))):
-        return Polynomial((Rational(x),))
+    if isinstance(x, int):
+        return _make([x], 1)
+    if isinstance(x, type(RAT_ONE)):
+        return _from_rational(x)
     return None
 
 
 def poly_gcd(a: Polynomial, b: Polynomial) -> Polynomial:
-    """Monic gcd by the Euclidean algorithm."""
-    while not b.is_zero():
-        a, b = b, (a % b).monic()
-    return a.monic()
+    """Monic gcd by the Euclidean algorithm on the integer numerators,
+    each remainder reduced to its primitive part."""
+    x, y = a._n, b._n
+    while y:
+        r = _pseudo_divmod(x, y)[2]
+        while r and not r[-1]:
+            r.pop()
+        if r:
+            g = gcd(*r)
+            if g != 1:
+                r = [v // g for v in r]
+        x, y = y, r
+    return _make(list(x), 1).monic()
 
 
 def _monic_lcm(a: Polynomial, b: Polynomial) -> Polynomial:
@@ -326,7 +423,7 @@ class RationalFunction:
             raise ValueError(f"not constant: {self}")
         if self.num.is_zero():
             return RAT_ZERO
-        return self.num.coeffs[0] / self.den.coeffs[0]
+        return self.num.leading() / self.den.leading()
 
     def __eq__(self, other):
         other = _as_rf(other)
@@ -416,21 +513,21 @@ class RationalFunction:
 
 
 def _rf_normalize(num, den):
-    if num.is_zero():
+    if not num._n:
         return POLY_ZERO, POLY_ONE
-    if den.degree == 0:
-        c = den.coeffs[0]
-        if c == 1:
+    if len(den._n) == 1:
+        c, d = den._n[0], den._d
+        if c == d:
             return num, POLY_ONE
-        return Polynomial([x / c for x in num.coeffs]), POLY_ONE
+        return _scale(num, d, c), POLY_ONE
     g = poly_gcd(num, den)
-    if g.degree > 0:
+    if len(g._n) > 1:
         num = num.exact_div(g)
         den = den.exact_div(g)
-    lead = den.leading()
-    if lead != 1:
-        num = Polynomial([c / lead for c in num.coeffs])
-        den = Polynomial([c / lead for c in den.coeffs])
+    c, d = den._n[-1], den._d
+    if c != d:
+        num = _scale(num, d, c)
+        den = _scale(den, d, c)
     return num, den
 
 
@@ -439,10 +536,10 @@ def _as_rf(x):
         return x
     if isinstance(x, Polynomial):
         return RationalFunction(x, POLY_ONE, _normalized=True)
-    if isinstance(x, (int, type(RAT_ONE))):
-        return RationalFunction(Polynomial((Rational(x),)), POLY_ONE,
-                                _normalized=True)
-    return None
+    p = _as_poly(x)
+    if p is None:
+        return None
+    return RationalFunction(p, POLY_ONE, _normalized=True)
 
 
 RAT_FUNC_ZERO = RationalFunction(POLY_ZERO)
@@ -547,7 +644,7 @@ class RationalField:
         common denominator d."""
         d = 1
         for x in xs:
-            d = math.lcm(d, x.denominator)
+            d = lcm(d, x.denominator)
         return [x.numerator * (d // x.denominator) for x in xs], d
 
     def join(self, num, den):
@@ -589,7 +686,7 @@ class FunctionField:
             return x
         if isinstance(x, Polynomial):
             return RationalFunction(x, POLY_ONE, _normalized=True)
-        return RationalFunction(Polynomial((rat(x),)), POLY_ONE,
+        return RationalFunction(Polynomial.constant(x), POLY_ONE,
                                 _normalized=True)
 
     def is_zero(self, x):
