@@ -9,8 +9,8 @@ from __future__ import annotations
 
 from .errors import (DimensionMismatch, IncompleteDecomposition, NotAnIdeal,
                      NotIdempotent, NotSemisimple)
-from .linalg import (Matrix, _sub_multiple, in_span, inverse, kernel_basis,
-                     rref, span_rref, unit_vec, vec_is_zero)
+from .linalg import (Matrix, _reduce, in_span, inverse, kernel_basis,
+                     span_rref, unit_vec, vec_is_zero)
 
 
 class Algebra:
@@ -102,6 +102,30 @@ class Algebra:
             if not self.field.is_zero(c):
                 parts.append(f"({c})*{label}")
         return " + ".join(parts) if parts else "0"
+
+
+class ConstructedAlgebra:
+    """An algebra with its Frobenius form and its axes.
+
+    axes[k] is the basis vector a_{axis_keys[k]}; symmetries maps names
+    to generating symmetry operators, group lists the matrices of a
+    symmetry group, and reference_eigenvectors maps each eigenvalue to
+    the published eigenvectors of one axis.
+    """
+
+    def __init__(self, algebra, form, axis_keys, symmetries=None,
+                 group=None, reference_eigenvectors=None):
+        self.algebra = algebra
+        self.form = form
+        self.axis_keys = list(axis_keys)
+        self.axes = [algebra.basis_vector(f"a_{k}") for k in self.axis_keys]
+        self.symmetries = symmetries or {}
+        self.group = group
+        self.reference_eigenvectors = reference_eigenvectors or {}
+
+    @property
+    def n_axes(self):
+        return len(self.axes)
 
 
 class BilinearForm:
@@ -362,17 +386,9 @@ def subalgebra_algebra(alg: Algebra, basis_vectors, labels=None):
     m, pivots = span_rref(field, [tuple(v) for v in basis_vectors], alg.dim)
     k = len(pivots)
 
-    is_zero = field.is_zero
-
     def coords(v):
-        r = list(v)
-        out = []
-        for row, pc in zip(m.data, pivots):
-            c = r[pc]
-            out.append(c)
-            if not is_zero(c):
-                _sub_multiple(r, c, row, is_zero)
-        if any(not is_zero(x) for x in r):
+        out, rest = _reduce(field, m, pivots, v)
+        if not vec_is_zero(field, rest):
             raise ValueError("vector outside the subalgebra")
         return tuple(out)
 
@@ -413,16 +429,11 @@ def quotient(alg: Algebra, form: BilinearForm, ideal):
         raise NotAnIdeal("subspace does not absorb products")
     pivot_set = set(pivots)
     comp = [j for j in range(alg.dim) if j not in pivot_set]
-    is_zero = field.is_zero
 
     def project(v):
         """Reduce modulo the ideal, then read off complement coordinates."""
-        r = list(v)
-        for row, pc in zip(ideal_m.data, pivots):
-            c = r[pc]
-            if not is_zero(c):
-                _sub_multiple(r, c, row, is_zero)
-        return tuple(r[j] for j in comp)
+        rest = _reduce(field, ideal_m, pivots, v)[1]
+        return tuple(rest[j] for j in comp)
 
     reps = [unit_vec(field, alg.dim, j) for j in comp]
     labels = [alg.labels[j] for j in comp]

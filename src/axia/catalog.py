@@ -11,7 +11,7 @@ extra vectors (a_rho, u_rho, v_rho, w_rho as applicable).
 
 from __future__ import annotations
 
-from .algebra import Algebra, BilinearForm, FusionRule
+from .algebra import Algebra, BilinearForm, ConstructedAlgebra, FusionRule
 from .completion import (complete_form, complete_table, gram_from_pairs,
                          mulclose, table_from_pairs)
 from .linalg import Matrix
@@ -72,8 +72,6 @@ def f4a_rule(t=None) -> FusionRule:
     }
     return FusionRule(field, (one, zero, h, s, t), table)
 
-
-MONSTER_EIGENVALUES = ("1", "0", "1/4", "1/32")
 
 # ---------------------------------------------------------------------------
 # Dihedral catalog data
@@ -255,24 +253,6 @@ REFERENCE_EIGENVECTORS = {
 }
 
 
-class DihedralAlgebra:
-    """A completed dihedral catalog algebra with its form and metadata."""
-
-    def __init__(self, name, algebra, form, axes, axis_keys,
-                 reference_eigenvectors, group=None):
-        self.name = name
-        self.algebra = algebra
-        self.form = form
-        self.axes = axes                # coordinate vectors of the axes
-        self.axis_keys = axis_keys      # integer index of each axis
-        self.reference_eigenvectors = reference_eigenvectors
-        self.group = group or []        # dihedral relabeling operators
-
-    @property
-    def n_axes(self):
-        return len(self.axes)
-
-
 def _label(key):
     if isinstance(key, int):
         return f"a_{key}"
@@ -310,7 +290,7 @@ def _canon_key(k_mod, n):
     return k
 
 
-def dihedral(name: str) -> DihedralAlgebra:
+def dihedral(name: str) -> ConstructedAlgebra:
     """Construct a dihedral catalog algebra (over Q) by orbit completion."""
     if name not in _DIHEDRAL_DATA:
         raise ValueError(f"unknown dihedral type {name!r}; "
@@ -357,11 +337,11 @@ def dihedral(name: str) -> DihedralAlgebra:
     form = BilinearForm(field, gram_from_pairs(field, dim, gram))
 
     axis_keys = sorted(k for k in basis if isinstance(k, int))
-    axes = [alg.basis_vector(_label(k)) for k in axis_keys]
     ref = {}
     for lam, vecs in REFERENCE_EIGENVECTORS[name].items():
         ref[field.of(lam)] = [vec(c) for c in vecs]
-    return DihedralAlgebra(name, alg, form, axes, axis_keys, ref, group)
+    return ConstructedAlgebra(alg, form, axis_keys, group=group,
+                              reference_eigenvectors=ref)
 
 
 def _pair(i, j):

@@ -17,13 +17,13 @@ from .algebra import (GradingAssignment, AbelianGroup, axis_decomposition,
                       quotient, radical, subalgebra_algebra,
                       subalgebra_closure, verify_fusion, verify_frobenius,
                       verify_grading, is_automorphism)
-from .catalog import f4a_rule, jordan_half_rule, monster_rule
+from .catalog import dihedral, f4a_rule, jordan_half_rule, monster_rule
 from .errors import (DegreeCapExceeded, InvalidSetting, PoleAtPoint,
                      ZeroPivotSymbolic)
 from .linalg import LDLTResult, Matrix, determinant, in_span, ldlt, span_rref
-from .m4 import (build_m4a, reference_v_eigenvectors, specialize_form,
-                 specialize_m4a, verify_dependencies)
-from .scalars import (QQ, QT, RationalFunction, count_roots_open,
+from .m4 import (build_m4a, build_m4b, reference_v_eigenvectors,
+                 specialize_form, specialize_m4a, verify_dependencies)
+from .scalars import (QT, RationalFunction, count_roots_open,
                       format_rational, rat, rational_sign)
 
 # 12-point certification grid: both boundary points of [0, 1/6], interior
@@ -33,8 +33,6 @@ DEFAULT_GRID = ("-1/10", "-1/100", "0", "1/24", "1/12", "1/8", "1/6",
 
 DEFAULT_DEGREE_CAP = 40
 DEGREE_CAP_ENV = "AXIA_DEGREE_CAP"
-
-MONSTER_EIGENVALUES_QQ = tuple(QQ.of(x) for x in ("1", "0", "1/4", "1/32"))
 
 
 def degree_cap() -> int:
@@ -340,7 +338,7 @@ def quotient_certify(t0):
     fusion_ok = True
     for ax in spec.axes:
         qa = project(ax)
-        dec = axis_decomposition(qalg, qa, MONSTER_EIGENVALUES_QQ)
+        dec = axis_decomposition(qalg, qa, rule.eigenvalues)
         if not dec.is_primitive or verify_fusion(qalg, dec, rule):
             fusion_ok = False
     gram_pd = ldlt(qform.gram).is_pd()
@@ -356,9 +354,6 @@ def quotient_certify(t0):
 # ---------------------------------------------------------------------------
 # 4A-axis fusion / grading / Jordan subalgebra
 # ---------------------------------------------------------------------------
-
-F4A_EIGENVALUE_ORDER = ("1", "0", "1/2", "3/8", "t")
-
 
 def f4a_grading() -> GradingAssignment:
     """The C2 x C2 grading of the 4A-axis rule: {1, 0, 1/2} -> e,
@@ -394,25 +389,16 @@ def v4a_certify():
     subalgebra generated by the three v's."""
     m4a = build_m4a()
     alg = m4a.algebra
-    field = QT
-    t = field.t
     rule = f4a_rule()
-    evs = (field.of(1), field.of(0), field.of("1/2"), field.of("3/8"), t)
     checks = Checks()
     for i, j in ((1, 2), (1, 3), (2, 3)):
         lab = f"v_{i}{j}"
         v = alg.basis_vector(lab)
         checks.add(f"{lab} idempotent", True, alg.is_idempotent(v))
-        dec = axis_decomposition(alg, v, evs)
+        dec = axis_decomposition(alg, v, rule.eigenvalues)
         checks.add(f"{lab} eigenspace dims", (1, 4, 4, 2, 1), dec.dims)
-        refs = reference_v_eigenvectors(i, j)
-        ok = True
-        for lam, vecs in refs.items():
-            bm, piv = span_rref(field, dec.spaces[lam], alg.dim)
-            for w in vecs:
-                if not in_span(field, bm, piv, w):
-                    ok = False
-        checks.add(f"{lab} reference eigenvectors", True, ok)
+        checks.add(f"{lab} reference eigenvectors", True,
+                   _in_eigenspaces(alg, dec, reference_v_eigenvectors(i, j)))
         checks.add(f"{lab} fusion violations", 0,
                    len(verify_fusion(alg, dec, rule)))
     checks.add("C2xC2 grading", True, verify_grading(rule, f4a_grading()))
@@ -421,11 +407,10 @@ def v4a_certify():
     closure = subalgebra_closure(alg, vgens)
     checks.add("jordan closure dim", 9, len(closure))
     sub, coords = subalgebra_algebra(alg, closure)
-    jrule = jordan_half_rule(field)
-    jevs = (field.of(1), field.of(0), field.of("1/2"))
+    jrule = jordan_half_rule(QT)
     ok = True
     for v in vgens:
-        dec = axis_decomposition(sub, coords(v), jevs)
+        dec = axis_decomposition(sub, coords(v), jrule.eigenvalues)
         if not dec.is_complete or verify_fusion(sub, dec, jrule):
             ok = False
     checks.add("jordan fusion on closure", True, ok)
@@ -455,68 +440,70 @@ def verify_eigenspace_orthogonality(alg, form, dec):
     return violations
 
 
+def _in_eigenspaces(alg, dec, references):
+    """True iff each published eigenvector, given as {eigenvalue:
+    [vector]}, lies in the exact eigenspace of its eigenvalue."""
+    field = alg.field
+    for lam, vecs in references.items():
+        bm, piv = span_rref(field, dec.spaces[lam], alg.dim)
+        if not all(in_span(field, bm, piv, w) for w in vecs):
+            return False
+    return True
+
+
+def _axial_checks(checks, built, rule):
+    """Add, for each axis in order, whether it is primitive and its
+    number of fusion violations under the rule, then the number of
+    Frobenius violations of the form.  Returns the decomposition of each
+    axis by its key."""
+    alg = built.algebra
+    decs = {}
+    for ax, key in zip(built.axes, built.axis_keys):
+        dec = decs[key] = axis_decomposition(alg, ax, rule.eigenvalues)
+        checks.add(f"a_{key} primitive", True, dec.is_primitive)
+        checks.add(f"a_{key} fusion violations", 0,
+                   len(verify_fusion(alg, dec, rule)))
+    checks.add("frobenius violations", 0,
+               len(verify_frobenius(alg, built.form)))
+    return decs
+
+
 def verify_m4a():
     """Default verification suite for the symbolic M_4A: Monster fusion on
     all six axes, Frobenius property, linear dependencies, symmetry
     operators (automorphisms and isometries)."""
     m4a = build_m4a()
-    alg, form = m4a.algebra, m4a.form
-    field = QT
-    rule = monster_rule(field)
-    evs = tuple(field.of(x) for x in ("1", "0", "1/4", "1/32"))
     checks = Checks()
-    checks.add("dimension", 12, alg.dim)
-    for ax, key in zip(m4a.axes, (1, -1, 2, -2, 3, -3)):
-        dec = axis_decomposition(alg, ax, evs)
-        checks.add(f"a_{key} primitive", True, dec.is_primitive)
-        checks.add(f"a_{key} fusion violations", 0,
-                   len(verify_fusion(alg, dec, rule)))
-    checks.add("frobenius violations", 0, len(verify_frobenius(alg, form)))
+    checks.add("dimension", 12, m4a.algebra.dim)
+    _axial_checks(checks, m4a, monster_rule(QT))
     checks.add("dependency violations", 0, len(verify_dependencies(m4a)))
     for name, op in m4a.symmetries.items():
         checks.add(f"{name} automorphism+isometry", True,
-                   is_automorphism(alg, op, form))
+                   is_automorphism(m4a.algebra, op, m4a.form))
     return checks.report("m4a")
 
 
 def verify_m4b():
-    from .m4 import build_m4b
+    """Verification suite for M_4B: dimension, closure of the six axes,
+    Monster fusion on each axis and the Frobenius property."""
     m4b = build_m4b()
-    alg, form = m4b.algebra, m4b.form
-    rule = monster_rule()
     checks = Checks()
-    checks.add("dimension", 7, alg.dim)
-    checks.add("closure dim", 7, len(subalgebra_closure(alg, m4b.axes)))
-    for ax, key in zip(m4b.axes, (1, -1, 2, -2, 3, -3)):
-        dec = axis_decomposition(alg, ax, MONSTER_EIGENVALUES_QQ)
-        checks.add(f"a_{key} primitive", True, dec.is_primitive)
-        checks.add(f"a_{key} fusion violations", 0,
-                   len(verify_fusion(alg, dec, rule)))
-    checks.add("frobenius violations", 0, len(verify_frobenius(alg, form)))
+    checks.add("dimension", 7, m4b.algebra.dim)
+    checks.add("closure dim", 7,
+               len(subalgebra_closure(m4b.algebra, m4b.axes)))
+    _axial_checks(checks, m4b, monster_rule())
     return checks.report("m4b")
 
 
 def verify_dihedral(name):
-    from .catalog import dihedral
+    """Verification suite for one dihedral type: Monster fusion on each
+    axis, the Frobenius property, the published eigenvectors of a_0 and
+    the orbit of the first axis under the relabeling group."""
     d = dihedral(name)
-    alg, form = d.algebra, d.form
-    rule = monster_rule()
     checks = Checks()
-    for ax, key in zip(d.axes, d.axis_keys):
-        dec = axis_decomposition(alg, ax, MONSTER_EIGENVALUES_QQ)
-        checks.add(f"a_{key} primitive", True, dec.is_primitive)
-        checks.add(f"a_{key} fusion violations", 0,
-                   len(verify_fusion(alg, dec, rule)))
-    checks.add("frobenius violations", 0, len(verify_frobenius(alg, form)))
-    dec0 = axis_decomposition(alg, alg.basis_vector("a_0"),
-                              MONSTER_EIGENVALUES_QQ)
-    ok = True
-    for lam, vecs in d.reference_eigenvectors.items():
-        bm, piv = span_rref(QQ, dec0.spaces[lam], alg.dim)
-        for v in vecs:
-            if not in_span(QQ, bm, piv, v):
-                ok = False
-    checks.add("reference eigenvectors", True, ok)
-    orbit = {tuple(g.matvec(d.axes[0])) for g in (d.group or [])}
-    checks.add("axis orbit size", len(d.axes), len(orbit))
+    decs = _axial_checks(checks, d, monster_rule())
+    checks.add("reference eigenvectors", True,
+               _in_eigenspaces(d.algebra, decs[0], d.reference_eigenvectors))
+    orbit = {tuple(g.matvec(d.axes[0])) for g in d.group}
+    checks.add("axis orbit size", d.n_axes, len(orbit))
     return checks.report(f"dihedral:{name}")

@@ -16,7 +16,7 @@ import sys
 from . import certify as cert
 from .catalog import DIHEDRAL_TYPES, dihedral
 from .errors import AxiaError
-from .m4 import build_m4a, build_m4b, specialize_m4a
+from .m4 import build_m4a, build_m4b
 from .scalars import format_rational, parse_rational
 from .serialize import algebra_to_json, dump_json
 
@@ -36,22 +36,20 @@ class UsageError(Exception):
     pass
 
 
-def _build_target(target):
-    if target == "m4a":
-        built = build_m4a()
-        return built.algebra, built.form
-    if target == "m4b":
-        built = build_m4b()
-        return built.algebra, built.form
-    if target.startswith("dihedral:"):
-        name = target.split(":", 1)[1]
-        if name not in DIHEDRAL_TYPES:
-            raise UsageError(f"unknown dihedral type {name!r}; "
-                             f"choose from {', '.join(DIHEDRAL_TYPES)}")
-        d = dihedral(name)
-        return d.algebra, d.form
-    raise UsageError(f"unknown target {target!r}; expected m4a, m4b or "
-                     f"dihedral:<TYPE>")
+def _target(name):
+    """The builder and the verification suite of a target: m4a, m4b or
+    dihedral:<TYPE>.  Both are looked up at call time, so a function
+    rebound on this module or on certify is the one that runs."""
+    if name == "m4a":
+        return build_m4a, cert.verify_m4a
+    if name == "m4b":
+        return build_m4b, cert.verify_m4b
+    kind, _, typ = name.partition(":")
+    if kind == "dihedral" and typ in DIHEDRAL_TYPES:
+        return (lambda: dihedral(typ)), (lambda: cert.verify_dihedral(typ))
+    raise UsageError(f"unknown target {name!r}; expected m4a, m4b or "
+                     f"dihedral:<TYPE> with TYPE one of "
+                     f"{', '.join(DIHEDRAL_TYPES)}")
 
 
 def _emit(report, out):
@@ -94,8 +92,10 @@ def _report_passes(report):
 # ---------------------------------------------------------------------------
 
 def _cmd_build(args):
-    alg, form = _build_target(args.target)
-    doc = algebra_to_json(alg, form)
+    build, _ = _target(args.target)
+    built = build()
+    alg = built.algebra
+    doc = algebra_to_json(alg, built.form)
     if args.out:
         dump_json(doc, args.out)
     else:
@@ -105,17 +105,8 @@ def _cmd_build(args):
 
 
 def _cmd_verify(args):
-    if args.target == "m4a":
-        report = cert.verify_m4a()
-    elif args.target == "m4b":
-        report = cert.verify_m4b()
-    elif args.target.startswith("dihedral:"):
-        name = args.target.split(":", 1)[1]
-        if name not in DIHEDRAL_TYPES:
-            raise UsageError(f"unknown dihedral type {name!r}")
-        report = cert.verify_dihedral(name)
-    else:
-        raise UsageError(f"unknown target {args.target!r}")
+    _, verify = _target(args.target)
+    report = verify()
     _emit(report, args.out)
     return 0 if report["pass"] else 1
 
@@ -192,9 +183,8 @@ def _cmd_catalog(args):
                   for name in DIHEDRAL_TYPES]
         _emit(report, args.out)
         return 0
-    if args.type not in DIHEDRAL_TYPES:
-        raise UsageError(f"unknown dihedral type {args.type!r}")
-    d = dihedral(args.type)
+    build, _ = _target(f"dihedral:{args.type}")
+    d = build()
     doc = algebra_to_json(d.algebra, d.form)
     if args.out:
         dump_json(doc, args.out)
@@ -205,9 +195,9 @@ def _cmd_catalog(args):
 
 
 def _points_from(args):
-    if getattr(args, "t", None) is not None:
+    if args.t is not None:
         return [_parse_t(args.t)]
-    if getattr(args, "grid", None) is not None:
+    if args.grid is not None:
         return _parse_grid(args.grid)
     raise UsageError("provide --t P/Q or --grid P/Q,P/Q,...")
 
@@ -225,6 +215,11 @@ def _make_parser():
     def add_out(p):
         p.add_argument("--out", help="write a JSON report to this path")
 
+    def add_points(p):
+        points = p.add_mutually_exclusive_group()
+        points.add_argument("--t", help="exact rational parameter p/q")
+        points.add_argument("--grid", help="comma-separated rational list")
+
     p = sub.add_parser("build", help="construct an algebra")
     p.add_argument("target", help="m4a, m4b or dihedral:<TYPE>")
     add_out(p)
@@ -241,14 +236,12 @@ def _make_parser():
     p.set_defaults(func=_cmd_gram)
 
     p = sub.add_parser("radical", help="radical dimension of M(t0)")
-    p.add_argument("--t", help="exact rational parameter p/q")
-    p.add_argument("--grid", help="comma-separated rational list")
+    add_points(p)
     add_out(p)
     p.set_defaults(func=_cmd_radical)
 
     p = sub.add_parser("norton", help="Norton-inequality verdicts")
-    p.add_argument("--t", help="exact rational parameter p/q")
-    p.add_argument("--grid", help="comma-separated rational list")
+    add_points(p)
     p.add_argument("--symbolic", action="store_true",
                    help="symbolic LDLT over Q(t) (slow; degree-capped via "
                         "AXIA_DEGREE_CAP)")
@@ -257,8 +250,7 @@ def _make_parser():
 
     p = sub.add_parser("certify", help="certification reports")
     p.add_argument("what", choices=["majorana", "quotient", "v4a", "grid"])
-    p.add_argument("--t", help="exact rational parameter p/q")
-    p.add_argument("--grid", help="comma-separated rational list")
+    add_points(p)
     add_out(p)
     p.set_defaults(func=_cmd_certify)
 

@@ -361,10 +361,19 @@ def span_rref(field, vectors, ncols):
 
 def in_span(field, rref_basis: Matrix, pivots, v):
     """Exact membership of v in the row span of an RREF basis."""
+    return vec_is_zero(field, _reduce(field, rref_basis, pivots, v)[1])
+
+
+def _reduce(field, basis: Matrix, pivots, v):
+    """Reduce v against the rows of an RREF basis with the given pivot
+    columns.  Returns (coefficients, remainder): the coefficient taken of
+    each row, and what is left of v, which is zero iff v is in the span."""
     is_zero = field.is_zero
     r = list(v)
-    for row, pc in zip(rref_basis.data, pivots):
+    coeffs = []
+    for row, pc in zip(basis.data, pivots):
         c = r[pc]
+        coeffs.append(c)
         if not is_zero(c):
             _sub_multiple(r, c, row, is_zero)
-    return all(is_zero(x) for x in r)
+    return coeffs, r

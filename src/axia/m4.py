@@ -13,7 +13,7 @@ Frobenius form is given in closed form and certified downstream
 
 from __future__ import annotations
 
-from .algebra import Algebra, BilinearForm
+from .algebra import Algebra, BilinearForm, ConstructedAlgebra
 from .catalog import dihedral
 from .completion import (complete_table, mulclose, table_from_pairs)
 from .linalg import Matrix
@@ -25,17 +25,6 @@ M4A_LABELS = ("a_1", "a_-1", "a_2", "a_-2", "a_3", "a_-3",
 
 # signed axis index of each axis label
 _M4_AXES = (1, -1, 2, -2, 3, -3)
-
-
-class ConstructedAlgebra:
-    """An algebra together with its Frobenius form and generating axes."""
-
-    def __init__(self, algebra, form, axes, symmetries=None, group=None):
-        self.algebra = algebra
-        self.form = form
-        self.axes = axes                  # coordinate vectors
-        self.symmetries = symmetries or {}
-        self.group = group
 
 
 # ---------------------------------------------------------------------------
@@ -105,8 +94,7 @@ def build_m4b() -> ConstructedAlgebra:
 
     alg = Algebra(field, labels, table_from_pairs(field, dim, table))
     form = BilinearForm(field, Matrix(field, gram))
-    axes = [alg.basis_vector(alab(i)) for i in _M4_AXES]
-    return ConstructedAlgebra(alg, form, axes)
+    return ConstructedAlgebra(alg, form, _M4_AXES)
 
 
 # ---------------------------------------------------------------------------
@@ -340,8 +328,7 @@ def build_m4a() -> ConstructedAlgebra:
     table = complete_table(field, dim, known, group, describe)
     alg = Algebra(field, labels, table_from_pairs(field, dim, table))
     form = BilinearForm(field, m4a_gram())
-    axes = [alg.basis_vector(f"a_{i}") for i in _M4_AXES]
-    result = ConstructedAlgebra(alg, form, axes, syms, group)
+    result = ConstructedAlgebra(alg, form, _M4_AXES, syms, group)
     _M4A_CACHE.append(result)
     return result
 
@@ -366,8 +353,7 @@ def specialize_form(form: BilinearForm, t0) -> BilinearForm:
 def specialize_m4a(t0) -> ConstructedAlgebra:
     m4a = build_m4a()
     alg, form = specialize(m4a.algebra, m4a.form, t0)
-    axes = [alg.basis_vector(f"a_{i}") for i in _M4_AXES]
-    return ConstructedAlgebra(alg, form, axes)
+    return ConstructedAlgebra(alg, form, _M4_AXES)
 
 
 def verify_dependencies(m4a: ConstructedAlgebra):

@@ -1,26 +1,21 @@
 """Exact scalar arithmetic: rationals, polynomials in t, and the field Q(t).
 
-Rationals are arbitrary-precision and always normalized (gcd 1, positive
-denominator); gmpy2.mpq is used when available, with fractions.Fraction as a
-drop-in fallback.  A Polynomial in Q[t] is dense and stored as a tuple of
-int numerators (index = degree) over one positive int denominator that
-shares no factor with all of them; its arithmetic runs on those ints, with
-pseudo-division for divmod and gcd, and builds Rationals only for the
-`coeffs` view and for values.  RationalFunction keeps gcd(num, den) = 1 with
+Rationals are fractions.Fraction: arbitrary-precision and always
+normalized (gcd 1, positive denominator).  A Polynomial in Q[t] is dense
+and stored as a tuple of int numerators (index = degree) over one positive
+int denominator that shares no factor with all of them; its arithmetic
+runs on those ints, with pseudo-division for divmod and gcd, and builds
+Rationals only for the `coeffs` view and for values.  RationalFunction keeps gcd(num, den) = 1 with
 a monic denominator, so equality is structural.
 """
 
 from __future__ import annotations
 
 import re
+from fractions import Fraction as Rational
 from math import gcd, lcm
 
 from .errors import PoleAtPoint, ZeroPolynomial
-
-try:
-    from gmpy2 import mpq as Rational
-except ImportError:  # pragma: no cover - gmpy2 is normally present
-    from fractions import Fraction as Rational
 
 RAT_ZERO = Rational(0)
 RAT_ONE = Rational(1)
@@ -358,7 +353,7 @@ def _as_poly(x):
         return x
     if isinstance(x, int):
         return _make([x], 1)
-    if isinstance(x, type(RAT_ONE)):
+    if isinstance(x, Rational):
         return _from_rational(x)
     return None
 

@@ -14,7 +14,8 @@ from axia.algebra import (AbelianGroup, Algebra, BilinearForm, FusionRule,
                           verify_grading)
 from axia.catalog import dihedral, monster_rule
 from axia.errors import (NotAnIdeal, NotIdempotent, NotSemisimple)
-from axia.linalg import Matrix
+from axia.linalg import Matrix, inverse, span_rref
+from axia.m4 import specialize_m4a
 from axia.scalars import QQ, QT, rat
 
 MONSTER_EVS = tuple(QQ.of(x) for x in ("1", "0", "1/4", "1/32"))
@@ -315,3 +316,62 @@ def test_c2xc2_group_table():
     assert g.mul("a", "b") == "ab"
     assert g.mul("ab", "a") == "b"
     assert g.mul("b", "b") == "e"
+
+
+# ---------------------------------------------------------------------------
+# reduction against RREF rows: subalgebra coordinates and quotient projection
+# ---------------------------------------------------------------------------
+
+def _skewed_idempotents(field, p_rows, d2):
+    """Three orthogonal idempotents e_1, e_2, e_3 written in the basis
+    b_i = sum_k P[k][i] e_k, with the form diag(1, d2, 0) on the e_k.
+    Returns (algebra, form, e), e[k] being e_{k+1} in b-coordinates."""
+    p = Matrix(field, p_rows)
+    pinv = inverse(p)
+    e = [tuple(row[k] for row in pinv.data) for k in range(3)]
+    table = [[pinv.matvec([p.data[k][i] * p.data[k][j] for k in range(3)])
+              for j in range(3)] for i in range(3)]
+    z = field.zero
+    diag = Matrix(field, [[field.one, z, z], [z, field.of(d2), z],
+                          [z, z, z]])
+    gram = p.transpose().matmul(diag).matmul(p)
+    return (Algebra(field, ["b_0", "b_1", "b_2"], table),
+            BilinearForm(field, gram), e)
+
+
+@pytest.mark.parametrize("field", [QQ, QT], ids=["QQ", "QT"])
+def test_coords_and_project_reduce_against_rref_rows(field):
+    # [TRIVIAL] span{e_1, e_2} is a subalgebra and span{e_3} an ideal in
+    # the form's kernel; neither is spanned by basis vectors b_i
+    if field is QQ:
+        x, scalars = rat("1/2"), _qq_entries()
+    else:
+        x, scalars = QT.t, _qt_entries()
+    one, z = field.one, field.zero
+    alg, form, e = _skewed_idempotents(
+        field, [[one, one, z], [x, one, one], [z, field.of(2), one]], 3)
+    assert all(alg.is_idempotent(v) for v in e)
+    sub, coords = subalgebra_algebra(alg, e[:2])
+    rows = span_rref(field, e[:2], 3)[0].data
+    qalg, _, project = quotient(alg, form, [e[2]])
+    assert (sub.dim, qalg.dim) == (2, 2)
+    assert project(e[2]) == (z, z)
+    rng = random.Random(5)
+    for _ in range(10):
+        c0, c1, c2 = (rng.choice(scalars) for _ in range(3))
+        v = tuple(c0 * a + c1 * b for a, b in zip(*rows))
+        assert coords(v) == (c0, c1)
+        u = tuple(rng.choice(scalars) for _ in range(3))
+        assert project(tuple(a + c2 * w for a, w in zip(u, e[2]))) == \
+            project(u)
+    with pytest.raises(ValueError):
+        coords(e[2])
+
+
+def test_records_place_each_axis_at_its_key(catalog, m4a, m4b):
+    # [TRIVIAL] axes[k] is the basis vector a_{axis_keys[k]}
+    records = list(catalog.values()) + [m4a, m4b, specialize_m4a("1/12")]
+    for built in records:
+        assert built.n_axes == len(built.axis_keys) > 0
+        for ax, key in zip(built.axes, built.axis_keys):
+            assert ax == built.algebra.basis_vector(f"a_{key}")

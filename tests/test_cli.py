@@ -149,3 +149,57 @@ def test_negative_grid_value_is_not_an_option(tmp_path):
     assert rep == json.loads(joined.read_text())
     assert [r["t0"] for r in rep] == ["-1/10", "0"]
     assert [r["norton_psd"] for r in rep] == [False, True]
+
+
+@pytest.mark.parametrize("argv", [
+    ["radical", "--t", "2", "--grid", "1"],
+    ["norton", "--grid", "-1/10,0", "--t", "0"],
+    ["certify", "majorana", "--t", "1/12", "--grid", "0"],
+], ids=["radical", "norton", "certify"])
+def test_t_and_grid_are_exclusive(argv, capsys):
+    assert run(argv) == 2
+    assert "not allowed with argument" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["build", "dihedral:9Z"], ["verify", "dihedral:9Z"], ["catalog", "9Z"],
+], ids=["build", "verify", "catalog"])
+def test_unknown_dihedral_type_is_one_error_line(argv, capsys):
+    assert run(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "9Z" in err
+
+
+def _axis_checks(keys):
+    return [name for k in keys
+            for name in (f"a_{k} primitive", f"a_{k} fusion violations")]
+
+
+_M4_KEYS = (1, -1, 2, -2, 3, -3)
+_DIHEDRAL_KEYS = {"2A": (0, 1), "2B": (0, 1), "3A": (-1, 0, 1),
+                  "3C": (-1, 0, 1), "4A": (-1, 0, 1, 2),
+                  "4B": (-1, 0, 1, 2), "5A": (-2, -1, 0, 1, 2),
+                  "6A": (-2, -1, 0, 1, 2, 3)}
+# [TRIVIAL] the check names of every verification report, in order
+VERIFY_CHECK_NAMES = {
+    "m4a": (["dimension"] + _axis_checks(_M4_KEYS)
+            + ["frobenius violations", "dependency violations"]
+            + [f"{op} automorphism+isometry"
+               for op in ("tau_1", "tau_2", "tau_3", "sigma", "pi")]),
+    "m4b": (["dimension", "closure dim"] + _axis_checks(_M4_KEYS)
+            + ["frobenius violations"]),
+    **{f"dihedral:{name}": (_axis_checks(keys)
+                            + ["frobenius violations",
+                               "reference eigenvectors", "axis orbit size"])
+       for name, keys in _DIHEDRAL_KEYS.items()},
+}
+
+
+@pytest.mark.parametrize("target", sorted(VERIFY_CHECK_NAMES))
+def test_verify_report_check_names_in_order(target, tmp_path):
+    path = tmp_path / "rep.json"
+    assert run(["verify", target, "--out", str(path)]) == 0
+    rep = json.loads(path.read_text())
+    assert rep["target"] == target
+    assert [c["name"] for c in rep["checks"]] == VERIFY_CHECK_NAMES[target]
