@@ -1,6 +1,6 @@
 """Axial-algebra engine: structure-constant algebras, eigenspace
 decompositions, fusion/Frobenius verification, Miyamoto involutions,
-closures, ideals, radicals, quotients, projection graphs, gradings.
+closures, ideals, radicals, quotients, gradings.
 
 Vectors are coordinate tuples over the algebra's scalar field.
 """
@@ -450,33 +450,6 @@ def quotient(alg: Algebra, form: BilinearForm, ideal):
                             for j in range(len(comp))]
                            for i in range(len(comp))])
     return qalg, BilinearForm(field, qgram), project
-
-
-def projection_graph(form: BilinearForm, axes):
-    """Adjacency dict on axis indices; edge iff <a_i, a_j> != 0."""
-    field = form.field
-    n = len(axes)
-    adj = {i: set() for i in range(n)}
-    for i in range(n):
-        for j in range(i + 1, n):
-            if not field.is_zero(form.apply(axes[i], axes[j])):
-                adj[i].add(j)
-                adj[j].add(i)
-    return adj
-
-
-def is_connected(graph) -> bool:
-    if not graph:
-        return True
-    seen = set()
-    stack = [next(iter(graph))]
-    while stack:
-        v = stack.pop()
-        if v in seen:
-            continue
-        seen.add(v)
-        stack.extend(graph[v] - seen)
-    return len(seen) == len(graph)
 
 
 class AbelianGroup:

@@ -290,6 +290,11 @@ def _canon_key(k_mod, n):
     return k
 
 
+def dihedral_dimension(name: str) -> int:
+    """Dimension of a dihedral catalog algebra, read from its basis."""
+    return len(_DIHEDRAL_DATA[name]["basis"])
+
+
 def dihedral(name: str) -> ConstructedAlgebra:
     """Construct a dihedral catalog algebra (over Q) by orbit completion."""
     if name not in _DIHEDRAL_DATA:

@@ -11,15 +11,12 @@ subalgebra generated by the three 4A axes.
 
 from __future__ import annotations
 
-import os
-
 from .algebra import (GradingAssignment, AbelianGroup, axis_decomposition,
                       quotient, radical, subalgebra_algebra,
                       subalgebra_closure, verify_fusion, verify_frobenius,
                       verify_grading, is_automorphism)
 from .catalog import dihedral, f4a_rule, jordan_half_rule, monster_rule
-from .errors import (DegreeCapExceeded, InvalidSetting, PoleAtPoint,
-                     ZeroPivotSymbolic)
+from .errors import PoleAtPoint, ZeroPivotSymbolic
 from .linalg import LDLTResult, Matrix, determinant, in_span, ldlt, span_rref
 from .m4 import (build_m4a, build_m4b, reference_v_eigenvectors,
                  specialize_form, specialize_m4a, verify_dependencies)
@@ -31,33 +28,16 @@ from .scalars import (QT, RationalFunction, count_roots_open,
 DEFAULT_GRID = ("-1/10", "-1/100", "0", "1/24", "1/12", "1/8", "1/6",
                 "9/50", "1/5", "1", "2", "9/4")
 
-DEFAULT_DEGREE_CAP = 40
-DEGREE_CAP_ENV = "AXIA_DEGREE_CAP"
-
-
-def degree_cap() -> int:
-    raw = os.environ.get(DEGREE_CAP_ENV)
-    if not raw:
-        return DEFAULT_DEGREE_CAP
-    if not raw.strip().isdecimal():
-        raise InvalidSetting(f"{DEGREE_CAP_ENV} must be a nonnegative "
-                             f"integer, got {raw!r}")
-    return int(raw)
-
 
 # ---------------------------------------------------------------------------
 # Gram determinant / LDLT diagonal / interval certificates
 # ---------------------------------------------------------------------------
 
-def gram_analysis(form=None):
+def gram_analysis():
     """Exact determinant and natural-order LDLT diagonal of the Gram
-    matrix (defaults to the symbolic M_4A form)."""
-    if form is None:
-        m4a = build_m4a()
-        form = m4a.form
-    det = determinant(form.gram)
-    result = ldlt(form.gram)
-    return det, tuple(result.D)
+    matrix of the symbolic M_4A."""
+    gram = build_m4a().form.gram
+    return determinant(gram), tuple(ldlt(gram).D)
 
 
 def gram_det_closed_form() -> RationalFunction:
@@ -187,7 +167,7 @@ def norton_block(alg, form) -> Matrix:
     def dot(u, v):
         return sum((a * b for a, b in zip(u, v) if not (is_zero(a))), z)
 
-    pairs = _wedge_pairs(n)
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
     size = len(pairs)
     data = [[z] * size for _ in range(size)]
     for r, (i, j) in enumerate(pairs):
@@ -196,38 +176,6 @@ def norton_block(alg, form) -> Matrix:
             val = dot(table[i][k], gp[j][l]) - dot(table[j][k], gp[i][l])
             data[r][s] = val
             data[s][r] = val
-    return Matrix(field, data)
-
-
-def _wedge_pairs(n):
-    return [(i, j) for i in range(n) for j in range(i + 1, n)]
-
-
-def norton_matrix(alg, form) -> Matrix:
-    """The antisymmetrized product-form matrix on all n^2 ordered basis
-    pairs, expanded from norton_block: b[(j,i), .] = -b[(i,j), .] and the
-    rows (i,i) are zero."""
-    field = alg.field
-    n = alg.dim
-    z = field.zero
-    block = norton_block(alg, form).data
-    # where[(i, j)] = (index of the pair i<j or j<i in the block, sign)
-    where = {}
-    for r, (i, j) in enumerate(_wedge_pairs(n)):
-        where[(i, j)] = (r, False)
-        where[(j, i)] = (r, True)
-    pairs = [where.get((i, j)) for i in range(n) for j in range(n)]
-    data = []
-    for rp in pairs:
-        if rp is None:
-            data.append([z] * (n * n))
-            continue
-        r, rneg = rp
-        brow = block[r]
-        negrow = [-x for x in brow]
-        data.append([z if sp is None
-                     else (negrow if rneg != sp[1] else brow)[sp[0]]
-                     for sp in pairs])
     return Matrix(field, data)
 
 
@@ -245,34 +193,25 @@ def norton_grid_report(grid=DEFAULT_GRID):
             for p in grid]
 
 
-def norton_symbolic(cap=None):
+def norton_symbolic():
     """Opt-in symbolic LDLT of the Norton form over Q(t).
 
     Factors the block on the exterior square and reports the diagonal of
     the whole n^2 x n^2 matrix: the pivots at the pairs i < j and zeros
     elsewhere, which is what the natural-order LDLT of the whole matrix
-    gives.  Aborts with a partial diagonal once any computed entry exceeds
-    the degree cap (env AXIA_DEGREE_CAP); the grid verdicts never depend on
-    this path.
+    gives.  A zero pivot above a nonzero column ends it with status
+    FAILED_INDEFINITE and the diagonal so far; the grid verdicts never
+    depend on this path.
     """
-    if cap is None:
-        cap = degree_cap()
     m4a = build_m4a()
-
-    def guard(x):
-        if max(x.num.degree, x.den.degree) > cap:
-            raise DegreeCapExceeded(f"entry degree exceeds cap {cap}")
-
     try:
-        pivots = ldlt(norton_block(m4a.algebra, m4a.form), guard).D
+        pivots = ldlt(norton_block(m4a.algebra, m4a.form)).D
         status = LDLTResult.COMPLETE
     except ZeroPivotSymbolic as exc:
         status, pivots = LDLTResult.FAILED_INDEFINITE, exc.pivots
-    except DegreeCapExceeded as exc:
-        status, pivots = "DEGREE_CAP_EXCEEDED", exc.pivots
     diag = _interleave_wedge(pivots, m4a.algebra.dim)
-    return {"status": status, "degree_cap": cap,
-            "columns_processed": len(diag), "diagonal": diag}
+    return {"status": status, "columns_processed": len(diag),
+            "diagonal": diag}
 
 
 def _interleave_wedge(pivots, n):

@@ -14,7 +14,7 @@ import re
 import sys
 
 from . import certify as cert
-from .catalog import DIHEDRAL_TYPES, dihedral
+from .catalog import DIHEDRAL_TYPES, dihedral, dihedral_dimension
 from .errors import AxiaError
 from .m4 import build_m4a, build_m4b
 from .scalars import format_rational, parse_rational
@@ -76,17 +76,6 @@ def _print_human(report, indent=""):
         print(f"{indent}{report}")
 
 
-def _report_passes(report):
-    if isinstance(report, dict):
-        if "pass" in report:
-            return bool(report["pass"])
-        return all(_report_passes(v) for v in report.values()
-                   if isinstance(v, (dict, list)))
-    if isinstance(report, list):
-        return all(_report_passes(item) for item in report)
-    return True
-
-
 # ---------------------------------------------------------------------------
 # verb implementations
 # ---------------------------------------------------------------------------
@@ -141,7 +130,6 @@ def _cmd_norton(args):
     if args.symbolic:
         rep = cert.norton_symbolic()
         report = {"target": "norton-symbolic", "status": rep["status"],
-                  "degree_cap": rep["degree_cap"],
                   "columns_processed": rep["columns_processed"],
                   "diagonal": [str(d) for d in rep["diagonal"]]}
         _emit(report, args.out)
@@ -179,7 +167,7 @@ def _cmd_certify(args):
 
 def _cmd_catalog(args):
     if not args.type:
-        report = [{"type": name, "dimension": dihedral(name).algebra.dim}
+        report = [{"type": name, "dimension": dihedral_dimension(name)}
                   for name in DIHEDRAL_TYPES]
         _emit(report, args.out)
         return 0
@@ -243,8 +231,7 @@ def _make_parser():
     p = sub.add_parser("norton", help="Norton-inequality verdicts")
     add_points(p)
     p.add_argument("--symbolic", action="store_true",
-                   help="symbolic LDLT over Q(t) (slow; degree-capped via "
-                        "AXIA_DEGREE_CAP)")
+                   help="symbolic LDLT over Q(t)")
     add_out(p)
     p.set_defaults(func=_cmd_norton)
 

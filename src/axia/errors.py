@@ -51,12 +51,9 @@ class CompletionInconsistent(AxiaError):
 
 
 class ZeroPivotSymbolic(AxiaError):
-    """Symbolic LDLT hit a zero pivot whose column is not zero."""
+    """Symbolic LDLT hit a zero pivot whose column is not zero; pivots
+    holds the pivots computed before it."""
 
-
-class DegreeCapExceeded(AxiaError):
-    """A symbolic computation produced an entry above the degree cap."""
-
-
-class InvalidSetting(AxiaError):
-    """An environment setting has a value the program cannot use."""
+    def __init__(self, message, pivots):
+        super().__init__(message)
+        self.pivots = pivots

@@ -7,8 +7,7 @@ never use floating point.
 
 from __future__ import annotations
 
-from .errors import (AxiaError, DimensionMismatch, NonSquare,
-                     ZeroPivotSymbolic)
+from .errors import DimensionMismatch, NonSquare, ZeroPivotSymbolic
 from .scalars import QT
 
 
@@ -37,19 +36,12 @@ class Matrix:
         z = field.zero
         return cls(field, [[z] * cols for _ in range(rows)])
 
-    def __getitem__(self, ij):
-        i, j = ij
-        return self.data[i][j]
-
     def __eq__(self, other):
         return (isinstance(other, Matrix) and self.rows == other.rows
                 and self.cols == other.cols and self.data == other.data)
 
     def __repr__(self):
         return f"Matrix({self.rows}x{self.cols} over {self.field!r})"
-
-    def copy(self):
-        return Matrix(self.field, self.data)
 
     def transpose(self):
         return Matrix(self.field,
@@ -86,18 +78,6 @@ class Matrix:
         nz = [(k, x) for k, x in enumerate(v) if not is_zero(x)]
         return tuple(sum((row[k] * x for k, x in nz if not is_zero(row[k])), z)
                      for row in self.data)
-
-    def scale(self, c):
-        return Matrix(self.field, [[c * x for x in row] for row in self.data])
-
-    def add(self, other):
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            raise DimensionMismatch("add shape mismatch")
-        return Matrix(self.field, [[a + b for a, b in zip(r1, r2)]
-                                   for r1, r2 in zip(self.data, other.data)])
-
-    def sub(self, other):
-        return self.add(other.scale(-self.field.one))
 
 
 # ---------------------------------------------------------------------------
@@ -137,10 +117,6 @@ def _sub_multiple(r, c, row, is_zero):
             r[k] = r[k] - c * y
 
 
-def rank(m: Matrix) -> int:
-    return len(rref(m)[1])
-
-
 def kernel_basis(m: Matrix):
     """RREF-canonical basis of the right null space (tuple of vectors)."""
     field = m.field
@@ -156,20 +132,6 @@ def kernel_basis(m: Matrix):
             v[pc] = -red.data[r][fc]
         basis.append(tuple(v))
     return basis
-
-
-def solve(m: Matrix, b):
-    """One exact solution of m x = b, or None if inconsistent."""
-    field = m.field
-    aug = Matrix(field, [list(row) + [bi] for row, bi in zip(m.data, b)])
-    red, pivots = rref(aug)
-    if m.cols in pivots:
-        return None
-    z = field.zero
-    x = [z] * m.cols
-    for r, pc in enumerate(pivots):
-        x[pc] = red.data[r][m.cols]
-    return tuple(x)
 
 
 def inverse(m: Matrix) -> Matrix:
@@ -257,18 +219,14 @@ class LDLTResult:
                 and all(self.field.sign(d) > 0 for d in self.D))
 
 
-def ldlt(m: Matrix, entry_guard=None) -> LDLTResult:
+def ldlt(m: Matrix) -> LDLTResult:
     """Semidefinite-aware LDLT in natural order with no pivoting.
 
     A zero pivot is legal only when the rest of its column (in the Schur
     complement) is exactly zero; the column is then skipped with D entry 0.
     Otherwise the matrix cannot be PSD: over Q the result carries status
-    FAILED_INDEFINITE, over Q(t) ZeroPivotSymbolic is raised.
-
-    entry_guard, if given, is called with every computed pivot and L entry
-    and may raise an AxiaError to abort (used for symbolic degree caps).
-    An AxiaError raised here carries the pivots computed so far as its
-    attribute `pivots`.
+    FAILED_INDEFINITE, over Q(t) ZeroPivotSymbolic is raised with the
+    pivots computed so far.
     """
     if m.rows != m.cols:
         raise NonSquare("ldlt of a non-square matrix")
@@ -280,40 +238,30 @@ def ldlt(m: Matrix, entry_guard=None) -> LDLTResult:
     lrows = [[] for _ in range(n)]
     active = []
     D = []
-    try:
-        for j in range(n):
-            lj = lrows[j]
-            dl = [lj[k] * D[active[k]] for k in range(len(lj))]
-            dj = m.data[j][j] - sum((a * b for a, b in zip(lj, dl)), z)
-            if entry_guard is not None:
-                entry_guard(dj)
-            if is_zero(dj):
-                for i in range(j + 1, n):
-                    li = lrows[i]
-                    cij = m.data[i][j] - sum(
-                        (a * b for a, b in zip(li, dl)), z)
-                    if not is_zero(cij):
-                        if field is QT:
-                            raise ZeroPivotSymbolic(
-                                f"zero pivot at column {j}, "
-                                f"nonzero entry at row {i}")
-                        L = _expand_l(field, lrows, active, n)
-                        return LDLTResult(field, L, D + [z] * (n - len(D)),
-                                          LDLTResult.FAILED_INDEFINITE, (i, j))
-                D.append(z)
-                continue
-            D.append(dj)
+    for j in range(n):
+        lj = lrows[j]
+        dl = [lj[k] * D[active[k]] for k in range(len(lj))]
+        dj = m.data[j][j] - sum((a * b for a, b in zip(lj, dl)), z)
+        if is_zero(dj):
             for i in range(j + 1, n):
                 li = lrows[i]
                 cij = m.data[i][j] - sum((a * b for a, b in zip(li, dl)), z)
-                lij = cij / dj
-                if entry_guard is not None:
-                    entry_guard(lij)
-                li.append(lij)
-            active.append(j)
-    except AxiaError as exc:
-        exc.pivots = tuple(D)
-        raise
+                if not is_zero(cij):
+                    if field is QT:
+                        raise ZeroPivotSymbolic(
+                            f"zero pivot at column {j}, nonzero entry at "
+                            f"row {i}", tuple(D))
+                    L = _expand_l(field, lrows, active, n)
+                    return LDLTResult(field, L, D + [z] * (n - len(D)),
+                                      LDLTResult.FAILED_INDEFINITE, (i, j))
+            D.append(z)
+            continue
+        D.append(dj)
+        for i in range(j + 1, n):
+            li = lrows[i]
+            cij = m.data[i][j] - sum((a * b for a, b in zip(li, dl)), z)
+            li.append(cij / dj)
+        active.append(j)
     L = _expand_l(field, lrows, active, n)
     return LDLTResult(field, L, D, LDLTResult.COMPLETE)
 

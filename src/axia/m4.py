@@ -152,30 +152,21 @@ def m4a_symmetries():
             return {lab: field.one, f"a_{j}": -t, f"a_{-j}": t}
         return op(image)
 
-    perm3 = {1: 2, 2: 3, 3: 1}
-
-    def sigma_image(lab):
-        kind, val = _parse_label(lab)
-        if kind == "a":
-            s = 1 if val > 0 else -1
-            return {f"a_{s * perm3[abs(val)]}": 1}
-        if kind == "v":
-            return {_vlab(frozenset(perm3[x] for x in val)): 1}
-        return {f"w_{perm3[val]}": 1}
-
-    swap12 = {1: 2, 2: 1, 3: 3}
-
-    def pi_image(lab):
-        kind, val = _parse_label(lab)
-        if kind == "a":
-            s = 1 if val > 0 else -1
-            return {f"a_{s * swap12[abs(val)]}": 1}
-        if kind == "v":
-            return {_vlab(frozenset(swap12[x] for x in val)): 1}
-        return {f"w_{swap12[val]}": 1}
+    def permute(perm):
+        """The relabeling that applies perm to the indices 1, 2, 3."""
+        def image(lab):
+            kind, val = _parse_label(lab)
+            if kind == "a":
+                s = 1 if val > 0 else -1
+                return {f"a_{s * perm[abs(val)]}": 1}
+            if kind == "v":
+                return {_vlab(frozenset(perm[x] for x in val)): 1}
+            return {f"w_{perm[val]}": 1}
+        return op(image)
 
     return {"tau_1": tau(1), "tau_2": tau(2), "tau_3": tau(3),
-            "sigma": op(sigma_image), "pi": op(pi_image)}
+            "sigma": permute({1: 2, 2: 3, 3: 1}),
+            "pi": permute({1: 2, 2: 1, 3: 3})}
 
 
 # ---------------------------------------------------------------------------

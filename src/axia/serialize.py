@@ -1,10 +1,9 @@
-"""JSON serialization of scalars, matrices and algebras.
+"""JSON serialization of scalars and algebras.
 
 Rationals are serialized as exact "p/q" strings (decimals rejected);
 rational functions as {"num": [...], "den": [...]} coefficient lists in
-ascending degree.  Matrices: {rows, cols, field, entries} with row-major
-entries.  Algebras: {field, labels, mul_table, gram?} storing only the
-upper triangle (pairs (i, j) with i <= j in lexicographic order).
+ascending degree.  Algebras: {field, labels, mul_table, gram?} storing only
+the upper triangle (pairs (i, j) with i <= j in lexicographic order).
 """
 
 from __future__ import annotations
@@ -14,25 +13,6 @@ import json
 from .algebra import Algebra, BilinearForm
 from .linalg import Matrix
 from .scalars import FIELDS_BY_KIND
-
-
-def matrix_to_json(m: Matrix) -> dict:
-    return {
-        "rows": m.rows,
-        "cols": m.cols,
-        "field": m.field.kind,
-        "entries": [m.field.to_json(x) for row in m.data for x in row],
-    }
-
-
-def matrix_from_json(d: dict) -> Matrix:
-    field = FIELDS_BY_KIND[d["field"]]
-    rows, cols = d["rows"], d["cols"]
-    entries = [field.from_json(x) for x in d["entries"]]
-    if len(entries) != rows * cols:
-        raise ValueError("entry count does not match rows*cols")
-    return Matrix(field, [entries[r * cols:(r + 1) * cols]
-                          for r in range(rows)])
 
 
 def _upper_pairs(n):

@@ -8,10 +8,9 @@ import pytest
 
 from axia.algebra import (AbelianGroup, Algebra, BilinearForm, FusionRule,
                           GradingAssignment, axis_decomposition, is_automorphism,
-                          is_connected, is_ideal, miyamoto, projection_graph,
-                          quotient, radical, subalgebra_algebra,
-                          subalgebra_closure, verify_frobenius, verify_fusion,
-                          verify_grading)
+                          is_ideal, miyamoto, quotient, radical,
+                          subalgebra_algebra, subalgebra_closure,
+                          verify_frobenius, verify_fusion, verify_grading)
 from axia.catalog import dihedral, monster_rule
 from axia.errors import (NotAnIdeal, NotIdempotent, NotSemisimple)
 from axia.linalg import Matrix, inverse, span_rref
@@ -292,14 +291,6 @@ def test_quotient_rejects_ideal_outside_form_kernel():
 # ---------------------------------------------------------------------------
 # projection graphs and gradings
 # ---------------------------------------------------------------------------
-
-def test_projection_graph_connectivity():
-    d4a = dihedral("4A")
-    g = projection_graph(d4a.form, d4a.axes)
-    assert is_connected(g)          # despite <a_0, a_2> = 0
-    d2b = dihedral("2B")
-    assert not is_connected(projection_graph(d2b.form, d2b.axes))
-
 
 def test_monster_rule_c2_grading():
     rule = monster_rule()

@@ -12,6 +12,7 @@ from axia.m4 import specialize_m4a
 from axia.scalars import QQ, QT, rat
 
 from conftest import rf
+from norton_reference import norton_matrix
 
 MONSTER_EVS = tuple(QQ.of(x) for x in ("1", "0", "1/4", "1/32"))
 
@@ -21,8 +22,8 @@ MONSTER_EVS = tuple(QQ.of(x) for x in ("1", "0", "1/4", "1/32"))
 # ---------------------------------------------------------------------------
 
 @pytest.fixture(scope="module")
-def gram_data(m4a):
-    det, diag = cert.gram_analysis(m4a.form)
+def gram_data():
+    det, diag = cert.gram_analysis()
     return det, diag
 
 
@@ -157,7 +158,7 @@ def test_radical_dimension_points():
 
 def test_norton_matrix_structure():
     d = dihedral("2B")
-    b = cert.norton_matrix(d.algebra, d.form)
+    b = norton_matrix(d.algebra, d.form)
     n = d.algebra.dim
     assert b.rows == b.cols == n * n
     assert b.is_symmetric()
@@ -174,7 +175,7 @@ def test_norton_matrix_matches_direct_formula(m4b):
     # entry through Algebra.mul and BilinearForm.apply  [DERIVED]
     alg, form = m4b.algebra, m4b.form
     n = alg.dim
-    b = cert.norton_matrix(alg, form)
+    b = norton_matrix(alg, form)
     e = [alg.basis_vector(lab) for lab in alg.labels]
     prods = [[alg.mul(e[i], e[k]) for k in range(n)] for i in range(n)]
     for i in range(n):
@@ -190,7 +191,7 @@ def test_norton_matrix_matches_direct_formula(m4b):
 def test_norton_block_ldlt_matches_full_ldlt(t0):
     spec = specialize_m4a(rat(t0))
     n = spec.algebra.dim
-    full = ldlt(cert.norton_matrix(spec.algebra, spec.form))
+    full = ldlt(norton_matrix(spec.algebra, spec.form))
     block = ldlt(cert.norton_block(spec.algebra, spec.form))
     assert block.is_psd() == full.is_psd() == cert.norton_check(rat(t0))
     pivots = iter(block.D)
@@ -202,12 +203,6 @@ def test_norton_block_ldlt_matches_full_ldlt(t0):
 def test_norton_point_verdicts():
     assert cert.norton_check(rat("1/12")) is True
     assert cert.norton_check(rat("1/4")) is False
-
-
-def test_norton_symbolic_is_degree_capped():
-    rep = cert.norton_symbolic(cap=1)
-    assert rep["status"] == "DEGREE_CAP_EXCEEDED"
-    assert rep["columns_processed"] < 144
 
 
 def _symbolic_block(corner):
@@ -228,20 +223,13 @@ def test_norton_symbolic_maps_failures_to_144_space(monkeypatch):
     # a zero pivot with a nonzero entry below it: indefinite
     monkeypatch.setattr(cert, "norton_block",
                         lambda alg, form: _symbolic_block([[z, t], [t, z]]))
-    rep = cert.norton_symbolic(cap=40)
+    rep = cert.norton_symbolic()
     assert rep["status"] == "FAILED_INDEFINITE"
     assert rep["diagonal"] == [z] and rep["columns_processed"] == 1
-    # degree cap hit at the third pivot: (0,0) is zero, (0,1) and (0,2)
-    # carry the first two pivots, and the report stops before (0,3)
-    staircase = _symbolic_block([[t], [z, t * t], [z, z, t ** 3]])
-    monkeypatch.setattr(cert, "norton_block", lambda alg, form: staircase)
-    rep = cert.norton_symbolic(cap=2)
-    assert rep["status"] == "DEGREE_CAP_EXCEEDED"
-    assert rep["diagonal"] == [z, t, t * t] and rep["columns_processed"] == 3
     # a full run: 66 pivots at the pairs i < j, zeros at i >= j
     monkeypatch.setattr(cert, "norton_block",
                         lambda alg, form: _symbolic_block([]))
-    rep = cert.norton_symbolic(cap=40)
+    rep = cert.norton_symbolic()
     assert rep["status"] == "COMPLETE" and rep["columns_processed"] == 144
     assert rep["diagonal"] == [t if i < j else z
                                for i in range(12) for j in range(12)]

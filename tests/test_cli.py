@@ -5,6 +5,7 @@ import json
 
 import pytest
 
+from axia.catalog import DIHEDRAL_TYPES, dihedral
 from axia.cli import run
 from axia.serialize import algebra_from_json, load_json
 
@@ -14,6 +15,17 @@ def test_catalog_listing(capsys):
     out = capsys.readouterr().out
     for name in ("2A", "2B", "3A", "3C", "4A", "4B", "5A", "6A"):
         assert name in out
+
+
+def test_catalog_listing_dimensions(tmp_path):
+    # the listing reads each dimension from the catalog data; it must be
+    # the dimension of the algebra that dihedral() builds
+    path = tmp_path / "catalog.json"
+    assert run(["catalog", "--out", str(path)]) == 0
+    rep = json.loads(path.read_text())
+    assert [r["type"] for r in rep] == list(DIHEDRAL_TYPES)
+    for row in rep:
+        assert row["dimension"] == dihedral(row["type"]).algebra.dim
 
 
 def test_catalog_export(tmp_path):
@@ -76,6 +88,16 @@ def test_norton_grid(capsys):
     assert "norton_psd=False" in out
 
 
+def test_norton_symbolic_report_keys(tmp_path):
+    path = tmp_path / "norton.json"
+    assert run(["norton", "--symbolic", "--out", str(path)]) == 0
+    rep = json.loads(path.read_text())
+    assert list(rep) == ["target", "status", "columns_processed", "diagonal"]
+    assert rep["target"] == "norton-symbolic"
+    assert rep["status"] == "COMPLETE"
+    assert rep["columns_processed"] == len(rep["diagonal"]) == 144
+
+
 def test_certify_majorana(capsys):
     assert run(["certify", "majorana", "--t", "1/12"]) == 0
     assert "is_majorana=True" in capsys.readouterr().out
@@ -124,14 +146,6 @@ def test_missing_parameter_rejected(capsys):
 
 def test_unknown_flag_rejected(capsys):
     assert run(["gram", "--frobnicate"]) == 2
-
-
-def test_bad_degree_cap_exits_2(monkeypatch, capsys):
-    monkeypatch.setenv("AXIA_DEGREE_CAP", "abc")
-    assert run(["norton", "--symbolic"]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error: ") and err.count("\n") == 1
-    assert "AXIA_DEGREE_CAP" in err
 
 
 def test_unwritable_out_exits_2(tmp_path, capsys):

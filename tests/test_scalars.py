@@ -150,6 +150,9 @@ def test_field_protocol_roundtrip():
     assert QQ.from_json(QQ.to_json(x)) == x
     f = QT.of("5/3") * QT.t
     assert QT.from_json(QT.to_json(f)) == f
+    g = QT.one / (QT.t + 1)
+    assert QT.to_json(g) == {"num": ["1"], "den": ["1", "1"]}
+    assert QT.from_json(QT.to_json(g)) == g
     assert QQ.sign(QQ.of("-2")) == -1
 
 

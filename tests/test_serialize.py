@@ -1,34 +1,8 @@
-"""JSON serialization round-trips for matrices and algebras."""
-
-import pytest
+"""JSON serialization round-trips for algebras."""
 
 from axia.catalog import dihedral
-from axia.linalg import Matrix
-from axia.scalars import QQ, QT, rat
 from axia.serialize import (algebra_from_json, algebra_to_json, dump_json,
-                            load_json, matrix_from_json, matrix_to_json)
-
-
-def test_matrix_roundtrip_rationals():
-    m = Matrix(QQ, [[rat("1/3"), rat(-2)], [rat(0), rat("7/5")]])
-    d = matrix_to_json(m)
-    assert d["field"] == "rationals"
-    assert d["entries"][0] == "1/3"
-    assert matrix_from_json(d) == m
-
-
-def test_matrix_roundtrip_function_field():
-    t = QT.t
-    m = Matrix(QT, [[t, QT.one / (t + 1)], [QT.zero, t * t]])
-    d = matrix_to_json(m)
-    assert d["field"] == "rational_functions"
-    assert matrix_from_json(d) == m
-
-
-def test_matrix_entry_count_validated():
-    d = {"rows": 2, "cols": 2, "field": "rationals", "entries": ["1"]}
-    with pytest.raises(ValueError):
-        matrix_from_json(d)
+                            load_json)
 
 
 def test_algebra_roundtrip_with_form():
