@@ -1,9 +1,10 @@
 """Hard-coded fusion rules and the eight dihedral algebras of Monster type.
 
-Each dihedral algebra is stored as its published representative products and
-form values; the full symmetric tables are materialized by orbit completion
-under the dihedral symmetry (k -> -k, k -> 1-k on axis indices, extra basis
-vectors fixed) and any inconsistency fails loudly.
+Each dihedral algebra is stored as seeds: published representative pairs,
+each with its product and its form value.  complete_algebra materializes
+the full product table and Gram matrix in one pass under the two generators
+of the dihedral symmetry (k -> -k and k -> 1-k on axis indices, extra basis
+vectors fixed), and any inconsistency fails loudly.
 
 Basis ordering follows the published tables: axes in index order, then the
 extra vectors (a_rho, u_rho, v_rho, w_rho as applicable).
@@ -11,11 +12,10 @@ extra vectors (a_rho, u_rho, v_rho, w_rho as applicable).
 
 from __future__ import annotations
 
-from .algebra import Algebra, BilinearForm, ConstructedAlgebra, FusionRule
-from .completion import (complete_form, complete_table, gram_from_pairs,
-                         mulclose, table_from_pairs)
+from .algebra import ConstructedAlgebra, FusionRule
+from .completion import complete_algebra, mulclose
 from .linalg import Matrix
-from .scalars import QQ, QT, rat
+from .scalars import QQ, QT
 
 # ---------------------------------------------------------------------------
 # Fusion rules
@@ -77,9 +77,10 @@ def f4a_rule(t=None) -> FusionRule:
 # Dihedral catalog data
 #
 # Axis labels are integers k (the axis a_k, index mod N); extra basis
-# vectors are strings.  Products/forms are given on representative pairs
-# exactly as published; "1" entries for idempotent axes are implicit
-# (a_0 * a_0 = a_0 is seeded for every type).
+# vectors are strings.  Each seed is a representative pair with its product
+# and its form value, exactly as published; the "1" entries for idempotent
+# norm-1 axes are implicit (a_k * a_k = a_k and (a_k, a_k) = 1 are seeded
+# for every axis).
 # ---------------------------------------------------------------------------
 
 DIHEDRAL_TYPES = ("2A", "2B", "3A", "3C", "4A", "4B", "5A", "6A")
@@ -88,110 +89,91 @@ _DIHEDRAL_DATA = {
     "2A": {
         "n": 2,
         "basis": [0, 1, "rho"],
-        "products": [
-            ((0, 1), {0: "1/8", 1: "1/8", "rho": "-1/8"}),
-            ((0, "rho"), {0: "1/8", "rho": "1/8", 1: "-1/8"}),
-            (("rho", "rho"), {"rho": "1"}),
-        ],
-        "forms": [
-            # a_rho is itself a norm-1 axis; the Frobenius identity on the
-            # triple (a_0, a_1, a_rho) forces (a_rho, a_rho) = 1
-            ((0, 1), "1/8"), ((0, "rho"), "1/8"), (("rho", "rho"), "1"),
+        # a_rho is itself a norm-1 axis; the Frobenius identity on the
+        # triple (a_0, a_1, a_rho) forces (a_rho, a_rho) = 1
+        "seeds": [
+            ((0, 1), {0: "1/8", 1: "1/8", "rho": "-1/8"}, "1/8"),
+            ((0, "rho"), {0: "1/8", "rho": "1/8", 1: "-1/8"}, "1/8"),
+            (("rho", "rho"), {"rho": "1"}, "1"),
         ],
     },
     "2B": {
         "n": 2,
         "basis": [0, 1],
-        "products": [((0, 1), {})],
-        "forms": [((0, 1), "0")],
+        "seeds": [((0, 1), {}, "0")],
     },
     "3A": {
         "n": 3,
         "basis": [-1, 0, 1, "u"],
-        "products": [
-            ((0, 1), {0: "1/16", 1: "1/16", -1: "1/32", "u": "-135/2048"}),
-            ((0, "u"), {0: "2/9", 1: "-1/9", -1: "-1/9", "u": "5/32"}),
-            (("u", "u"), {"u": "1"}),
-        ],
-        "forms": [
-            ((0, 1), "13/256"), ((0, "u"), "1/4"), (("u", "u"), "8/5"),
+        "seeds": [
+            ((0, 1), {0: "1/16", 1: "1/16", -1: "1/32", "u": "-135/2048"},
+             "13/256"),
+            ((0, "u"), {0: "2/9", 1: "-1/9", -1: "-1/9", "u": "5/32"},
+             "1/4"),
+            (("u", "u"), {"u": "1"}, "8/5"),
         ],
     },
     "3C": {
         "n": 3,
         "basis": [-1, 0, 1],
-        "products": [((0, 1), {0: "1/64", 1: "1/64", -1: "-1/64"})],
-        "forms": [((0, 1), "1/64")],
+        "seeds": [((0, 1), {0: "1/64", 1: "1/64", -1: "-1/64"}, "1/64")],
     },
     "4A": {
         "n": 4,
         "basis": [-1, 0, 1, 2, "v"],
-        "products": [
+        "seeds": [
             ((0, 1), {0: "3/64", 1: "3/64", 2: "1/64", -1: "1/64",
-                      "v": "-3/64"}),
+                      "v": "-3/64"}, "1/32"),
             ((0, "v"), {0: "5/16", 1: "-1/8", 2: "-1/16", -1: "-1/8",
-                        "v": "3/16"}),
-            (("v", "v"), {"v": "1"}),
-            ((0, 2), {}),
-        ],
-        "forms": [
-            ((0, 1), "1/32"), ((0, 2), "0"), ((0, "v"), "3/8"),
-            (("v", "v"), "2"),
+                        "v": "3/16"}, "3/8"),
+            (("v", "v"), {"v": "1"}, "2"),
+            ((0, 2), {}, "0"),
         ],
     },
     "4B": {
         "n": 4,
         "basis": [-1, 0, 1, 2, "rho"],
-        "products": [
+        "seeds": [
             ((0, 1), {0: "1/64", 1: "1/64", -1: "-1/64", 2: "-1/64",
-                      "rho": "1/64"}),
-            ((0, 2), {0: "1/8", 2: "1/8", "rho": "-1/8"}),
+                      "rho": "1/64"}, "1/64"),
+            ((0, 2), {0: "1/8", 2: "1/8", "rho": "-1/8"}, "1/8"),
             # the pair {a_0, a_2} generates a 2A with the same a_rho
-            ((0, "rho"), {0: "1/8", "rho": "1/8", 2: "-1/8"}),
-            (("rho", "rho"), {"rho": "1"}),
-        ],
-        "forms": [
-            ((0, 1), "1/64"), ((0, 2), "1/8"), ((0, "rho"), "1/8"),
-            (("rho", "rho"), "1"),
+            ((0, "rho"), {0: "1/8", "rho": "1/8", 2: "-1/8"}, "1/8"),
+            (("rho", "rho"), {"rho": "1"}, "1"),
         ],
     },
     "5A": {
         "n": 5,
         "basis": [-2, -1, 0, 1, 2, "w"],
-        "products": [
+        "seeds": [
             ((0, 1), {0: "3/128", 1: "3/128", 2: "-1/128", -1: "-1/128",
-                      -2: "-1/128", "w": "1"}),
+                      -2: "-1/128", "w": "1"}, "3/128"),
             ((0, 2), {0: "3/128", 2: "3/128", 1: "-1/128", -1: "-1/128",
-                      -2: "-1/128", "w": "-1"}),
+                      -2: "-1/128", "w": "-1"}, "3/128"),
             ((0, "w"), {1: "7/4096", -1: "7/4096", 2: "-7/4096",
-                        -2: "-7/4096", "w": "7/32"}),
-            (("w", "w"), {-2: "175/524288", -1: "175/524288", 0: "175/524288",
-                          1: "175/524288", 2: "175/524288"}),
-        ],
-        "forms": [
-            ((0, 1), "3/128"), ((0, 2), "3/128"), ((0, "w"), "0"),
-            (("w", "w"), "875/524288"),
+                        -2: "-7/4096", "w": "7/32"}, "0"),
+            (("w", "w"), {-2: "175/524288", -1: "175/524288",
+                          0: "175/524288", 1: "175/524288",
+                          2: "175/524288"}, "875/524288"),
         ],
     },
     "6A": {
         "n": 6,
         "basis": [-2, -1, 0, 1, 2, 3, "rho", "u"],
-        "products": [
+        "seeds": [
             ((0, 1), {0: "1/64", 1: "1/64", -2: "-1/64", -1: "-1/64",
-                      2: "-1/64", 3: "-1/64", "rho": "1/64", "u": "45/2048"}),
-            ((0, 2), {0: "1/16", 2: "1/16", -2: "1/32", "u": "-135/2048"}),
-            ((0, "u"), {0: "2/9", 2: "-1/9", -2: "-1/9", "u": "5/32"}),
-            ((0, 3), {0: "1/8", 3: "1/8", "rho": "-1/8"}),
-            (("rho", "u"), {}),
+                      2: "-1/64", 3: "-1/64", "rho": "1/64",
+                      "u": "45/2048"}, "5/256"),
+            ((0, 2), {0: "1/16", 2: "1/16", -2: "1/32", "u": "-135/2048"},
+             "13/256"),
+            ((0, "u"), {0: "2/9", 2: "-1/9", -2: "-1/9", "u": "5/32"},
+             "1/4"),
+            ((0, 3), {0: "1/8", 3: "1/8", "rho": "-1/8"}, "1/8"),
+            (("rho", "u"), {}, "0"),
             # the pair {a_0, a_3} generates a 2A with the same a_rho
-            ((0, "rho"), {0: "1/8", "rho": "1/8", 3: "-1/8"}),
-            (("rho", "rho"), {"rho": "1"}),
-            (("u", "u"), {"u": "1"}),
-        ],
-        "forms": [
-            ((0, 1), "5/256"), ((0, 2), "13/256"), ((0, 3), "1/8"),
-            (("rho", "u"), "0"), ((0, "rho"), "1/8"), (("rho", "rho"), "1"),
-            ((0, "u"), "1/4"), (("u", "u"), "8/5"),
+            ((0, "rho"), {0: "1/8", "rho": "1/8", 3: "-1/8"}, "1/8"),
+            (("rho", "rho"), {"rho": "1"}, "1"),
+            (("u", "u"), {"u": "1"}, "8/5"),
         ],
     },
 }
@@ -295,59 +277,33 @@ def dihedral_dimension(name: str) -> int:
     return len(_DIHEDRAL_DATA[name]["basis"])
 
 
-def dihedral(name: str) -> ConstructedAlgebra:
-    """Construct a dihedral catalog algebra (over Q) by orbit completion."""
+def dihedral_seeds(name: str):
+    """(labels, seeds, generators) of a dihedral catalog algebra: the seeds
+    of complete_algebra and the two relabeling generators over Q."""
     if name not in _DIHEDRAL_DATA:
         raise ValueError(f"unknown dihedral type {name!r}; "
                          f"expected one of {DIHEDRAL_TYPES}")
     data = _DIHEDRAL_DATA[name]
-    n = data["n"]
-    basis = list(data["basis"])
-    dim = len(basis)
-    pos = {key: i for i, key in enumerate(basis)}
-    field = QQ
+    basis = data["basis"]
+    seeds = [((_label(k), _label(k)), {_label(k): 1}, 1)
+             for k in basis if isinstance(k, int)]
+    seeds += [((_label(u), _label(v)),
+               {_label(k): c for k, c in product.items()}, form_value)
+              for (u, v), product, form_value in data["seeds"]]
+    generators = [_perm_matrix(QQ, basis, km, data["n"])
+                  for km in _index_maps(data["n"])]
+    return [_label(k) for k in basis], seeds, generators
 
-    def vec(combo):
-        v = [field.zero] * dim
-        for key, c in combo.items():
-            v[pos[key]] = rat(c)
-        return tuple(v)
 
-    known = {}
-    # every axis is idempotent
-    for key in basis:
-        if isinstance(key, int):
-            known[(pos[key], pos[key])] = vec({key: "1"})
-    for (u, v), combo in data["products"]:
-        known[_pair(pos[u], pos[v])] = vec(combo)
-
-    group = mulclose(field, [_perm_matrix(field, basis, km, n)
-                             for km in _index_maps(n)])
-    labels = [_label(k) for k in basis]
-
-    def describe(p):
-        return f"({labels[p[0]]}, {labels[p[1]]})"
-
-    table = complete_table(field, dim, known, group, describe)
-
-    gram_known = {}
-    for key in basis:
-        if isinstance(key, int):
-            gram_known[(pos[key], pos[key])] = field.one
-    for (u, v), value in data["forms"]:
-        gram_known[_pair(pos[u], pos[v])] = rat(value)
-    gram = complete_form(field, dim, gram_known, group, describe)
-
-    alg = Algebra(field, labels, table_from_pairs(field, dim, table))
-    form = BilinearForm(field, gram_from_pairs(field, dim, gram))
-
-    axis_keys = sorted(k for k in basis if isinstance(k, int))
-    ref = {}
-    for lam, vecs in REFERENCE_EIGENVECTORS[name].items():
-        ref[field.of(lam)] = [vec(c) for c in vecs]
-    return ConstructedAlgebra(alg, form, axis_keys, group=group,
+def dihedral(name: str) -> ConstructedAlgebra:
+    """Construct a dihedral catalog algebra (over Q) by orbit completion."""
+    labels, seeds, generators = dihedral_seeds(name)
+    alg, form = complete_algebra(QQ, labels, seeds, generators)
+    ref = {QQ.of(lam): [alg.vector({_label(k): c for k, c in combo.items()})
+                        for combo in vecs]
+           for lam, vecs in REFERENCE_EIGENVECTORS[name].items()}
+    axis_keys = sorted(k for k in _DIHEDRAL_DATA[name]["basis"]
+                       if isinstance(k, int))
+    return ConstructedAlgebra(alg, form, axis_keys,
+                              group=mulclose(QQ, generators),
                               reference_eigenvectors=ref)
-
-
-def _pair(i, j):
-    return (i, j) if i <= j else (j, i)

@@ -16,8 +16,8 @@ from .algebra import (GradingAssignment, AbelianGroup, axis_decomposition,
                       subalgebra_closure, verify_fusion, verify_frobenius,
                       verify_grading, is_automorphism)
 from .catalog import dihedral, f4a_rule, jordan_half_rule, monster_rule
-from .errors import PoleAtPoint, ZeroPivotSymbolic
-from .linalg import LDLTResult, Matrix, determinant, in_span, ldlt, span_rref
+from .errors import PoleAtPoint
+from .linalg import Matrix, determinant, in_span, ldlt, span_rref
 from .m4 import (build_m4a, build_m4b, reference_v_eigenvectors,
                  specialize_form, specialize_m4a, verify_dependencies)
 from .scalars import (QT, RationalFunction, count_roots_open,
@@ -204,13 +204,9 @@ def norton_symbolic():
     depend on this path.
     """
     m4a = build_m4a()
-    try:
-        pivots = ldlt(norton_block(m4a.algebra, m4a.form)).D
-        status = LDLTResult.COMPLETE
-    except ZeroPivotSymbolic as exc:
-        status, pivots = LDLTResult.FAILED_INDEFINITE, exc.pivots
-    diag = _interleave_wedge(pivots, m4a.algebra.dim)
-    return {"status": status, "columns_processed": len(diag),
+    result = ldlt(norton_block(m4a.algebra, m4a.form))
+    diag = _interleave_wedge(result.D, m4a.algebra.dim)
+    return {"status": result.status, "columns_processed": len(diag),
             "diagonal": diag}
 
 

@@ -134,10 +134,7 @@ def _cmd_norton(args):
                   "diagonal": [str(d) for d in rep["diagonal"]]}
         _emit(report, args.out)
         return 0
-    points = _points_from(args)
-    report = [{"t0": format_rational(t0), "norton_psd": cert.norton_check(t0)}
-              for t0 in points]
-    _emit(report, args.out)
+    _emit(cert.norton_grid_report(_points_from(args)), args.out)
     return 0
 
 

@@ -1,15 +1,19 @@
 """Equivariant completion of partial multiplication tables and forms.
 
-Given the products (or form values) of some basis pairs and a finite group
-of linear symmetries g, the identity (u.v)^g = u^g . v^g — expanded by
-bilinearity — lets unknown entries be solved one at a time and forces
-consistency between every pair of derivations.
+An algebra is assembled from seeds: the product and the form value of
+some basis pairs.  For each symmetry generator g the identity
+(u.v)^g = u^g . v^g, expanded by bilinearity, together with the
+invariance <u^g, v^g> = <u, v>, lets unknown entries be solved one at a
+time and forces consistency between every pair of derivations.  A table
+equivariant under every generator is equivariant under the group they
+generate, so the group itself is never enumerated.
 """
 
 from __future__ import annotations
 
 from collections import deque
 
+from .algebra import Algebra, BilinearForm
 from .errors import CompletionInconsistent, CompletionInsufficient
 from .linalg import Matrix
 
@@ -52,31 +56,29 @@ def _pair_coefficients(field, u, v):
     return {p: c for p, c in coeffs.items() if not field.is_zero(c)}
 
 
-def complete_table(field, dim, known, group, describe=None, image=None,
-                   clash="image of pair {} under the group contradicts "
-                         "known entries"):
-    """Complete a partial product table under a symmetry group.
+def complete_table(field, dim, known, generators, describe=None):
+    """Complete a partial product table under symmetry generators.
 
-    known: {(i, j) with i <= j: coordinate tuple}.  group: list of Matrix
-    operators (columns = images of basis vectors).  Returns the completed
-    dict; raises CompletionInconsistent if two derivations disagree and
-    CompletionInsufficient if the orbit closure leaves pairs undefined.
+    known: {(i, j) with i <= j: value}, where a value is the coordinate
+    tuple of the product followed by any extra coordinates, such as the
+    form value, which the symmetries leave fixed.  generators: list of
+    Matrix operators (columns = images of basis vectors).  Returns the
+    completed dict; raises CompletionInconsistent if two derivations
+    disagree and CompletionInsufficient if the orbit closure leaves pairs
+    undefined.
 
-    Each (group element, known pair) combination is used once, as soon as
-    at most one pair of its expansion is unknown: it then either derives
-    that pair or checks the known ones.  A combination with more unknowns
-    waits on all of them and is queued again when all but one are derived.
-    image(g, value) is the right-hand side of the identity for g; it
-    defaults to g.matvec(value), i.e. (u.v)^g = u^g . v^g.  clash formats
-    the message of an inconsistency from the described pair.
+    Each (generator, pair) combination is used once, as soon as at most
+    one pair of its expansion is unknown: it then either derives that
+    pair or checks the known ones.  A combination with more unknowns waits
+    on all of them and is queued again when all but one are derived.
     """
     known = {_norm(p): tuple(v) for p, v in known.items()}
     describe = describe or (lambda p: str(p))
-    image = image or (lambda g, value: g.matvec(value))
     is_zero = field.is_zero
     cols = [[tuple(g.data[i][j] for i in range(dim)) for j in range(dim)]
-            for g in group]
-    queue = deque((gi, pair) for pair in known for gi in range(len(group)))
+            for g in generators]
+    queue = deque((gi, pair) for pair in known
+                  for gi in range(len(generators)))
     waiting = {}  # unknown pair -> combinations waiting on it
     pending = {}  # waiting combination -> number of its unknown pairs
     done = set()
@@ -93,7 +95,8 @@ def complete_table(field, dim, known, group, describe=None, image=None,
                 waiting.setdefault(pair, []).append(combo)
             continue
         done.add(combo)
-        acc = list(image(group[gi], known[(p, q)]))
+        value = known[(p, q)]
+        acc = list(generators[gi].matvec(value[:dim])) + list(value[dim:])
         for pair, c in coeffs.items():
             if pair in known:
                 for k, w in enumerate(known[pair]):
@@ -101,12 +104,14 @@ def complete_table(field, dim, known, group, describe=None, image=None,
                         acc[k] = acc[k] - c * w
         if not unknown:
             if any(not is_zero(a) for a in acc):
-                raise CompletionInconsistent(clash.format(describe((p, q))))
+                raise CompletionInconsistent(
+                    f"image of {describe((p, q))} under a symmetry "
+                    f"contradicts known entries")
             continue
         pair = unknown[0]
         c = coeffs[pair]
         known[pair] = tuple(a / c for a in acc)
-        queue.extend((gj, pair) for gj in range(len(group)))
+        queue.extend((gj, pair) for gj in range(len(generators)))
         for other in waiting.pop(pair, ()):
             pending[other] -= 1
             if pending[other] == 1:
@@ -117,33 +122,38 @@ def complete_table(field, dim, known, group, describe=None, image=None,
     return known
 
 
-def complete_form(field, dim, known, group, describe=None):
-    """The scalar case of complete_table for a symmetric bilinear form,
-    using invariance <u^g, v^g> = <u, v>."""
-    table = complete_table(field, dim, {p: (v,) for p, v in known.items()},
-                           group, describe, image=lambda g, value: value,
-                           clash="form value at {} contradicts group "
-                                 "invariance")
-    return {p: v[0] for p, v in table.items()}
+def complete_algebra(field, labels, seeds, generators):
+    """Assemble an algebra and its form from seeds under symmetry
+    generators; returns (Algebra, BilinearForm).
+
+    A seed is ((label, label), {label: scalar}, form value): the product
+    of two basis vectors and their form value.  Two seeds that give one
+    pair different values raise CompletionInconsistent.
+    """
+    dim = len(labels)
+    pos = {lab: i for i, lab in enumerate(labels)}
+    known = {}
+    for (lu, lv), product, form_value in seeds:
+        value = [field.zero] * dim + [field.of(form_value)]
+        for lab, x in product.items():
+            value[pos[lab]] = field.of(x)
+        value = tuple(value)
+        if known.setdefault(_norm((pos[lu], pos[lv])), value) != value:
+            raise CompletionInconsistent(f"seeds disagree at ({lu}, {lv})")
+
+    def describe(p):
+        return f"({labels[p[0]]}, {labels[p[1]]})"
+
+    table = [[None] * dim for _ in range(dim)]
+    gram = [[None] * dim for _ in range(dim)]
+    for (i, j), value in complete_table(field, dim, known, generators,
+                                        describe).items():
+        table[i][j] = table[j][i] = value[:dim]
+        gram[i][j] = gram[j][i] = value[dim]
+    return (Algebra(field, labels, table),
+            BilinearForm(field, Matrix(field, gram)))
 
 
 def _norm(pair):
     i, j = pair
     return (i, j) if i <= j else (j, i)
-
-
-def table_from_pairs(field, dim, pairs):
-    """Symmetric dim x dim nested list from an upper-triangle pair dict."""
-    table = [[None] * dim for _ in range(dim)]
-    for (i, j), v in pairs.items():
-        table[i][j] = tuple(v)
-        table[j][i] = tuple(v)
-    return table
-
-
-def gram_from_pairs(field, dim, pairs):
-    g = [[field.zero] * dim for _ in range(dim)]
-    for (i, j), v in pairs.items():
-        g[i][j] = v
-        g[j][i] = v
-    return Matrix(field, g)

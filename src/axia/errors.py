@@ -49,11 +49,3 @@ class CompletionInsufficient(AxiaError):
 class CompletionInconsistent(AxiaError):
     """Symmetry forces two different values for the same table entry."""
 
-
-class ZeroPivotSymbolic(AxiaError):
-    """Symbolic LDLT hit a zero pivot whose column is not zero; pivots
-    holds the pivots computed before it."""
-
-    def __init__(self, message, pivots):
-        super().__init__(message)
-        self.pivots = pivots

@@ -7,7 +7,7 @@ never use floating point.
 
 from __future__ import annotations
 
-from .errors import DimensionMismatch, NonSquare, ZeroPivotSymbolic
+from .errors import DimensionMismatch, NonSquare
 from .scalars import QT
 
 
@@ -30,11 +30,6 @@ class Matrix:
         z, o = field.zero, field.one
         return cls(field, [[o if i == j else z for j in range(n)]
                            for i in range(n)])
-
-    @classmethod
-    def zeros(cls, field, rows, cols):
-        z = field.zero
-        return cls(field, [[z] * cols for _ in range(rows)])
 
     def __eq__(self, other):
         return (isinstance(other, Matrix) and self.rows == other.rows
@@ -194,7 +189,8 @@ class LDLTResult:
 
     status is "COMPLETE" or "FAILED_INDEFINITE"; on failure, certificate
     is the (row, col) of a nonzero entry below an exactly-zero pivot,
-    which witnesses that the matrix is not positive semidefinite.
+    which witnesses that the matrix is not positive semidefinite, and D
+    holds the pivots of the columns before it.
     """
 
     COMPLETE = "COMPLETE"
@@ -224,9 +220,8 @@ def ldlt(m: Matrix) -> LDLTResult:
 
     A zero pivot is legal only when the rest of its column (in the Schur
     complement) is exactly zero; the column is then skipped with D entry 0.
-    Otherwise the matrix cannot be PSD: over Q the result carries status
-    FAILED_INDEFINITE, over Q(t) ZeroPivotSymbolic is raised with the
-    pivots computed so far.
+    Otherwise the matrix cannot be PSD, over Q and Q(t) alike: the result
+    has status FAILED_INDEFINITE and the pivots computed so far.
     """
     if m.rows != m.cols:
         raise NonSquare("ldlt of a non-square matrix")
@@ -247,12 +242,8 @@ def ldlt(m: Matrix) -> LDLTResult:
                 li = lrows[i]
                 cij = m.data[i][j] - sum((a * b for a, b in zip(li, dl)), z)
                 if not is_zero(cij):
-                    if field is QT:
-                        raise ZeroPivotSymbolic(
-                            f"zero pivot at column {j}, nonzero entry at "
-                            f"row {i}", tuple(D))
                     L = _expand_l(field, lrows, active, n)
-                    return LDLTResult(field, L, D + [z] * (n - len(D)),
+                    return LDLTResult(field, L, D,
                                       LDLTResult.FAILED_INDEFINITE, (i, j))
             D.append(z)
             continue

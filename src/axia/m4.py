@@ -1,21 +1,22 @@
 """Construction of the two 4A/4B axial algebras: the 7-dimensional M_4B
 over Q and the 12-dimensional one-parameter family M_4A over Q(t).
 
-M_4A is assembled from seeds: the dihedral-4A products inside each pair of
-commuting axis pairs, the representative products of the basis vectors
-w_i = a_i . v_(j,k), the linear dependencies
-(a_i - a_-i) . v_(j,k) = t (a_i - a_-i), and equivariant completion under
-the symmetry group generated by the three Miyamoto maps tau(a_i), the
-triality map sigma and an index transposition pi.  The Gram matrix of the
-Frobenius form is given in closed form and certified downstream
-(Frobenius property, symmetry invariance).
+Both are assembled by completion.complete_algebra from seeds, each a basis
+pair with its product and its form value.  M_4B is the union of three
+relabeled copies of the dihedral 4B algebra, one on each pair of absolute
+indices.  M_4A is seeded with three relabeled dihedral 4A copies, the
+definitions w_i = a_i . v_(j,k), the linear dependencies
+(a_i - a_-i) . v_(j,k) = t (a_i - a_-i) and one representative pair per
+symmetry orbit; its product table and Frobenius form are completed under
+the five generators: the three Miyamoto maps tau(a_i), the triality map
+sigma and an index transposition pi.
 """
 
 from __future__ import annotations
 
 from .algebra import Algebra, BilinearForm, ConstructedAlgebra
 from .catalog import dihedral
-from .completion import (complete_table, mulclose, table_from_pairs)
+from .completion import complete_algebra
 from .linalg import Matrix
 from .scalars import QQ, QT, rat
 
@@ -36,65 +37,29 @@ def build_m4b() -> ConstructedAlgebra:
     sharing one extra vector a_rho = a_i + a_-i - 8 a_i . a_-i.
 
     Pairs with different absolute index generate dihedral 4B; pairs
-    {a_i, a_-i} generate 2A, all with the same a_rho.
+    {a_i, a_-i} generate 2A, all with the same a_rho.  The three 4B copies
+    cover every basis pair, so no symmetry is needed to complete them.
     """
-    field = QQ
-    labels = list(M4B_LABELS)
-    pos = {lab: i for i, lab in enumerate(labels)}
-    dim = len(labels)
-
-    def vec(combo):
-        v = [field.zero] * dim
-        for lab, c in combo.items():
-            v[pos[lab]] = rat(c)
-        return tuple(v)
-
-    def alab(s):
-        return f"a_{s}"
-
-    table = {}
-
-    def put(lu, lv, combo):
-        i, j = pos[lu], pos[lv]
-        key = (i, j) if i <= j else (j, i)
-        val = vec(combo)
-        if key in table and table[key] != val:
-            raise ValueError(f"inconsistent product at ({lu}, {lv})")
-        table[key] = val
-
-    for lab in labels:
-        put(lab, lab, {lab: "1"} if lab != "a_rho" else {"a_rho": "1"})
-    for i in _M4_AXES:
-        # 2A on {a_i, a_-i, a_rho}
-        put(alab(i), alab(-i), {alab(i): "1/8", alab(-i): "1/8",
-                                "a_rho": "-1/8"})
-        put(alab(i), "a_rho", {alab(i): "1/8", "a_rho": "1/8",
-                               alab(-i): "-1/8"})
-        # 4B cross products
-        for j in _M4_AXES:
-            if abs(i) < abs(j):
-                put(alab(i), alab(j),
-                    {alab(i): "1/64", alab(j): "1/64", alab(-i): "-1/64",
-                     alab(-j): "-1/64", "a_rho": "1/64"})
-
-    gram = [[field.zero] * dim for _ in range(dim)]
-
-    def gput(lu, lv, c):
-        gram[pos[lu]][pos[lv]] = rat(c)
-        gram[pos[lv]][pos[lu]] = rat(c)
-
-    for lab in labels:
-        gput(lab, lab, "1")  # a_rho is itself a norm-1 axis
-    for i in _M4_AXES:
-        gput(alab(i), alab(-i), "1/8")
-        gput(alab(i), "a_rho", "1/8")
-        for j in _M4_AXES:
-            if abs(i) < abs(j):
-                gput(alab(i), alab(j), "1/64")
-
-    alg = Algebra(field, labels, table_from_pairs(field, dim, table))
-    form = BilinearForm(field, Matrix(field, gram))
+    d4b = dihedral("4B")
+    seeds = [seed for i, j in ((1, 2), (1, 3), (2, 3))
+             for seed in _embed(d4b, i, j, "a_rho")]
+    alg, form = complete_algebra(QQ, M4B_LABELS, seeds, [])
     return ConstructedAlgebra(alg, form, _M4_AXES)
+
+
+def _embed(d, i, j, extra):
+    """Seeds of the 5-dimensional dihedral algebra d (type 4A or 4B) on
+    the axes a_{+-i}, a_{+-j}: a_0 -> a_i, a_1 -> a_j, a_2 -> a_-i,
+    a_-1 -> a_-j and its extra vector -> extra; one seed per basis pair."""
+    alg = d.algebra
+    axes = {"a_-1": f"a_-{j}", "a_0": f"a_{i}", "a_1": f"a_{j}",
+            "a_2": f"a_-{i}"}
+    names = [axes.get(lab, extra) for lab in alg.labels]
+    return [((names[p], names[q]),
+             {names[k]: x for k, x in enumerate(alg.mul_table[p][q])
+              if x != 0},
+             d.form.gram.data[p][q])
+            for p in range(alg.dim) for q in range(p, alg.dim)]
 
 
 # ---------------------------------------------------------------------------
@@ -170,156 +135,92 @@ def m4a_symmetries():
 
 
 # ---------------------------------------------------------------------------
-# M_4A seed products
+# M_4A seeds
 # ---------------------------------------------------------------------------
 
-def _m4a_seed_products():
-    """Seed products as {(label, label): {label: scalar over Q(t)}}.
+def m4a_seeds():
+    """Seeds of M_4A as ((label, label), {label: scalar}, form value) over
+    Q(t).
 
-    Sources: the dihedral-4A tables inside each {a_{+-i}, a_{+-j}, v_ij},
+    Sources: the dihedral-4A algebra inside each {a_{+-i}, a_{+-j}, v_ij},
     the definitions w_i = a_i . v_(j,k), the dependency rewrites
     a_-i . v_(j,k) = w_i - t (a_i - a_-i), and the representative
     products of v.v, a.w, v.w and w.w (one per symmetry orbit).
     """
     t = QT.t
     c = QT.of
-    seeds = {}
+    seeds = []
 
-    def put(lu, lv, combo):
-        key = tuple(sorted((lu, lv)))
-        val = {lab: QT.of(x) for lab, x in combo.items()}
-        if key in seeds and seeds[key] != val:
-            raise ValueError(f"conflicting seed at {key}")
-        seeds[key] = val
-
-    # dihedral 4A inside each absolute-index pair {i, j}:
-    # map b_-1 -> a_-j, b_0 -> a_i, b_1 -> a_j, b_2 -> a_-i, v -> v_ij
+    # dihedral 4A inside each absolute-index pair {i, j}
     d4a = dihedral("4A")
     for i, j in ((1, 2), (1, 3), (2, 3)):
-        relabel = {"a_-1": f"a_-{j}", "a_0": f"a_{i}", "a_1": f"a_{j}",
-                   "a_2": f"a_-{i}", "v_rho": _vlab((i, j))}
-        labs = d4a.algebra.labels
-        for p in range(len(labs)):
-            for q in range(p, len(labs)):
-                entry = d4a.algebra.mul_table[p][q]
-                combo = {relabel[labs[k]]: x
-                         for k, x in enumerate(entry) if x != 0}
-                put(relabel[labs[p]], relabel[labs[q]], combo)
+        seeds += _embed(d4a, i, j, _vlab((i, j)))
 
     # definitions of the w basis vectors and the dependency rewrites
     for i, (j, k) in ((1, (2, 3)), (2, (1, 3)), (3, (1, 2))):
         vl = _vlab((j, k))
-        put(f"a_{i}", vl, {f"w_{i}": 1})
-        put(f"a_-{i}", vl, {f"w_{i}": c(1), f"a_{i}": -t, f"a_-{i}": t})
+        seeds.append(((f"a_{i}", vl), {f"w_{i}": 1}, t))
+        seeds.append(((f"a_-{i}", vl),
+                      {f"w_{i}": 1, f"a_{i}": -t, f"a_-{i}": t}, t))
 
     # representative products, one per orbit of the symmetry group
-    put("v_12", "v_13", {
-        "a_1": c("-8/3") * t,
-        "a_2": c("2/3") * t, "a_-2": c("-2/3") * t,
-        "a_3": c("2/3") * t, "a_-3": c("-2/3") * t,
-        "v_12": c("1/4"), "v_13": c("1/4"), "v_23": c("-1/4"),
-        "w_1": c("8/3"), "w_2": c("-4/3"), "w_3": c("-4/3")})
-    put("a_1", "w_1", {"a_1": c("3/4") * t, "w_1": c("1/4")})
-    put("a_-1", "w_1", {"a_1": c("-1/4") * t, "w_1": c("1/4")})
-    put("a_2", "w_1", {
-        "a_1": c("-3/64") * t, "a_-1": c("3/64") * t,
-        "a_2": c("1/8") * t,
-        "a_3": c("1/16") * t, "a_-3": c("-1/16") * t,
-        "w_1": c("1/8"), "w_2": c("1/16"), "w_3": c("-1/8")})
-    put("v_12", "w_1", {
-        "a_1": c("-5/48") * t, "a_-1": c("-11/48") * t,
-        "a_2": c("-11/24") * t, "a_-2": c("-5/24") * t,
-        "v_12": c("1/8") * t, "w_1": c("1/4"), "w_2": c("1/4")})
-    put("v_23", "w_1", {
-        "a_1": (c(2) * t - 1) * t * c("1/4"),
-        "a_-1": (c(2) * t - 1) * t * c("-1/4"),
-        "v_23": c("1/4") * t, "w_1": c("1/2")})
-    put("w_1", "w_1", {
-        "a_1": (c(10) * t + 1) * t * c("1/16"),
-        "a_-1": (c(2) * t - 1) * t * c("-1/16"),
-        "v_23": c("1/16") * t, "w_1": c("1/4") * t})
-    put("w_1", "w_2", {
-        "a_1": t * t * c("1/32"), "a_-1": t * t * c("-1/32"),
-        "a_2": t * t * c("1/32"), "a_-2": t * t * c("-1/32"),
-        "a_3": (c(2) * t - 1) * t * c("1/32"),
-        "a_-3": (c(2) * t + 1) * t * c("-1/32"),
-        "v_12": c("1/32") * t, "v_13": c("1/64") * t, "v_23": c("1/64") * t,
-        "w_1": c("1/8") * t, "w_2": c("1/8") * t, "w_3": c("-1/8") * t})
+    seeds += [
+        (("v_12", "v_13"), {
+            "a_1": c("-8/3") * t,
+            "a_2": c("2/3") * t, "a_-2": c("-2/3") * t,
+            "a_3": c("2/3") * t, "a_-3": c("-2/3") * t,
+            "v_12": c("1/4"), "v_13": c("1/4"), "v_23": c("-1/4"),
+            "w_1": c("8/3"), "w_2": c("-4/3"), "w_3": c("-4/3")},
+         c("1/2") - c("8/3") * t),
+        (("a_1", "w_1"), {"a_1": c("3/4") * t, "w_1": c("1/4")}, t),
+        (("a_-1", "w_1"), {"a_1": c("-1/4") * t, "w_1": c("1/4")}, 0),
+        (("a_2", "w_1"), {
+            "a_1": c("-3/64") * t, "a_-1": c("3/64") * t,
+            "a_2": c("1/8") * t,
+            "a_3": c("1/16") * t, "a_-3": c("-1/16") * t,
+            "w_1": c("1/8"), "w_2": c("1/16"), "w_3": c("-1/8")},
+         c("3/16") * t),
+        (("v_12", "w_1"), {
+            "a_1": c("-5/48") * t, "a_-1": c("-11/48") * t,
+            "a_2": c("-11/24") * t, "a_-2": c("-5/24") * t,
+            "v_12": c("1/8") * t, "w_1": c("1/4"), "w_2": c("1/4")},
+         c("-1/4") * t),
+        (("v_23", "w_1"), {
+            "a_1": (c(2) * t - 1) * t * c("1/4"),
+            "a_-1": (c(2) * t - 1) * t * c("-1/4"),
+            "v_23": c("1/4") * t, "w_1": c("1/2")}, t),
+        (("w_1", "w_1"), {
+            "a_1": (c(10) * t + 1) * t * c("1/16"),
+            "a_-1": (c(2) * t - 1) * t * c("-1/16"),
+            "v_23": c("1/16") * t, "w_1": c("1/4") * t},
+         (c(3) * t + 1) * t * c("1/4")),
+        (("w_1", "w_2"), {
+            "a_1": t * t * c("1/32"), "a_-1": t * t * c("-1/32"),
+            "a_2": t * t * c("1/32"), "a_-2": t * t * c("-1/32"),
+            "a_3": (c(2) * t - 1) * t * c("1/32"),
+            "a_-3": (c(2) * t + 1) * t * c("-1/32"),
+            "v_12": c("1/32") * t, "v_13": c("1/64") * t,
+            "v_23": c("1/64") * t,
+            "w_1": c("1/8") * t, "w_2": c("1/8") * t,
+            "w_3": c("-1/8") * t},
+         (c(2) * t + 1) * t * c("1/16")),
+    ]
     return seeds
-
-
-def m4a_gram() -> Matrix:
-    """Closed-form Gram matrix of the Frobenius form on M_4A over Q(t)."""
-    field = QT
-    t = field.t
-    c = field.of
-    parsed = [_parse_label(lab) for lab in M4A_LABELS]
-
-    def entry(x, y):
-        (ka, va), (kb, vb) = x, y
-        if ka > kb:
-            (ka, va), (kb, vb) = (kb, vb), (ka, va)
-        if ka == "a" and kb == "a":
-            if va == vb:
-                return c(1)
-            if va == -vb:
-                return c(0)
-            return c("1/32")
-        if ka == "a" and kb == "v":
-            return c("3/8") if abs(va) in vb else t
-        if ka == "a" and kb == "w":
-            if va == vb:
-                return t
-            if va == -vb:
-                return c(0)
-            return c("3/16") * t
-        if ka == "v" and kb == "v":
-            if va == vb:
-                return c(2)
-            return c("1/2") - c("8/3") * t
-        if ka == "v" and kb == "w":
-            return c("-1/4") * t if vb in va else t
-        # w, w
-        if va == vb:
-            return (c(3) * t + 1) * t * c("1/4")
-        return (c(2) * t + 1) * t * c("1/16")
-
-    n = len(parsed)
-    return Matrix(field, [[entry(parsed[i], parsed[j]) for j in range(n)]
-                          for i in range(n)])
 
 
 _M4A_CACHE = []
 
 
 def build_m4a() -> ConstructedAlgebra:
-    """The 12-dimensional symbolic algebra M_4A over Q(t), completed from
-    the seed products by symmetry equivariance.  Cached (immutable)."""
+    """The 12-dimensional symbolic algebra M_4A over Q(t) with its
+    Frobenius form, completed from the seeds under the five symmetry
+    generators.  Cached (immutable)."""
     if _M4A_CACHE:
         return _M4A_CACHE[0]
-    field = QT
-    labels = list(M4A_LABELS)
-    pos = {lab: i for i, lab in enumerate(labels)}
-    dim = len(labels)
-
-    known = {}
-    for (lu, lv), combo in _m4a_seed_products().items():
-        v = [field.zero] * dim
-        for lab, x in combo.items():
-            v[pos[lab]] = x
-        i, j = pos[lu], pos[lv]
-        known[(i, j) if i <= j else (j, i)] = tuple(v)
-
     syms = m4a_symmetries()
-    group = mulclose(field, list(syms.values()))
-
-    def describe(p):
-        return f"({labels[p[0]]}, {labels[p[1]]})"
-
-    table = complete_table(field, dim, known, group, describe)
-    alg = Algebra(field, labels, table_from_pairs(field, dim, table))
-    form = BilinearForm(field, m4a_gram())
-    result = ConstructedAlgebra(alg, form, _M4_AXES, syms, group)
+    alg, form = complete_algebra(QT, M4A_LABELS, m4a_seeds(),
+                                 list(syms.values()))
+    result = ConstructedAlgebra(alg, form, _M4_AXES, syms)
     _M4A_CACHE.append(result)
     return result
 

@@ -2,10 +2,12 @@
 
 import pytest
 
-from axia.completion import (complete_form, complete_table, mulclose)
+from axia.catalog import DIHEDRAL_TYPES, dihedral, dihedral_seeds
+from axia.completion import complete_algebra, complete_table, mulclose
 from axia.errors import CompletionInconsistent, CompletionInsufficient
 from axia.linalg import Matrix
-from axia.scalars import QQ, rat
+from axia.m4 import M4A_LABELS, M4B_LABELS, _embed, m4a_seeds, m4a_symmetries
+from axia.scalars import QQ, QT, rat
 
 
 def qm(rows):
@@ -93,14 +95,62 @@ def test_combination_waiting_on_two_pairs_is_used_once_one_remains():
     assert table[(1, 2)] == e1
 
 
-def test_complete_form_under_swap():
-    known = {(0, 0): rat(1), (0, 1): rat("1/8")}
-    gram = complete_form(QQ, 2, known, mulclose(QQ, [SWAP]))
-    assert gram[(1, 1)] == rat(1)
+def test_complete_table_form_coordinate_under_swap():
+    # one extra coordinate, the form value, which the swap leaves fixed:
+    # the swap derives e_1^2 = e_1 and <e_1, e_1> = 1 from the e_0 seeds
+    known = {(0, 0): (rat(1), rat(0), rat(1)),
+             (0, 1): (rat(0), rat(0), rat("1/8"))}
+    table = complete_table(QQ, 2, known, [SWAP])
+    assert table[(1, 1)] == (rat(0), rat(1), rat(1))
 
 
-def test_complete_form_inconsistent():
-    known = {(0, 0): rat(1), (1, 1): rat(2), (0, 1): rat(0)}
+def test_complete_table_form_coordinate_inconsistent():
+    # the products agree with the swap; the form values on e_0^2 and e_1^2
+    # do not
+    known = {(0, 0): (rat(1), rat(0), rat(1)),
+             (1, 1): (rat(0), rat(1), rat(2)),
+             (0, 1): (rat(0), rat(0), rat(0))}
     with pytest.raises(CompletionInconsistent,
-                       match="form value at .* contradicts group invariance"):
-        complete_form(QQ, 2, known, mulclose(QQ, [SWAP]))
+                       match="contradicts known entries"):
+        complete_table(QQ, 2, known, [SWAP])
+
+
+def test_complete_algebra_disagreeing_seeds():
+    seeds = [(("e_0", "e_0"), {"e_0": 1}, 1),
+             (("e_0", "e_1"), {}, 0),
+             (("e_1", "e_1"), {"e_1": 1}, 1),
+             (("e_1", "e_0"), {}, "1/8")]
+    with pytest.raises(CompletionInconsistent, match=r"\(e_1, e_0\)"):
+        complete_algebra(QQ, ["e_0", "e_1"], seeds, [SWAP])
+
+
+def test_m4b_copies_must_agree_where_they_overlap():
+    # the 4B copies on {1, 2} and {1, 3} share the 2A pair {a_1, a_-1};
+    # alter its a_0 a_2 product in the second copy
+    d4b = dihedral("4B")
+    seeds = _embed(d4b, 1, 2, "a_rho") + _embed(d4b, 2, 3, "a_rho")
+    for (u, v), product, form_value in _embed(d4b, 1, 3, "a_rho"):
+        if (u, v) == ("a_1", "a_-1"):
+            product = dict(product, a_rho=rat("-1/4"))
+        seeds.append(((u, v), product, form_value))
+    with pytest.raises(CompletionInconsistent, match=r"\(a_1, a_-1\)"):
+        complete_algebra(QQ, M4B_LABELS, seeds, [])
+
+
+def _assembly(name):
+    if name == "M_4A":
+        return (QT, M4A_LABELS, m4a_seeds(),
+                list(m4a_symmetries().values()))
+    return (QQ,) + dihedral_seeds(name)
+
+
+@pytest.mark.parametrize("name", DIHEDRAL_TYPES + ("M_4A",))
+def test_generators_complete_as_the_closed_group(name):
+    # completing under the generators gives, entry for entry, the table
+    # and form that completing under the whole group gives
+    field, labels, seeds, generators = _assembly(name)
+    alg, form = complete_algebra(field, labels, seeds, generators)
+    ref_alg, ref_form = complete_algebra(field, labels, seeds,
+                                         mulclose(field, generators))
+    assert alg.mul_table == ref_alg.mul_table
+    assert form.gram == ref_form.gram

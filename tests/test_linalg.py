@@ -5,7 +5,7 @@ import random
 import pytest
 import sympy
 
-from axia.errors import DimensionMismatch, ZeroPivotSymbolic
+from axia.errors import DimensionMismatch
 from axia.linalg import (LDLTResult, Matrix, determinant, in_span, inverse,
                          kernel_basis, ldlt, reconstruct_ldlt, rref,
                          span_rref, vec_is_zero)
@@ -70,9 +70,10 @@ def test_sparse_products_with_zero_rows_and_vectors(field):
     zero_vec = (field.zero,) * 4
     assert a.matvec(zero_vec) == zero_vec
     assert a.matvec((field.one,) * 4)[1] == field.zero
-    zeros = Matrix.zeros(field, 4, 3)
-    assert a.matmul(zeros) == zeros
-    assert Matrix.zeros(field, 2, 4).matmul(a) == Matrix.zeros(field, 2, 4)
+    zeros43 = Matrix(field, [[field.zero] * 3 for _ in range(4)])
+    zeros24 = Matrix(field, [[field.zero] * 4 for _ in range(2)])
+    assert a.matmul(zeros43) == zeros43
+    assert zeros24.matmul(a) == zeros24
     ident = Matrix.identity(field, 4)
     assert a.matmul(ident) == a and ident.matmul(a) == a
 
@@ -248,11 +249,13 @@ def test_ldlt_indefinite_zero_pivot():
     assert not result.is_psd()
 
 
-def test_ldlt_symbolic_zero_pivot_raises():
+def test_ldlt_symbolic_zero_pivot_fails_indefinite():
+    # the same failure channel as over Q: a status, not an exception
     t = QT.t
-    m = Matrix(QT, [[QT.zero, t], [t, QT.zero]])
-    with pytest.raises(ZeroPivotSymbolic):
-        ldlt(m)
+    result = ldlt(Matrix(QT, [[QT.zero, t], [t, QT.zero]]))
+    assert result.status == LDLTResult.FAILED_INDEFINITE
+    assert result.certificate == (1, 0)
+    assert result.D == []
 
 
 def test_ldlt_no_sign_verdict_over_function_field():
@@ -265,8 +268,9 @@ def test_ldlt_no_sign_verdict_over_function_field():
 
 def test_ldlt_abort_carries_pivots_so_far():
     t = QT.t
-    with pytest.raises(ZeroPivotSymbolic) as info:
-        ldlt(Matrix(QT, [[t, QT.zero, QT.zero], [QT.zero, QT.zero, t],
-                         [QT.zero, t, QT.zero]]))
-    assert info.value.pivots == (t,)
+    result = ldlt(Matrix(QT, [[t, QT.zero, QT.zero], [QT.zero, QT.zero, t],
+                              [QT.zero, t, QT.zero]]))
+    assert result.status == LDLTResult.FAILED_INDEFINITE
+    assert result.certificate == (2, 1)
+    assert result.D == [t]
 

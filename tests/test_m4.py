@@ -4,10 +4,12 @@ from fractions import Fraction
 
 from axia.algebra import axis_decomposition, is_automorphism, verify_fusion
 from axia.catalog import monster_rule
+from axia.completion import mulclose
 from axia.linalg import Matrix, determinant, ldlt
-from axia.m4 import (m4a_symmetries, reference_a1_eigenvectors, specialize,
-                     specialize_m4a, verify_dependencies)
+from axia.m4 import (M4A_LABELS, m4a_symmetries, reference_a1_eigenvectors,
+                     specialize, specialize_m4a, verify_dependencies)
 from axia.scalars import QQ, QT, rat
+from m4a_gram_reference import m4a_gram
 
 MONSTER_EVS = tuple(QQ.of(x) for x in ("1", "0", "1/4", "1/32"))
 
@@ -60,7 +62,7 @@ def test_m4b_fusion_and_form(m4b):
 
 def test_m4a_dimension_and_group_order(m4a):
     assert m4a.algebra.dim == 12
-    assert len(m4a.group) == 24
+    assert len(mulclose(QT, list(m4a.symmetries.values()))) == 24
 
 
 def test_m4a_v_definition(m4a):
@@ -107,6 +109,16 @@ def test_m4a_symmetries_are_involutions_where_expected(m4a):
 # ---------------------------------------------------------------------------
 # M_4A: Gram matrix closed form  [PUBLISHED]
 # ---------------------------------------------------------------------------
+
+def test_m4a_gram_matches_closed_form(m4a):
+    # the form completed from the seed values, against the closed form
+    ref = m4a_gram().data
+    got = m4a.form.gram.data
+    n = len(M4A_LABELS)
+    pairs = [(i, j) for i in range(n) for j in range(i, n)]
+    assert len(pairs) == 78
+    assert [got[i][j] for i, j in pairs] == [ref[i][j] for i, j in pairs]
+
 
 def test_m4a_gram_published_values(m4a):
     alg = m4a.algebra
