@@ -108,19 +108,17 @@ class ConstructedAlgebra:
     """An algebra with its Frobenius form and its axes.
 
     axes[k] is the basis vector a_{axis_keys[k]}; symmetries maps names
-    to generating symmetry operators, group lists the matrices of a
-    symmetry group, and reference_eigenvectors maps each eigenvalue to
-    the published eigenvectors of one axis.
+    to generating symmetry operators, and reference_eigenvectors maps each
+    eigenvalue to the published eigenvectors of one axis.
     """
 
     def __init__(self, algebra, form, axis_keys, symmetries=None,
-                 group=None, reference_eigenvectors=None):
+                 reference_eigenvectors=None):
         self.algebra = algebra
         self.form = form
         self.axis_keys = list(axis_keys)
         self.axes = [algebra.basis_vector(f"a_{k}") for k in self.axis_keys]
         self.symmetries = symmetries or {}
-        self.group = group
         self.reference_eigenvectors = reference_eigenvectors or {}
 
     @property
@@ -326,36 +324,24 @@ def miyamoto(alg: Algebra, dec: AxisDecomposition, negative_eigenvalues,
     T = E.matmul(S).matmul(inverse(E))
     if T.matmul(T) != Matrix.identity(field, n):
         raise ValueError("constructed Miyamoto map is not an involution")
-    _check_automorphism(alg, T, form)
+    if not is_automorphism(alg, T, form):
+        raise ValueError("constructed Miyamoto map fails is_automorphism")
     return T
 
 
-def _check_automorphism(alg: Algebra, T: Matrix, form: BilinearForm = None):
-    field = alg.field
-    n = alg.dim
-    for i in range(n):
-        ei = unit_vec(field, n, i)
-        for j in range(i, n):
-            ej = unit_vec(field, n, j)
-            lhs = T.matvec(alg.mul_table[i][j])
-            rhs = alg.mul(T.matvec(ei), T.matvec(ej))
-            if tuple(lhs) != tuple(rhs):
-                raise ValueError(f"not an algebra automorphism at pair ({i},{j})")
-    if form is not None:
-        for i in range(n):
-            ti = T.matvec(unit_vec(field, n, i))
-            for j in range(i, n):
-                tj = T.matvec(unit_vec(field, n, j))
-                if form.apply(ti, tj) != form.gram.data[i][j]:
-                    raise ValueError(f"not an isometry at pair ({i},{j})")
-
-
 def is_automorphism(alg: Algebra, T: Matrix, form: BilinearForm = None) -> bool:
-    try:
-        _check_automorphism(alg, T, form)
-        return True
-    except ValueError:
-        return False
+    """True iff T maps every basis product e_i e_j to T e_i . T e_j and,
+    when a form is given, keeps every Gram entry <T e_i, T e_j>."""
+    n = alg.dim
+    cols = [tuple(row[i] for row in T.data) for i in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            if T.matvec(alg.mul_table[i][j]) != alg.mul(cols[i], cols[j]):
+                return False
+            if (form is not None
+                    and form.apply(cols[i], cols[j]) != form.gram.data[i][j]):
+                return False
+    return True
 
 
 def subalgebra_closure(alg: Algebra, generators):
@@ -452,52 +438,12 @@ def quotient(alg: Algebra, form: BilinearForm, ideal):
     return qalg, BilinearForm(field, qgram), project
 
 
-class AbelianGroup:
-    """Tiny finite abelian group given by element names and a product map."""
-
-    def __init__(self, elements, op, identity):
-        self.elements = tuple(elements)
-        self.op = dict(op)
-        self.identity = identity
-
-    def mul(self, a, b):
-        return self.op[(a, b)]
-
-    @classmethod
-    def c2(cls):
-        e, g = "e", "g"
-        op = {(e, e): e, (e, g): g, (g, e): g, (g, g): e}
-        return cls((e, g), op, e)
-
-    @classmethod
-    def c2xc2(cls):
-        els = ("e", "a", "b", "ab")
-        flip = {"e": 0, "a": 1, "b": 2, "ab": 3}
-        rev = {v: k for k, v in flip.items()}
-        op = {(x, y): rev[flip[x] ^ flip[y]] for x in els for y in els}
-        return cls(els, op, "e")
-
-
-class GradingAssignment:
-    """Map eigenvalue -> group element (total on the rule's eigenvalues)."""
-
-    def __init__(self, group: AbelianGroup, assignment):
-        self.group = group
-        self.assignment = dict(assignment)
-
-
-def verify_grading(rule: FusionRule, grading: GradingAssignment) -> bool:
-    """True iff assignment(nu) = assignment(lam)*assignment(mu) for every
-    nu in lam*mu."""
-    g = grading.group
-    asg = grading.assignment
-    for lam in rule.eigenvalues:
-        if lam not in asg:
-            return False
-    for lam in rule.eigenvalues:
-        for mu in rule.eigenvalues:
-            target = g.mul(asg[lam], asg[mu])
-            for nu in rule[(lam, mu)]:
-                if asg[nu] != target:
-                    return False
-    return True
+def verify_grading(rule: FusionRule, grading) -> bool:
+    """True iff grading, a map eigenvalue -> element of an elementary
+    abelian 2-group written as an int under bitwise xor, covers the
+    rule's eigenvalues and grading[nu] == grading[lam] ^ grading[mu] for
+    every nu in lam * mu."""
+    evs = rule.eigenvalues
+    return (all(lam in grading for lam in evs)
+            and all(grading[nu] == grading[lam] ^ grading[mu]
+                    for lam in evs for mu in evs for nu in rule[(lam, mu)]))

@@ -3,8 +3,9 @@
 Each dihedral algebra is stored as seeds: published representative pairs,
 each with its product and its form value.  complete_algebra materializes
 the full product table and Gram matrix in one pass under the two generators
-of the dihedral symmetry (k -> -k and k -> 1-k on axis indices, extra basis
-vectors fixed), and any inconsistency fails loudly.
+of the dihedral symmetry, tau_0 (k -> -k on axis indices) and swap_01
+(k -> 1-k), both with the extra basis vectors fixed; they are stored as
+the algebra's symmetries, and any inconsistency fails loudly.
 
 Basis ordering follows the published tables: axes in index order, then the
 extra vectors (a_rho, u_rho, v_rho, w_rho as applicable).
@@ -13,8 +14,7 @@ extra vectors (a_rho, u_rho, v_rho, w_rho as applicable).
 from __future__ import annotations
 
 from .algebra import ConstructedAlgebra, FusionRule
-from .completion import complete_algebra, mulclose
-from .linalg import Matrix
+from .completion import complete_algebra, label_map
 from .scalars import QQ, QT
 
 # ---------------------------------------------------------------------------
@@ -241,37 +241,6 @@ def _label(key):
     return "a_rho" if key == "rho" else f"{key}_rho"
 
 
-def _index_maps(n):
-    """Generators of the dihedral relabeling group on axis indices mod n:
-    k -> -k (tau(a_0)) and k -> 1-k (the a_0 <-> a_1 swap)."""
-    return [lambda k: -k % n, lambda k: (1 - k) % n]
-
-
-def _perm_matrix(field, basis, keymap, n):
-    """Permutation operator from an axis index map; extras fixed."""
-    positions = {}
-    for pos, key in enumerate(basis):
-        positions[key] = pos
-    dim = len(basis)
-    m = [[field.zero] * dim for _ in range(dim)]
-    for pos, key in enumerate(basis):
-        if isinstance(key, int):
-            target = _canon_key(keymap(key % n), n)
-            m[positions[target]][pos] = field.one
-        else:
-            m[pos][pos] = field.one
-    return Matrix(field, m)
-
-
-def _canon_key(k_mod, n):
-    """Back from residue mod n to the representative used in the basis
-    (indices are stored in the symmetric range used by the tables)."""
-    k = k_mod % n
-    if k > n // 2:
-        k -= n
-    return k
-
-
 def dihedral_dimension(name: str) -> int:
     """Dimension of a dihedral catalog algebra, read from its basis."""
     return len(_DIHEDRAL_DATA[name]["basis"])
@@ -279,31 +248,46 @@ def dihedral_dimension(name: str) -> int:
 
 def dihedral_seeds(name: str):
     """(labels, seeds, generators) of a dihedral catalog algebra: the seeds
-    of complete_algebra and the two relabeling generators over Q."""
+    of complete_algebra and its two relabeling generators over Q by name,
+    tau_0 (a_k -> a_-k) and swap_01 (a_k -> a_1-k), with indices taken mod
+    n into the range of the basis and the extra vectors fixed."""
     if name not in _DIHEDRAL_DATA:
         raise ValueError(f"unknown dihedral type {name!r}; "
                          f"expected one of {DIHEDRAL_TYPES}")
     data = _DIHEDRAL_DATA[name]
-    basis = data["basis"]
+    basis, n = data["basis"], data["n"]
+    labels = [_label(k) for k in basis]
     seeds = [((_label(k), _label(k)), {_label(k): 1}, 1)
              for k in basis if isinstance(k, int)]
     seeds += [((_label(u), _label(v)),
                {_label(k): c for k, c in product.items()}, form_value)
               for (u, v), product, form_value in data["seeds"]]
-    generators = [_perm_matrix(QQ, basis, km, data["n"])
-                  for km in _index_maps(data["n"])]
-    return [_label(k) for k in basis], seeds, generators
+    keys = dict(zip(labels, basis))
+
+    def relabeling(index_map):
+        def image(lab):
+            k = keys[lab]
+            if not isinstance(k, int):
+                return {lab: 1}
+            k = index_map(k) % n
+            return {_label(k - n if k > n // 2 else k): 1}
+        return label_map(QQ, labels, image)
+
+    generators = {"tau_0": relabeling(lambda k: -k),
+                  "swap_01": relabeling(lambda k: 1 - k)}
+    return labels, seeds, generators
 
 
 def dihedral(name: str) -> ConstructedAlgebra:
-    """Construct a dihedral catalog algebra (over Q) by orbit completion."""
+    """Construct a dihedral catalog algebra (over Q) by orbit completion;
+    its symmetries are the two relabeling generators."""
     labels, seeds, generators = dihedral_seeds(name)
-    alg, form = complete_algebra(QQ, labels, seeds, generators)
+    alg, form = complete_algebra(QQ, labels, seeds,
+                                 list(generators.values()))
     ref = {QQ.of(lam): [alg.vector({_label(k): c for k, c in combo.items()})
                         for combo in vecs]
            for lam, vecs in REFERENCE_EIGENVECTORS[name].items()}
     axis_keys = sorted(k for k in _DIHEDRAL_DATA[name]["basis"]
                        if isinstance(k, int))
-    return ConstructedAlgebra(alg, form, axis_keys,
-                              group=mulclose(QQ, generators),
+    return ConstructedAlgebra(alg, form, axis_keys, generators,
                               reference_eigenvectors=ref)

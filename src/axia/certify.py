@@ -11,10 +11,9 @@ subalgebra generated by the three 4A axes.
 
 from __future__ import annotations
 
-from .algebra import (GradingAssignment, AbelianGroup, axis_decomposition,
-                      quotient, radical, subalgebra_algebra,
-                      subalgebra_closure, verify_fusion, verify_frobenius,
-                      verify_grading, is_automorphism)
+from .algebra import (axis_decomposition, quotient, radical,
+                      subalgebra_algebra, subalgebra_closure, verify_fusion,
+                      verify_frobenius, verify_grading, is_automorphism)
 from .catalog import dihedral, f4a_rule, jordan_half_rule, monster_rule
 from .errors import PoleAtPoint
 from .linalg import Matrix, determinant, in_span, ldlt, span_rref
@@ -290,14 +289,12 @@ def quotient_certify(t0):
 # 4A-axis fusion / grading / Jordan subalgebra
 # ---------------------------------------------------------------------------
 
-def f4a_grading() -> GradingAssignment:
-    """The C2 x C2 grading of the 4A-axis rule: {1, 0, 1/2} -> e,
-    {3/8} -> a, {t} -> b (nothing is graded ab)."""
-    field = QT
-    t = field.t
-    assignment = {field.of(1): "e", field.of(0): "e", field.of("1/2"): "e",
-                  field.of("3/8"): "a", t: "b"}
-    return GradingAssignment(AbelianGroup.c2xc2(), assignment)
+def f4a_grading():
+    """The C2 x C2 grading of the 4A-axis rule, with C2 x C2 as {0, 1, 2, 3}
+    under xor: {1, 0, 1/2} -> 0, {3/8} -> 1, {t} -> 2 (nothing is graded
+    3)."""
+    c = QT.of
+    return {c(1): 0, c(0): 0, c("1/2"): 0, c("3/8"): 1, QT.t: 2}
 
 
 class Checks:
@@ -433,12 +430,17 @@ def verify_m4b():
 def verify_dihedral(name):
     """Verification suite for one dihedral type: Monster fusion on each
     axis, the Frobenius property, the published eigenvectors of a_0 and
-    the orbit of the first axis under the relabeling group."""
+    the orbit of the first axis under the relabeling generators."""
     d = dihedral(name)
     checks = Checks()
     decs = _axial_checks(checks, d, monster_rule())
     checks.add("reference eigenvectors", True,
                _in_eigenspaces(d.algebra, decs[0], d.reference_eigenvectors))
-    orbit = {tuple(g.matvec(d.axes[0])) for g in d.group}
+    orbit = [d.axes[0]]
+    for v in orbit:
+        for g in d.symmetries.values():
+            w = g.matvec(v)
+            if w not in orbit:
+                orbit.append(w)
     checks.add("axis orbit size", d.n_axes, len(orbit))
     return checks.report(f"dihedral:{name}")

@@ -6,41 +6,26 @@ some basis pairs.  For each symmetry generator g the identity
 invariance <u^g, v^g> = <u, v>, lets unknown entries be solved one at a
 time and forces consistency between every pair of derivations.  A table
 equivariant under every generator is equivariant under the group they
-generate, so the group itself is never enumerated.
+generate, so the group itself is never enumerated.  Each generator is a
+matrix built by label_map from the images of the basis labels.
 """
 
 from __future__ import annotations
-
-from collections import deque
 
 from .algebra import Algebra, BilinearForm
 from .errors import CompletionInconsistent, CompletionInsufficient
 from .linalg import Matrix
 
 
-def mulclose(field, generators, limit=10000):
-    """Closure of a generator list of square matrices under multiplication."""
-    n = generators[0].rows
-    ident = Matrix.identity(field, n)
-
-    def key(m):
-        return tuple(tuple(row) for row in m.data)
-
-    elems = {key(ident): ident}
-    frontier = [ident]
-    while frontier:
-        new = []
-        for m in frontier:
-            for g in generators:
-                p = g.matmul(m)
-                k = key(p)
-                if k not in elems:
-                    elems[k] = p
-                    new.append(p)
-                    if len(elems) > limit:
-                        raise ValueError("group closure exceeded limit")
-        frontier = new
-    return list(elems.values())
+def label_map(field, labels, image):
+    """The matrix of the linear map sending the basis vector of each label
+    to image(label), a {label: scalar} dict; its columns are the images."""
+    pos = {lab: i for i, lab in enumerate(labels)}
+    m = [[field.zero] * len(labels) for _ in labels]
+    for j, lab in enumerate(labels):
+        for out, c in image(lab).items():
+            m[pos[out]][j] = field.of(c)
+    return Matrix(field, m)
 
 
 def _pair_coefficients(field, u, v):
@@ -67,55 +52,53 @@ def complete_table(field, dim, known, generators, describe=None):
     disagree and CompletionInsufficient if the orbit closure leaves pairs
     undefined.
 
-    Each (generator, pair) combination is used once, as soon as at most
-    one pair of its expansion is unknown: it then either derives that
-    pair or checks the known ones.  A combination with more unknowns waits
-    on all of them and is queued again when all but one are derived.
+    A fixpoint sweep: each pass scans the open (generator, known pair)
+    combinations in a fixed order and uses every one with at most one
+    unknown pair in its expansion, to derive that pair or to check the
+    known ones.  A derived pair opens its own combinations.  The sweep
+    stops after a pass that uses no combination; every combination of a
+    complete table has then been checked.
     """
     known = {_norm(p): tuple(v) for p, v in known.items()}
     describe = describe or (lambda p: str(p))
     is_zero = field.is_zero
     cols = [[tuple(g.data[i][j] for i in range(dim)) for j in range(dim)]
             for g in generators]
-    queue = deque((gi, pair) for pair in known
-                  for gi in range(len(generators)))
-    waiting = {}  # unknown pair -> combinations waiting on it
-    pending = {}  # waiting combination -> number of its unknown pairs
-    done = set()
-    while queue:
-        combo = queue.popleft()
-        if combo in done:
-            continue
-        gi, (p, q) = combo
-        coeffs = _pair_coefficients(field, cols[gi][p], cols[gi][q])
-        unknown = [pair for pair in coeffs if pair not in known]
-        if len(unknown) > 1:
-            pending[combo] = len(unknown)
-            for pair in unknown:
-                waiting.setdefault(pair, []).append(combo)
-            continue
-        done.add(combo)
-        value = known[(p, q)]
-        acc = list(generators[gi].matvec(value[:dim])) + list(value[dim:])
-        for pair, c in coeffs.items():
-            if pair in known:
-                for k, w in enumerate(known[pair]):
-                    if not is_zero(w):
-                        acc[k] = acc[k] - c * w
-        if not unknown:
-            if any(not is_zero(a) for a in acc):
-                raise CompletionInconsistent(
-                    f"image of {describe((p, q))} under a symmetry "
-                    f"contradicts known entries")
-            continue
-        pair = unknown[0]
-        c = coeffs[pair]
-        known[pair] = tuple(a / c for a in acc)
-        queue.extend((gj, pair) for gj in range(len(generators)))
-        for other in waiting.pop(pair, ()):
-            pending[other] -= 1
-            if pending[other] == 1:
-                queue.append(other)
+    combos = [(gi, pair) for pair in known for gi in range(len(generators))]
+    expansions = {}
+    while True:
+        left = []
+        for combo in combos:
+            gi, (p, q) = combo
+            coeffs = expansions.get(combo)
+            if coeffs is None:
+                coeffs = expansions[combo] = _pair_coefficients(
+                    field, cols[gi][p], cols[gi][q])
+            unknown = [pair for pair in coeffs if pair not in known]
+            if len(unknown) > 1:
+                left.append(combo)
+                continue
+            del expansions[combo]
+            value = known[(p, q)]
+            acc = list(generators[gi].matvec(value[:dim])) + list(value[dim:])
+            for pair, c in coeffs.items():
+                if pair in known:
+                    for k, w in enumerate(known[pair]):
+                        if not is_zero(w):
+                            acc[k] = acc[k] - c * w
+            if not unknown:
+                if any(not is_zero(a) for a in acc):
+                    raise CompletionInconsistent(
+                        f"image of {describe((p, q))} under a symmetry "
+                        f"contradicts known entries")
+                continue
+            pair = unknown[0]
+            c = coeffs[pair]
+            known[pair] = tuple(a / c for a in acc)
+            left.extend((gj, pair) for gj in range(len(generators)))
+        if left == combos:  # the pass used no combination
+            break
+        combos = left
     missing = {(i, j) for i in range(dim) for j in range(i, dim)} - set(known)
     if missing:
         raise CompletionInsufficient([describe(p) for p in missing])

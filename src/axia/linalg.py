@@ -8,7 +8,6 @@ never use floating point.
 from __future__ import annotations
 
 from .errors import DimensionMismatch, NonSquare
-from .scalars import QT
 
 
 class Matrix:
@@ -206,8 +205,6 @@ class LDLTResult:
     def is_psd(self):
         if self.status != self.COMPLETE:
             return False
-        if self.field is QT:
-            raise TypeError("no sign verdict over Q(t); specialize first")
         return all(self.field.sign(d) >= 0 for d in self.D)
 
     def is_pd(self):

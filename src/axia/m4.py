@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from .algebra import Algebra, BilinearForm, ConstructedAlgebra
 from .catalog import dihedral
-from .completion import complete_algebra
+from .completion import complete_algebra, label_map
 from .linalg import Matrix
 from .scalars import QQ, QT, rat
 
@@ -88,19 +88,7 @@ def m4a_symmetries():
     dependencies); sigma is the 3-cycle (1 2 3) on indices; pi the
     transposition (1 2).
     """
-    field = QT
-    t = field.t
-    pos = {lab: i for i, lab in enumerate(M4A_LABELS)}
-    dim = len(M4A_LABELS)
-
-    def op(image):
-        """Matrix with columns = images of basis vectors; image maps a
-        label to {label: scalar}."""
-        m = [[field.zero] * dim for _ in range(dim)]
-        for lab in M4A_LABELS:
-            for out, c in image(lab).items():
-                m[pos[out]][pos[lab]] = field.of(c)
-        return Matrix(field, m)
+    t = QT.t
 
     def tau(i):
         def image(lab):
@@ -114,8 +102,8 @@ def m4a_symmetries():
             j = val
             if j == i:
                 return {lab: 1}
-            return {lab: field.one, f"a_{j}": -t, f"a_{-j}": t}
-        return op(image)
+            return {lab: 1, f"a_{j}": -t, f"a_{-j}": t}
+        return label_map(QT, M4A_LABELS, image)
 
     def permute(perm):
         """The relabeling that applies perm to the indices 1, 2, 3."""
@@ -127,7 +115,7 @@ def m4a_symmetries():
             if kind == "v":
                 return {_vlab(frozenset(perm[x] for x in val)): 1}
             return {f"w_{perm[val]}": 1}
-        return op(image)
+        return label_map(QT, M4A_LABELS, image)
 
     return {"tau_1": tau(1), "tau_2": tau(2), "tau_3": tau(3),
             "sigma": permute({1: 2, 2: 3, 3: 1}),

@@ -6,8 +6,8 @@ import random
 
 import pytest
 
-from axia.algebra import (AbelianGroup, Algebra, BilinearForm, FusionRule,
-                          GradingAssignment, axis_decomposition, is_automorphism,
+from axia.algebra import (Algebra, BilinearForm, FusionRule,
+                          axis_decomposition, is_automorphism,
                           is_ideal, miyamoto, quotient, radical,
                           subalgebra_algebra, subalgebra_closure,
                           verify_frobenius, verify_fusion, verify_grading)
@@ -232,6 +232,17 @@ def test_is_automorphism_rejects_non_automorphism():
     assert not is_automorphism(d.algebra, not_auto)
 
 
+def test_is_automorphism_rejects_non_isometry():
+    # the swap a_0 <-> a_1 is an automorphism of 2B but moves the Gram
+    # entry <a_0, a_0> = 1 to <a_1, a_1> = 2 of this form
+    d = dihedral("2B")
+    swap = d.symmetries["swap_01"]
+    assert is_automorphism(d.algebra, swap)
+    assert is_automorphism(d.algebra, swap, d.form)
+    assert not is_automorphism(d.algebra, swap,
+                               BilinearForm(QQ, qm([[1, 0], [0, 2]])))
+
+
 # ---------------------------------------------------------------------------
 # closures, ideals, radicals, quotients
 # ---------------------------------------------------------------------------
@@ -294,19 +305,11 @@ def test_quotient_rejects_ideal_outside_form_kernel():
 
 def test_monster_rule_c2_grading():
     rule = monster_rule()
-    asg = {QQ.of("1"): "e", QQ.of("0"): "e", QQ.of("1/4"): "e",
-           QQ.of("1/32"): "g"}
-    assert verify_grading(rule, GradingAssignment(AbelianGroup.c2(), asg))
+    asg = {QQ.of("1"): 0, QQ.of("0"): 0, QQ.of("1/4"): 0, QQ.of("1/32"): 1}
+    assert verify_grading(rule, asg)
     bad = dict(asg)
-    bad[QQ.of("1/4")] = "g"         # 1/4 * 1/4 -> {1, 0} breaks the grading
-    assert not verify_grading(rule, GradingAssignment(AbelianGroup.c2(), bad))
-
-
-def test_c2xc2_group_table():
-    g = AbelianGroup.c2xc2()
-    assert g.mul("a", "b") == "ab"
-    assert g.mul("ab", "a") == "b"
-    assert g.mul("b", "b") == "e"
+    bad[QQ.of("1/4")] = 1           # 1/4 * 1/4 -> {1, 0} breaks the grading
+    assert not verify_grading(rule, bad)
 
 
 # ---------------------------------------------------------------------------

@@ -5,10 +5,12 @@ import pytest
 
 from axia.algebra import (axis_decomposition, is_automorphism,
                           subalgebra_closure, verify_frobenius, verify_fusion)
-from axia.catalog import (DIHEDRAL_TYPES, dihedral, f4a_rule, jordan_half_rule,
+from axia.catalog import (DIHEDRAL_TYPES, dihedral, dihedral_seeds, f4a_rule,
+                          jordan_half_rule,
                           monster_rule)
 from axia.linalg import Matrix
 from axia.scalars import QQ, QT, rat
+from group_reference import mulclose
 
 MONSTER_EVS = tuple(QQ.of(x) for x in ("1", "0", "1/4", "1/32"))
 
@@ -101,11 +103,39 @@ def test_group_order_and_equivariance(name, catalog):
     # [DERIVED] every relabeling operator must be an algebra automorphism
     # and an isometry — this is the oracle for the completion being right
     d = catalog[name]
-    assert len(d.group) == EXPECTED_GROUP_ORDERS[name]
-    for g in d.group:
+    group = mulclose(QQ, list(d.symmetries.values()))
+    assert len(group) == EXPECTED_GROUP_ORDERS[name]
+    for g in group:
         assert is_automorphism(d.algebra, g, d.form)
-    orbit = {tuple(g.matvec(d.axes[0])) for g in d.group}
+    orbit = {tuple(g.matvec(d.axes[0])) for g in group}
     assert len(orbit) == d.n_axes
+
+
+@pytest.mark.parametrize("name", DIHEDRAL_TYPES)
+def test_dihedral_generators_are_the_index_relabelings(name):
+    # [TRIVIAL] tau_0: a_k -> a_-k and swap_01: a_k -> a_1-k wherever the
+    # image index lies in the basis (so swap_01 swaps a_0 and a_1);
+    # outside it the image index is k again mod n, so the axis is fixed.
+    # Extra vectors are fixed by both.
+    labels, _, gens = dihedral_seeds(name)
+    assert list(gens) == ["tau_0", "swap_01"]
+    axes = {lab: int(lab[2:]) for lab in labels
+            if lab[2:].lstrip("-").isdigit()}
+    for gen_name, index_map in (("tau_0", lambda k: -k),
+                                ("swap_01", lambda k: 1 - k)):
+        g = gens[gen_name]
+        assert all(x in (0, 1) for row in g.data for x in row)
+        assert all(sum(row) == 1 for row in g.data)
+        image = {}
+        for j, lab in enumerate(labels):
+            (i,) = [i for i in range(len(labels)) if g.data[i][j] == 1]
+            image[lab] = labels[i]
+        for lab in labels:
+            if lab in axes:
+                target = f"a_{index_map(axes[lab])}"
+                assert image[lab] == (target if target in labels else lab)
+            else:
+                assert image[lab] == lab
 
 
 @pytest.mark.parametrize("name", DIHEDRAL_TYPES)

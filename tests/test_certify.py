@@ -6,7 +6,7 @@ import pytest
 
 from axia import certify as cert
 from axia.algebra import axis_decomposition, radical
-from axia.catalog import dihedral
+from axia.catalog import DIHEDRAL_TYPES, dihedral
 from axia.linalg import Matrix, ldlt
 from axia.m4 import specialize_m4a
 from axia.scalars import QQ, QT, rat
@@ -271,6 +271,33 @@ def test_f4a_grading():
     from axia.catalog import f4a_rule
     from axia.algebra import verify_grading
     assert verify_grading(f4a_rule(), cert.f4a_grading())
+
+
+def test_f4a_grading_rejects_a_wrong_assignment():
+    from axia.catalog import f4a_rule
+    from axia.algebra import verify_grading
+    grading = dict(cert.f4a_grading())
+    grading[QT.of("1/2")] = 1       # 1/2 * 3/8 -> {3/8} needs 1 == 1 ^ 1
+    assert not verify_grading(f4a_rule(), grading)
+
+
+@pytest.mark.parametrize("name,dropped", [
+    (name, dropped) for name in DIHEDRAL_TYPES
+    for dropped in ("tau_0", "swap_01")
+    # for n = 2, k -> -k fixes both axes and swap_01 alone is transitive
+    if (name, dropped) not in (("2A", "tau_0"), ("2B", "tau_0"))])
+def test_verify_dihedral_orbit_needs_both_generators(name, dropped,
+                                                      monkeypatch):
+    def without_one_generator(name):
+        d = dihedral(name)
+        d.symmetries = {k: g for k, g in d.symmetries.items()
+                        if k != dropped}
+        return d
+    monkeypatch.setattr(cert, "dihedral", without_one_generator)
+    report = cert.verify_dihedral(name)
+    assert not report["pass"]
+    assert [c["name"] for c in report["checks"] if not c["pass"]] == [
+        "axis orbit size"]
 
 
 def test_v4a_eigenvalue_spot_checks(m4a):

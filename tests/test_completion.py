@@ -3,11 +3,12 @@
 import pytest
 
 from axia.catalog import DIHEDRAL_TYPES, dihedral, dihedral_seeds
-from axia.completion import complete_algebra, complete_table, mulclose
+from axia.completion import complete_algebra, complete_table
 from axia.errors import CompletionInconsistent, CompletionInsufficient
 from axia.linalg import Matrix
 from axia.m4 import M4A_LABELS, M4B_LABELS, _embed, m4a_seeds, m4a_symmetries
 from axia.scalars import QQ, QT, rat
+from group_reference import mulclose
 
 
 def qm(rows):
@@ -141,7 +142,8 @@ def _assembly(name):
     if name == "M_4A":
         return (QT, M4A_LABELS, m4a_seeds(),
                 list(m4a_symmetries().values()))
-    return (QQ,) + dihedral_seeds(name)
+    labels, seeds, generators = dihedral_seeds(name)
+    return QQ, labels, seeds, list(generators.values())
 
 
 @pytest.mark.parametrize("name", DIHEDRAL_TYPES + ("M_4A",))
@@ -154,3 +156,13 @@ def test_generators_complete_as_the_closed_group(name):
                                          mulclose(field, generators))
     assert alg.mul_table == ref_alg.mul_table
     assert form.gram == ref_form.gram
+
+
+@pytest.mark.parametrize("name", DIHEDRAL_TYPES + ("M_4A",))
+def test_generator_order_does_not_change_the_completion(name):
+    field, labels, seeds, generators = _assembly(name)
+    alg, form = complete_algebra(field, labels, seeds, generators)
+    rev_alg, rev_form = complete_algebra(field, labels, seeds,
+                                         generators[::-1])
+    assert alg.mul_table == rev_alg.mul_table
+    assert form.gram == rev_form.gram

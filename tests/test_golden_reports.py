@@ -18,7 +18,11 @@ from axia.cli import run
 TARGETS = ["m4a", "m4b"] + [f"dihedral:{name}" for name in DIHEDRAL_TYPES]
 COMMANDS = ([f"{verb} {target}" for verb in ("build", "verify")
              for target in TARGETS]
-            + ["catalog", "catalog 4A", "gram"])
+            + ["catalog", "catalog 4A", "gram"]
+            + ["certify v4a", "certify grid", "certify quotient --grid=0,1/6",
+               "certify majorana --grid=-1/10,1/12,1/5", "norton --symbolic",
+               "norton --grid=-1/10,0,1/6,9/50",
+               "radical --grid=-1/10,0,1/12,1/6,9/4"])
 GOLDEN = json.loads((Path(__file__).parent / "golden_reports.json")
                     .read_text())
 

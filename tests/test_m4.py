@@ -4,11 +4,11 @@ from fractions import Fraction
 
 from axia.algebra import axis_decomposition, is_automorphism, verify_fusion
 from axia.catalog import monster_rule
-from axia.completion import mulclose
 from axia.linalg import Matrix, determinant, ldlt
 from axia.m4 import (M4A_LABELS, m4a_symmetries, reference_a1_eigenvectors,
                      specialize, specialize_m4a, verify_dependencies)
 from axia.scalars import QQ, QT, rat
+from group_reference import mulclose
 from m4a_gram_reference import m4a_gram
 
 MONSTER_EVS = tuple(QQ.of(x) for x in ("1", "0", "1/4", "1/32"))
