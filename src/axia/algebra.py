@@ -33,16 +33,17 @@ class Algebra:
             for j in range(self.dim):
                 if len(self.mul_table[i][j]) != self.dim:
                     raise DimensionMismatch("product entry of wrong length")
-        # the nonzero structure constants as (k, numerator) over one
-        # common denominator self._table_den
+        # table_nums[i][j]: the nonzero structure constants of
+        # (basis i) * (basis j) as (k, numerator) over the one common
+        # denominator table_den
         is_zero = field.is_zero
         nonzero = [[[(k, w) for k, w in enumerate(entry) if not is_zero(w)]
                     for entry in row] for row in self.mul_table]
-        nums, self._table_den = field.clear(
+        nums, self.table_den = field.clear(
             [w for row in nonzero for entry in row for _, w in entry])
         nums = iter(nums)
-        self._table_nums = [[[(k, next(nums)) for k, _ in entry]
-                             for entry in row] for row in nonzero]
+        self.table_nums = [[[(k, next(nums)) for k, _ in entry]
+                            for entry in row] for row in nonzero]
 
     def index(self, label):
         return self.labels.index(label)
@@ -73,7 +74,7 @@ class Algebra:
         nu, du = field.clear([u[i] for i in iu])
         nv, dv = field.clear([v[j] for j in iv])
         acc = [None] * self.dim
-        table = self._table_nums
+        table = self.table_nums
         for i, a in zip(iu, nu):
             row = table[i]
             for j, b in zip(iv, nv):
@@ -81,7 +82,7 @@ class Algebra:
                 for k, w in row[j]:
                     s = acc[k]
                     acc[k] = c * w if s is None else s + c * w
-        den = du * dv * self._table_den
+        den = du * dv * self.table_den
         join, zero = field.join, field.zero
         return tuple(zero if s is None else join(s, den) for s in acc)
 

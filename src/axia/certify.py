@@ -3,7 +3,8 @@
 Reproduces the closed-form Gram determinant and LDLT diagonal, certifies
 the positive-(semi)definiteness region [0, 1/6] via Sturm interval
 certificates and exact grid verdicts, decides Norton's inequality through
-the antisymmetrized product form on the exterior square, certifies the Majorana
+the antisymmetrized product form on the exterior square (built from the
+cleared product table and Gram matrix), certifies the Majorana
 property and the 9-dimensional quotients at the boundary, and verifies
 the 4A-axis fusion rule, its C2 x C2 grading and the Jordan-type
 subalgebra generated by the three 4A axes.
@@ -146,33 +147,36 @@ def norton_block(alg, form) -> Matrix:
     b is antisymmetric in (i, j) and in (k, l), so this block is positive
     semidefinite iff the whole n^2 x n^2 matrix is, i.e. iff Norton's
     inequality <u.u, v.v> >= <u.v, u.v> holds for all u, v.
+
+    The entries are computed on numerators: the structure constants
+    alg.table_nums over alg.table_den and the Gram matrix cleared over one
+    denominator, so each entry is a numerator difference over
+    table_den^2 * gram_den that is normalised once.
     """
     field = alg.field
     n = alg.dim
-    z = field.zero
-    is_zero = field.is_zero
-    table = alg.mul_table
-    gram = form.gram.data
-    # gp[i][k] = Gram * (e_i e_k): inner products against all basis vectors
+    table = alg.table_nums
+    gnums, gden = field.clear([x for row in form.gram.data for x in row])
+    gram = [gnums[r * n:(r + 1) * n] for r in range(n)]
+    # gp[i][k][r]: numerator of <e_r, e_i e_k>, over table_den * gram_den
     gp = [[None] * n for _ in range(n)]
     for i in range(n):
         for k in range(i, n):
             prod = table[i][k]
-            row = tuple(sum((gram[r][c] * prod[c] for c in range(n)
-                             if not is_zero(prod[c])), z) for r in range(n))
-            gp[i][k] = row
-            gp[k][i] = row
-
-    def dot(u, v):
-        return sum((a * b for a, b in zip(u, v) if not (is_zero(a))), z)
-
+            gp[i][k] = gp[k][i] = [sum(g[c] * w for c, w in prod)
+                                   for g in gram]
+    den = alg.table_den ** 2 * gden
+    join = field.join
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
     size = len(pairs)
-    data = [[z] * size for _ in range(size)]
+    data = [[None] * size for _ in range(size)]
     for r, (i, j) in enumerate(pairs):
+        ti, tj, gi, gj = table[i], table[j], gp[i], gp[j]
         for s in range(r, size):
             k, l = pairs[s]
-            val = dot(table[i][k], gp[j][l]) - dot(table[j][k], gp[i][l])
+            gjl, gil = gj[l], gi[l]
+            val = join(sum(w * gjl[c] for c, w in ti[k])
+                       - sum(w * gil[c] for c, w in tj[k]), den)
             data[r][s] = val
             data[s][r] = val
     return Matrix(field, data)

@@ -2,7 +2,8 @@
 
 Matrices are immutable-by-convention lists of rows; all algorithms are
 division-exact (RREF, Bareiss determinant, semidefinite-aware LDLT) and
-never use floating point.
+never use floating point.  The LDLT's Schur-complement sums go through
+the field's sub_dot, which over Q runs on integer numerators.
 """
 
 from __future__ import annotations
@@ -219,6 +220,9 @@ def ldlt(m: Matrix) -> LDLTResult:
     complement) is exactly zero; the column is then skipped with D entry 0.
     Otherwise the matrix cannot be PSD, over Q and Q(t) alike: the result
     has status FAILED_INDEFINITE and the pivots computed so far.
+
+    Each Schur-complement entry m[i][j] - sum_k L[i,k] L[j,k] D[k] is one
+    field.sub_dot, which over Q sums integer numerators and normalises once.
     """
     if m.rows != m.cols:
         raise NonSquare("ldlt of a non-square matrix")
@@ -226,19 +230,20 @@ def ldlt(m: Matrix) -> LDLTResult:
     n = m.rows
     z = field.zero
     is_zero = field.is_zero
+    sub_dot = field.sub_dot
     # L stored compactly: lrows[i][k] is L[i, active[k]]
     lrows = [[] for _ in range(n)]
     active = []
     D = []
     for j in range(n):
         lj = lrows[j]
-        dl = [lj[k] * D[active[k]] for k in range(len(lj))]
-        dj = m.data[j][j] - sum((a * b for a, b in zip(lj, dl)), z)
+        dl = [a if is_zero(a) else a * D[k] for a, k in zip(lj, active)]
+        # column j of the Schur complement, from the diagonal down
+        col = [sub_dot(m.data[i][j], lrows[i], dl) for i in range(j, n)]
+        dj = col[0]
         if is_zero(dj):
             for i in range(j + 1, n):
-                li = lrows[i]
-                cij = m.data[i][j] - sum((a * b for a, b in zip(li, dl)), z)
-                if not is_zero(cij):
+                if not is_zero(col[i - j]):
                     L = _expand_l(field, lrows, active, n)
                     return LDLTResult(field, L, D,
                                       LDLTResult.FAILED_INDEFINITE, (i, j))
@@ -246,9 +251,8 @@ def ldlt(m: Matrix) -> LDLTResult:
             continue
         D.append(dj)
         for i in range(j + 1, n):
-            li = lrows[i]
-            cij = m.data[i][j] - sum((a * b for a, b in zip(li, dl)), z)
-            li.append(cij / dj)
+            c = col[i - j]
+            lrows[i].append(c if is_zero(c) else c / dj)
         active.append(j)
     L = _expand_l(field, lrows, active, n)
     return LDLTResult(field, L, D, LDLTResult.COMPLETE)

@@ -646,6 +646,21 @@ class RationalField:
         """The rational num/den, normalised."""
         return Rational(num, den)
 
+    def sub_dot(self, x, us, vs):
+        """x - sum(u * v for u, v in zip(us, vs)), summed as one integer
+        numerator over the product of the denominators and normalised
+        once; the terms are few, so one gcd at the end beats one a term."""
+        n, d = x.as_integer_ratio()
+        for u, v in zip(us, vs):
+            un, ud = u.as_integer_ratio()
+            if un:
+                vn, vd = v.as_integer_ratio()
+                if vn:
+                    q = ud * vd
+                    n = n * q - un * vn * d
+                    d *= q
+        return Rational(n, d) if n else RAT_ZERO
+
     def sign(self, x):
         return rational_sign(x)
 
@@ -700,6 +715,11 @@ class FunctionField:
     def join(self, num, den):
         """The rational function num/den, normalised."""
         return RationalFunction(num, den)
+
+    def sub_dot(self, x, us, vs):
+        """x - sum(u * v for u, v in zip(us, vs)) in field arithmetic;
+        clearing to one polynomial denominator is slower here."""
+        return x - sum((u * v for u, v in zip(us, vs)), self.zero)
 
     def sign(self, x):
         raise TypeError("no sign on Q(t); specialize first")

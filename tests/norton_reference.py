@@ -1,23 +1,60 @@
-"""Test-only reference: the Norton form on all n^2 ordered basis pairs.
+"""Test-only references for the Norton form.
 
 axia decides Norton's inequality on the block over the exterior square
-(axia.certify.norton_block).  tests/test_certify.py expands that block to
-the whole n^2 x n^2 matrix here and checks it against the defining formula
-and the block's LDLT against the LDLT of the whole matrix.
+(axia.certify.norton_block), which it computes on integer or polynomial
+numerators.  norton_block_reference computes the same block entry by entry
+in field arithmetic, and norton_matrix expands that reference to the whole
+n^2 x n^2 matrix.  tests/test_certify.py checks the reference against the
+defining formula, the fast block against the reference, and the block's
+LDLT against the LDLT of the whole matrix.
 """
 
-from axia.certify import norton_block
 from axia.linalg import Matrix
+
+
+def norton_block_reference(alg, form) -> Matrix:
+    """b[(i,j),(k,l)] = <e_i e_k, e_j e_l> - <e_j e_k, e_i e_l> on the pairs
+    i < j, in lexicographic order, from the product table and the Gram
+    matrix in field arithmetic."""
+    field = alg.field
+    n = alg.dim
+    z = field.zero
+    is_zero = field.is_zero
+    table = alg.mul_table
+    gram = form.gram.data
+    # gp[i][k] = Gram * (e_i e_k): inner products against all basis vectors
+    gp = [[None] * n for _ in range(n)]
+    for i in range(n):
+        for k in range(i, n):
+            prod = table[i][k]
+            row = tuple(sum((gram[r][c] * prod[c] for c in range(n)
+                             if not is_zero(prod[c])), z) for r in range(n))
+            gp[i][k] = row
+            gp[k][i] = row
+
+    def dot(u, v):
+        return sum((a * b for a, b in zip(u, v) if not (is_zero(a))), z)
+
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    size = len(pairs)
+    data = [[z] * size for _ in range(size)]
+    for r, (i, j) in enumerate(pairs):
+        for s in range(r, size):
+            k, l = pairs[s]
+            val = dot(table[i][k], gp[j][l]) - dot(table[j][k], gp[i][l])
+            data[r][s] = val
+            data[s][r] = val
+    return Matrix(field, data)
 
 
 def norton_matrix(alg, form) -> Matrix:
     """The antisymmetrized product-form matrix on all n^2 ordered basis
-    pairs, expanded from norton_block: b[(j,i), .] = -b[(i,j), .] and the
-    rows (i,i) are zero."""
+    pairs, expanded from norton_block_reference: b[(j,i), .] = -b[(i,j), .]
+    and the rows (i,i) are zero."""
     field = alg.field
     n = alg.dim
     z = field.zero
-    block = norton_block(alg, form).data
+    block = norton_block_reference(alg, form).data
     # where[(i, j)] = (index of the pair i<j or j<i in the block, sign)
     where = {}
     wedge_pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]

@@ -5,14 +5,14 @@ the 4A-axis fusion rule and eigenspace orthogonality."""
 import pytest
 
 from axia import certify as cert
-from axia.algebra import axis_decomposition, radical
+from axia.algebra import axis_decomposition, quotient, radical
 from axia.catalog import DIHEDRAL_TYPES, dihedral
 from axia.linalg import Matrix, ldlt
 from axia.m4 import specialize_m4a
 from axia.scalars import QQ, QT, rat
 
 from conftest import rf
-from norton_reference import norton_matrix
+from norton_reference import norton_block_reference, norton_matrix
 
 MONSTER_EVS = tuple(QQ.of(x) for x in ("1", "0", "1/4", "1/32"))
 
@@ -185,6 +185,44 @@ def test_norton_matrix_matches_direct_formula(m4b):
                     want = (form.apply(prods[i][k], prods[j][l])
                             - form.apply(prods[j][k], prods[i][l]))
                     assert b.data[i * n + j][k * n + l] == want
+
+
+def assert_same_block(alg, form):
+    """norton_block equals the field-arithmetic reference entry for entry,
+    with the same scalar type and normal form."""
+    fast = cert.norton_block(alg, form)
+    ref = norton_block_reference(alg, form)
+    assert fast.rows == ref.rows == alg.dim * (alg.dim - 1) // 2
+    for fast_row, ref_row in zip(fast.data, ref.data):
+        assert fast_row == ref_row
+        assert [repr(x) for x in fast_row] == [repr(x) for x in ref_row]
+    return fast
+
+
+@pytest.mark.parametrize("t0", ["0", "1/6", "-1/100", "9/50", "9/4",
+                                "-1279/9327841211"])
+def test_norton_block_matches_reference_on_m4a_points(t0):
+    spec = specialize_m4a(rat(t0))
+    block = assert_same_block(spec.algebra, spec.form)
+    assert all(type(x) is type(QQ.zero) for row in block.data for x in row)
+
+
+def test_norton_block_matches_reference_over_function_field(m4a):
+    block = assert_same_block(m4a.algebra, m4a.form)
+    assert block.field is QT
+
+
+@pytest.mark.parametrize("t0", ["0", "1/6"])
+def test_norton_block_matches_reference_on_quotients(t0):
+    spec = specialize_m4a(rat(t0))
+    qalg, qform, _ = quotient(spec.algebra, spec.form, radical(spec.form))
+    assert qalg.dim == 9
+    assert_same_block(qalg, qform)
+
+
+def test_norton_block_matches_reference_on_m4b_and_catalog(m4b, catalog):
+    for built in [m4b] + [catalog[name] for name in DIHEDRAL_TYPES]:
+        assert_same_block(built.algebra, built.form)
 
 
 @pytest.mark.parametrize("t0", ["0", "1/12", "1/6", "9/50", "9/4"])

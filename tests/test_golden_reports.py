@@ -22,6 +22,9 @@ COMMANDS = ([f"{verb} {target}" for verb in ("build", "verify")
             + ["certify v4a", "certify grid", "certify quotient --grid=0,1/6",
                "certify majorana --grid=-1/10,1/12,1/5", "norton --symbolic",
                "norton --grid=-1/10,0,1/6,9/50",
+               "norton --grid=1/24,1/8,1,2,9/4",
+               "norton --grid=-1279/9327841211,7/1000000007",
+               "certify majorana --grid=-1/100,1/7,3/5",
                "radical --grid=-1/10,0,1/12,1/6,9/4"])
 GOLDEN = json.loads((Path(__file__).parent / "golden_reports.json")
                     .read_text())

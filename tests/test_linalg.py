@@ -6,8 +6,8 @@ import pytest
 import sympy
 
 from axia.errors import DimensionMismatch
-from axia.linalg import (LDLTResult, Matrix, determinant, in_span, inverse,
-                         kernel_basis, ldlt, reconstruct_ldlt, rref,
+from axia.linalg import (LDLTResult, Matrix, _expand_l, determinant, in_span,
+                         inverse, kernel_basis, ldlt, reconstruct_ldlt, rref,
                          span_rref, vec_is_zero)
 from axia.scalars import QQ, QT, rat
 
@@ -274,3 +274,83 @@ def test_ldlt_abort_carries_pivots_so_far():
     assert result.certificate == (2, 1)
     assert result.D == [t]
 
+
+
+# ---------------------------------------------------------------------------
+# LDLT against the loop without field.sub_dot
+# ---------------------------------------------------------------------------
+
+def ldlt_reference(m):
+    """(L, D, status, certificate) from the left-looking loop with each
+    Schur-complement entry in plain field arithmetic, stopping at the first
+    nonzero entry below a zero pivot."""
+    field = m.field
+    n = m.rows
+    z = field.zero
+    is_zero = field.is_zero
+    lrows = [[] for _ in range(n)]
+    active = []
+    D = []
+    for j in range(n):
+        lj = lrows[j]
+        dl = [lj[k] * D[active[k]] for k in range(len(lj))]
+        dj = m.data[j][j] - sum((a * b for a, b in zip(lj, dl)), z)
+        if is_zero(dj):
+            for i in range(j + 1, n):
+                li = lrows[i]
+                cij = m.data[i][j] - sum((a * b for a, b in zip(li, dl)), z)
+                if not is_zero(cij):
+                    return (_expand_l(field, lrows, active, n), D,
+                            LDLTResult.FAILED_INDEFINITE, (i, j))
+            D.append(z)
+            continue
+        D.append(dj)
+        for i in range(j + 1, n):
+            li = lrows[i]
+            cij = m.data[i][j] - sum((a * b for a, b in zip(li, dl)), z)
+            li.append(cij / dj)
+        active.append(j)
+    return _expand_l(field, lrows, active, n), D, LDLTResult.COMPLETE, None
+
+
+def _random_ldl(rng, field, n, height):
+    """L diag(D) L^T for a random sparse unit lower L and a D with zeros
+    and entries of both signs, so natural-order LDLT skips zero pivots;
+    half the time one entry below a zero pivot is then disturbed, which
+    makes the matrix indefinite."""
+    def entry():
+        if rng.random() < 0.4:
+            return field.zero
+        if field is QT:
+            return random_entry(field, rng, 1.0)
+        return rat(rng.randint(-height, height)) / rng.randint(1, height)
+    L = [[field.one if i == j else entry() if j < i else field.zero
+          for j in range(n)] for i in range(n)]
+    d = [field.zero if rng.random() < 0.3 else entry() for _ in range(n)]
+    m = [[sum((L[i][k] * d[k] * L[j][k] for k in range(n)), field.zero)
+          for j in range(n)] for i in range(n)]
+    zeros = [j for j in range(n - 1) if field.is_zero(d[j])]
+    if zeros and rng.random() < 0.5:
+        j = rng.choice(zeros)
+        i = rng.randrange(j + 1, n)
+        m[i][j] = m[j][i] = m[i][j] + field.one
+    return Matrix(field, m)
+
+
+@pytest.mark.parametrize("field,height,trials",
+                         [(QQ, 9, 120), (QQ, 10 ** 12, 60), (QT, 0, 15)],
+                         ids=["QQ-small", "QQ-tall", "QT"])
+def test_ldlt_equals_reference_loop(field, height, trials):
+    rng = random.Random(f"ldlt-reference/{height}")
+    seen = set()
+    for _ in range(trials):
+        m = _random_ldl(rng, field, rng.randint(1, 7), height)
+        result = ldlt(m)
+        L, D, status, certificate = ldlt_reference(m)
+        assert result.L == L and result.D == D
+        assert [repr(x) for x in result.D] == [repr(x) for x in D]
+        assert (result.status, result.certificate) == (status, certificate)
+        seen.add((status, any(field.is_zero(x) for x in D)))
+    # complete runs that skip a zero pivot, and indefinite exits
+    assert (LDLTResult.COMPLETE, True) in seen
+    assert any(s == LDLTResult.FAILED_INDEFINITE for s, _ in seen)

@@ -252,3 +252,50 @@ def test_rational_function_field_axioms(f, g, h):
     assert f - f == RationalFunction(0)
     if not g.is_zero():
         assert (f / g) * g == f
+
+
+# ---------------------------------------------------------------------------
+# property-based: sub_dot against the plain expression x - sum(u * v)
+# ---------------------------------------------------------------------------
+
+heights = st.one_of(st.integers(-12, 12), st.just(0),
+                    st.integers(-10 ** 30, 10 ** 30))
+rationals = st.one_of(
+    st.builds(rat, st.integers(-12, 12)),
+    st.builds(lambda n, d: rat(n) / d, heights, st.integers(1, 6)),
+    st.builds(lambda n, d: rat(n) / d, heights, st.integers(1, 10 ** 20)))
+tall_rfs = st.one_of(st.just(QT.zero), rfs, st.builds(
+    lambda nc, dc: RationalFunction(Polynomial([rat(c) for c in nc]),
+                                    Polynomial([rat(c) for c in dc])),
+    st.lists(heights, max_size=4),
+    st.lists(heights, min_size=1, max_size=3).filter(lambda cs: any(cs))))
+
+
+def plain_sub_dot(field, x, us, vs):
+    return x - sum((u * v for u, v in zip(us, vs)), field.zero)
+
+
+def test_sub_dot_of_empty_lists_is_x():
+    x = rat("-7/3")
+    assert QQ.sub_dot(x, [], []) == x
+    assert QT.sub_dot(QT.t, [], []) == QT.t
+    # the denominator of x survives when every product is zero
+    assert QQ.sub_dot(x, [QQ.zero, rat(5)], [rat("1/7"), QQ.zero]) == x
+
+
+@settings(max_examples=300, deadline=None)
+@given(rationals, st.lists(st.tuples(rationals, rationals), max_size=8))
+def test_qq_sub_dot_equals_plain_expression(x, terms):
+    us, vs = [u for u, _ in terms], [v for _, v in terms]
+    got = QQ.sub_dot(x, us, vs)
+    assert type(got) is type(x)
+    assert got == plain_sub_dot(QQ, x, us, vs)
+
+
+@settings(max_examples=60, deadline=None)
+@given(tall_rfs, st.lists(st.tuples(tall_rfs, tall_rfs), max_size=4))
+def test_qt_sub_dot_equals_plain_expression(x, terms):
+    us, vs = [u for u, _ in terms], [v for _, v in terms]
+    got = QT.sub_dot(x, us, vs)
+    want = plain_sub_dot(QT, x, us, vs)
+    assert (got.num, got.den) == (want.num, want.den)
