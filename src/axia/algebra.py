@@ -137,18 +137,10 @@ class BilinearForm:
         self.gram = gram
 
     def apply(self, u, v):
-        field = self.field
-        acc = field.zero
-        for i, ui in enumerate(u):
-            if field.is_zero(ui):
-                continue
-            row = self.gram.data[i]
-            s = field.zero
-            for j, vj in enumerate(v):
-                if not field.is_zero(vj):
-                    s = s + row[j] * vj
-            acc = acc + ui * s
-        return acc
+        """<u, v> = u . (G v)."""
+        is_zero = self.field.is_zero
+        return sum((a * b for a, b in zip(u, self.gram.matvec(v))
+                    if not is_zero(a)), self.field.zero)
 
 
 class FusionRule:
@@ -246,7 +238,7 @@ def verify_fusion(alg: Algebra, dec: AxisDecomposition, rule: FusionRule):
             for nu in dec.eigenvalues:
                 if nu in key:
                     vecs.extend(dec.spaces[nu])
-            span_cache[key] = span_rref(field, vecs, alg.dim)
+            span_cache[key] = span_rref(field, vecs)
         return span_cache[key]
 
     evs = dec.eigenvalues
@@ -270,33 +262,40 @@ def verify_fusion(alg: Algebra, dec: AxisDecomposition, rule: FusionRule):
     return violations
 
 
+def form_products(alg: Algebra, form: BilinearForm):
+    """(prods, den): prods[i][k][r] is the numerator of <e_r, e_i e_k>
+    over den = table_den * gram_den, from the numerators alg.table_nums
+    and the Gram matrix cleared once over gram_den."""
+    n = alg.dim
+    table = alg.table_nums
+    gnums, gden = alg.field.clear([x for row in form.gram.data for x in row])
+    gram = [gnums[r * n:(r + 1) * n] for r in range(n)]
+    prods = [[None] * n for _ in range(n)]
+    for i in range(n):
+        for k in range(i, n):
+            prod = table[i][k]
+            prods[i][k] = prods[k][i] = [sum(g[c] * w for c, w in prod)
+                                         for g in gram]
+    return prods, alg.table_den * gden
+
+
 def verify_frobenius(alg: Algebra, form: BilinearForm):
-    """Check <b_i, b_j b_k> = <b_i b_j, b_k> on all basis triples."""
-    field = alg.field
-    gram = form.gram.data
-    table = alg.mul_table
+    """Check <b_i, b_j b_k> = <b_i b_j, b_k> on all basis triples, as
+    numerators of form_products over its one denominator."""
+    prods, den = form_products(alg, form)
     n = alg.dim
     violations = []
     for i in range(n):
         for j in range(n):
             for k in range(i, n):  # i <-> k symmetry of the identity
-                left = _form_row_dot(field, gram[i], table[j][k])
-                right = _form_row_dot(field, gram[k], table[i][j])
+                left, right = prods[j][k][i], prods[i][j][k]
                 if left != right:
                     violations.append({
                         "triple": (alg.labels[i], alg.labels[j], alg.labels[k]),
-                        "lhs": str(left),
-                        "rhs": str(right),
+                        "lhs": str(alg.field.join(left, den)),
+                        "rhs": str(alg.field.join(right, den)),
                     })
     return violations
-
-
-def _form_row_dot(field, gram_row, vec):
-    acc = field.zero
-    for g, v in zip(gram_row, vec):
-        if not field.is_zero(v):
-            acc = acc + g * v
-    return acc
 
 
 def miyamoto(alg: Algebra, dec: AxisDecomposition, negative_eigenvalues,
@@ -312,17 +311,14 @@ def miyamoto(alg: Algebra, dec: AxisDecomposition, negative_eigenvalues,
     neg = {field.of(x) for x in negative_eigenvalues}
     if not neg <= set(dec.eigenvalues):
         raise ValueError("negative eigenvalues outside the decomposition")
-    cols = []
-    signs = []
-    for lam in dec.eigenvalues:
-        for v in dec.spaces[lam]:
-            cols.append(v)
-            signs.append(-1 if lam in neg else 1)
+    cols = [v for lam in dec.eigenvalues for v in dec.spaces[lam]]
+    flip = [lam in neg for lam in dec.eigenvalues for _ in dec.spaces[lam]]
     n = alg.dim
     E = Matrix(field, [[cols[j][i] for j in range(n)] for i in range(n)])
-    S = Matrix(field, [[(field.of(signs[i]) if i == j else field.zero)
-                        for j in range(n)] for i in range(n)])
-    T = E.matmul(S).matmul(inverse(E))
+    # E S for S = diag(+-1): the columns of E in negated eigenspaces negated
+    ES = Matrix(field, [[-x if f else x for x, f in zip(row, flip)]
+                        for row in E.data])
+    T = ES.matmul(inverse(E))
     if T.matmul(T) != Matrix.identity(field, n):
         raise ValueError("constructed Miyamoto map is not an involution")
     if not is_automorphism(alg, T, form):
@@ -332,24 +328,22 @@ def miyamoto(alg: Algebra, dec: AxisDecomposition, negative_eigenvalues,
 
 def is_automorphism(alg: Algebra, T: Matrix, form: BilinearForm = None) -> bool:
     """True iff T maps every basis product e_i e_j to T e_i . T e_j and,
-    when a form is given, keeps every Gram entry <T e_i, T e_j>."""
+    when a form is given, T^T G T == G for its Gram matrix G."""
     n = alg.dim
     cols = [tuple(row[i] for row in T.data) for i in range(n)]
     for i in range(n):
         for j in range(i, n):
             if T.matvec(alg.mul_table[i][j]) != alg.mul(cols[i], cols[j]):
                 return False
-            if (form is not None
-                    and form.apply(cols[i], cols[j]) != form.gram.data[i][j]):
-                return False
-    return True
+    return (form is None
+            or T.transpose().matmul(form.gram.matmul(T)) == form.gram)
 
 
 def subalgebra_closure(alg: Algebra, generators):
     """RREF basis of the smallest product-closed subspace containing the
     generators; iterates span growth to a fixpoint."""
     field = alg.field
-    basis_m, pivots = span_rref(field, [tuple(g) for g in generators], alg.dim)
+    basis_m, pivots = span_rref(field, [tuple(g) for g in generators])
     while True:
         current = [tuple(r) for r in basis_m.data]
         new_vecs = list(current)
@@ -362,15 +356,15 @@ def subalgebra_closure(alg: Algebra, generators):
                     grew = True
         if not grew:
             return current
-        basis_m, pivots = span_rref(field, new_vecs, alg.dim)
+        basis_m, pivots = span_rref(field, new_vecs)
 
 
-def subalgebra_algebra(alg: Algebra, basis_vectors, labels=None):
+def subalgebra_algebra(alg: Algebra, basis_vectors):
     """Materialize a product-closed subspace as an Algebra in its own
     coordinates; returns (Algebra, coords) where coords maps an ambient
     vector inside the subspace to subalgebra coordinates."""
     field = alg.field
-    m, pivots = span_rref(field, [tuple(v) for v in basis_vectors], alg.dim)
+    m, pivots = span_rref(field, [tuple(v) for v in basis_vectors])
     k = len(pivots)
 
     def coords(v):
@@ -381,9 +375,7 @@ def subalgebra_algebra(alg: Algebra, basis_vectors, labels=None):
 
     table = [[coords(alg.mul(tuple(m.data[i]), tuple(m.data[j])))
               for j in range(k)] for i in range(k)]
-    if labels is None:
-        labels = [f"s_{i}" for i in range(k)]
-    return Algebra(field, labels, table), coords
+    return Algebra(field, [f"s_{i}" for i in range(k)], table), coords
 
 
 def radical(form: BilinearForm):
@@ -394,7 +386,7 @@ def radical(form: BilinearForm):
 def is_ideal(alg: Algebra, subspace):
     """True iff the span of the subspace absorbs products with the basis."""
     field = alg.field
-    basis_m, pivots = span_rref(field, [tuple(v) for v in subspace], alg.dim)
+    basis_m, pivots = span_rref(field, [tuple(v) for v in subspace])
     for i in range(alg.dim):
         ei = unit_vec(field, alg.dim, i)
         for v in basis_m.data:
@@ -411,31 +403,23 @@ def quotient(alg: Algebra, form: BilinearForm, ideal):
     that containment is checked here as well.
     """
     field = alg.field
-    ideal_m, pivots = span_rref(field, [tuple(v) for v in ideal], alg.dim)
+    ideal_m, pivots = span_rref(field, [tuple(v) for v in ideal])
     if not is_ideal(alg, ideal_m.data):
         raise NotAnIdeal("subspace does not absorb products")
-    pivot_set = set(pivots)
-    comp = [j for j in range(alg.dim) if j not in pivot_set]
+    comp = [j for j in range(alg.dim) if j not in pivots]
 
     def project(v):
         """Reduce modulo the ideal, then read off complement coordinates."""
         rest = _reduce(field, ideal_m, pivots, v)[1]
         return tuple(rest[j] for j in comp)
 
-    reps = [unit_vec(field, alg.dim, j) for j in comp]
-    labels = [alg.labels[j] for j in comp]
-    table = [[project(alg.mul(reps[i], reps[j])) for j in range(len(comp))]
-             for i in range(len(comp))]
-    qalg = Algebra(field, labels, table)
+    qalg = Algebra(field, [alg.labels[j] for j in comp],
+                   [[project(alg.mul_table[i][j]) for j in comp] for i in comp])
     # induced form well-defined <=> ideal is in the kernel of the form
-    for v in ideal_m.data:
-        for i in range(alg.dim):
-            if form.apply(tuple(v), unit_vec(field, alg.dim, i)) != field.zero:
-                raise NotAnIdeal("ideal not contained in the form kernel; "
-                                 "induced form undefined")
-    qgram = Matrix(field, [[form.apply(reps[i], reps[j])
-                            for j in range(len(comp))]
-                           for i in range(len(comp))])
+    if not all(vec_is_zero(field, form.gram.matvec(v)) for v in ideal_m.data):
+        raise NotAnIdeal("ideal not contained in the form kernel; "
+                         "induced form undefined")
+    qgram = Matrix(field, [[form.gram.data[i][j] for j in comp] for i in comp])
     return qalg, BilinearForm(field, qgram), project
 
 

@@ -12,7 +12,7 @@ subalgebra generated by the three 4A axes.
 
 from __future__ import annotations
 
-from .algebra import (axis_decomposition, quotient, radical,
+from .algebra import (axis_decomposition, form_products, quotient, radical,
                       subalgebra_algebra, subalgebra_closure, verify_fusion,
                       verify_frobenius, verify_grading, is_automorphism)
 from .catalog import dihedral, f4a_rule, jordan_half_rule, monster_rule
@@ -149,24 +149,16 @@ def norton_block(alg, form) -> Matrix:
     inequality <u.u, v.v> >= <u.v, u.v> holds for all u, v.
 
     The entries are computed on numerators: the structure constants
-    alg.table_nums over alg.table_den and the Gram matrix cleared over one
-    denominator, so each entry is a numerator difference over
-    table_den^2 * gram_den that is normalised once.
+    alg.table_nums over alg.table_den contracted with form_products, the
+    numerators gp[j][l][c] of <e_c, e_j e_l> over table_den * gram_den, so
+    each entry is a numerator difference over table_den^2 * gram_den that
+    is normalised once.
     """
-    field = alg.field
     n = alg.dim
     table = alg.table_nums
-    gnums, gden = field.clear([x for row in form.gram.data for x in row])
-    gram = [gnums[r * n:(r + 1) * n] for r in range(n)]
-    # gp[i][k][r]: numerator of <e_r, e_i e_k>, over table_den * gram_den
-    gp = [[None] * n for _ in range(n)]
-    for i in range(n):
-        for k in range(i, n):
-            prod = table[i][k]
-            gp[i][k] = gp[k][i] = [sum(g[c] * w for c, w in prod)
-                                   for g in gram]
-    den = alg.table_den ** 2 * gden
-    join = field.join
+    gp, den = form_products(alg, form)
+    den *= alg.table_den
+    join = alg.field.join
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
     size = len(pairs)
     data = [[None] * size for _ in range(size)]
@@ -179,7 +171,7 @@ def norton_block(alg, form) -> Matrix:
                        - sum(w * gil[c] for c, w in tj[k]), den)
             data[r][s] = val
             data[s][r] = val
-    return Matrix(field, data)
+    return Matrix(alg.field, data)
 
 
 def norton_check(t0, spec=None) -> bool:
@@ -381,7 +373,7 @@ def _in_eigenspaces(alg, dec, references):
     [vector]}, lies in the exact eigenspace of its eigenvalue."""
     field = alg.field
     for lam, vecs in references.items():
-        bm, piv = span_rref(field, dec.spaces[lam], alg.dim)
+        bm, piv = span_rref(field, dec.spaces[lam])
         if not all(in_span(field, bm, piv, w) for w in vecs):
             return False
     return True

@@ -128,6 +128,7 @@ def _cmd_radical(args):
 
 def _cmd_norton(args):
     if args.symbolic:
+        _no_points(args, "norton --symbolic")
         rep = cert.norton_symbolic()
         report = {"target": "norton-symbolic", "status": rep["status"],
                   "columns_processed": rep["columns_processed"],
@@ -150,6 +151,8 @@ def _cmd_certify(args):
         report = [cert.quotient_certify(t0) for t0 in points]
         _emit(report, args.out)
         return 0 if all(r.get("pass") for r in report) else 1
+    if what in ("v4a", "grid"):
+        _no_points(args, f"certify {what}")
     if what == "v4a":
         report = cert.v4a_certify()
         _emit(report, args.out)
@@ -185,6 +188,11 @@ def _points_from(args):
     if args.grid is not None:
         return _parse_grid(args.grid)
     raise UsageError("provide --t P/Q or --grid P/Q,P/Q,...")
+
+
+def _no_points(args, verb):
+    if args.t is not None or args.grid is not None:
+        raise UsageError(f"{verb} takes no --t or --grid")
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from .algebra import Algebra, BilinearForm
 from .errors import CompletionInconsistent, CompletionInsufficient
-from .linalg import Matrix
+from .linalg import Matrix, _sub_multiple
 
 
 def label_map(field, labels, image):
@@ -83,9 +83,7 @@ def complete_table(field, dim, known, generators, describe=None):
             acc = list(generators[gi].matvec(value[:dim])) + list(value[dim:])
             for pair, c in coeffs.items():
                 if pair in known:
-                    for k, w in enumerate(known[pair]):
-                        if not is_zero(w):
-                            acc[k] = acc[k] - c * w
+                    _sub_multiple(acc, c, known[pair], is_zero)
             if not unknown:
                 if any(not is_zero(a) for a in acc):
                     raise CompletionInconsistent(

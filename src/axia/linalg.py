@@ -1,8 +1,10 @@
 """Dense exact linear algebra over a generic scalar field (Q or Q(t)).
 
 Matrices are immutable-by-convention lists of rows; all algorithms are
-division-exact (RREF, Bareiss determinant, semidefinite-aware LDLT) and
-never use floating point.  The LDLT's Schur-complement sums go through
+division-exact and never use floating point.  One Gauss-Jordan loop
+serves RREF, kernels, inverses, spans and the determinant (the product
+of its pivots); the semidefinite-aware LDLT is the only other
+elimination loop.  The LDLT's Schur-complement sums go through
 the field's sub_dot, which over Q runs on integer numerators.
 """
 
@@ -81,17 +83,30 @@ class Matrix:
 
 def rref(m: Matrix):
     """Reduced row echelon form; returns (Matrix, pivot column tuple)."""
+    data, pivots, _, _ = _eliminate(m)
+    return Matrix(m.field, data), pivots
+
+
+def _eliminate(m: Matrix):
+    """Gauss-Jordan elimination, the one loop behind rref and determinant.
+
+    Returns (rows in RREF, pivot columns, the value of each pivot before
+    its row was normalised, number of row swaps).
+    """
     field = m.field
     is_zero = field.is_zero
     data = [list(row) for row in m.data]
     nr, nc = m.rows, m.cols
     pivots = []
+    values = []
+    swaps = 0
     r = 0
     for c in range(nc):
         pr = next((i for i in range(r, nr) if not is_zero(data[i][c])), None)
         if pr is None:
             continue
         data[r], data[pr] = data[pr], data[r]
+        swaps += pr != r
         pv = data[r][c]
         if pv != field.one:
             data[r] = [x if is_zero(x) else x / pv for x in data[r]]
@@ -99,10 +114,11 @@ def rref(m: Matrix):
             if i != r and not is_zero(data[i][c]):
                 _sub_multiple(data[i], data[i][c], data[r], is_zero)
         pivots.append(c)
+        values.append(pv)
         r += 1
         if r == nr:
             break
-    return Matrix(field, data), tuple(pivots)
+    return data, tuple(pivots), values, swaps
 
 
 def _sub_multiple(r, c, row, is_zero):
@@ -144,40 +160,18 @@ def inverse(m: Matrix) -> Matrix:
 
 
 def determinant(m: Matrix):
-    """Exact determinant by fraction-free (Bareiss) elimination.
-
-    The intermediate entries are minors of the input, which keeps degree
-    growth under control over Q(t); over Q the divisions are exact
-    rational arithmetic anyway.
-    """
+    """Exact determinant: the product of the elimination's pivots, negated
+    for an odd number of row swaps, or zero when a column has no pivot."""
     if m.rows != m.cols:
         raise NonSquare("determinant of a non-square matrix")
     field = m.field
-    n = m.rows
-    if n == 0:
-        return field.one
-    a = [list(row) for row in m.data]
-    sign = 1
-    prev = field.one
-    for k in range(n - 1):
-        if field.is_zero(a[k][k]):
-            pr = next((i for i in range(k + 1, n)
-                       if not field.is_zero(a[i][k])), None)
-            if pr is None:
-                return field.zero
-            a[k], a[pr] = a[pr], a[k]
-            sign = -sign
-        pivot = a[k][k]
-        for i in range(k + 1, n):
-            aik = a[i][k]
-            row_i, row_k = a[i], a[k]
-            for j in range(k + 1, n):
-                num = pivot * row_i[j] - aik * row_k[j]
-                row_i[j] = num / prev
-            row_i[k] = field.zero
-        prev = pivot
-    det = a[n - 1][n - 1]
-    return det if sign == 1 else -det
+    _, pivots, values, swaps = _eliminate(m)
+    if len(pivots) != m.rows:
+        return field.zero
+    det = field.one
+    for pv in values:
+        det = det * pv
+    return -det if swaps % 2 else det
 
 
 # ---------------------------------------------------------------------------
@@ -290,7 +284,7 @@ def vec_is_zero(field, u):
     return all(field.is_zero(a) for a in u)
 
 
-def span_rref(field, vectors, ncols):
+def span_rref(field, vectors):
     """Matrix whose rows are an RREF basis of the span of the vectors."""
     if not vectors:
         return Matrix(field, []), ()

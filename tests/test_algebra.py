@@ -17,6 +17,9 @@ from axia.linalg import Matrix, inverse, span_rref
 from axia.m4 import specialize_m4a
 from axia.scalars import QQ, QT, rat
 
+from form_reference import (form_apply_reference, quotient_reference,
+                            verify_frobenius_reference)
+
 MONSTER_EVS = tuple(QQ.of(x) for x in ("1", "0", "1/4", "1/32"))
 
 
@@ -190,6 +193,45 @@ def test_verify_frobenius_passes_on_catalog():
     assert verify_frobenius(d.algebra, d.form) == []
 
 
+def _tampered_table(alg, i, j, k, delta):
+    table = [[list(entry) for entry in row] for row in alg.mul_table]
+    table[i][j][k] = table[i][j][k] + delta
+    table[j][i] = table[i][j]
+    return Algebra(alg.field, alg.labels, table)
+
+
+def _tampered_gram(form, i, j, delta):
+    gram = [list(row) for row in form.gram.data]
+    gram[i][j] = gram[j][i] = gram[i][j] + delta
+    return BilinearForm(form.field, Matrix(form.field, gram))
+
+
+@pytest.mark.parametrize("name", ["m4b", "m4a", "6A"])
+def test_verify_frobenius_equals_reference_on_tampered_structures(
+        name, m4a, m4b, catalog):
+    built = {"m4a": m4a, "m4b": m4b}.get(name) or catalog[name]
+    alg, form = built.algebra, built.form
+    delta = QT.t / QT.of(7) if alg.field is QT else rat("1/7")
+    assert verify_frobenius(alg, form) == []
+    for bad_alg, bad_form in [(_tampered_table(alg, 1, 2, 3, delta), form),
+                              (alg, _tampered_gram(form, 0, 2, delta))]:
+        violations = verify_frobenius(bad_alg, bad_form)
+        assert violations
+        assert violations == verify_frobenius_reference(bad_alg, bad_form)
+
+
+@pytest.mark.parametrize("name", ["m4b", "m4a"])
+def test_form_apply_equals_double_loop(name, m4a, m4b):
+    built = {"m4a": m4a, "m4b": m4b}[name]
+    field, n = built.algebra.field, built.algebra.dim
+    rng = random.Random(f"form-apply/{name}")
+    for _ in range(20):
+        u, v = ([field.of(rng.randint(-3, 3)) if rng.random() < 0.4
+                 else field.zero for _ in range(n)] for _ in range(2))
+        assert (built.form.apply(u, v)
+                == form_apply_reference(built.form, u, v))
+
+
 # ---------------------------------------------------------------------------
 # Miyamoto involutions
 # ---------------------------------------------------------------------------
@@ -285,6 +327,21 @@ def test_radical_and_quotient():
     assert qform.gram.data[0][0] == rat(1)
 
 
+@pytest.mark.parametrize("t0,radical_dim", [("0", 3), ("1/6", 3),
+                                             ("9/4", 5)])
+def test_quotient_equals_reference(t0, radical_dim):
+    spec = specialize_m4a(rat(t0))
+    rad = radical(spec.form)
+    assert len(rad) == radical_dim
+    qalg, qform, project = quotient(spec.algebra, spec.form, rad)
+    ralg, rform, rproject = quotient_reference(spec.algebra, spec.form, rad)
+    assert qalg.dim == spec.algebra.dim - radical_dim
+    assert qalg.labels == ralg.labels
+    assert qalg.mul_table == ralg.mul_table
+    assert qform.gram == rform.gram
+    assert [project(a) for a in spec.axes] == [rproject(a) for a in spec.axes]
+
+
 def test_quotient_rejects_non_ideal():
     d = dihedral("2A")
     bad = [d.algebra.basis_vector("a_0")]  # not an ideal: a_0 a_1 escapes
@@ -346,7 +403,7 @@ def test_coords_and_project_reduce_against_rref_rows(field):
         field, [[one, one, z], [x, one, one], [z, field.of(2), one]], 3)
     assert all(alg.is_idempotent(v) for v in e)
     sub, coords = subalgebra_algebra(alg, e[:2])
-    rows = span_rref(field, e[:2], 3)[0].data
+    rows = span_rref(field, e[:2])[0].data
     qalg, _, project = quotient(alg, form, [e[2]])
     assert (sub.dim, qalg.dim) == (2, 2)
     assert project(e[2]) == (z, z)

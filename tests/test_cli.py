@@ -176,6 +176,21 @@ def test_t_and_grid_are_exclusive(argv, capsys):
 
 
 @pytest.mark.parametrize("argv", [
+    ["certify", "grid", "--grid=1/12"],
+    ["certify", "v4a", "--t", "5"],
+    ["norton", "--symbolic", "--t", "1/12"],
+], ids=["certify-grid", "certify-v4a", "norton-symbolic"])
+def test_points_where_none_are_read_are_rejected(argv, tmp_path, capsys):
+    # these verbs read no point; a given one is an error, not ignored
+    path = tmp_path / "rep.json"
+    assert run(argv + ["--out", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "takes no --t or --grid" in err
+    assert not path.exists()
+
+
+@pytest.mark.parametrize("argv", [
     ["build", "dihedral:9Z"], ["verify", "dihedral:9Z"], ["catalog", "9Z"],
 ], ids=["build", "verify", "catalog"])
 def test_unknown_dihedral_type_is_one_error_line(argv, capsys):

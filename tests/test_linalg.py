@@ -115,7 +115,7 @@ def test_inverse_roundtrip():
 
 def test_in_span():
     basis, pivots = span_rref(QQ, [(rat(1), rat(0), rat(1)),
-                                   (rat(0), rat(1), rat(1))], 3)
+                                   (rat(0), rat(1), rat(1))])
     assert in_span(QQ, basis, pivots, (rat(2), rat(3), rat(5)))
     assert not in_span(QQ, basis, pivots, (rat(0), rat(0), rat(1)))
 
@@ -130,7 +130,7 @@ def test_rref_and_in_span_agree_with_sympy_on_sparse_rows():
             red, pivots = rref(m)
             sred, spivots = to_sympy(m).rref()
             assert to_sympy(red) == sred and pivots == spivots
-            basis, bpivots = span_rref(QQ, m.data, cols)
+            basis, bpivots = span_rref(QQ, m.data)
             for _ in range(4):
                 v = tuple(random_entry(QQ, rng, density) for _ in range(cols))
                 if rng.random() < 0.5:
@@ -169,13 +169,16 @@ def test_rref_over_function_field_with_zero_entries():
 
 
 # ---------------------------------------------------------------------------
-# determinant (Bareiss) against sympy and closed forms
+# determinant against sympy and closed forms
 # ---------------------------------------------------------------------------
 
 def test_determinant_known_values():
     assert determinant(qm([[1, 2], [3, 4]])) == rat(-2)
     assert determinant(qm([[0, 1], [1, 0]])) == rat(-1)  # needs a row swap
     assert determinant(qm([[1, 2], [2, 4]])) == rat(0)
+    # two swaps, then one: the sign of the permutation
+    assert determinant(qm([[0, 0, 1], [1, 0, 0], [0, 1, 0]])) == rat(1)
+    assert determinant(qm([[0, 0, 2], [0, 3, 0], [5, 0, 0]])) == rat(-30)
 
 
 def test_determinant_random_vs_sympy():
@@ -192,6 +195,82 @@ def test_determinant_symbolic():
     t = QT.t
     m = Matrix(QT, [[t, QT.one], [QT.one, t]])
     assert determinant(m) == t * t - 1
+
+
+# ---------------------------------------------------------------------------
+# determinant against the fraction-free (Bareiss) loop
+# ---------------------------------------------------------------------------
+
+def determinant_reference(m):
+    """Bareiss elimination: each entry is a minor of the input, every
+    division exact; a row swap flips the sign."""
+    field = m.field
+    n = m.rows
+    if n == 0:
+        return field.one
+    a = [list(row) for row in m.data]
+    sign = 1
+    prev = field.one
+    for k in range(n - 1):
+        if field.is_zero(a[k][k]):
+            pr = next((i for i in range(k + 1, n)
+                       if not field.is_zero(a[i][k])), None)
+            if pr is None:
+                return field.zero
+            a[k], a[pr] = a[pr], a[k]
+            sign = -sign
+        pivot = a[k][k]
+        for i in range(k + 1, n):
+            aik = a[i][k]
+            for j in range(k + 1, n):
+                a[i][j] = (pivot * a[i][j] - aik * a[k][j]) / prev
+            a[i][k] = field.zero
+        prev = pivot
+    det = a[n - 1][n - 1]
+    return det if sign == 1 else -det
+
+
+def _square_case(field, rng, n, kind):
+    """A random n x n matrix; "singular" makes one row a multiple of
+    another, "swap" zeroes the top-left entry so that elimination must
+    swap rows, and "zero-column" zeroes one column."""
+    m = [[random_entry(field, rng, 0.8) for _ in range(n)] for _ in range(n)]
+    if kind == "singular" and n > 1:
+        a, b = rng.sample(range(n), 2)
+        c = field.of(rng.randint(-3, 3))
+        m[a] = [x * c for x in m[b]]
+    elif kind == "swap" and n > 1:
+        m[0][0] = field.zero
+        m[rng.randrange(1, n)][0] = field.of(rng.randint(1, 5))
+    elif kind == "zero-column" and n:
+        col = rng.randrange(n)
+        for row in m:
+            row[col] = field.zero
+    return Matrix(field, m)
+
+
+@pytest.mark.parametrize("field,sizes,trials", [(QQ, 7, 160), (QT, 5, 24)],
+                         ids=["QQ", "QT"])
+def test_determinant_equals_bareiss_reference(field, sizes, trials):
+    rng = random.Random(f"determinant-reference/{field!r}")
+    kinds = ("random", "singular", "swap", "zero-column")
+    seen = set()
+    for trial in range(trials):
+        kind = kinds[trial % len(kinds)]
+        m = _square_case(field, rng, rng.randrange(sizes), kind)
+        det = determinant(m)
+        ref = determinant_reference(m)
+        assert det == ref and repr(det) == repr(ref)
+        seen.add((kind, field.is_zero(det)))
+    # nonsingular matrices that need a row swap, and singular ones of
+    # each kind
+    assert {("swap", False), ("singular", True),
+            ("zero-column", True)} <= seen
+
+
+def test_determinant_of_m4a_gram_equals_bareiss_reference(m4a):
+    gram = m4a.form.gram
+    assert determinant(gram) == determinant_reference(gram)
 
 
 # ---------------------------------------------------------------------------
