@@ -1,16 +1,17 @@
 """Axial-algebra engine: structure-constant algebras, eigenspace
-decompositions, fusion/Frobenius verification, Miyamoto involutions,
-closures, ideals, radicals, quotients, gradings.
+decompositions, fusion/Frobenius verification, Miyamoto involutions from
+the eigenspace projectors of the adjoint, closures, ideals, radicals,
+quotients, gradings.
 
 Vectors are coordinate tuples over the algebra's scalar field.
 """
 
 from __future__ import annotations
 
-from .errors import (DimensionMismatch, IncompleteDecomposition, NotAnIdeal,
-                     NotIdempotent, NotSemisimple)
-from .linalg import (Matrix, _reduce, in_span, inverse, kernel_basis,
-                     span_rref, unit_vec, vec_is_zero)
+from .errors import (DimensionMismatch, NotAnIdeal, NotIdempotent,
+                     NotSemisimple)
+from .linalg import (Matrix, _reduce, in_span, kernel_basis, span_rref,
+                     unit_vec, vec_is_zero)
 
 
 class Algebra:
@@ -168,28 +169,33 @@ class FusionRule:
 
 
 class AxisDecomposition:
-    """Eigenspace bases of ad_a for one idempotent a."""
+    """Eigenspace bases of ad_a for one idempotent a, keyed by eigenvalue;
+    together they span the algebra."""
 
-    def __init__(self, axis, eigenvalues, spaces, dim, one):
+    def __init__(self, axis, spaces, one):
         self.axis = tuple(axis)
-        self.eigenvalues = tuple(eigenvalues)
         self.spaces = {lam: [tuple(v) for v in vs]
                        for lam, vs in spaces.items()}
-        self.dim = dim
         self.one = one
 
     @property
-    def dims(self):
-        return tuple(len(self.spaces[lam]) for lam in self.eigenvalues)
+    def eigenvalues(self):
+        return tuple(self.spaces)
 
     @property
-    def is_complete(self):
-        return sum(self.dims) == self.dim
+    def dims(self):
+        return tuple(len(vs) for vs in self.spaces.values())
 
     @property
     def is_primitive(self):
         """One-dimensional 1-eigenspace."""
         return len(self.spaces.get(self.one, ())) == 1
+
+
+def _minus_scalar(m: Matrix, c) -> Matrix:
+    """m - c I for a square matrix m."""
+    return Matrix(m.field, [[x - c if i == j else x for j, x in enumerate(row)]
+                            for i, row in enumerate(m.data)])
 
 
 def axis_decomposition(alg: Algebra, a, eigenvalues) -> AxisDecomposition:
@@ -202,22 +208,13 @@ def axis_decomposition(alg: Algebra, a, eigenvalues) -> AxisDecomposition:
     if not alg.is_idempotent(a):
         raise NotIdempotent(f"not idempotent: {alg.describe(a)}")
     ada = alg.ad(a)
-    eigenvalues = tuple(field.of(x) for x in dict.fromkeys(
-        field.of(x) for x in eigenvalues))
-    spaces = {}
-    total = 0
-    for lam in eigenvalues:
-        shifted = Matrix(field, [[ada.data[i][j] - (lam if i == j else field.zero)
-                                  for j in range(alg.dim)]
-                                 for i in range(alg.dim)])
-        basis = kernel_basis(shifted)
-        spaces[lam] = basis
-        total += len(basis)
-    if total != alg.dim:
+    spaces = {lam: kernel_basis(_minus_scalar(ada, lam))
+              for lam in dict.fromkeys(field.of(x) for x in eigenvalues)}
+    dims = [len(vs) for vs in spaces.values()]
+    if sum(dims) != alg.dim:
         raise NotSemisimple(
-            f"eigenspace dims {[len(spaces[l]) for l in eigenvalues]} "
-            f"sum to {total} != {alg.dim}")
-    return AxisDecomposition(a, eigenvalues, spaces, alg.dim, field.one)
+            f"eigenspace dims {dims} sum to {sum(dims)} != {alg.dim}")
+    return AxisDecomposition(a, spaces, field.one)
 
 
 def verify_fusion(alg: Algebra, dec: AxisDecomposition, rule: FusionRule):
@@ -225,8 +222,6 @@ def verify_fusion(alg: Algebra, dec: AxisDecomposition, rule: FusionRule):
 
     Returns a list of violation records (empty list = pass).
     """
-    if not dec.is_complete:
-        raise IncompleteDecomposition("fusion check needs a complete decomposition")
     field = alg.field
     violations = []
     span_cache = {}
@@ -300,26 +295,33 @@ def verify_frobenius(alg: Algebra, form: BilinearForm):
 
 def miyamoto(alg: Algebra, dec: AxisDecomposition, negative_eigenvalues,
              form: BilinearForm = None) -> Matrix:
-    """The involution that negates the given eigenspaces and fixes the rest.
+    """The involution I - 2 sum_{lam in neg} P_lam, which negates the given
+    eigenspaces of ad_a and fixes the rest; P_lam is the eigenspace
+    projector prod_{kappa != lam} (ad_a - kappa) / (lam - kappa) over the
+    decomposition's other eigenvalues kappa.
 
     Checked to be an involutive algebra automorphism (and an isometry of
     the form when one is supplied); raises on violation.
     """
-    if not dec.is_complete:
-        raise IncompleteDecomposition("miyamoto needs a complete decomposition")
     field = alg.field
     neg = {field.of(x) for x in negative_eigenvalues}
     if not neg <= set(dec.eigenvalues):
         raise ValueError("negative eigenvalues outside the decomposition")
-    cols = [v for lam in dec.eigenvalues for v in dec.spaces[lam]]
-    flip = [lam in neg for lam in dec.eigenvalues for _ in dec.spaces[lam]]
+    ad = alg.ad(dec.axis)
     n = alg.dim
-    E = Matrix(field, [[cols[j][i] for j in range(n)] for i in range(n)])
-    # E S for S = diag(+-1): the columns of E in negated eigenspaces negated
-    ES = Matrix(field, [[-x if f else x for x, f in zip(row, flip)]
-                        for row in E.data])
-    T = ES.matmul(inverse(E))
-    if T.matmul(T) != Matrix.identity(field, n):
+    identity = Matrix.identity(field, n)
+    T = identity.data
+    for lam in neg:
+        prod, scale = identity, field.one
+        for kappa in dec.eigenvalues:
+            if kappa != lam:
+                prod = prod.matmul(_minus_scalar(ad, kappa))
+                scale = scale * (lam - kappa)
+        c = field.of(2) / scale
+        T = [[x - c * p for x, p in zip(row, prow)]
+             for row, prow in zip(T, prod.data)]
+    T = Matrix(field, T)
+    if T.matmul(T) != identity:
         raise ValueError("constructed Miyamoto map is not an involution")
     if not is_automorphism(alg, T, form):
         raise ValueError("constructed Miyamoto map fails is_automorphism")

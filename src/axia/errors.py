@@ -29,10 +29,6 @@ class NotSemisimple(AxiaError):
     """Eigenspace dimensions of an adjoint do not sum to the algebra dimension."""
 
 
-class IncompleteDecomposition(AxiaError):
-    """An operation needed a complete eigenspace decomposition."""
-
-
 class NotAnIdeal(AxiaError):
     """A subspace claimed to be an ideal does not absorb products."""
 

@@ -2,9 +2,9 @@
 
 Matrices are immutable-by-convention lists of rows; all algorithms are
 division-exact and never use floating point.  One Gauss-Jordan loop
-serves RREF, kernels, inverses, spans and the determinant (the product
-of its pivots); the semidefinite-aware LDLT is the only other
-elimination loop.  The LDLT's Schur-complement sums go through
+serves RREF, kernels, spans and the determinant (the product of its
+pivots); the semidefinite-aware LDLT is the only other elimination
+loop.  The LDLT's Schur-complement sums go through
 the field's sub_dot, which over Q runs on integer numerators.
 """
 
@@ -143,20 +143,6 @@ def kernel_basis(m: Matrix):
             v[pc] = -red.data[r][fc]
         basis.append(tuple(v))
     return basis
-
-
-def inverse(m: Matrix) -> Matrix:
-    if m.rows != m.cols:
-        raise NonSquare("inverse of a non-square matrix")
-    n = m.rows
-    field = m.field
-    aug = Matrix(field, [list(row) + [field.one if i == j else field.zero
-                                      for j in range(n)]
-                         for i, row in enumerate(m.data)])
-    red, pivots = rref(aug)
-    if len(pivots) != n or any(p >= n for p in pivots):
-        raise ZeroDivisionError("matrix is singular")
-    return Matrix(field, [row[n:] for row in red.data])
 
 
 def determinant(m: Matrix):

@@ -121,8 +121,10 @@ class Polynomial:
         return self._n == other._n and self._d == other._d
 
     def __hash__(self):
+        """Hash of the coefficient tuple; a constant, zero included, hashes
+        like its Rational, to which it compares equal."""
         c = self.coeffs
-        return hash(c) if len(c) != 1 else hash(c[0])
+        return hash(c) if len(c) > 1 else hash(c[0] if c else 0)
 
     # -- arithmetic ----------------------------------------------------
     def __add__(self, other):

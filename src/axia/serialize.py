@@ -39,8 +39,9 @@ def algebra_from_json(d: dict):
     labels = d["labels"]
     n = len(labels)
     pairs = _upper_pairs(n)
-    if len(d["mul_table"]) != len(pairs):
-        raise ValueError("mul_table length does not match upper triangle")
+    for key in ("mul_table", "gram"):
+        if d.get(key) is not None and len(d[key]) != len(pairs):
+            raise ValueError(f"{key} length does not match upper triangle")
     table = [[None] * n for _ in range(n)]
     for (i, j), entry in zip(pairs, d["mul_table"]):
         vec = tuple(field.from_json(x) for x in entry)

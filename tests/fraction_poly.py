@@ -24,8 +24,8 @@ class FractionPolynomial:
         return not self.coeffs
 
     def __hash__(self):
-        return hash(self.coeffs) if len(self.coeffs) != 1 \
-            else hash(self.coeffs[0])
+        c = self.coeffs
+        return hash(c) if len(c) > 1 else hash(c[0] if c else 0)
 
     def __add__(self, other):
         a, b = self.coeffs, other.coeffs

@@ -11,14 +11,15 @@ from axia.algebra import (Algebra, BilinearForm, FusionRule,
                           is_ideal, miyamoto, quotient, radical,
                           subalgebra_algebra, subalgebra_closure,
                           verify_frobenius, verify_fusion, verify_grading)
-from axia.catalog import dihedral, monster_rule
+from axia.catalog import dihedral, f4a_rule, monster_rule
 from axia.errors import (NotAnIdeal, NotIdempotent, NotSemisimple)
-from axia.linalg import Matrix, inverse, span_rref
+from axia.linalg import Matrix, span_rref
 from axia.m4 import specialize_m4a
 from axia.scalars import QQ, QT, rat
 
 from form_reference import (form_apply_reference, quotient_reference,
                             verify_frobenius_reference)
+from miyamoto_reference import inverse, miyamoto_reference
 
 MONSTER_EVS = tuple(QQ.of(x) for x in ("1", "0", "1/4", "1/32"))
 
@@ -147,7 +148,7 @@ def test_axis_decomposition_incomplete_eigenvalues():
 def test_primitive_flag():
     d = dihedral("3A")
     dec = axis_decomposition(d.algebra, d.axes[0], MONSTER_EVS)
-    assert dec.is_primitive and dec.is_complete
+    assert dec.is_primitive and sum(dec.dims) == d.algebra.dim
     # the identity-free algebra has no non-primitive axis here; check the
     # flag goes false for a decomposition around a non-axis idempotent:
     # a_rho in 2A is idempotent with ad eigenvalues {1, 0, 1/4} and a
@@ -266,6 +267,64 @@ def test_miyamoto_orbit_generates_axis_dihedral():
     rho = tau_at(1).matmul(tau_at(0))
     img = rho.matvec(alg.basis_vector("a_0"))
     assert img == alg.basis_vector("a_2")
+
+
+MIYAMOTO_RECORDS = ["2A", "2B", "3A", "3C", "4A", "4B", "5A", "6A", "m4b",
+                    "m4a", "m4a@0", "m4a@1/6", "m4a@9/4", "m4a@1/12"]
+
+
+@pytest.mark.parametrize("name", MIYAMOTO_RECORDS)
+def test_miyamoto_equals_inverted_eigenbasis(name, catalog, m4a, m4b,
+                                             monkeypatch):
+    # [DERIVED] I - 2 sum P_lam against E S E^-1 on every axis; negating
+    # 1/4 as well is not an automorphism in general, so that map is
+    # compared with the automorphism check switched off
+    if name.startswith("m4a@"):
+        built = specialize_m4a(rat(name[4:]))
+    else:
+        built = {"m4a": m4a, "m4b": m4b}.get(name) or catalog[name]
+    alg, form = built.algebra, built.form
+    rule = monster_rule(alg.field)
+    for ax in built.axes:
+        dec = axis_decomposition(alg, ax, rule.eigenvalues)
+        assert (miyamoto(alg, dec, ("1/32",), form)
+                == miyamoto_reference(alg, dec, ("1/32",)))
+        both = ("1/4", "1/32")
+        ref = miyamoto_reference(alg, dec, both)
+        with monkeypatch.context() as patch:
+            patch.setattr("axia.algebra.is_automorphism", lambda *a: True)
+            assert miyamoto(alg, dec, both, form) == ref
+        if not is_automorphism(alg, ref, form):
+            with pytest.raises(ValueError, match="is_automorphism"):
+                miyamoto(alg, dec, both, form)
+
+
+def test_miyamoto_of_m4a_axes_equals_seeded_tau(m4a):
+    # [TRIVIAL] tau_i fixes the 1-, 0- and 1/4-eigenspaces of a_i and a_-i
+    # and negates their 1/32-eigenspace
+    alg = m4a.algebra
+    for ax, key in zip(m4a.axes, m4a.axis_keys):
+        dec = axis_decomposition(alg, ax, MONSTER_EVS)
+        assert (miyamoto(alg, dec, ("1/32",), m4a.form)
+                == m4a.symmetries[f"tau_{abs(key)}"])
+
+
+@pytest.mark.parametrize("i,j", [(1, 2), (1, 3), (2, 3)])
+def test_miyamoto_of_4a_axes_follows_c2xc2_grading(i, j, m4a):
+    # negating the 3/8-, the t- or both eigenspaces of v_ij is an
+    # automorphism and isometry (miyamoto raises otherwise); the
+    # 1/2-eigenspace is graded 0, and negating it is not
+    alg = m4a.algebra
+    dec = axis_decomposition(alg, alg.basis_vector(f"v_{i}{j}"),
+                             f4a_rule().eigenvalues)
+    n = alg.dim
+    for neg in (("3/8",), (QT.t,), ("3/8", QT.t)):
+        tau = miyamoto(alg, dec, neg, m4a.form)
+        assert tau != Matrix.identity(QT, n)
+    with pytest.raises(ValueError, match="is_automorphism"):
+        miyamoto(alg, dec, ("1/2",), m4a.form)
+    with pytest.raises(ValueError, match="outside the decomposition"):
+        miyamoto(alg, dec, ("1/32",), m4a.form)
 
 
 def test_is_automorphism_rejects_non_automorphism():

@@ -6,9 +6,9 @@ import pytest
 
 from axia import certify as cert
 from axia.algebra import axis_decomposition, quotient, radical
-from axia.catalog import DIHEDRAL_TYPES, dihedral
-from axia.linalg import Matrix, ldlt
-from axia.m4 import specialize_m4a
+from axia.catalog import DIHEDRAL_TYPES, dihedral, f4a_rule, monster_rule
+from axia.linalg import Matrix, in_span, ldlt, span_rref
+from axia.m4 import reference_v_eigenvectors, specialize_m4a
 from axia.scalars import QQ, QT, rat
 
 from conftest import rf
@@ -350,6 +350,55 @@ def test_v4a_eigenvalue_spot_checks(m4a):
     d = tuple(x - y for x, y in zip(alg.basis_vector("a_1"),
                                     alg.basis_vector("a_-1")))
     assert alg.mul(v12, d) == tuple(QT.of("3/8") * x for x in d)
+
+
+def _eigenspace_span_check(alg, axis, references, rule):
+    """The published-eigenvector check as membership in the span of an
+    eigenspace basis from axis_decomposition."""
+    dec = axis_decomposition(alg, axis, rule.eigenvalues)
+    for lam, vecs in references.items():
+        basis, pivots = span_rref(alg.field, dec.spaces[lam])
+        if not all(in_span(alg.field, basis, pivots, w) for w in vecs):
+            return False
+    return True
+
+
+def _tampered_references(references, axis_index, delta):
+    """Each way of adding delta to the axis coefficient of one published
+    eigenvector; a * (w + delta a) = lam w + delta a, so none of them is an
+    eigenvector for lam != 1."""
+    for lam, vecs in references.items():
+        for n, w in enumerate(vecs):
+            bad = list(w)
+            bad[axis_index] = bad[axis_index] + delta
+            yield {**references, lam: vecs[:n] + [tuple(bad)] + vecs[n + 1:]}
+
+
+@pytest.mark.parametrize("name", DIHEDRAL_TYPES)
+def test_tampered_dihedral_eigenvector_fails_reference_check(name, catalog):
+    d = catalog[name]
+    alg = d.algebra
+    a0 = alg.basis_vector("a_0")
+    refs = d.reference_eigenvectors
+    assert cert._in_eigenspaces(alg, a0, refs)
+    assert _eigenspace_span_check(alg, a0, refs, monster_rule())
+    for bad in _tampered_references(refs, alg.index("a_0"), rat("1/7")):
+        assert not cert._in_eigenspaces(alg, a0, bad)
+        assert not _eigenspace_span_check(alg, a0, bad, monster_rule())
+
+
+@pytest.mark.parametrize("i,j", [(1, 2), (1, 3), (2, 3)])
+def test_tampered_v_eigenvector_fails_reference_check(i, j, m4a):
+    alg = m4a.algebra
+    lab = f"v_{i}{j}"
+    v = alg.basis_vector(lab)
+    refs = reference_v_eigenvectors(i, j)
+    assert cert._in_eigenspaces(alg, v, refs)
+    tampered = list(_tampered_references(refs, alg.index(lab), QT.of("1/7")))
+    assert len(tampered) == 11
+    for bad in tampered:
+        assert not cert._in_eigenspaces(alg, v, bad)
+    assert not _eigenspace_span_check(alg, v, tampered[0], f4a_rule())
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,7 @@ import sympy
 
 from axia.errors import DimensionMismatch
 from axia.linalg import (LDLTResult, Matrix, _expand_l, determinant, in_span,
-                         inverse, kernel_basis, ldlt, reconstruct_ldlt, rref,
+                         kernel_basis, ldlt, reconstruct_ldlt, rref,
                          span_rref, vec_is_zero)
 from axia.scalars import QQ, QT, rat
 
@@ -87,7 +87,7 @@ def test_sparse_products_shape_mismatch():
 
 
 # ---------------------------------------------------------------------------
-# RREF / rank / kernel / inverse
+# RREF / rank / kernel
 # ---------------------------------------------------------------------------
 
 def test_rref_and_rank_trivial():
@@ -106,11 +106,6 @@ def test_kernel_dimension_plus_rank_equals_cols():
         assert len(rref(m)[1]) + len(ker) == cols
         for v in ker:
             assert vec_is_zero(QQ, m.matvec(v))
-
-
-def test_inverse_roundtrip():
-    m = qm([[2, 1], [1, 3]])
-    assert m.matmul(inverse(m)) == Matrix.identity(QQ, 2)
 
 
 def test_in_span():

@@ -60,6 +60,16 @@ def test_m4b_fusion_and_form(m4b):
 # M_4A: construction
 # ---------------------------------------------------------------------------
 
+def test_m4a_fusion_under_the_rule_over_q(m4a):
+    # the eigenvalues of monster_rule() are Fractions and those of M_4A
+    # rational functions; equal constants hash alike, zero included
+    alg = m4a.algebra
+    rule = monster_rule()
+    for ax in m4a.axes:
+        dec = axis_decomposition(alg, ax, rule.eigenvalues)
+        assert verify_fusion(alg, dec, rule) == []
+
+
 def test_m4a_dimension_and_group_order(m4a):
     assert m4a.algebra.dim == 12
     assert len(mulclose(QT, list(m4a.symmetries.values()))) == 24

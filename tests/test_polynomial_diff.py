@@ -185,8 +185,9 @@ def test_constants_hash_like_their_rational():
         assert p == half and hash(p) == hash(Fraction(1, 2))
         assert p == Fraction(1, 2)
     assert hash(Polynomial([-7])) == hash(-7)
-    assert hash(Polynomial()) == hash(())
+    assert hash(Polynomial()) == hash(0)
     assert hash(RationalFunction(half)) == hash(Fraction(1, 2))
+    assert hash(RationalFunction(Polynomial())) == hash(Fraction(0))
 
 
 rfs = st.builds(lambda n, d: RationalFunction(Polynomial(n), Polynomial(d)),

@@ -1,5 +1,7 @@
 """JSON serialization round-trips for algebras."""
 
+import pytest
+
 from axia.catalog import dihedral
 from axia.serialize import (algebra_from_json, algebra_to_json, dump_json,
                             load_json)
@@ -32,3 +34,13 @@ def test_dump_and_load_json(tmp_path):
     alg, form = algebra_from_json(load_json(path))
     assert alg.mul_table == d.algebra.mul_table
     assert form.gram == d.form.gram
+
+
+@pytest.mark.parametrize("key", ["mul_table", "gram"])
+def test_upper_triangle_of_wrong_length_rejected(key):
+    d = dihedral("3A")
+    doc = algebra_to_json(d.algebra, d.form)
+    assert len(doc[key]) == 10
+    for entries in (doc[key][:3], doc[key] + doc[key][:1]):
+        with pytest.raises(ValueError, match=key):
+            algebra_from_json({**doc, key: entries})
