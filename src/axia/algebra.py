@@ -24,6 +24,8 @@ class Algebra:
         self.field = field
         self.labels = list(labels)
         self.dim = len(self.labels)
+        if len(set(self.labels)) != self.dim:
+            raise ValueError(f"repeated basis labels in {self.labels}")
         self.mul_table = [[tuple(mul_table[i][j]) for j in range(self.dim)]
                           for i in range(self.dim)]
         for i in range(self.dim):

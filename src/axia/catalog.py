@@ -1,11 +1,12 @@
 """Hard-coded fusion rules and the eight dihedral algebras of Monster type.
 
 Each dihedral algebra is stored as seeds: published representative pairs,
-each with its product and its form value.  complete_algebra materializes
-the full product table and Gram matrix in one pass under the two generators
-of the dihedral symmetry, tau_0 (k -> -k on axis indices) and swap_01
-(k -> 1-k), both with the extra basis vectors fixed; they are stored as
-the algebra's symmetries, and any inconsistency fails loudly.
+each with its product and its form value, and the one idempotent a_0 of
+norm 1.  complete_algebra materializes the full product table and Gram
+matrix in one pass under the two generators of the dihedral symmetry,
+tau_0 (k -> -k on axis indices) and swap_01 (k -> 1-k), both with the
+extra basis vectors fixed; they are stored as the algebra's symmetries,
+and any inconsistency fails loudly.
 
 Basis ordering follows the published tables: axes in index order, then the
 extra vectors (a_rho, u_rho, v_rho, w_rho as applicable).
@@ -78,9 +79,9 @@ def f4a_rule(t=None) -> FusionRule:
 #
 # Axis labels are integers k (the axis a_k, index mod N); extra basis
 # vectors are strings.  Each seed is a representative pair with its product
-# and its form value, exactly as published; the "1" entries for idempotent
-# norm-1 axes are implicit (a_k * a_k = a_k and (a_k, a_k) = 1 are seeded
-# for every axis).
+# and its form value, exactly as published; the idempotent norm-1 axis is
+# implicit (a_0 * a_0 = a_0 and (a_0, a_0) = 1 are seeded, and tau_0 and
+# swap_01 carry a_0 to every axis).
 # ---------------------------------------------------------------------------
 
 DIHEDRAL_TYPES = ("2A", "2B", "3A", "3C", "4A", "4B", "5A", "6A")
@@ -248,17 +249,17 @@ def dihedral_dimension(name: str) -> int:
 
 def dihedral_seeds(name: str):
     """(labels, seeds, generators) of a dihedral catalog algebra: the seeds
-    of complete_algebra and its two relabeling generators over Q by name,
-    tau_0 (a_k -> a_-k) and swap_01 (a_k -> a_1-k), with indices taken mod
-    n into the range of the basis and the extra vectors fixed."""
+    of complete_algebra (the published pairs and a_0 a_0 = a_0) and its two
+    relabeling generators over Q by name, tau_0 (a_k -> a_-k) and swap_01
+    (a_k -> a_1-k), with indices taken mod n into the range of the basis
+    and the extra vectors fixed."""
     if name not in _DIHEDRAL_DATA:
         raise ValueError(f"unknown dihedral type {name!r}; "
                          f"expected one of {DIHEDRAL_TYPES}")
     data = _DIHEDRAL_DATA[name]
     basis, n = data["basis"], data["n"]
     labels = [_label(k) for k in basis]
-    seeds = [((_label(k), _label(k)), {_label(k): 1}, 1)
-             for k in basis if isinstance(k, int)]
+    seeds = [(("a_0", "a_0"), {"a_0": 1}, 1)]
     seeds += [((_label(u), _label(v)),
                {_label(k): c for k, c in product.items()}, form_value)
               for (u, v), product, form_value in data["seeds"]]

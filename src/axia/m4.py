@@ -2,20 +2,18 @@
 over Q and the 12-dimensional one-parameter family M_4A over Q(t).
 
 Both are assembled by completion.complete_algebra from seeds, each a basis
-pair with its product and its form value.  M_4B is the union of three
-relabeled copies of the dihedral 4B algebra, one on each pair of absolute
-indices.  M_4A is seeded with three relabeled dihedral 4A copies, the
-definitions w_i = a_i . v_(j,k), the linear dependencies
-(a_i - a_-i) . v_(j,k) = t (a_i - a_-i) and one representative pair per
-symmetry orbit; its product table and Frobenius form are completed under
-the five generators: the three Miyamoto maps tau(a_i), the triality map
-sigma and an index transposition pi.
+pair with its product and its form value, under the generators of
+m4_symmetries: the three Miyamoto maps tau(a_i), the triality map sigma
+and an index transposition pi.  Each is seeded with the published
+dihedral representatives (4B or 4A) on the one index pair {1, 2}; M_4A
+adds the definition w_1 = a_1 . v_23 and one representative pair per
+symmetry orbit of the remaining products.
 """
 
 from __future__ import annotations
 
 from .algebra import Algebra, BilinearForm, ConstructedAlgebra
-from .catalog import dihedral
+from .catalog import dihedral_seeds
 from .completion import complete_algebra, label_map
 from .linalg import Matrix
 from .scalars import QQ, QT, rat
@@ -28,6 +26,66 @@ M4A_LABELS = ("a_1", "a_-1", "a_2", "a_-2", "a_3", "a_-3",
 _M4_AXES = (1, -1, 2, -2, 3, -3)
 
 
+def _parse_label(lab):
+    kind, rest = lab.split("_")
+    if kind == "v":
+        return ("v", frozenset(int(c) for c in rest))
+    return (kind, rest if rest == "rho" else int(rest))
+
+
+def _vlab(pair):
+    i, j = sorted(pair)
+    return f"v_{i}{j}"
+
+
+def m4_symmetries(labels, field):
+    """The generating symmetry operators of M_4A (M4A_LABELS over QT) or
+    M_4B (M4B_LABELS over QQ), each a signed relabeling k -> f(k) of the
+    axis indices with f(-k) = -f(k): a_k -> a_f(k),
+    v_ij -> v_|f(i)||f(j)|, and w_j -> w_m - t (a_m - a_-m) when
+    f(j) = -m (plain w_m when f(j) = m), as a_-m . v = w_m - t (a_m - a_-m)
+    forces; a_rho is fixed.
+
+    tau_i negates every index but +-i; sigma is the 3-cycle (1 2 3) on
+    indices and pi the transposition (1 2).
+    """
+    def relabeling(f):
+        def signed(k):
+            return f[k] if k > 0 else -f[-k]
+
+        def image(lab):
+            kind, val = _parse_label(lab)
+            if val == "rho":
+                return {lab: 1}
+            if kind == "a":
+                return {f"a_{signed(val)}": 1}
+            if kind == "v":
+                return {_vlab(abs(signed(k)) for k in val): 1}
+            m = signed(val)
+            if m > 0:
+                return {f"w_{m}": 1}
+            return {f"w_{-m}": 1, f"a_{-m}": -field.t, f"a_{m}": field.t}
+        return label_map(field, labels, image)
+
+    syms = {f"tau_{i}": relabeling({j: j if j == i else -j
+                                    for j in (1, 2, 3)})
+            for i in (1, 2, 3)}
+    syms["sigma"] = relabeling({1: 2, 2: 3, 3: 1})
+    syms["pi"] = relabeling({1: 2, 2: 1, 3: 3})
+    return syms
+
+
+def _dihedral_seeds_on_12(name, extra):
+    """The seeds of the dihedral algebra name (4A or 4B) on the axes
+    a_{+-1}, a_{+-2}: a_0 -> a_1, a_1 -> a_2, a_2 -> a_-1, a_-1 -> a_-2 and
+    its extra vector -> extra."""
+    names = {"a_-1": "a_-2", "a_0": "a_1", "a_1": "a_2", "a_2": "a_-1"}
+    _, seeds, _ = dihedral_seeds(name)
+    return [((names.get(u, extra), names.get(v, extra)),
+             {names.get(k, extra): c for k, c in product.items()}, value)
+            for (u, v), product, value in seeds]
+
+
 # ---------------------------------------------------------------------------
 # M_4B
 # ---------------------------------------------------------------------------
@@ -37,89 +95,14 @@ def build_m4b() -> ConstructedAlgebra:
     sharing one extra vector a_rho = a_i + a_-i - 8 a_i . a_-i.
 
     Pairs with different absolute index generate dihedral 4B; pairs
-    {a_i, a_-i} generate 2A, all with the same a_rho.  The three 4B copies
-    cover every basis pair, so no symmetry is needed to complete them.
+    {a_i, a_-i} generate 2A, all with the same a_rho.  Seeded with the 4B
+    representatives on {1, 2} and completed under m4_symmetries.
     """
-    d4b = dihedral("4B")
-    seeds = [seed for i, j in ((1, 2), (1, 3), (2, 3))
-             for seed in _embed(d4b, i, j, "a_rho")]
-    alg, form = complete_algebra(QQ, M4B_LABELS, seeds, [])
-    return ConstructedAlgebra(alg, form, _M4_AXES)
-
-
-def _embed(d, i, j, extra):
-    """Seeds of the 5-dimensional dihedral algebra d (type 4A or 4B) on
-    the axes a_{+-i}, a_{+-j}: a_0 -> a_i, a_1 -> a_j, a_2 -> a_-i,
-    a_-1 -> a_-j and its extra vector -> extra; one seed per basis pair."""
-    alg = d.algebra
-    axes = {"a_-1": f"a_-{j}", "a_0": f"a_{i}", "a_1": f"a_{j}",
-            "a_2": f"a_-{i}"}
-    names = [axes.get(lab, extra) for lab in alg.labels]
-    return [((names[p], names[q]),
-             {names[k]: x for k, x in enumerate(alg.mul_table[p][q])
-              if x != 0},
-             d.form.gram.data[p][q])
-            for p in range(alg.dim) for q in range(p, alg.dim)]
-
-
-# ---------------------------------------------------------------------------
-# M_4A symmetry operators
-# ---------------------------------------------------------------------------
-
-def _parse_label(lab):
-    kind, rest = lab.split("_")
-    if kind == "a":
-        return ("a", int(rest))
-    if kind == "v":
-        return ("v", frozenset(int(c) for c in rest))
-    return ("w", int(rest))
-
-
-def _vlab(pair):
-    i, j = sorted(pair)
-    return f"v_{i}{j}"
-
-
-def m4a_symmetries():
-    """The generating symmetry operators of M_4A as matrices over Q(t).
-
-    tau_i fixes a_{+-i}, w_i and the three v's, swaps a_j <-> a_-j for
-    j != i, and maps w_j -> w_j - t (a_j - a_-j) (forced by the linear
-    dependencies); sigma is the 3-cycle (1 2 3) on indices; pi the
-    transposition (1 2).
-    """
-    t = QT.t
-
-    def tau(i):
-        def image(lab):
-            kind, val = _parse_label(lab)
-            if kind == "a":
-                if abs(val) == i:
-                    return {lab: 1}
-                return {f"a_{-val}": 1}
-            if kind == "v":
-                return {lab: 1}
-            j = val
-            if j == i:
-                return {lab: 1}
-            return {lab: 1, f"a_{j}": -t, f"a_{-j}": t}
-        return label_map(QT, M4A_LABELS, image)
-
-    def permute(perm):
-        """The relabeling that applies perm to the indices 1, 2, 3."""
-        def image(lab):
-            kind, val = _parse_label(lab)
-            if kind == "a":
-                s = 1 if val > 0 else -1
-                return {f"a_{s * perm[abs(val)]}": 1}
-            if kind == "v":
-                return {_vlab(frozenset(perm[x] for x in val)): 1}
-            return {f"w_{perm[val]}": 1}
-        return label_map(QT, M4A_LABELS, image)
-
-    return {"tau_1": tau(1), "tau_2": tau(2), "tau_3": tau(3),
-            "sigma": permute({1: 2, 2: 3, 3: 1}),
-            "pi": permute({1: 2, 2: 1, 3: 3})}
+    syms = m4_symmetries(M4B_LABELS, QQ)
+    alg, form = complete_algebra(QQ, M4B_LABELS,
+                                 _dihedral_seeds_on_12("4B", "a_rho"),
+                                 list(syms.values()))
+    return ConstructedAlgebra(alg, form, _M4_AXES, syms)
 
 
 # ---------------------------------------------------------------------------
@@ -130,29 +113,17 @@ def m4a_seeds():
     """Seeds of M_4A as ((label, label), {label: scalar}, form value) over
     Q(t).
 
-    Sources: the dihedral-4A algebra inside each {a_{+-i}, a_{+-j}, v_ij},
-    the definitions w_i = a_i . v_(j,k), the dependency rewrites
-    a_-i . v_(j,k) = w_i - t (a_i - a_-i), and the representative
-    products of v.v, a.w, v.w and w.w (one per symmetry orbit).
+    Sources: the dihedral-4A representatives on {a_{+-1}, a_{+-2}, v_12},
+    the definition w_1 = a_1 . v_23, and the representative products of
+    v.v, a.w, v.w and w.w (one per symmetry orbit).  The generators derive
+    the rest, among them w_i = a_i . v_(j,k), the dependency rewrites
+    a_-i . v_(j,k) = w_i - t (a_i - a_-i) and a_-1 . w_1.
     """
     t = QT.t
     c = QT.of
-    seeds = []
-
-    # dihedral 4A inside each absolute-index pair {i, j}
-    d4a = dihedral("4A")
-    for i, j in ((1, 2), (1, 3), (2, 3)):
-        seeds += _embed(d4a, i, j, _vlab((i, j)))
-
-    # definitions of the w basis vectors and the dependency rewrites
-    for i, (j, k) in ((1, (2, 3)), (2, (1, 3)), (3, (1, 2))):
-        vl = _vlab((j, k))
-        seeds.append(((f"a_{i}", vl), {f"w_{i}": 1}, t))
-        seeds.append(((f"a_-{i}", vl),
-                      {f"w_{i}": 1, f"a_{i}": -t, f"a_-{i}": t}, t))
-
-    # representative products, one per orbit of the symmetry group
+    seeds = _dihedral_seeds_on_12("4A", "v_12")
     seeds += [
+        (("a_1", "v_23"), {"w_1": 1}, t),
         (("v_12", "v_13"), {
             "a_1": c("-8/3") * t,
             "a_2": c("2/3") * t, "a_-2": c("-2/3") * t,
@@ -161,7 +132,6 @@ def m4a_seeds():
             "w_1": c("8/3"), "w_2": c("-4/3"), "w_3": c("-4/3")},
          c("1/2") - c("8/3") * t),
         (("a_1", "w_1"), {"a_1": c("3/4") * t, "w_1": c("1/4")}, t),
-        (("a_-1", "w_1"), {"a_1": c("-1/4") * t, "w_1": c("1/4")}, 0),
         (("a_2", "w_1"), {
             "a_1": c("-3/64") * t, "a_-1": c("3/64") * t,
             "a_2": c("1/8") * t,
@@ -205,7 +175,7 @@ def build_m4a() -> ConstructedAlgebra:
     generators.  Cached (immutable)."""
     if _M4A_CACHE:
         return _M4A_CACHE[0]
-    syms = m4a_symmetries()
+    syms = m4_symmetries(M4A_LABELS, QT)
     alg, form = complete_algebra(QT, M4A_LABELS, m4a_seeds(),
                                  list(syms.values()))
     result = ConstructedAlgebra(alg, form, _M4_AXES, syms)

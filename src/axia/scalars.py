@@ -431,10 +431,8 @@ class RationalFunction:
     def __hash__(self):
         h = self._hash
         if h is None:
-            if self.den == POLY_ONE and self.num.degree <= 0:
-                h = hash(self.num)
-            else:
-                h = hash((self.num, self.den))
+            h = (hash(self.num) if self.den == POLY_ONE
+                 else hash((self.num, self.den)))
             object.__setattr__(self, "_hash", h)
         return h
 

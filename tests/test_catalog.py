@@ -99,6 +99,21 @@ def test_frobenius_and_axis_norms(name, catalog):
 
 
 @pytest.mark.parametrize("name", DIHEDRAL_TYPES)
+def test_one_seeded_idempotent_gives_every_axis(name, catalog):
+    # [PUBLISHED] a_0 is the only seeded axis square; the generators give
+    # a_k a_k = a_k and (a_k, a_k) = 1 on every axis
+    _, seeds, _ = dihedral_seeds(name)
+    squares = [(u, v) for (u, v), _, _ in seeds
+               if u == v and u[2:].lstrip("-").isdigit()]
+    assert squares == [("a_0", "a_0")]
+    d = catalog[name]
+    assert d.n_axes == int(name[0])
+    for ax in d.axes:
+        assert d.algebra.mul(ax, ax) == ax
+        assert d.form.apply(ax, ax) == rat(1)
+
+
+@pytest.mark.parametrize("name", DIHEDRAL_TYPES)
 def test_group_order_and_equivariance(name, catalog):
     # [DERIVED] every relabeling operator must be an algebra automorphism
     # and an isometry — this is the oracle for the completion being right

@@ -6,9 +6,11 @@ from axia.catalog import DIHEDRAL_TYPES, dihedral, dihedral_seeds
 from axia.completion import complete_algebra, complete_table
 from axia.errors import CompletionInconsistent, CompletionInsufficient
 from axia.linalg import Matrix
-from axia.m4 import M4A_LABELS, M4B_LABELS, _embed, m4a_seeds, m4a_symmetries
+from axia.m4 import (M4A_LABELS, M4B_LABELS, _dihedral_seeds_on_12,
+                     m4_symmetries, m4a_seeds)
 from axia.scalars import QQ, QT, rat
 from group_reference import mulclose
+from m4_reference import embed
 
 
 def qm(rows):
@@ -129,8 +131,8 @@ def test_m4b_copies_must_agree_where_they_overlap():
     # the 4B copies on {1, 2} and {1, 3} share the 2A pair {a_1, a_-1};
     # alter its a_0 a_2 product in the second copy
     d4b = dihedral("4B")
-    seeds = _embed(d4b, 1, 2, "a_rho") + _embed(d4b, 2, 3, "a_rho")
-    for (u, v), product, form_value in _embed(d4b, 1, 3, "a_rho"):
+    seeds = embed(d4b, 1, 2, "a_rho") + embed(d4b, 2, 3, "a_rho")
+    for (u, v), product, form_value in embed(d4b, 1, 3, "a_rho"):
         if (u, v) == ("a_1", "a_-1"):
             product = dict(product, a_rho=rat("-1/4"))
         seeds.append(((u, v), product, form_value))
@@ -138,15 +140,32 @@ def test_m4b_copies_must_agree_where_they_overlap():
         complete_algebra(QQ, M4B_LABELS, seeds, [])
 
 
+def test_tampered_m4b_seed_breaks_a_symmetry():
+    # tau_2 swaps a_1 and a_-1, so their product must be symmetric in them
+    seeds = []
+    for (u, v), product, form_value in _dihedral_seeds_on_12("4B", "a_rho"):
+        if (u, v) == ("a_1", "a_-1"):
+            product = {**product, "a_-1": rat("1/4")}
+        seeds.append(((u, v), product, form_value))
+    generators = list(m4_symmetries(M4B_LABELS, QQ).values())
+    complete_algebra(QQ, M4B_LABELS,
+                     _dihedral_seeds_on_12("4B", "a_rho"), generators)
+    with pytest.raises(CompletionInconsistent):
+        complete_algebra(QQ, M4B_LABELS, seeds, generators)
+
+
 def _assembly(name):
     if name == "M_4A":
         return (QT, M4A_LABELS, m4a_seeds(),
-                list(m4a_symmetries().values()))
+                list(m4_symmetries(M4A_LABELS, QT).values()))
+    if name == "M_4B":
+        return (QQ, M4B_LABELS, _dihedral_seeds_on_12("4B", "a_rho"),
+                list(m4_symmetries(M4B_LABELS, QQ).values()))
     labels, seeds, generators = dihedral_seeds(name)
     return QQ, labels, seeds, list(generators.values())
 
 
-@pytest.mark.parametrize("name", DIHEDRAL_TYPES + ("M_4A",))
+@pytest.mark.parametrize("name", DIHEDRAL_TYPES + ("M_4A", "M_4B"))
 def test_generators_complete_as_the_closed_group(name):
     # completing under the generators gives, entry for entry, the table
     # and form that completing under the whole group gives
@@ -158,7 +177,7 @@ def test_generators_complete_as_the_closed_group(name):
     assert form.gram == ref_form.gram
 
 
-@pytest.mark.parametrize("name", DIHEDRAL_TYPES + ("M_4A",))
+@pytest.mark.parametrize("name", DIHEDRAL_TYPES + ("M_4A", "M_4B"))
 def test_generator_order_does_not_change_the_completion(name):
     field, labels, seeds, generators = _assembly(name)
     alg, form = complete_algebra(field, labels, seeds, generators)

@@ -5,10 +5,12 @@ from fractions import Fraction
 from axia.algebra import axis_decomposition, is_automorphism, verify_fusion
 from axia.catalog import monster_rule
 from axia.linalg import Matrix, determinant, ldlt
-from axia.m4 import (M4A_LABELS, m4a_symmetries, reference_a1_eigenvectors,
-                     specialize, specialize_m4a, verify_dependencies)
+from axia.m4 import (M4A_LABELS, M4B_LABELS, m4_symmetries,
+                     reference_a1_eigenvectors, specialize, specialize_m4a,
+                     verify_dependencies)
 from axia.scalars import QQ, QT, rat
 from group_reference import mulclose
+from m4_reference import m4a_three_copies, m4b_three_copies
 from m4a_gram_reference import m4a_gram
 
 MONSTER_EVS = tuple(QQ.of(x) for x in ("1", "0", "1/4", "1/32"))
@@ -44,6 +46,21 @@ def test_m4b_rho_definition(m4b):
         p = alg.mul(ai, mi)
         got = tuple(a + b - rat(8) * c for a, b, c in zip(ai, mi, p))
         assert got == alg.basis_vector("a_rho")
+
+
+def test_m4b_equals_the_three_4b_copies(m4b):
+    # seeded on {1, 2} only, completed under the generators
+    alg, form = m4b_three_copies()
+    assert m4b.algebra.mul_table == alg.mul_table
+    assert m4b.form.gram == form.gram
+
+
+def test_m4b_generators_are_isometric_automorphisms(m4b):
+    assert list(m4b.symmetries) == ["tau_1", "tau_2", "tau_3", "sigma", "pi"]
+    group = mulclose(QQ, list(m4b.symmetries.values()))
+    assert len(group) == 24
+    for g in m4b.symmetries.values():
+        assert is_automorphism(m4b.algebra, g, m4b.form)
 
 
 def test_m4b_fusion_and_form(m4b):
@@ -94,6 +111,51 @@ def test_m4a_w_definition_and_dependencies(m4a):
     assert verify_dependencies(m4a) == []
 
 
+def test_m4a_equals_the_three_4a_copies(m4a):
+    # seeded with the 4A representatives on {1, 2} only
+    alg, form = m4a_three_copies()
+    assert m4a.algebra.mul_table == alg.mul_table
+    assert m4a.form.gram == form.gram
+
+
+def test_m4a_derives_the_dropped_seeds(m4a):
+    # [PUBLISHED] products and form values no longer seeded
+    alg = m4a.algebra
+    t = QT.t
+    c = QT.of
+
+    def check(u, v, product, value):
+        bu, bv = alg.basis_vector(u), alg.basis_vector(v)
+        assert alg.mul(bu, bv) == alg.vector(product)
+        assert m4a.form.apply(bu, bv) == value
+
+    check("a_-1", "w_1", {"a_1": c("-1/4") * t, "w_1": c("1/4")}, 0)
+    for i, vjk in ((1, "v_23"), (2, "v_13"), (3, "v_12")):
+        check(f"a_{i}", vjk, {f"w_{i}": 1}, t)
+        check(f"a_-{i}", vjk, {f"w_{i}": 1, f"a_{i}": -t, f"a_-{i}": t}, t)
+
+
+def test_m4a_generators_as_signed_relabelings():
+    # [TRIVIAL] tau_1 negates the indices 2 and 3, so w_2 -> w_2 - t
+    # (a_2 - a_-2); sigma permutes 1 -> 2 -> 3 -> 1 with no correction
+    syms = m4_symmetries(M4A_LABELS, QT)
+    t = QT.t
+    col = {lab: j for j, lab in enumerate(M4A_LABELS)}
+
+    def image(g, lab):
+        return {M4A_LABELS[i]: row[col[lab]]
+                for i, row in enumerate(g.data) if row[col[lab]] != 0}
+
+    assert image(syms["tau_1"], "w_2") == {"w_2": 1, "a_2": -t, "a_-2": t}
+    assert image(syms["tau_1"], "w_1") == {"w_1": 1}
+    assert image(syms["tau_1"], "a_-3") == {"a_3": 1}
+    assert image(syms["tau_1"], "v_23") == {"v_23": 1}
+    assert image(syms["sigma"], "a_-3") == {"a_-1": 1}
+    assert image(syms["sigma"], "v_13") == {"v_12": 1}
+    assert image(syms["sigma"], "w_3") == {"w_1": 1}
+    assert image(syms["pi"], "v_13") == {"v_23": 1}
+
+
 def test_m4a_sigma_equivariance_oracle(m4a):
     # [DERIVED] applying the triality map to a_1 w_1 = 3t/4 a_1 + 1/4 w_1
     # must give a_2 w_2 = 3t/4 a_2 + 1/4 w_2
@@ -107,7 +169,7 @@ def test_m4a_sigma_equivariance_oracle(m4a):
 
 
 def test_m4a_symmetries_are_involutions_where_expected(m4a):
-    syms = m4a_symmetries()
+    syms = m4_symmetries(M4A_LABELS, QT)
     ident = Matrix.identity(QT, 12)
     for name in ("tau_1", "tau_2", "tau_3", "pi"):
         assert syms[name].matmul(syms[name]) == ident

@@ -190,6 +190,14 @@ def test_constants_hash_like_their_rational():
     assert hash(RationalFunction(Polynomial())) == hash(Fraction(0))
 
 
+def test_polynomial_rational_functions_hash_like_their_numerator():
+    # equal objects hash alike, so a set or dict finds either type
+    for p in (Polynomial.t(), Polynomial([1, "-2/3", 5])):
+        f = RationalFunction(p)
+        assert f == p and hash(f) == hash(p)
+        assert f in {p} and p in {f}
+
+
 rfs = st.builds(lambda n, d: RationalFunction(Polynomial(n), Polynomial(d)),
                 coeff_lists, divisor_lists)
 OPS = {"+": operator.add, "-": operator.sub, "*": operator.mul,

@@ -44,3 +44,10 @@ def test_upper_triangle_of_wrong_length_rejected(key):
     for entries in (doc[key][:3], doc[key] + doc[key][:1]):
         with pytest.raises(ValueError, match=key):
             algebra_from_json({**doc, key: entries})
+
+
+def test_repeated_labels_rejected():
+    d = dihedral("2B")
+    doc = algebra_to_json(d.algebra, d.form)
+    with pytest.raises(ValueError, match="repeated basis labels"):
+        algebra_from_json({**doc, "labels": ["a_0", "a_0"]})
