@@ -2,9 +2,13 @@
 
 Verbs: build, verify, gram, norton, radical, certify, catalog.
 Targets: m4a, m4b, dihedral:<TYPE>.  Parameters are exact rationals
-("p/q" or integer strings; decimals are rejected).  --out writes a JSON
-report, otherwise a human-readable summary is printed.  Exit codes:
-0 = all checks pass, 1 = a check failed, 2 = usage or build error.
+("p/q" or integer strings; decimals are rejected).
+
+Each verb parses its arguments and returns its report; certify decides
+every verdict.  run() emits the report in one place: --out writes it as
+JSON, otherwise a human-readable summary is printed.  Exit codes: 1 when
+the report, or a dict row of a list report, has "pass": false; 0
+otherwise; 2 on a usage or build error.
 """
 
 from __future__ import annotations
@@ -19,17 +23,6 @@ from .errors import AxiaError
 from .m4 import build_m4a, build_m4b
 from .scalars import format_rational, parse_rational
 from .serialize import algebra_to_json, dump_json
-
-
-def _parse_t(value):
-    try:
-        return parse_rational(value)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise UsageError(str(exc))
-
-
-def _parse_grid(value):
-    return [_parse_t(part) for part in value.split(",")]
 
 
 class UsageError(Exception):
@@ -52,147 +45,98 @@ def _target(name):
                      f"{', '.join(DIHEDRAL_TYPES)}")
 
 
-def _emit(report, out):
-    if out:
-        dump_json(report, out)
-        return
-    _print_human(report)
+def _points(args, verb=None):
+    """The exact points of --t or --grid.  A verb that reads no point
+    passes its name, and then a given point is an error."""
+    if verb is not None:
+        if args.t is not None or args.grid is not None:
+            raise UsageError(f"{verb} takes no --t or --grid")
+        return []
+    if args.t is not None:
+        parts = [args.t]
+    elif args.grid is not None:
+        parts = args.grid.split(",")
+    else:
+        raise UsageError("provide --t P/Q or --grid P/Q,P/Q,...")
+    try:
+        return [parse_rational(part) for part in parts]
+    except (ValueError, ZeroDivisionError) as exc:
+        raise UsageError(str(exc))
 
 
-def _print_human(report, indent=""):
-    if isinstance(report, dict) and "checks" in report:
-        print(f"{indent}{report.get('target', 'report')}: "
-              f"{'PASS' if report.get('pass') else 'FAIL'}")
+def _fails(report):
+    """The exit rule: a report fails when it, or a dict row of a list
+    report, has "pass": false."""
+    rows = report if isinstance(report, list) else [report]
+    return any(isinstance(r, dict) and r.get("pass") is False for r in rows)
+
+
+def _print_human(report, target):
+    if isinstance(report, list):
+        for row in report:
+            _print_human(row, target)
+    elif "mul_table" in report:
+        print(f"{target}: dimension {len(report['labels'])} "
+              f"over {report['field']}")
+        print("labels:", " ".join(report["labels"]))
+    elif "checks" in report:
+        print(f"{report['target']}: {'PASS' if report['pass'] else 'FAIL'}")
         for c in report["checks"]:
             mark = "ok " if c["pass"] else "FAIL"
-            print(f"{indent}  [{mark}] {c['name']}: expected {c['expected']}"
-                  f", got {c['actual']}")
-    elif isinstance(report, list):
-        for item in report:
-            _print_human(item, indent)
-    elif isinstance(report, dict):
-        print(indent + ", ".join(f"{k}={v}" for k, v in report.items()))
+            print(f"  [{mark}] {c['name']}: expected {c['expected']}, "
+                  f"got {c['actual']}")
     else:
-        print(f"{indent}{report}")
+        print(", ".join(f"{k}={v}" for k, v in report.items()))
 
 
 # ---------------------------------------------------------------------------
-# verb implementations
+# verbs: each returns its report
 # ---------------------------------------------------------------------------
 
 def _cmd_build(args):
-    build, _ = _target(args.target)
-    built = build()
-    alg = built.algebra
-    doc = algebra_to_json(alg, built.form)
-    if args.out:
-        dump_json(doc, args.out)
-    else:
-        print(f"{args.target}: dimension {alg.dim} over {alg.field.kind}")
-        print("labels:", " ".join(alg.labels))
-    return 0
+    built = _target(args.target)[0]()
+    return algebra_to_json(built.algebra, built.form)
 
 
 def _cmd_verify(args):
-    _, verify = _target(args.target)
-    report = verify()
-    _emit(report, args.out)
-    return 0 if report["pass"] else 1
+    return _target(args.target)[1]()
 
 
 def _cmd_gram(args):
-    det, diag = cert.gram_analysis()
-    certs = cert.certify_psd_interval(diag)
-    det_ok = det == cert.gram_det_closed_form()
-    all_ok = det_ok and all(
-        c.verdict != cert.IntervalCertificate.FAILS for c in certs)
-    report = {
-        "target": "gram",
-        "determinant": str(det),
-        "determinant_matches_closed_form": det_ok,
-        "ldlt_diagonal": [str(d) for d in diag],
-        "interval_certificates": [c.to_json() for c in certs],
-        "pass": all_ok,
-    }
-    _emit(report, args.out)
-    return 0 if all_ok else 1
+    return cert.gram_report()
 
 
 def _cmd_radical(args):
-    points = _points_from(args)
-    report = [{"t0": format_rational(t0),
-               "radical_dim": cert.radical_dimension(t0)} for t0 in points]
-    _emit(report, args.out)
-    return 0
+    return [{"t0": format_rational(t0),
+             "radical_dim": cert.radical_dimension(t0)}
+            for t0 in _points(args)]
 
 
 def _cmd_norton(args):
     if args.symbolic:
-        _no_points(args, "norton --symbolic")
-        rep = cert.norton_symbolic()
-        report = {"target": "norton-symbolic", "status": rep["status"],
-                  "columns_processed": rep["columns_processed"],
-                  "diagonal": [str(d) for d in rep["diagonal"]]}
-        _emit(report, args.out)
-        return 0
-    _emit(cert.norton_grid_report(_points_from(args)), args.out)
-    return 0
+        _points(args, "norton --symbolic")
+        return cert.norton_symbolic_report()
+    return cert.norton_grid_report(_points(args))
 
 
 def _cmd_certify(args):
-    what = args.what
-    if what == "majorana":
-        points = _points_from(args)
-        report = [cert.majorana_certify(t0).to_json() for t0 in points]
-        _emit(report, args.out)
-        return 0
-    if what == "quotient":
-        points = _points_from(args)
-        report = [cert.quotient_certify(t0) for t0 in points]
-        _emit(report, args.out)
-        return 0 if all(r.get("pass") for r in report) else 1
-    if what in ("v4a", "grid"):
-        _no_points(args, f"certify {what}")
-    if what == "v4a":
-        report = cert.v4a_certify()
-        _emit(report, args.out)
-        return 0 if report["pass"] else 1
-    if what == "grid":
-        report = {"definiteness": cert.definiteness_report(),
-                  "norton": cert.norton_grid_report()}
-        _emit(report, args.out)
-        return 0
-    raise UsageError(f"unknown certification {what!r}")
+    if args.what in ("v4a", "grid"):
+        _points(args, f"certify {args.what}")
+        if args.what == "v4a":
+            return cert.v4a_certify()
+        return {"definiteness": cert.definiteness_report(),
+                "norton": cert.norton_grid_report()}
+    points = _points(args)
+    if args.what == "majorana":
+        return [cert.majorana_certify(t0).to_json() for t0 in points]
+    return [cert.quotient_certify(t0) for t0 in points]
 
 
 def _cmd_catalog(args):
-    if not args.type:
-        report = [{"type": name, "dimension": dihedral_dimension(name)}
-                  for name in DIHEDRAL_TYPES]
-        _emit(report, args.out)
-        return 0
-    build, _ = _target(f"dihedral:{args.type}")
-    d = build()
-    doc = algebra_to_json(d.algebra, d.form)
-    if args.out:
-        dump_json(doc, args.out)
-    else:
-        print(f"{args.type}: dimension {d.algebra.dim}, "
-              f"labels {' '.join(d.algebra.labels)}")
-    return 0
-
-
-def _points_from(args):
-    if args.t is not None:
-        return [_parse_t(args.t)]
-    if args.grid is not None:
-        return _parse_grid(args.grid)
-    raise UsageError("provide --t P/Q or --grid P/Q,P/Q,...")
-
-
-def _no_points(args, verb):
-    if args.t is not None or args.grid is not None:
-        raise UsageError(f"{verb} takes no --t or --grid")
+    if args.target is not None:
+        return _cmd_build(args)
+    return [{"type": name, "dimension": dihedral_dimension(name)}
+            for name in DIHEDRAL_TYPES]
 
 
 # ---------------------------------------------------------------------------
@@ -205,52 +149,36 @@ def _make_parser():
                     "M_4A over Q(t)).")
     sub = parser.add_subparsers(dest="verb", required=True)
 
-    def add_out(p):
+    def verb(name, func, help, points=False):
+        p = sub.add_parser(name, help=help)
+        p.set_defaults(func=func)
+        if points:
+            group = p.add_mutually_exclusive_group()
+            group.add_argument("--t", help="exact rational parameter p/q")
+            group.add_argument("--grid", help="comma-separated rational list")
+        return p
+
+    target = "m4a, m4b or dihedral:<TYPE>"
+    verb("build", _cmd_build, "construct an algebra").add_argument(
+        "target", help=target)
+    verb("verify", _cmd_verify, "run the verification suite").add_argument(
+        "target", help=target)
+    verb("gram", _cmd_gram, "symbolic Gram determinant, LDLT diagonal and "
+                            "interval certificates")
+    verb("radical", _cmd_radical, "radical dimension of M(t0)", points=True)
+    verb("norton", _cmd_norton, "Norton-inequality verdicts",
+         points=True).add_argument("--symbolic", action="store_true",
+                                   help="symbolic LDLT over Q(t)")
+    verb("certify", _cmd_certify, "certification reports",
+         points=True).add_argument(
+        "what", choices=["majorana", "quotient", "v4a", "grid"])
+    verb("catalog", _cmd_catalog, "list or export dihedral algebras"
+         ).add_argument("target", nargs="?", metavar="type",
+                        type=lambda typ: f"dihedral:{typ}",
+                        help="dihedral type, e.g. 4A; exports what "
+                             "build dihedral:TYPE does")
+    for p in sub.choices.values():
         p.add_argument("--out", help="write a JSON report to this path")
-
-    def add_points(p):
-        points = p.add_mutually_exclusive_group()
-        points.add_argument("--t", help="exact rational parameter p/q")
-        points.add_argument("--grid", help="comma-separated rational list")
-
-    p = sub.add_parser("build", help="construct an algebra")
-    p.add_argument("target", help="m4a, m4b or dihedral:<TYPE>")
-    add_out(p)
-    p.set_defaults(func=_cmd_build)
-
-    p = sub.add_parser("verify", help="run the verification suite")
-    p.add_argument("target", help="m4a, m4b or dihedral:<TYPE>")
-    add_out(p)
-    p.set_defaults(func=_cmd_verify)
-
-    p = sub.add_parser("gram", help="symbolic Gram determinant, LDLT "
-                                    "diagonal and interval certificates")
-    add_out(p)
-    p.set_defaults(func=_cmd_gram)
-
-    p = sub.add_parser("radical", help="radical dimension of M(t0)")
-    add_points(p)
-    add_out(p)
-    p.set_defaults(func=_cmd_radical)
-
-    p = sub.add_parser("norton", help="Norton-inequality verdicts")
-    add_points(p)
-    p.add_argument("--symbolic", action="store_true",
-                   help="symbolic LDLT over Q(t)")
-    add_out(p)
-    p.set_defaults(func=_cmd_norton)
-
-    p = sub.add_parser("certify", help="certification reports")
-    p.add_argument("what", choices=["majorana", "quotient", "v4a", "grid"])
-    add_points(p)
-    add_out(p)
-    p.set_defaults(func=_cmd_certify)
-
-    p = sub.add_parser("catalog", help="list or export dihedral algebras")
-    p.add_argument("type", nargs="?", help="dihedral type, e.g. 4A")
-    add_out(p)
-    p.set_defaults(func=_cmd_catalog)
-
     return parser
 
 
@@ -263,30 +191,32 @@ def _attach_negative_values(argv):
     separate value that starts with a minus sign and a digit for an
     option unless it is a plain negative number."""
     out = []
-    i = 0
-    while i < len(argv):
-        arg = argv[i]
-        if (arg in _VALUE_OPTIONS and i + 1 < len(argv)
-                and _NEGATIVE_VALUE.match(argv[i + 1])):
-            out.append(f"{arg}={argv[i + 1]}")
-            i += 2
-            continue
-        out.append(arg)
-        i += 1
+    for arg in argv:
+        if out and out[-1] in _VALUE_OPTIONS and _NEGATIVE_VALUE.match(arg):
+            out[-1] += "=" + arg
+        else:
+            out.append(arg)
     return out
 
 
 def run(argv) -> int:
+    """Parse argv, build the verb's report and emit it; returns the exit
+    code."""
     parser = _make_parser()
     try:
         args = parser.parse_args(_attach_negative_values(argv))
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:
-        return args.func(args)
+        report = args.func(args)
+        if args.out is not None:
+            dump_json(report, args.out)
+        else:
+            _print_human(report, vars(args).get("target"))
     except (UsageError, AxiaError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    return 1 if _fails(report) else 0
 
 
 def main():

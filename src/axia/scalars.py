@@ -24,9 +24,12 @@ _RATIONAL_RE = re.compile(r"^[+-]?\d+(/\d+)?$")
 
 
 def rat(x) -> Rational:
-    """Coerce an int, rational string "p/q", or Rational to Rational."""
+    """Coerce an int, rational string "p/q", or Rational to Rational; a
+    float is refused, as 0.1 is the binary fraction 3602879701896397/2^55."""
     if isinstance(x, str):
         return parse_rational(x)
+    if isinstance(x, float):
+        raise TypeError(f"not an exact rational: float {x!r}")
     return Rational(x)
 
 
@@ -72,7 +75,7 @@ class Polynomial:
     __slots__ = ("_n", "_d", "_c")
 
     def __new__(cls, coeffs=()):
-        rs = [c if type(c) is Rational else Rational(c) for c in coeffs]
+        rs = [c if type(c) is Rational else rat(c) for c in coeffs]
         d = lcm(*[r.denominator for r in rs])
         return _make([int(r.numerator * (d // r.denominator)) for r in rs],
                      int(d))
@@ -598,10 +601,10 @@ def count_roots_open(p: Polynomial, a, b):
         raise ZeroPolynomial("root count of the zero polynomial")
     a, b = rat(a), rat(b)
     root_a = root_b = False
-    while not p.is_zero() and p.degree >= 1 and p(a) == 0:
+    while p.degree >= 1 and p(a) == 0:
         root_a = True
         p = p.exact_div(Polynomial((-a, RAT_ONE)))
-    while not p.is_zero() and p.degree >= 1 and p(b) == 0:
+    while p.degree >= 1 and p(b) == 0:
         root_b = True
         p = p.exact_div(Polynomial((-b, RAT_ONE)))
     if p.degree <= 0:

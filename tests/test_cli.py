@@ -2,11 +2,18 @@
 JSON output."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import axia
+from axia import certify as cert
 from axia.catalog import DIHEDRAL_TYPES, dihedral
 from axia.cli import run
+from axia.scalars import QT
 from axia.serialize import algebra_from_json, load_json
 
 
@@ -118,6 +125,56 @@ def test_gram_report(tmp_path):
     assert len(rep["interval_certificates"]) == 12
 
 
+def test_catalog_type_exports_as_build(tmp_path):
+    catalog, build = tmp_path / "catalog.json", tmp_path / "build.json"
+    assert run(["catalog", "4A", "--out", str(catalog)]) == 0
+    assert run(["build", "dihedral:4A", "--out", str(build)]) == 0
+    assert catalog.read_bytes() == build.read_bytes()
+
+
+# ---------------------------------------------------------------------------
+# exit code 1: the report has "pass": false
+# ---------------------------------------------------------------------------
+
+def test_gram_exits_1_when_the_determinant_differs(monkeypatch, tmp_path):
+    monkeypatch.setattr(cert, "gram_det_closed_form", lambda: QT.zero)
+    path = tmp_path / "gram.json"
+    assert run(["gram", "--out", str(path)]) == 1
+    rep = json.loads(path.read_text())
+    assert rep["determinant_matches_closed_form"] is False
+    assert rep["pass"] is False
+
+
+def test_verify_runs_the_suite_bound_at_call_time(monkeypatch, capsys):
+    failing = {"target": "m4b", "pass": False,
+               "checks": [{"name": "dimension", "expected": 7, "actual": 6,
+                           "pass": False}]}
+    monkeypatch.setattr(cert, "verify_m4b", lambda: failing)
+    assert run(["verify", "m4b"]) == 1
+    assert capsys.readouterr().out.startswith("m4b: FAIL\n")
+
+
+@pytest.mark.parametrize("argv,code", [
+    (["verify", "dihedral:2B"], 0),
+    (["certify", "quotient", "--t", "1/12"], 1),
+    (["verify", "dihedral:9Z"], 2),
+], ids=["pass", "check-failed", "usage-error"])
+def test_module_entry_point_exit_codes(argv, code):
+    # python -m axia.cli runs main(), which exits with run()'s code
+    src = str(Path(axia.__file__).resolve().parents[1])
+    path = [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]
+    proc = subprocess.run([sys.executable, "-m", "axia.cli", *argv],
+                          env=dict(os.environ,
+                                   PYTHONPATH=os.pathsep.join(path)),
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == code
+    if code == 2:
+        assert proc.stderr.startswith("error: ")
+        assert proc.stderr.count("\n") == 1 and "9Z" in proc.stderr
+    else:
+        assert proc.stderr == ""
+
+
 # ---------------------------------------------------------------------------
 # usage errors -> exit code 2
 # ---------------------------------------------------------------------------
@@ -152,6 +209,14 @@ def test_unwritable_out_exits_2(tmp_path, capsys):
     path = tmp_path / "missing" / "x.json"
     assert run(["catalog", "4A", "--out", str(path)]) == 2
     err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_empty_out_is_an_unwritable_path(capsys):
+    # --out "" names a path that cannot be written; it is not a missing --out
+    assert run(["catalog", "--out", ""]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
 
 

@@ -3,7 +3,8 @@
 tests/golden_reports.json holds, for each command below, its exit code and
 the SHA-256 of the file its --out option writes.  A change that alters any
 byte of these reports fails here; a deliberate change to a report updates
-the recorded digest in the same commit.
+the recorded digest in the same commit.  Each exit code must also be the
+CLI's exit rule applied to the report written.
 """
 
 import hashlib
@@ -30,10 +31,18 @@ GOLDEN = json.loads((Path(__file__).parent / "golden_reports.json")
                     .read_text())
 
 
-def report_digest(command, out):
-    code = run(command.split() + ["--out", str(out)])
-    return {"exit": code,
-            "sha256": hashlib.sha256(out.read_bytes()).hexdigest()}
+@pytest.fixture(scope="module")
+def written(tmp_path_factory):
+    """The exit code and --out bytes of a command, run once per module."""
+    cache = {}
+
+    def get(command):
+        if command not in cache:
+            out = tmp_path_factory.mktemp("report") / "report.json"
+            code = run(command.split() + ["--out", str(out)])
+            cache[command] = code, out.read_bytes()
+        return cache[command]
+    return get
 
 
 def test_golden_file_lists_every_command():
@@ -41,5 +50,19 @@ def test_golden_file_lists_every_command():
 
 
 @pytest.mark.parametrize("command", COMMANDS)
-def test_report_is_byte_identical(command, tmp_path):
-    assert report_digest(command, tmp_path / "report.json") == GOLDEN[command]
+def test_report_is_byte_identical(command, written):
+    code, data = written(command)
+    assert ({"exit": code, "sha256": hashlib.sha256(data).hexdigest()}
+            == GOLDEN[command])
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_exit_code_is_the_rule_on_the_report(command, written):
+    # exit 1 exactly when the report, or a dict row of a list report,
+    # has "pass": false
+    code, data = written(command)
+    report = json.loads(data)
+    rows = report if isinstance(report, list) else [report]
+    failed = any(isinstance(r, dict) and r.get("pass") is False
+                 for r in rows)
+    assert code == int(failed)

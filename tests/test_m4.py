@@ -2,6 +2,8 @@
 
 from fractions import Fraction
 
+import pytest
+
 from axia.algebra import axis_decomposition, is_automorphism, verify_fusion
 from axia.catalog import monster_rule
 from axia.linalg import Matrix, determinant, ldlt
@@ -243,6 +245,12 @@ def test_specialize_gram_values():
     spec = specialize_m4a(rat("1/12"))
     assert spec.form.apply(alg.basis_vector("a_1"),
                            alg.basis_vector("v_23")) == rat("1/12")
+
+
+def test_specialize_refuses_a_float():
+    # 0.1 would specialize at 3602879701896397/2^55, not at 1/10
+    with pytest.raises(TypeError, match="float"):
+        specialize_m4a(0.1)
 
 
 def test_specialized_determinant_against_plugin_oracle():

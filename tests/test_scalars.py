@@ -36,6 +36,15 @@ def test_parse_rational_rejects_zero_denominator():
         parse_rational("1/0")
 
 
+@pytest.mark.parametrize("coerce", [
+    rat, QQ.of, QT.of, lambda x: Polynomial([1, x]),
+], ids=["rat", "QQ.of", "QT.of", "Polynomial"])
+def test_floats_are_refused(coerce):
+    # 0.1 is the binary fraction 3602879701896397/2^55, not 1/10
+    with pytest.raises(TypeError, match="float"):
+        coerce(0.1)
+
+
 def test_rational_sign():
     assert rational_sign(rat("3/5")) == 1
     assert rational_sign(rat("-1/7")) == -1
@@ -199,6 +208,11 @@ def test_count_roots_open_divides_out_endpoint_roots():
     assert (interior, at_a, at_b) == (0, True, True)
     interior, at_a, at_b = count_roots_open(p, rat(-1), rat(1))
     assert (interior, at_a, at_b) == (2, False, False)
+
+
+def test_count_roots_open_of_a_constant():
+    assert count_roots_open(poly(5), rat(0), rat(1)) == (0, False, False)
+    assert count_roots_open(poly("-1/3"), rat(-1), rat(1)) == (0, False, False)
 
 
 def test_sturm_against_sympy_oracle():
