@@ -77,18 +77,17 @@ def f4a_rule(t=None) -> FusionRule:
 # ---------------------------------------------------------------------------
 # Dihedral catalog data
 #
-# Axis labels are integers k (the axis a_k, index mod N); extra basis
-# vectors are strings.  Each seed is a representative pair with its product
-# and its form value, exactly as published; the idempotent norm-1 axis is
-# implicit (a_0 * a_0 = a_0 and (a_0, a_0) = 1 are seeded, and tau_0 and
-# swap_01 carry a_0 to every axis).
+# Axis labels are integers k (the axis a_k, index mod N, the number of
+# integer labels); extra basis vectors are strings.  Each seed is a
+# representative pair with its product and its form value, as published;
+# the idempotent norm-1 axis is implicit (a_0 * a_0 = a_0 and (a_0, a_0)
+# = 1 are seeded, and tau_0 and swap_01 carry a_0 to every axis).
 # ---------------------------------------------------------------------------
 
 DIHEDRAL_TYPES = ("2A", "2B", "3A", "3C", "4A", "4B", "5A", "6A")
 
 _DIHEDRAL_DATA = {
     "2A": {
-        "n": 2,
         "basis": [0, 1, "rho"],
         # a_rho is itself a norm-1 axis; the Frobenius identity on the
         # triple (a_0, a_1, a_rho) forces (a_rho, a_rho) = 1
@@ -99,12 +98,10 @@ _DIHEDRAL_DATA = {
         ],
     },
     "2B": {
-        "n": 2,
         "basis": [0, 1],
         "seeds": [((0, 1), {}, "0")],
     },
     "3A": {
-        "n": 3,
         "basis": [-1, 0, 1, "u"],
         "seeds": [
             ((0, 1), {0: "1/16", 1: "1/16", -1: "1/32", "u": "-135/2048"},
@@ -115,12 +112,10 @@ _DIHEDRAL_DATA = {
         ],
     },
     "3C": {
-        "n": 3,
         "basis": [-1, 0, 1],
         "seeds": [((0, 1), {0: "1/64", 1: "1/64", -1: "-1/64"}, "1/64")],
     },
     "4A": {
-        "n": 4,
         "basis": [-1, 0, 1, 2, "v"],
         "seeds": [
             ((0, 1), {0: "3/64", 1: "3/64", 2: "1/64", -1: "1/64",
@@ -132,7 +127,6 @@ _DIHEDRAL_DATA = {
         ],
     },
     "4B": {
-        "n": 4,
         "basis": [-1, 0, 1, 2, "rho"],
         "seeds": [
             ((0, 1), {0: "1/64", 1: "1/64", -1: "-1/64", 2: "-1/64",
@@ -144,7 +138,6 @@ _DIHEDRAL_DATA = {
         ],
     },
     "5A": {
-        "n": 5,
         "basis": [-2, -1, 0, 1, 2, "w"],
         "seeds": [
             ((0, 1), {0: "3/128", 1: "3/128", 2: "-1/128", -1: "-1/128",
@@ -159,7 +152,6 @@ _DIHEDRAL_DATA = {
         ],
     },
     "6A": {
-        "n": 6,
         "basis": [-2, -1, 0, 1, 2, 3, "rho", "u"],
         "seeds": [
             ((0, 1), {0: "1/64", 1: "1/64", -2: "-1/64", -1: "-1/64",
@@ -257,7 +249,8 @@ def dihedral_seeds(name: str):
         raise ValueError(f"unknown dihedral type {name!r}; "
                          f"expected one of {DIHEDRAL_TYPES}")
     data = _DIHEDRAL_DATA[name]
-    basis, n = data["basis"], data["n"]
+    basis = data["basis"]
+    n = sum(isinstance(k, int) for k in basis)
     labels = [_label(k) for k in basis]
     seeds = [(("a_0", "a_0"), {"a_0": 1}, 1)]
     seeds += [((_label(u), _label(v)),

@@ -80,11 +80,12 @@ def certify_interval(f, a, b) -> IntervalCertificate:
     """Certificate that the rational function f has constant sign on [a, b]."""
     a, b = rat(a), rat(b)
     f = QT.of(f)
+    # counted first, so that a >= b raises even for f = 0
+    den_in, den_a, den_b = count_roots_open(f.den, a, b)
     if f.is_zero():
         return IntervalCertificate(f, (a, b), IntervalCertificate.NONNEGATIVE,
                                    {"identically_zero": True})
     num_in, num_a, num_b = count_roots_open(f.num, a, b)
-    den_in, den_a, den_b = count_roots_open(f.den, a, b)
     mid = (a + b) / 2
     try:
         mid_sign = rational_sign(f.evaluate(mid))

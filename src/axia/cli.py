@@ -86,7 +86,20 @@ def _print_human(report, target):
             print(f"  [{mark}] {c['name']}: expected {c['expected']}, "
                   f"got {c['actual']}")
     else:
-        print(", ".join(f"{k}={v}" for k, v in report.items()))
+        # the scalar fields as one k=v row, then each list field under
+        # "key:", one item per line
+        lists = [k for k, v in report.items() if isinstance(v, list)]
+        if len(lists) < len(report):
+            print(_pairs({k: v for k, v in report.items() if k not in lists}))
+        for key in lists:
+            print(f"{key}:")
+            for item in report[key]:
+                print("  " + (_pairs(item) if isinstance(item, dict)
+                              else str(item)))
+
+
+def _pairs(row):
+    return ", ".join(f"{k}={v}" for k, v in row.items())
 
 
 # ---------------------------------------------------------------------------

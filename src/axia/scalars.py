@@ -83,15 +83,6 @@ class Polynomial:
     def __setattr__(self, *a):
         raise AttributeError("Polynomial is immutable")
 
-    # -- constructors -------------------------------------------------
-    @classmethod
-    def constant(cls, c):
-        return _from_rational(rat(c))
-
-    @classmethod
-    def t(cls):
-        return _make([0, 1], 1)
-
     # -- basic structure ----------------------------------------------
     @property
     def coeffs(self):
@@ -201,9 +192,6 @@ class Polynomial:
         den = f * self._d
         b = other._d
         return _make([x * b for x in q], den), _make(r, den)
-
-    def __floordiv__(self, other):
-        return divmod(self, other)[0]
 
     def __mod__(self, other):
         return divmod(self, other)[1]
@@ -350,7 +338,7 @@ def _pseudo_divmod(a, b):
 
 POLY_ZERO = Polynomial()
 POLY_ONE = Polynomial((1,))
-POLY_T = Polynomial.t()
+POLY_T = Polynomial((0, 1))
 
 
 def _as_poly(x):
@@ -388,24 +376,17 @@ def _monic_lcm(a: Polynomial, b: Polynomial) -> Polynomial:
 
 
 class RationalFunction:
-    """Element of Q(t): num/den with gcd 1 and monic den.  Immutable."""
+    """Element of Q(t): Polynomials num/den, gcd 1, monic den.  Immutable."""
 
-    __slots__ = ("num", "den", "_hash")
+    __slots__ = ("num", "den")
 
     def __init__(self, num, den=POLY_ONE, _normalized=False):
-        if not isinstance(num, Polynomial):
-            num = Polynomial((rat(num),)) if not isinstance(num, (list, tuple)) \
-                else Polynomial(num)
-        if not isinstance(den, Polynomial):
-            den = Polynomial((rat(den),)) if not isinstance(den, (list, tuple)) \
-                else Polynomial(den)
         if den.is_zero():
             raise ZeroDivisionError("zero denominator")
         if not _normalized:
             num, den = _rf_normalize(num, den)
         object.__setattr__(self, "num", num)
         object.__setattr__(self, "den", den)
-        object.__setattr__(self, "_hash", None)
 
     def __setattr__(self, *a):
         raise AttributeError("RationalFunction is immutable")
@@ -432,12 +413,9 @@ class RationalFunction:
         return self.num == other.num and self.den == other.den
 
     def __hash__(self):
-        h = self._hash
-        if h is None:
-            h = (hash(self.num) if self.den == POLY_ONE
-                 else hash((self.num, self.den)))
-            object.__setattr__(self, "_hash", h)
-        return h
+        if self.den == POLY_ONE:
+            return hash(self.num)
+        return hash((self.num, self.den))
 
     # -- arithmetic --------------------------------------------------------
     def __add__(self, other):
@@ -489,8 +467,6 @@ class RationalFunction:
         return other / self
 
     def __pow__(self, n):
-        if n < 0:
-            return RAT_FUNC_ONE / self ** (-n)
         return RationalFunction(self.num ** n, self.den ** n)
 
     def evaluate(self, t0):
@@ -532,8 +508,6 @@ def _rf_normalize(num, den):
 def _as_rf(x):
     if isinstance(x, RationalFunction):
         return x
-    if isinstance(x, Polynomial):
-        return RationalFunction(x, POLY_ONE, _normalized=True)
     p = _as_poly(x)
     if p is None:
         return None
@@ -571,45 +545,23 @@ def _sign_variations(chain, x):
     return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
 
 
-def sturm_root_count(p: Polynomial, a, b) -> int:
-    """Number of distinct real roots of p in the open interval (a, b).
+def count_roots_open(p: Polynomial, a, b):
+    """(distinct roots of p in (a, b), p(a) == 0, p(b) == 0) for a < b.
 
-    Requires p(a) != 0 and p(b) != 0; use count_roots_open to strip
-    endpoint roots first.
+    With V(x) the sign variations of the Sturm chain at x, V(a) - V(b)
+    counts the distinct roots in (a, b]: the chain starts at the
+    squarefree part, whose derivative is nonzero at each root r, so
+    V(r) = V(r+) and V(r-) = V(r) + 1.  A root at b is then subtracted.
     """
-    if not isinstance(p, Polynomial):
-        p = Polynomial(p)
     if p.is_zero():
         raise ZeroPolynomial("root count of the zero polynomial")
     a, b = rat(a), rat(b)
     if not a < b:
         raise ValueError(f"need a < b, got {a} >= {b}")
-    if p(a) == 0 or p(b) == 0:
-        raise ValueError("endpoint is a root; divide it out first")
     chain = sturm_chain(p)
-    return _sign_variations(chain, a) - _sign_variations(chain, b)
-
-
-def count_roots_open(p: Polynomial, a, b):
-    """(interior root count, multiplicity-free root flags at a and b).
-
-    Exact endpoint roots are divided out as linear factors before the
-    Sturm count, so boundary points (e.g. the definiteness endpoints 0
-    and 1/6) never poison the interior count.
-    """
-    if p.is_zero():
-        raise ZeroPolynomial("root count of the zero polynomial")
-    a, b = rat(a), rat(b)
-    root_a = root_b = False
-    while p.degree >= 1 and p(a) == 0:
-        root_a = True
-        p = p.exact_div(Polynomial((-a, RAT_ONE)))
-    while p.degree >= 1 and p(b) == 0:
-        root_b = True
-        p = p.exact_div(Polynomial((-b, RAT_ONE)))
-    if p.degree <= 0:
-        return 0, root_a, root_b
-    return sturm_root_count(p, a, b), root_a, root_b
+    root_b = p(b) == 0
+    return (_sign_variations(chain, a) - _sign_variations(chain, b) - root_b,
+            p(a) == 0, root_b)
 
 
 # ---------------------------------------------------------------------------
@@ -697,9 +649,7 @@ class FunctionField:
     def of(self, x):
         if isinstance(x, RationalFunction):
             return x
-        if isinstance(x, Polynomial):
-            return RationalFunction(x, POLY_ONE, _normalized=True)
-        return RationalFunction(Polynomial.constant(x), POLY_ONE,
+        return RationalFunction(_from_rational(rat(x)), POLY_ONE,
                                 _normalized=True)
 
     def is_zero(self, x):
@@ -716,8 +666,8 @@ class FunctionField:
                 for x in xs], d
 
     def join(self, num, den):
-        """The rational function num/den, normalised."""
-        return RationalFunction(num, den)
+        """num/den, normalised; num may be the int 0 of an empty sum."""
+        return RationalFunction(_as_poly(num), den)
 
     def sub_dot(self, x, us, vs):
         """x - sum(u * v for u, v in zip(us, vs)) in field arithmetic;

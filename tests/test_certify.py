@@ -123,6 +123,15 @@ def test_certify_interval_json_roundtrippable():
     assert d["interval"] == ["0", "1/6"]
 
 
+@pytest.mark.parametrize("f", [QT.t, QT.of(2), QT.t + 1, QT.zero],
+                         ids=["root-at-b", "constant", "no-root", "zero"])
+@pytest.mark.parametrize("a, b", [("1/6", "0"), ("0", "0")],
+                         ids=["reversed", "empty"])
+def test_certify_interval_needs_a_below_b(f, a, b):
+    with pytest.raises(ValueError):
+        cert.certify_interval(f, a, b)
+
+
 # ---------------------------------------------------------------------------
 # definiteness grid  [PUBLISHED]: PD iff t in (0, 1/6), PSD iff t in [0, 1/6]
 # ---------------------------------------------------------------------------

@@ -132,6 +132,37 @@ def test_catalog_type_exports_as_build(tmp_path):
     assert catalog.read_bytes() == build.read_bytes()
 
 
+def _section(lines, key):
+    """The indented item lines under "key:" in human output."""
+    start = lines.index(f"{key}:") + 1
+    end = start
+    while end < len(lines) and lines[end].startswith("  "):
+        end += 1
+    return lines[start:end]
+
+
+def test_gram_prints_one_line_per_entry(capsys):
+    assert run(["gram"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0].startswith("target=gram, determinant=")
+    assert "pass=True" in lines[0]
+    assert len(_section(lines, "ldlt_diagonal")) == 12
+    certs = _section(lines, "interval_certificates")
+    assert len(certs) == 12
+    assert all("verdict=" in line for line in certs)
+    assert len(lines) == 1 + 1 + 12 + 1 + 12
+
+
+def test_certify_grid_prints_one_line_per_point(capsys):
+    assert run(["certify", "grid"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    for key in ("definiteness", "norton"):
+        rows = _section(lines, key)
+        assert len(rows) == 12
+        assert all(line.startswith("  t0=") for line in rows)
+    assert len(lines) == 2 * (1 + 12)
+
+
 # ---------------------------------------------------------------------------
 # exit code 1: the report has "pass": false
 # ---------------------------------------------------------------------------

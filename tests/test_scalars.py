@@ -5,12 +5,12 @@ import random
 import pytest
 import sympy
 
-from axia.errors import PoleAtPoint
+from axia.errors import PoleAtPoint, ZeroPolynomial
 from axia.scalars import (POLY_ONE, POLY_T, QQ, QT, Polynomial,
                           RationalFunction, count_roots_open, format_rational,
-                          parse_rational, poly_gcd, rat, rational_sign,
-                          sturm_root_count)
+                          parse_rational, poly_gcd, rat, rational_sign)
 
+import sturm_reference
 from conftest import poly, rf
 
 
@@ -134,8 +134,10 @@ def test_rational_function_arithmetic_identities():
     g = rf((0, 1), (1, 1))
     assert (f + g) - g == f
     assert (f * g) / g == f
-    assert f * 0 == RationalFunction(0)
+    assert f * 0 == QT.zero
     assert (f ** 2) == f * f
+    with pytest.raises(ValueError):
+        f ** -1
 
 
 def test_rational_function_evaluate_and_pole():
@@ -196,9 +198,9 @@ def _to_sympy(p):
 def test_sturm_known_roots():
     # p = (t - 1/2)(t - 2)(t + 3)  [TRIVIAL roots]
     p = poly("-1/2", 1) * poly(-2, 1) * poly(3, 1)
-    assert sturm_root_count(p, rat(0), rat(1)) == 1
-    assert sturm_root_count(p, rat(-4), rat(3)) == 3
-    assert sturm_root_count(p, rat("5/2"), rat(10)) == 0
+    assert count_roots_open(p, rat(0), rat(1))[0] == 1
+    assert count_roots_open(p, rat(-4), rat(3))[0] == 3
+    assert count_roots_open(p, rat("5/2"), rat(10))[0] == 0
 
 
 def test_count_roots_open_divides_out_endpoint_roots():
@@ -213,6 +215,20 @@ def test_count_roots_open_divides_out_endpoint_roots():
 def test_count_roots_open_of_a_constant():
     assert count_roots_open(poly(5), rat(0), rat(1)) == (0, False, False)
     assert count_roots_open(poly("-1/3"), rat(-1), rat(1)) == (0, False, False)
+
+
+@pytest.mark.parametrize("p", [poly(5), poly(0, 1), poly(1, 1)],
+                         ids=["constant", "root-at-a", "no-root"])
+@pytest.mark.parametrize("a, b", [("1/6", "0"), ("1/6", "1/6")],
+                         ids=["reversed", "empty"])
+def test_count_roots_open_needs_a_below_b(p, a, b):
+    with pytest.raises(ValueError):
+        count_roots_open(p, rat(a), rat(b))
+
+
+def test_count_roots_open_of_zero_raises():
+    with pytest.raises(ZeroPolynomial):
+        count_roots_open(Polynomial(), rat(0), rat(1))
 
 
 def test_sturm_against_sympy_oracle():
@@ -232,15 +248,55 @@ def test_sturm_against_sympy_oracle():
         b = a + rng.randint(1, 15) + rat("1/11")
         expected = sympy.Poly(_to_sympy(p), t).count_roots(
             sympy.Rational(str(a)), sympy.Rational(str(b)))
-        assert sturm_root_count(p, a, b) == expected
+        assert count_roots_open(p, a, b)[0] == expected
         # distinct roots only: cross-check against the constructed list
-        assert sturm_root_count(p, a, b) == len(
+        assert count_roots_open(p, a, b)[0] == len(
             {r for r in roots if a < r < b})
 
 
 def test_sturm_handles_repeated_roots():
     p = poly(-1, 1) ** 3 * poly(-2, 1)  # (t-1)^3 (t-2)
-    assert sturm_root_count(p, rat(0), rat(3)) == 2
+    assert count_roots_open(p, rat(0), rat(3))[0] == 2
+
+
+def _roots_at_both_ends(rng):
+    """A random polynomial with roots of multiplicity 1-3 at a, at b,
+    inside (a, b) and elsewhere, each present or not, and an irreducible
+    quadratic factor or not; returns (p, a, b, distinct interior roots)."""
+    a = rat(rng.randint(-6, 2)) / rng.randint(1, 4)
+    b = a + rat(rng.randint(1, 12)) / rng.randint(1, 6)
+    roots = [r for r in (a, b) if rng.random() < 0.6]
+    roots += [a + (b - a) * rng.randint(1, 9) / 10
+              for _ in range(rng.randint(0, 3))]
+    roots += [rat(rng.randint(-20, 20)) / 3 for _ in range(rng.randint(0, 2))]
+    p = poly(rng.choice([-3, -1, "1/2", 2]))
+    for r in roots:
+        p = p * poly(-r, 1) ** rng.randint(1, 3)
+    if rng.random() < 0.3:
+        p = p * poly(rng.randint(1, 5), 0, 1)
+    return p, a, b, len({r for r in roots if a < r < b})
+
+
+def test_count_roots_open_matches_the_endpoint_division_count():
+    # [DERIVED] the old path divides out endpoint roots, then counts
+    rng = random.Random(20261019)
+    for _ in range(300):
+        p, a, b, interior = _roots_at_both_ends(rng)
+        got = count_roots_open(p, a, b)
+        assert got == sturm_reference.count_roots_open(p, a, b)
+        assert got == (interior, p(a) == 0, p(b) == 0)
+
+
+def test_count_roots_open_against_sympy_with_endpoint_roots():
+    # [DERIVED] sympy counts the closed interval [a, b]
+    rng = random.Random(20261020)
+    t = sympy.Symbol("t")
+    for _ in range(60):
+        p, a, b, _ = _roots_at_both_ends(rng)
+        closed = sympy.Poly(_to_sympy(p), t).count_roots(
+            sympy.Rational(str(a)), sympy.Rational(str(b)))
+        interior, at_a, at_b = count_roots_open(p, a, b)
+        assert interior == closed - at_a - at_b
 
 
 # ---------------------------------------------------------------------------
@@ -263,7 +319,7 @@ rfs = st.builds(
 def test_rational_function_field_axioms(f, g, h):
     assert (f + g) + h == f + (g + h)
     assert f * (g + h) == f * g + f * h
-    assert f - f == RationalFunction(0)
+    assert f - f == QT.zero
     if not g.is_zero():
         assert (f / g) * g == f
 
