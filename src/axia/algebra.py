@@ -172,7 +172,13 @@ class FusionRule:
 
 class AxisDecomposition:
     """Eigenspace bases of ad_a for one idempotent a, keyed by eigenvalue;
-    together they span the algebra."""
+    together they span the algebra.
+
+    Each spaces[lam] is a basis of the full kernel ker(ad_a - lam), as
+    axis_decomposition builds it.  verify_fusion relies on this: it tests
+    u*v against the sum of the V_nu as prod_nu (ad_a - nu)(u*v) = 0, whose
+    solutions are exactly the sum of those kernels.
+    """
 
     def __init__(self, axis, spaces, one):
         self.axis = tuple(axis)
@@ -219,43 +225,122 @@ def axis_decomposition(alg: Algebra, a, eigenvalues) -> AxisDecomposition:
     return AxisDecomposition(a, spaces, field.one)
 
 
+def _l1(c):
+    """l1 norm of an integer polynomial given as its coefficient tuple."""
+    return sum(map(abs, c))
+
+
+def _at(c, x):
+    """Value at the integer x of an integer polynomial given as its
+    ascending coefficient tuple."""
+    v = 0
+    for a in reversed(c):
+        v = v * x + a
+    return v
+
+
 def verify_fusion(alg: Algebra, dec: AxisDecomposition, rule: FusionRule):
     """All eigenvector-pair products tested for fusion membership.
+
+    Precondition: each dec.spaces[lam] is a basis of the full kernel
+    ker(ad_a - lam), as axis_decomposition builds it.  For u in V_lam and
+    v in V_mu, u*v then lies in the sum of the V_nu for nu in lam * mu iff
+    q = prod_nu (ad_a - nu)(u*v) = 0, since ad_a is diagonalisable and the
+    nu are distinct.
+
+    The test runs on integers.  Every eigenvector, ad_a = A/d, each
+    nu = n_nu/d_nu and the table are cleared to integer polynomials, so q
+    is, up to a nonzero scalar, prod_nu (d_nu A - n_nu d I) applied to the
+    integer product.  The l1 norm is sub-additive and sub-multiplicative,
+    so each coordinate of q has l1 norm at most C = U^2 W R^s: U bounds
+    the l1 norms summed over an eigenvector's coordinates, W the l1 norm
+    of a table numerator, R the same sum over a row of any
+    d_nu A - n_nu d I, and s is the largest number of factors.  A
+    nonzero integer polynomial with coefficients at most C in size has no
+    root at an integer T > C, so q = 0 iff q(T) = 0, and everything is
+    evaluated once at T = 2^(bitlen(C) + 1).  Over Q every input has
+    degree 0 and T plays no part.
 
     Returns a list of violation records (empty list = pass).
     """
     field = alg.field
-    violations = []
-    span_cache = {}
-
-    def target_span(vals):
-        key = frozenset(vals)
-        if key not in span_cache:
-            vecs = []
-            for nu in dec.eigenvalues:
-                if nu in key:
-                    vecs.extend(dec.spaces[nu])
-            span_cache[key] = span_rref(field, vecs)
-        return span_cache[key]
-
+    n = alg.dim
     evs = dec.eigenvalues
-    for i, lam in enumerate(evs):
-        for mu in evs[i:]:
-            allowed = rule[(lam, mu)]
-            basis_m, pivots = target_span(allowed)
-            for u in dec.spaces[lam]:
-                for v in dec.spaces[mu]:
-                    p = alg.mul(u, v)
-                    if vec_is_zero(field, p):
-                        continue
-                    if not in_span(field, basis_m, pivots, p):
-                        violations.append({
-                            "eigenvalues": (str(lam), str(mu)),
-                            "u": alg.describe(u),
-                            "v": alg.describe(v),
-                            "product": alg.describe(p),
-                            "allowed": sorted(str(x) for x in allowed),
-                        })
+
+    def cleared(xs):
+        """xs as integer polynomials over one integer polynomial."""
+        nums, den = field.clear(xs)
+        *nums, den = field.int_coeffs(nums + [den])
+        return nums, den
+
+    vecs = {lam: [cleared(u)[0] for u in dec.spaces[lam]] for lam in evs}
+    ad, d = cleared([x for row in alg.ad(dec.axis).data for x in row])
+    ad = [ad[r * n:(r + 1) * n] for r in range(n)]
+    nus = {nu: cleared([nu]) for nu in evs}
+    factors = {(lam, mu): tuple(nu for nu in evs if nu in rule[(lam, mu)])
+               for i, lam in enumerate(evs) for mu in evs[i:]}
+    flat = [w for row in alg.table_nums for entry in row for _, w in entry]
+
+    u_norm = max((sum(map(_l1, u)) for us in vecs.values() for u in us),
+                 default=0)
+    w_norm = max(map(_l1, field.int_coeffs(flat)), default=0)
+    a_norm = max(sum(map(_l1, row)) for row in ad)
+    r_norm = max(_l1(dn) * a_norm + _l1(nn) * _l1(d)
+                 for (nn,), dn in nus.values())
+    s = max(map(len, factors.values()), default=0)
+    T = 1 << ((u_norm * u_norm * w_norm * r_norm ** s).bit_length() + 1)
+
+    vals = (_at(c, T) for c in field.int_coeffs(flat))
+    table = [[[(k, next(vals)) for k, _ in entry] for entry in row]
+             for row in alg.table_nums]
+    at_vecs = {lam: [[(i, x) for i, x in enumerate(_at(c, T) for c in u)
+                      if x] for u in us] for lam, us in vecs.items()}
+    A = [[_at(c, T) for c in row] for row in ad]
+    dT = _at(d, T)
+
+    def factor(nu):
+        """d_nu A - n_nu d I at T."""
+        (nn,), dn = nus[nu]
+        a, b = _at(dn, T), _at(nn, T) * dT
+        return [[a * x - (b if i == j else 0) for j, x in enumerate(row)]
+                for i, row in enumerate(A)]
+
+    products = {}
+
+    def product(nus_s):
+        """prod_nu (d_nu A - n_nu d I) at T, as sparse rows."""
+        if nus_s not in products:
+            p = (factor(nus_s[0]) if nus_s else
+                 [[int(i == j) for j in range(n)] for i in range(n)])
+            for nu in nus_s[1:]:
+                cols = list(zip(*p))
+                p = [[sum(x * col[k] for k, x in enumerate(row) if x)
+                      for col in cols] for row in factor(nu)]
+            products[nus_s] = [[(k, x) for k, x in enumerate(row) if x]
+                               for row in p]
+        return products[nus_s]
+
+    violations = []
+    for (lam, mu), nus_s in factors.items():
+        rows = product(nus_s)
+        for u, uT in zip(dec.spaces[lam], at_vecs[lam]):
+            for v, vT in zip(dec.spaces[mu], at_vecs[mu]):
+                p = [0] * n
+                for i, x in uT:
+                    trow = table[i]
+                    for j, y in vT:
+                        c = x * y
+                        for k, w in trow[j]:
+                            p[k] += c * w
+                if any(sum(x * p[k] for k, x in row) for row in rows):
+                    allowed = rule[(lam, mu)]
+                    violations.append({
+                        "eigenvalues": (str(lam), str(mu)),
+                        "u": alg.describe(u),
+                        "v": alg.describe(v),
+                        "product": alg.describe(alg.mul(u, v)),
+                        "allowed": sorted(str(x) for x in allowed),
+                    })
     return violations
 
 

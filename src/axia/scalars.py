@@ -597,6 +597,12 @@ class RationalField:
             d = lcm(d, x.denominator)
         return [x.numerator * (d // x.denominator) for x in xs], d
 
+    def int_coeffs(self, nums):
+        """Numerators as clear returns them, as ascending tuples of integer
+        coefficients under one common positive scale: here ints already,
+        so (x,), or () for 0."""
+        return ((x,) if x else () for x in nums)
+
     def join(self, num, den):
         """The rational num/den, normalised."""
         return Rational(num, den)
@@ -664,6 +670,14 @@ class FunctionField:
                 d = _monic_lcm(d, x.den)
         return [x.num if x.den == d else x.num * d.exact_div(x.den)
                 for x in xs], d
+
+    def int_coeffs(self, nums):
+        """Polynomial numerators, as clear returns them, scaled by the one
+        positive integer that clears all their coefficients: an iterator
+        of ascending tuples of integer coefficients, () for 0."""
+        nums = list(nums)
+        s = lcm(*[p._d for p in nums])
+        return (tuple(c * (s // p._d) for c in p._n) for p in nums)
 
     def join(self, num, den):
         """num/den, normalised; num may be the int 0 of an empty sum."""
