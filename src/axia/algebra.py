@@ -10,8 +10,8 @@ from __future__ import annotations
 
 from .errors import (DimensionMismatch, NotAnIdeal, NotIdempotent,
                      NotSemisimple)
-from .linalg import (Matrix, _reduce, in_span, kernel_basis, span_rref,
-                     unit_vec, vec_is_zero)
+from .linalg import (Matrix, _at, _cleared, _l1, _past, _reduce, in_span,
+                     kernel_basis, span_rref, unit_vec, vec_is_zero)
 
 
 class Algebra:
@@ -172,7 +172,8 @@ class FusionRule:
 
 class AxisDecomposition:
     """Eigenspace bases of ad_a for one idempotent a, keyed by eigenvalue;
-    together they span the algebra.
+    together they span the algebra.  ad is the matrix of ad_a itself, for
+    the fusion check and the Miyamoto map.
 
     Each spaces[lam] is a basis of the full kernel ker(ad_a - lam), as
     axis_decomposition builds it.  verify_fusion relies on this: it tests
@@ -180,11 +181,12 @@ class AxisDecomposition:
     solutions are exactly the sum of those kernels.
     """
 
-    def __init__(self, axis, spaces, one):
+    def __init__(self, axis, spaces, one, ad):
         self.axis = tuple(axis)
         self.spaces = {lam: [tuple(v) for v in vs]
                        for lam, vs in spaces.items()}
         self.one = one
+        self.ad = ad
 
     @property
     def eigenvalues(self):
@@ -222,21 +224,7 @@ def axis_decomposition(alg: Algebra, a, eigenvalues) -> AxisDecomposition:
     if sum(dims) != alg.dim:
         raise NotSemisimple(
             f"eigenspace dims {dims} sum to {sum(dims)} != {alg.dim}")
-    return AxisDecomposition(a, spaces, field.one)
-
-
-def _l1(c):
-    """l1 norm of an integer polynomial given as its coefficient tuple."""
-    return sum(map(abs, c))
-
-
-def _at(c, x):
-    """Value at the integer x of an integer polynomial given as its
-    ascending coefficient tuple."""
-    v = 0
-    for a in reversed(c):
-        v = v * x + a
-    return v
+    return AxisDecomposition(a, spaces, field.one, ada)
 
 
 def verify_fusion(alg: Algebra, dec: AxisDecomposition, rule: FusionRule):
@@ -267,16 +255,11 @@ def verify_fusion(alg: Algebra, dec: AxisDecomposition, rule: FusionRule):
     n = alg.dim
     evs = dec.eigenvalues
 
-    def cleared(xs):
-        """xs as integer polynomials over one integer polynomial."""
-        nums, den = field.clear(xs)
-        *nums, den = field.int_coeffs(nums + [den])
-        return nums, den
-
-    vecs = {lam: [cleared(u)[0] for u in dec.spaces[lam]] for lam in evs}
-    ad, d = cleared([x for row in alg.ad(dec.axis).data for x in row])
+    vecs = {lam: [_cleared(field, u)[0] for u in dec.spaces[lam]]
+            for lam in evs}
+    ad, d = _cleared(field, [x for row in dec.ad.data for x in row])
     ad = [ad[r * n:(r + 1) * n] for r in range(n)]
-    nus = {nu: cleared([nu]) for nu in evs}
+    nus = {nu: _cleared(field, [nu]) for nu in evs}
     factors = {(lam, mu): tuple(nu for nu in evs if nu in rule[(lam, mu)])
                for i, lam in enumerate(evs) for mu in evs[i:]}
     flat = [w for row in alg.table_nums for entry in row for _, w in entry]
@@ -288,7 +271,7 @@ def verify_fusion(alg: Algebra, dec: AxisDecomposition, rule: FusionRule):
     r_norm = max(_l1(dn) * a_norm + _l1(nn) * _l1(d)
                  for (nn,), dn in nus.values())
     s = max(map(len, factors.values()), default=0)
-    T = 1 << ((u_norm * u_norm * w_norm * r_norm ** s).bit_length() + 1)
+    T = _past(u_norm * u_norm * w_norm * r_norm ** s)
 
     vals = (_at(c, T) for c in field.int_coeffs(flat))
     table = [[[(k, next(vals)) for k, _ in entry] for entry in row]
@@ -394,7 +377,7 @@ def miyamoto(alg: Algebra, dec: AxisDecomposition, negative_eigenvalues,
     neg = {field.of(x) for x in negative_eigenvalues}
     if not neg <= set(dec.eigenvalues):
         raise ValueError("negative eigenvalues outside the decomposition")
-    ad = alg.ad(dec.axis)
+    ad = dec.ad
     n = alg.dim
     identity = Matrix.identity(field, n)
     T = identity.data

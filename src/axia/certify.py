@@ -20,7 +20,7 @@ from .algebra import (axis_decomposition, form_products, quotient, radical,
                       subalgebra_algebra, subalgebra_closure, verify_fusion,
                       verify_frobenius, verify_grading, is_automorphism)
 from .catalog import dihedral, f4a_rule, jordan_half_rule, monster_rule
-from .errors import PoleAtPoint
+from .errors import NotIdempotent, NotSemisimple, PoleAtPoint
 from .linalg import Matrix, determinant, ldlt
 from .m4 import (build_m4a, build_m4b, reference_v_eigenvectors,
                  specialize_form, specialize_m4a, verify_dependencies)
@@ -291,9 +291,13 @@ def quotient_certify(t0):
     report["quotient_dim"] = qalg.dim
     rule = monster_rule()
     fusion_ok = True
-    for ax in spec.axes:
-        qa = project(ax)
-        dec = axis_decomposition(qalg, qa, rule.eigenvalues)
+    for ax, key in zip(spec.axes, spec.axis_keys):
+        try:
+            dec = axis_decomposition(qalg, project(ax), rule.eigenvalues)
+        except (NotIdempotent, NotSemisimple) as exc:
+            report.setdefault("axis_failures", []).append(f"a_{key}: {exc}")
+            fusion_ok = False
+            continue
         if not dec.is_primitive or verify_fusion(qalg, dec, rule):
             fusion_ok = False
     gram_pd = ldlt(qform.gram).is_pd()
@@ -348,7 +352,9 @@ def v4a_certify():
         lab = f"v_{i}{j}"
         v = alg.basis_vector(lab)
         checks.add(f"{lab} idempotent", True, alg.is_idempotent(v))
-        dec = axis_decomposition(alg, v, rule.eigenvalues)
+        dec = _decompose(checks, lab, alg, v, rule.eigenvalues)
+        if dec is None:
+            continue
         checks.add(f"{lab} eigenspace dims", (1, 4, 4, 2, 1), dec.dims)
         checks.add(f"{lab} reference eigenvectors", True,
                    _in_eigenspaces(alg, v, reference_v_eigenvectors(i, j)))
@@ -356,15 +362,17 @@ def v4a_certify():
                    len(verify_fusion(alg, dec, rule)))
     checks.add("C2xC2 grading", True, verify_grading(rule, f4a_grading()))
 
-    vgens = [alg.basis_vector(f"v_{i}{j}") for i, j in ((1, 2), (1, 3), (2, 3))]
+    vlabs = [f"v_{i}{j}" for i, j in ((1, 2), (1, 3), (2, 3))]
+    vgens = [alg.basis_vector(lab) for lab in vlabs]
     closure = subalgebra_closure(alg, vgens)
     checks.add("jordan closure dim", 9, len(closure))
     sub, coords = subalgebra_algebra(alg, closure)
     jrule = jordan_half_rule(QT)
     ok = True
-    for v in vgens:
-        dec = axis_decomposition(sub, coords(v), jrule.eigenvalues)
-        if verify_fusion(sub, dec, jrule):
+    for v, lab in zip(vgens, vlabs):
+        dec = _decompose(checks, f"jordan {lab}", sub, coords(v),
+                         jrule.eigenvalues)
+        if dec is None or verify_fusion(sub, dec, jrule):
             ok = False
     checks.add("jordan fusion on closure", True, ok)
     return checks.report("v4a")
@@ -400,13 +408,28 @@ def _in_eigenspaces(alg, axis, references):
                for lam, vecs in references.items() for w in vecs)
 
 
+def _decompose(checks, name, alg, axis, eigenvalues):
+    """axis_decomposition of axis; None, after adding a failing check
+    with the reason, when axis is not idempotent or its adjoint is not
+    semisimple."""
+    try:
+        return axis_decomposition(alg, axis, eigenvalues)
+    except (NotIdempotent, NotSemisimple) as exc:
+        checks.add(f"{name} decomposition", "idempotent, semisimple",
+                   str(exc))
+        return None
+
+
 def _axial_checks(checks, built, rule):
     """Add, for each axis in order, whether it is primitive and its
-    number of fusion violations under the rule, then the number of
-    Frobenius violations of the form."""
+    number of fusion violations under the rule (or, for an axis that does
+    not decompose, the reason), then the number of Frobenius violations
+    of the form."""
     alg = built.algebra
     for ax, key in zip(built.axes, built.axis_keys):
-        dec = axis_decomposition(alg, ax, rule.eigenvalues)
+        dec = _decompose(checks, f"a_{key}", alg, ax, rule.eigenvalues)
+        if dec is None:
+            continue
         checks.add(f"a_{key} primitive", True, dec.is_primitive)
         checks.add(f"a_{key} fusion violations", 0,
                    len(verify_fusion(alg, dec, rule)))

@@ -1,11 +1,14 @@
 """Dense exact linear algebra over a generic scalar field (Q or Q(t)).
 
 Matrices are immutable-by-convention lists of rows; all algorithms are
-division-exact and never use floating point.  One Gauss-Jordan loop
-serves RREF, kernels, spans and the determinant (the product of its
-pivots); the semidefinite-aware LDLT is the only other elimination
-loop.  The LDLT's Schur-complement sums go through
-the field's sub_dot, which over Q runs on integer numerators.
+exact and never use floating point.  One fraction-free Gauss-Jordan loop
+on Python ints serves RREF, kernels, spans and the determinant: the field
+clears each row to integers (over Q(t), integer polynomials evaluated at
+one point past the bound on every minor), every division in the loop is
+exact, and only the results become field elements again.  The
+semidefinite-aware LDLT is the only other elimination loop; its
+Schur-complement sums go through the field's sub_dot, which over Q runs
+on integer numerators.
 """
 
 from __future__ import annotations
@@ -81,57 +84,125 @@ class Matrix:
 # Elimination
 # ---------------------------------------------------------------------------
 
-def rref(m: Matrix):
-    """Reduced row echelon form; returns (Matrix, pivot column tuple)."""
-    data, pivots, _, _ = _eliminate(m)
-    return Matrix(m.field, data), pivots
+def _l1(c):
+    """l1 norm of an integer polynomial given as its coefficient tuple."""
+    return sum(map(abs, c))
+
+
+def _at(c, x):
+    """Value at the integer x of an integer polynomial given as its
+    ascending coefficient tuple."""
+    v = 0
+    for a in reversed(c):
+        v = v * x + a
+    return v
+
+
+def _cleared(field, xs):
+    """(nums, den): the scalars xs times one nonzero scale, as integer
+    polynomials (ascending coefficient tuples) nums, and that scale den,
+    also as an integer polynomial."""
+    nums, den = field.clear(xs)
+    *nums, den = field.int_coeffs(nums + [den])
+    return nums, den
+
+
+def _past(bound):
+    """The power of two 2^(bitlen(bound) + 1), more than twice bound."""
+    return 1 << (bound.bit_length() + 1)
 
 
 def _eliminate(m: Matrix):
-    """Gauss-Jordan elimination, the one loop behind rref and determinant.
+    """Fraction-free Gauss-Jordan elimination on Python ints, the one loop
+    behind rref, kernel_basis, span_rref and determinant.
 
-    Returns (rows in RREF, pivot columns, the value of each pivot before
-    its row was normalised, number of row swaps).
+    Rows in.  The field clears row i to integer polynomials m_ij (integers
+    over Q) and a nonzero integer-polynomial scale s_i with
+    row_i * s_i = (m_i1, ..., m_in); scaling a row changes neither its
+    row space nor the RREF.  Each m_ij is evaluated once at
+    T = 2^(bitlen(B) + 1), where B = prod_i max(1, sum_j ||m_ij||_1).  By
+    the Leibniz expansion, with the l1 norm sub-additive and
+    sub-multiplicative, B bounds the l1 norm of every minor of (m_ij), so
+    every coefficient of a minor lies in (-T/2, T/2).  Over Q each m_ij is
+    a constant and T plays no part.
+
+    The loop.  With p the new pivot and prev the one before it (1 at
+    first), every other row becomes (p * row - c * pivot_row) // prev, c
+    its entry in the pivot column: Bareiss's step in Gauss-Jordan form.
+    After k pivots, entry j of a row without a pivot is the minor on the k
+    pivot rows and that row, the k pivot columns and j; entry j of a pivot
+    row is p times its RREF entry, by Cramer's rule the minor on the pivot
+    rows with column j in place of that row's pivot column.  Each is the
+    value at T of an integer polynomial, so every division is exact, and
+    it is zero iff that polynomial is, as a nonzero integer polynomial
+    with coefficients below T/2 in size has no root at T.  The pivots,
+    row swaps and RREF are therefore those of elimination in the field,
+    and each result x/p is read off x and p unpacked from their signed
+    base-T digits (field.unpack).
+
+    Returns (rows, pivots, p, swaps, T, scales): the eliminated integer
+    rows, whose pivot rows hold p at their pivot column and p times their
+    RREF entries elsewhere, and whose rows past the rank are zero; the
+    pivot columns; the last pivot p (1 if there is none); the number of
+    row swaps; T; and each input row's scale as a coefficient tuple.
     """
     field = m.field
-    is_zero = field.is_zero
-    data = [list(row) for row in m.data]
-    nr, nc = m.rows, m.cols
+    cleared = [_cleared(field, row) for row in m.data]
+    bound = 1
+    for entries, _ in cleared:
+        bound *= max(1, sum(abs(x) for e in entries for x in e))
+    T = _past(bound)
+    rows = [[_at(e, T) for e in entries] for entries, _ in cleared]
+    nr = m.rows
     pivots = []
-    values = []
     swaps = 0
-    r = 0
-    for c in range(nc):
-        pr = next((i for i in range(r, nr) if not is_zero(data[i][c])), None)
-        if pr is None:
-            continue
-        data[r], data[pr] = data[pr], data[r]
-        swaps += pr != r
-        pv = data[r][c]
-        if pv != field.one:
-            data[r] = [x if is_zero(x) else x / pv for x in data[r]]
-        for i in range(nr):
-            if i != r and not is_zero(data[i][c]):
-                _sub_multiple(data[i], data[i][c], data[r], is_zero)
-        pivots.append(c)
-        values.append(pv)
-        r += 1
+    prev = 1
+    for c in range(m.cols):
+        r = len(pivots)
         if r == nr:
             break
-    return data, tuple(pivots), values, swaps
+        pr = next((i for i in range(r, nr) if rows[i][c]), None)
+        if pr is None:
+            continue
+        if pr != r:
+            rows[r], rows[pr] = rows[pr], rows[r]
+            swaps += 1
+        prow = rows[r]
+        p = prow[c]
+        for i, row in enumerate(rows):
+            if i != r:
+                a = row[c]
+                if a:
+                    rows[i] = [(p * x - a * y) // prev
+                               for x, y in zip(row, prow)]
+                elif p != prev:
+                    rows[i] = [p * x // prev for x in row]
+        pivots.append(c)
+        prev = p
+    return rows, tuple(pivots), prev, swaps, T, [s for _, s in cleared]
 
 
-def _sub_multiple(r, c, row, is_zero):
-    """r -= c * row in place, over the nonzero entries of row only."""
-    for k, y in enumerate(row):
-        if not is_zero(y):
-            r[k] = r[k] - c * y
+def _quotient(field, p, T):
+    """The map x -> x/p into the field, for entries x of the eliminated
+    rows and their last pivot p."""
+    z, o = field.zero, field.one
+    unpack, join = field.unpack, field.join
+    den = unpack(p, T)
+    return lambda x: z if not x else o if x == p else join(unpack(x, T), den)
+
+
+def rref(m: Matrix):
+    """Reduced row echelon form; returns (Matrix, pivot column tuple)."""
+    rows, pivots, p, _, T, _ = _eliminate(m)
+    q = _quotient(m.field, p, T)
+    return Matrix(m.field, [[q(x) for x in row] for row in rows]), pivots
 
 
 def kernel_basis(m: Matrix):
     """RREF-canonical basis of the right null space (tuple of vectors)."""
     field = m.field
-    red, pivots = rref(m)
+    rows, pivots, p, _, T, _ = _eliminate(m)
+    q = _quotient(field, p, T)
     pivot_set = set(pivots)
     free = [c for c in range(m.cols) if c not in pivot_set]
     basis = []
@@ -140,24 +211,28 @@ def kernel_basis(m: Matrix):
         v = [z] * m.cols
         v[fc] = o
         for r, pc in enumerate(pivots):
-            v[pc] = -red.data[r][fc]
+            v[pc] = q(-rows[r][fc])
         basis.append(tuple(v))
     return basis
 
 
 def determinant(m: Matrix):
-    """Exact determinant: the product of the elimination's pivots, negated
-    for an odd number of row swaps, or zero when a column has no pivot."""
+    """Exact determinant: the last pivot of the elimination, negated for
+    an odd number of row swaps, over the product of the row scales; zero
+    when a column has no pivot."""
     if m.rows != m.cols:
         raise NonSquare("determinant of a non-square matrix")
     field = m.field
-    _, pivots, values, swaps = _eliminate(m)
+    _, pivots, p, swaps, T, scales = _eliminate(m)
     if len(pivots) != m.rows:
         return field.zero
-    det = field.one
-    for pv in values:
-        det = det * pv
-    return -det if swaps % 2 else det
+    # the product of the scales, each read back through its value at a
+    # point past its own l1 norm
+    den = field.unpack(1, T)
+    for s in scales:
+        ts = _past(_l1(s))
+        den = den * field.unpack(_at(s, ts), ts)
+    return field.join(field.unpack(-p if swaps % 2 else p, T), den)
 
 
 # ---------------------------------------------------------------------------
@@ -282,6 +357,13 @@ def span_rref(field, vectors):
 def in_span(field, rref_basis: Matrix, pivots, v):
     """Exact membership of v in the row span of an RREF basis."""
     return vec_is_zero(field, _reduce(field, rref_basis, pivots, v)[1])
+
+
+def _sub_multiple(r, c, row, is_zero):
+    """r -= c * row in place, over the nonzero entries of row only."""
+    for k, y in enumerate(row):
+        if not is_zero(y):
+            r[k] = r[k] - c * y
 
 
 def _reduce(field, basis: Matrix, pivots, v):

@@ -183,21 +183,31 @@ def build_m4a() -> ConstructedAlgebra:
     return result
 
 
+def _symmetric(n, entry):
+    """The n x n rows of entry(i, j), each computed once for i <= j and
+    reused at (j, i)."""
+    rows = [[None] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            rows[i][j] = rows[j][i] = entry(i, j)
+    return rows
+
+
 def specialize(alg: Algebra, form: BilinearForm, t0):
     """Evaluate a symbolic algebra and form at a rational point t = t0."""
     t0 = rat(t0)
     z = QQ.zero
-    table = [[tuple(z if x.is_zero() else x.evaluate(t0)
-                    for x in alg.mul_table[i][j])
-              for j in range(alg.dim)] for i in range(alg.dim)]
+    table = _symmetric(alg.dim, lambda i, j: tuple(
+        z if x.is_zero() else x.evaluate(t0) for x in alg.mul_table[i][j]))
     return Algebra(QQ, alg.labels, table), specialize_form(form, t0)
 
 
 def specialize_form(form: BilinearForm, t0) -> BilinearForm:
     """Evaluate a symbolic form alone at t = t0."""
     t0 = rat(t0)
-    return BilinearForm(QQ, Matrix(QQ, [[x.evaluate(t0) for x in row]
-                                        for row in form.gram.data]))
+    gram = form.gram.data
+    return BilinearForm(QQ, Matrix(QQ, _symmetric(
+        len(gram), lambda i, j: gram[i][j].evaluate(t0))))
 
 
 def specialize_m4a(t0) -> ConstructedAlgebra:

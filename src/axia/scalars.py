@@ -607,6 +607,11 @@ class RationalField:
         """The rational num/den, normalised."""
         return Rational(num, den)
 
+    def unpack(self, v, T):
+        """The int v as the numerator join takes: cleared rationals are
+        integers already, so the point T plays no part."""
+        return v
+
     def sub_dot(self, x, us, vs):
         """x - sum(u * v for u, v in zip(us, vs)), summed as one integer
         numerator over the product of the denominators and normalised
@@ -682,6 +687,22 @@ class FunctionField:
     def join(self, num, den):
         """num/den, normalised; num may be the int 0 of an empty sum."""
         return RationalFunction(_as_poly(num), den)
+
+    def unpack(self, v, T):
+        """The integer polynomial whose value at the power of two T is the
+        int v, read off the signed base-T digits of v, each in
+        [-T/2, T/2): the inverse of evaluation at T for every polynomial
+        whose coefficients lie in (-T/2, T/2)."""
+        k = T.bit_length() - 1
+        half, mask = T >> 1, T - 1
+        digits = []
+        while v:
+            d = v & mask
+            if d >= half:
+                d -= T
+            digits.append(d)
+            v = (v - d) >> k
+        return _make(digits, 1)
 
     def sub_dot(self, x, us, vs):
         """x - sum(u * v for u, v in zip(us, vs)) in field arithmetic;

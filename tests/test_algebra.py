@@ -254,6 +254,21 @@ def test_miyamoto_is_involutive_automorphism_and_isometry():
         d.algebra.basis_vector("u_rho")
 
 
+def test_decomposition_keeps_the_adjoint_it_was_built_from(monkeypatch,
+                                                          m4a):
+    # verify_fusion and miyamoto read dec.ad; neither rebuilds ad_a
+    alg = m4a.algebra
+    dec = axis_decomposition(alg, m4a.axes[0], MONSTER_EVS)
+    assert dec.ad == alg.ad(m4a.axes[0])
+
+    def rebuilt(self, a):
+        raise AssertionError("ad_a rebuilt")
+    monkeypatch.setattr(Algebra, "ad", rebuilt)
+    assert verify_fusion(alg, dec, monster_rule(QT)) == []
+    assert (miyamoto(alg, dec, ("1/32",), m4a.form)
+            == m4a.symmetries["tau_1"])
+
+
 def test_miyamoto_orbit_generates_axis_dihedral():
     # tau(a_0) tau(a_1) acts as translation by 2 on 5A axis indices
     d = dihedral("5A")

@@ -11,8 +11,10 @@ import pytest
 
 import axia
 from axia import certify as cert
+from axia import m4
 from axia.catalog import DIHEDRAL_TYPES, dihedral
 from axia.cli import run
+from axia.errors import NotSemisimple
 from axia.scalars import QT
 from axia.serialize import algebra_from_json, load_json
 
@@ -174,6 +176,57 @@ def test_gram_exits_1_when_the_determinant_differs(monkeypatch, tmp_path):
     rep = json.loads(path.read_text())
     assert rep["determinant_matches_closed_form"] is False
     assert rep["pass"] is False
+
+
+def _tamper_m4a_seed(monkeypatch, pair, label, delta="1/1000"):
+    """Build M_4A from its seeds with delta added to the label coordinate
+    of the seed on pair, in place of the cached build."""
+    seeds = []
+    for seed_pair, product, form_value in m4.m4a_seeds():
+        if seed_pair == pair:
+            product = dict(product)
+            product[label] = QT.of(product.get(label, 0)) + QT.of(delta)
+        seeds.append((seed_pair, product, form_value))
+    monkeypatch.setattr(m4, "m4a_seeds", lambda: seeds)
+    monkeypatch.setattr(m4, "_M4A_CACHE", [])
+
+
+@pytest.mark.parametrize("argv,pair,label,failed", [
+    (["verify", "m4a"], ("a_1", "a_2"), "v_12",
+     {"a_1 decomposition": "eigenspace dims [1, 3, 2, 2] sum to 8 != 12"}),
+    (["certify", "v4a"], ("v_12", "v_13"), "v_23",
+     {"v_12 decomposition": "eigenspace dims [1, 3, 3, 2, 1] sum to 10 "
+                            "!= 12"}),
+    (["certify", "v4a"], ("v_12", "v_12"), "v_12",
+     {"v_12 idempotent": False,
+      "v_12 decomposition": "not idempotent: (1)*v_12"}),
+], ids=["m4a-not-semisimple", "v4a-not-semisimple", "v4a-not-idempotent"])
+def test_an_axis_that_does_not_decompose_exits_1(monkeypatch, tmp_path,
+                                                 argv, pair, label, failed):
+    # the tampered table still completes, but one axis is not
+    # semisimple (or not idempotent): a failed check, not a build error
+    _tamper_m4a_seed(monkeypatch, pair, label)
+    path = tmp_path / "report.json"
+    assert run(argv + ["--out", str(path)]) == 1
+    rep = json.loads(path.read_text())
+    rows = {c["name"]: c for c in rep["checks"]}
+    for name, actual in failed.items():
+        assert rows[name]["actual"] == actual
+        assert rows[name]["pass"] is False
+
+
+def test_a_quotient_axis_that_does_not_decompose_exits_1(monkeypatch,
+                                                         tmp_path):
+    def not_semisimple(alg, a, eigenvalues):
+        raise NotSemisimple("eigenspace dims [1] sum to 1 != 9")
+    monkeypatch.setattr(cert, "axis_decomposition", not_semisimple)
+    path = tmp_path / "quotient.json"
+    assert run(["certify", "quotient", "--t", "0", "--out", str(path)]) == 1
+    (rep,) = json.loads(path.read_text())
+    assert rep["pass"] is False and rep["fusion_ok"] is False
+    assert rep["axis_failures"][0] == ("a_1: eigenspace dims [1] sum to 1 "
+                                       "!= 9")
+    assert len(rep["axis_failures"]) == 6
 
 
 def test_verify_runs_the_suite_bound_at_call_time(monkeypatch, capsys):

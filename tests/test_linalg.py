@@ -1,10 +1,15 @@
-"""Exact dense linear algebra: RREF, kernel, determinant, LDLT."""
+"""Exact dense linear algebra: RREF, kernel, determinant, LDLT; the integer
+elimination kernel against the field loop it replaced and sympy."""
 
 import random
 
 import pytest
 import sympy
+from sympy.polys.matrices import DomainMatrix
 
+import elimination_reference
+from axia import certify as cert
+from axia import linalg
 from axia.errors import DimensionMismatch
 from axia.linalg import (LDLTResult, Matrix, _expand_l, determinant, in_span,
                          kernel_basis, ldlt, reconstruct_ldlt, rref,
@@ -266,6 +271,238 @@ def test_determinant_equals_bareiss_reference(field, sizes, trials):
 def test_determinant_of_m4a_gram_equals_bareiss_reference(m4a):
     gram = m4a.form.gram
     assert determinant(gram) == determinant_reference(gram)
+
+
+# ---------------------------------------------------------------------------
+# The integer kernel against the field loop and sympy
+# ---------------------------------------------------------------------------
+
+T_SYM = sympy.Symbol("t")
+QT_SYM = sympy.QQ.frac_field(T_SYM)
+
+
+def _same(got, want):
+    """Equal, and equal in repr: the same canonical scalars."""
+    assert got == want
+    assert repr(got) == repr(want)
+
+
+def assert_equals_field_loop(m):
+    """rref and its pivots, kernel_basis, span_rref and (when square) the
+    determinant equal those of tests/elimination_reference.py."""
+    red, pivots = rref(m)
+    ref_red, ref_pivots = elimination_reference.rref(m)
+    _same((red.data, pivots), (ref_red.data, ref_pivots))
+    _same(kernel_basis(m), elimination_reference.kernel_basis(m))
+    basis, bpivots = span_rref(m.field, m.data)
+    ref_basis, ref_bpivots = elimination_reference.span_rref(m.field, m.data)
+    _same((basis.data, bpivots), (ref_basis.data, ref_bpivots))
+    if m.rows == m.cols:
+        _same(determinant(m), elimination_reference.determinant(m))
+
+
+def _to_domain(field, x):
+    """x in sympy's QQ or QQ(t)."""
+    if field is QQ:
+        return sympy.QQ(x.numerator, x.denominator)
+
+    def p(q):
+        return sum(sympy.Rational(str(a)) * T_SYM ** i
+                   for i, a in enumerate(q.coeffs))
+    return QT_SYM.from_sympy(p(x.num) / p(x.den))
+
+
+def assert_equals_sympy(m):
+    """rref, pivots, kernel and determinant against sympy's DomainMatrix
+    over QQ or QQ(t); the kernel is read off sympy's RREF, one vector per
+    free column."""
+    field = m.field
+    dom = sympy.QQ if field is QQ else QT_SYM
+    dm = DomainMatrix([[_to_domain(field, x) for x in row] for row in m.data],
+                      (m.rows, m.cols), dom)
+    sred, spivots = dm.rref()
+    sred = sred.to_list()
+    red, pivots = rref(m)
+    assert pivots == spivots
+    assert [[_to_domain(field, x) for x in row] for row in red.data] == sred
+    free = [c for c in range(m.cols) if c not in spivots]
+    kernel = [[_to_domain(field, x) for x in v] for v in kernel_basis(m)]
+    expected = []
+    for fc in free:
+        v = [dom.zero] * m.cols
+        v[fc] = dom.one
+        for r, pc in enumerate(spivots):
+            v[pc] = -sred[r][fc]
+        expected.append(v)
+    assert kernel == expected
+    if m.rows == m.cols:
+        assert _to_domain(field, determinant(m)) == dm.det()
+
+
+def _kernel_entry(field, rng):
+    """A nonzero entry: p/q with 0 < |p| <= 9 and q <= 5 over Q; over Q(t)
+    a quadratic with a nonzero constant term over 1, a constant, t + c,
+    (t - c)^2 or t^2 + 1."""
+    if field is QQ:
+        return rat(f"{rng.choice((-1, 1)) * rng.randint(1, 9)}"
+                   f"/{rng.randint(1, 5)}")
+    t, c = QT.t, QT.of
+    num = (c(rng.randint(-4, 4)) * t * t + c(rng.randint(-4, 4)) * t
+           + c(rng.choice((-3, -1, 1, 2))))
+    den = rng.choice((QT.one, c(rng.randint(2, 7)), t + c(rng.randint(1, 3)),
+                      (t - c(rng.randint(1, 2))) ** 2, t * t + QT.one))
+    return num / den
+
+
+def _kernel_case(field, rng, rows, cols, kind, density):
+    """A random rows x cols matrix.  "rank-deficient": every row a
+    combination of the first max(1, min(rows, cols) // 2) rows; "zero-row"
+    and "zero-column" zero one row or column; "swap": entry (0, 0) is zero
+    and each entry (i, i + 1 mod cols) is not, so the first pivot of a
+    square matrix needs a row swap."""
+    m = [[_kernel_entry(field, rng) if rng.random() < density else field.zero
+          for _ in range(cols)] for _ in range(rows)]
+    if kind == "rank-deficient" and rows and cols:
+        base = m[:max(1, min(rows, cols) // 2)]
+        combos = [[field.of(rng.randint(-2, 2)) for _ in base]
+                  for _ in range(rows)]
+        m = [[sum((k * b[j] for k, b in zip(ks, base)), field.zero)
+              for j in range(cols)] for ks in combos]
+    elif kind == "zero-row" and rows:
+        m[rng.randrange(rows)] = [field.zero] * cols
+    elif kind == "zero-column" and cols:
+        j = rng.randrange(cols)
+        for row in m:
+            row[j] = field.zero
+    elif kind == "swap" and rows > 1 and cols:
+        for i, row in enumerate(m):
+            row[(i + 1) % cols] = _kernel_entry(field, rng)
+        m[0][0] = field.zero
+    return Matrix(field, m)
+
+
+KERNEL_KINDS = ("random", "rank-deficient", "zero-row", "zero-column", "swap")
+SMALL_SHAPES = ((6, 6), (4, 7), (7, 4), (1, 1), (1, 3), (3, 1), (2, 0),
+                (0, 0))
+# (field, density, shapes): over Q(t) the field loop takes seconds on a
+# denser or a wide 20-column matrix
+KERNEL_CASES = ((QQ, 0.7, ((20, 12), (12, 20)) + SMALL_SHAPES),
+                (QT, 0.15, ((20, 12), (6, 10)) + SMALL_SHAPES))
+
+
+@pytest.mark.parametrize("field,density,shapes", KERNEL_CASES,
+                         ids=["QQ", "QT"])
+@pytest.mark.parametrize("kind", KERNEL_KINDS)
+def test_elimination_equals_field_loop(field, density, shapes, kind):
+    rng = random.Random(f"elimination/{field!r}/{kind}")
+    for rows, cols in shapes:
+        assert_equals_field_loop(
+            _kernel_case(field, rng, rows, cols, kind, density))
+
+
+@pytest.mark.parametrize("field,shapes", [
+    (QQ, ((20, 12), (12, 20)) + SMALL_SHAPES),
+    (QT, ((5, 4), (4, 5), (4, 4), (3, 3), (1, 2), (2, 0), (0, 0))),
+], ids=["QQ", "QT"])
+@pytest.mark.parametrize("kind", KERNEL_KINDS)
+def test_elimination_equals_sympy(field, shapes, kind):
+    # [DERIVED] sympy's DomainMatrix over QQ and QQ(t) as the oracle
+    rng = random.Random(f"elimination-sympy/{field!r}/{kind}")
+    for rows, cols in shapes:
+        assert_equals_sympy(_kernel_case(field, rng, rows, cols, kind, 0.6))
+
+
+def test_elimination_covers_its_cases():
+    # the cases above include full-rank and rank-deficient matrices, and
+    # nonsingular square ones whose first pivot needs a row swap
+    seen = set()
+    for field, density, shapes in KERNEL_CASES:
+        for kind in KERNEL_KINDS:
+            rng = random.Random(f"elimination/{field!r}/{kind}")
+            for rows, cols in shapes:
+                m = _kernel_case(field, rng, rows, cols, kind, density)
+                rank = len(rref(m)[1])
+                seen.add((kind, rank == min(rows, cols)))
+                if kind == "swap" and rows == cols and rank == rows > 1:
+                    seen.add(("nonsingular swap", field))
+    assert {("random", True), ("rank-deficient", False),
+            ("zero-row", False), ("swap", True), ("nonsingular swap", QQ),
+            ("nonsingular swap", QT)} <= seen
+
+
+def _monomial_permutation(coeffs, exponents, perm):
+    """The Q(t) matrix with coeffs[i] * t^exponents[i] at (i, perm[i]) and
+    zero elsewhere."""
+    n = len(coeffs)
+    return Matrix(QT, [[QT.of(coeffs[i]) * QT.t ** exponents[i]
+                        if j == perm[i] else QT.zero
+                        for j in range(n)] for i in range(n)])
+
+
+def _perm_sign(perm):
+    sign = 1
+    for i in range(len(perm)):
+        for j in range(i + 1, len(perm)):
+            if perm[i] > perm[j]:
+                sign = -sign
+    return sign
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 7, 8, 31, 32, 33, 63, 64, 100])
+def test_minors_at_the_bound_unpack_exactly(k):
+    # B = prod_i max(1, sum_j ||m_ij||_1).  A monomial permutation matrix
+    # has one nonzero entry a_i t^e_i per row, so B = prod |a_i|, and its
+    # determinant's one coefficient is +-B: unpacking it needs every digit
+    # of T = 2^(bitlen(B) + 1).  The row (1, a t^e) has B = 1 + |a|, and
+    # its RREF entry a t^e has a coefficient next to B.
+    t = QT.t
+    perm = (2, 0, 3, 1)
+    for coeffs in ((2 ** k, 2 ** k, 2 ** k, 2 ** k),
+                   (2 ** k - 1, 2 ** k + 1, 3, 2 ** k),
+                   (-(2 ** k), 2 ** k - 1, -(2 ** k + 1), 5 ** k)):
+        for exps in ((0, 0, 0, 0), (1, 2, 0, 3)):
+            m = _monomial_permutation(coeffs, exps, perm)
+            expected = QT.of(_perm_sign(perm) * coeffs[0] * coeffs[1]
+                             * coeffs[2] * coeffs[3]) * t ** sum(exps)
+            _same(determinant(m), expected)
+            assert_equals_field_loop(m)
+    for a in (2 ** k, 2 ** k - 1, -(2 ** k), -(2 ** k + 1)):
+        for e in (0, 1, 4):
+            entry = QT.of(a) * t ** e
+            m = Matrix(QT, [[QT.one, entry]])
+            _same(rref(m), (Matrix(QT, [[QT.one, entry]]), (0,)))
+            _same(kernel_basis(m), [(-entry, QT.one)])
+            assert_equals_field_loop(m)
+            assert_equals_field_loop(Matrix(QT, [[entry, QT.one],
+                                                 [QT.one, QT.zero]]))
+
+
+def _record_eliminations(monkeypatch):
+    """The list that every matrix linalg eliminates is appended to."""
+    seen = []
+    eliminate = linalg._eliminate
+
+    def recording(m):
+        seen.append(m)
+        return eliminate(m)
+    monkeypatch.setattr(linalg, "_eliminate", recording)
+    return seen
+
+
+@pytest.mark.parametrize("verbs", [
+    lambda: (cert.verify_m4a(), cert.v4a_certify(), cert.gram_report()),
+    lambda: (cert.definiteness_report(("0", "1/6", "9/4", "7/1000000007")),
+             cert.quotient_certify("1/6"), cert.verify_m4b(),
+             cert.verify_dihedral("6A")),
+], ids=["m4a-verbs", "point-verbs"])
+def test_every_matrix_the_verbs_eliminate_equals_field_loop(monkeypatch,
+                                                            verbs):
+    seen = _record_eliminations(monkeypatch)
+    verbs()
+    assert seen
+    monkeypatch.undo()
+    for m in seen:
+        assert_equals_field_loop(m)
 
 
 # ---------------------------------------------------------------------------

@@ -8,8 +8,8 @@ from axia.algebra import axis_decomposition, is_automorphism, verify_fusion
 from axia.catalog import monster_rule
 from axia.linalg import Matrix, determinant, ldlt
 from axia.m4 import (M4A_LABELS, M4B_LABELS, m4_symmetries,
-                     reference_a1_eigenvectors, specialize, specialize_m4a,
-                     verify_dependencies)
+                     reference_a1_eigenvectors, specialize, specialize_form,
+                     specialize_m4a, verify_dependencies)
 from axia.scalars import QQ, QT, rat
 from group_reference import mulclose
 from m4_reference import m4a_three_copies, m4b_three_copies
@@ -245,6 +245,20 @@ def test_specialize_gram_values():
     spec = specialize_m4a(rat("1/12"))
     assert spec.form.apply(alg.basis_vector("a_1"),
                            alg.basis_vector("v_23")) == rat("1/12")
+
+
+@pytest.mark.parametrize("t0", ["0", "1/6", "9/4", "-1279/9327841211"])
+def test_specialize_evaluates_every_entry(m4a, t0):
+    # each symmetric pair is evaluated once; the result equals evaluating
+    # every entry of the table and the Gram matrix on its own
+    t0 = rat(t0)
+    alg, form = specialize(m4a.algebra, m4a.form, t0)
+    table = [[tuple(x.evaluate(t0) for x in entry) for entry in row]
+             for row in m4a.algebra.mul_table]
+    gram = [[x.evaluate(t0) for x in row] for row in m4a.form.gram.data]
+    assert alg.mul_table == table
+    assert form.gram.data == gram
+    assert specialize_form(m4a.form, t0).gram.data == gram
 
 
 def test_specialize_refuses_a_float():
