@@ -10,8 +10,8 @@ from __future__ import annotations
 
 from .errors import (DimensionMismatch, NotAnIdeal, NotIdempotent,
                      NotSemisimple)
-from .linalg import (Matrix, _at, _cleared, _l1, _past, _reduce, in_span,
-                     kernel_basis, span_rref, unit_vec, vec_is_zero)
+from .linalg import (Matrix, _at, _cleared, _l1, _past, kernel_basis,
+                     remainder_map, span_rref, unit_vec, vec_is_zero)
 
 
 class Algebra:
@@ -262,18 +262,19 @@ def verify_fusion(alg: Algebra, dec: AxisDecomposition, rule: FusionRule):
     nus = {nu: _cleared(field, [nu]) for nu in evs}
     factors = {(lam, mu): tuple(nu for nu in evs if nu in rule[(lam, mu)])
                for i, lam in enumerate(evs) for mu in evs[i:]}
-    flat = [w for row in alg.table_nums for entry in row for _, w in entry]
+    flat = list(field.int_coeffs([w for row in alg.table_nums
+                                  for entry in row for _, w in entry]))
 
     u_norm = max((sum(map(_l1, u)) for us in vecs.values() for u in us),
                  default=0)
-    w_norm = max(map(_l1, field.int_coeffs(flat)), default=0)
+    w_norm = max(map(_l1, flat), default=0)
     a_norm = max(sum(map(_l1, row)) for row in ad)
     r_norm = max(_l1(dn) * a_norm + _l1(nn) * _l1(d)
                  for (nn,), dn in nus.values())
     s = max(map(len, factors.values()), default=0)
     T = _past(u_norm * u_norm * w_norm * r_norm ** s)
 
-    vals = (_at(c, T) for c in field.int_coeffs(flat))
+    vals = (_at(c, T) for c in flat)
     table = [[[(k, next(vals)) for k, _ in entry] for entry in row]
              for row in alg.table_nums]
     at_vecs = {lam: [[(i, x) for i, x in enumerate(_at(c, T) for c in u)
@@ -413,38 +414,35 @@ def is_automorphism(alg: Algebra, T: Matrix, form: BilinearForm = None) -> bool:
 
 def subalgebra_closure(alg: Algebra, generators):
     """RREF basis of the smallest product-closed subspace containing the
-    generators; iterates span growth to a fixpoint."""
+    generators: the span of the basis and all its pairwise products, taken
+    until the rank stops growing."""
     field = alg.field
-    basis_m, pivots = span_rref(field, [tuple(g) for g in generators])
+    basis = span_rref(field, [tuple(g) for g in generators])[0].data
     while True:
-        current = [tuple(r) for r in basis_m.data]
-        new_vecs = list(current)
-        grew = False
-        for i, u in enumerate(current):
-            for v in current[i:]:
-                p = alg.mul(u, v)
-                if not in_span(field, basis_m, pivots, p):
-                    new_vecs.append(p)
-                    grew = True
-        if not grew:
-            return current
-        basis_m, pivots = span_rref(field, new_vecs)
+        basis = [tuple(r) for r in basis]
+        grown = span_rref(field, basis + [alg.mul(u, v)
+                                          for i, u in enumerate(basis)
+                                          for v in basis[i:]])[0].data
+        if len(grown) == len(basis):
+            return basis
+        basis = grown
 
 
 def subalgebra_algebra(alg: Algebra, basis_vectors):
     """Materialize a product-closed subspace as an Algebra in its own
     coordinates; returns (Algebra, coords) where coords maps an ambient
-    vector inside the subspace to subalgebra coordinates."""
+    vector inside the subspace to subalgebra coordinates, its entries at
+    the pivots of the subspace's RREF basis."""
     field = alg.field
     m, pivots = span_rref(field, [tuple(v) for v in basis_vectors])
-    k = len(pivots)
+    rest = remainder_map(field, m, pivots, alg.dim)[1]
 
     def coords(v):
-        out, rest = _reduce(field, m, pivots, v)
-        if not vec_is_zero(field, rest):
+        if not vec_is_zero(field, rest(v)):
             raise ValueError("vector outside the subalgebra")
-        return tuple(out)
+        return tuple(v[p] for p in pivots)
 
+    k = len(pivots)
     table = [[coords(alg.mul(tuple(m.data[i]), tuple(m.data[j])))
               for j in range(k)] for i in range(k)]
     return Algebra(field, [f"s_{i}" for i in range(k)], table), coords
@@ -455,16 +453,20 @@ def radical(form: BilinearForm):
     return kernel_basis(form.gram)
 
 
+def _absorbs(alg: Algebra, basis: Matrix):
+    """True iff the span of an RREF basis absorbs products with the basis
+    of the algebra: adding every e_i * r to its rows keeps its rank."""
+    field, n = alg.field, alg.dim
+    rows = [tuple(r) for r in basis.data]
+    products = [alg.mul(unit_vec(field, n, i), r)
+                for i in range(n) for r in rows]
+    return len(span_rref(field, rows + products)[1]) == len(rows)
+
+
 def is_ideal(alg: Algebra, subspace):
     """True iff the span of the subspace absorbs products with the basis."""
-    field = alg.field
-    basis_m, pivots = span_rref(field, [tuple(v) for v in subspace])
-    for i in range(alg.dim):
-        ei = unit_vec(field, alg.dim, i)
-        for v in basis_m.data:
-            if not in_span(field, basis_m, pivots, alg.mul(ei, tuple(v))):
-                return False
-    return True
+    return _absorbs(alg, span_rref(alg.field,
+                                   [tuple(v) for v in subspace])[0])
 
 
 def quotient(alg: Algebra, form: BilinearForm, ideal):
@@ -472,19 +474,14 @@ def quotient(alg: Algebra, form: BilinearForm, ideal):
 
     The ideal must absorb products (NotAnIdeal otherwise).  The induced
     form is only well defined when the ideal lies in the form's kernel;
-    that containment is checked here as well.
+    that containment is checked here as well.  project is the remainder
+    modulo the ideal read at the complement columns (remainder_map).
     """
     field = alg.field
     ideal_m, pivots = span_rref(field, [tuple(v) for v in ideal])
-    if not is_ideal(alg, ideal_m.data):
+    if not _absorbs(alg, ideal_m):
         raise NotAnIdeal("subspace does not absorb products")
-    comp = [j for j in range(alg.dim) if j not in pivots]
-
-    def project(v):
-        """Reduce modulo the ideal, then read off complement coordinates."""
-        rest = _reduce(field, ideal_m, pivots, v)[1]
-        return tuple(rest[j] for j in comp)
-
+    comp, project = remainder_map(field, ideal_m, pivots, alg.dim)
     qalg = Algebra(field, [alg.labels[j] for j in comp],
                    [[project(alg.mul_table[i][j]) for j in comp] for i in comp])
     # induced form well-defined <=> ideal is in the kernel of the form

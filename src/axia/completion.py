@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from .algebra import Algebra, BilinearForm
 from .errors import CompletionInconsistent, CompletionInsufficient
-from .linalg import Matrix, _sub_multiple
+from .linalg import Matrix
 
 
 def label_map(field, labels, image):
@@ -83,7 +83,9 @@ def complete_table(field, dim, known, generators, describe=None):
             acc = list(generators[gi].matvec(value[:dim])) + list(value[dim:])
             for pair, c in coeffs.items():
                 if pair in known:
-                    _sub_multiple(acc, c, known[pair], is_zero)
+                    for k, y in enumerate(known[pair]):
+                        if not is_zero(y):
+                            acc[k] = acc[k] - c * y
             if not unknown:
                 if any(not is_zero(a) for a in acc):
                     raise CompletionInconsistent(

@@ -5,13 +5,18 @@ exact and never use floating point.  One fraction-free Gauss-Jordan loop
 on Python ints serves RREF, kernels, spans and the determinant: the field
 clears each row to integers (over Q(t), integer polynomials evaluated at
 one point past the bound on every minor), every division in the loop is
-exact, and only the results become field elements again.  The
-semidefinite-aware LDLT is the only other elimination loop; its
-Schur-complement sums go through the field's sub_dot, which over Q runs
-on integer numerators.
+exact, and only the results become field elements again.  A subspace is
+an RREF basis from span_rref with its pivot columns: coordinates are read
+at the pivots, and membership and the remainder modulo the subspace are
+one matrix through matvec (remainder_map), with no elimination of their
+own.  The semidefinite-aware LDLT is the only other elimination loop;
+its Schur-complement sums go through the field's sub_dot, which over Q
+runs on integer numerators.
 """
 
 from __future__ import annotations
+
+from math import prod
 
 from .errors import DimensionMismatch, NonSquare
 
@@ -120,11 +125,14 @@ def _eliminate(m: Matrix):
     over Q) and a nonzero integer-polynomial scale s_i with
     row_i * s_i = (m_i1, ..., m_in); scaling a row changes neither its
     row space nor the RREF.  Each m_ij is evaluated once at
-    T = 2^(bitlen(B) + 1), where B = prod_i max(1, sum_j ||m_ij||_1).  By
-    the Leibniz expansion, with the l1 norm sub-additive and
-    sub-multiplicative, B bounds the l1 norm of every minor of (m_ij), so
-    every coefficient of a minor lies in (-T/2, T/2).  Over Q each m_ij is
-    a constant and T plays no part.
+    T = 2^(bitlen(B) + 1), where B is the product of the min(rows, cols)
+    largest row norms N_i = max(1, sum_j ||m_ij||_1).  Every entry the
+    loop produces, the last pivot included, is a minor on at most
+    min(rows, cols) rows (below).  By the Leibniz expansion, with the l1
+    norm sub-additive and sub-multiplicative, a minor's l1 norm is at
+    most the product of the N_i of its rows, so at most B, and every
+    coefficient of a minor lies in (-T/2, T/2).  Over Q each m_ij is a
+    constant and T plays no part.
 
     The loop.  With p the new pivot and prev the one before it (1 at
     first), every other row becomes (p * row - c * pivot_row) // prev, c
@@ -132,13 +140,14 @@ def _eliminate(m: Matrix):
     After k pivots, entry j of a row without a pivot is the minor on the k
     pivot rows and that row, the k pivot columns and j; entry j of a pivot
     row is p times its RREF entry, by Cramer's rule the minor on the pivot
-    rows with column j in place of that row's pivot column.  Each is the
-    value at T of an integer polynomial, so every division is exact, and
-    it is zero iff that polynomial is, as a nonzero integer polynomial
-    with coefficients below T/2 in size has no root at T.  The pivots,
-    row swaps and RREF are therefore those of elimination in the field,
-    and each result x/p is read off x and p unpacked from their signed
-    base-T digits (field.unpack).
+    rows with column j in place of that row's pivot column.  Each is zero
+    or a minor on distinct rows and columns, so on at most min(rows, cols)
+    rows, and each is the value at T of an integer polynomial: every
+    division is exact, and an entry is zero iff its polynomial is, as a
+    nonzero integer polynomial with coefficients below T/2 in size has no
+    root at T.  The pivots, row swaps and RREF are therefore those of
+    elimination in the field, and each result x/p is read off x and p
+    unpacked from their signed base-T digits (field.unpack).
 
     Returns (rows, pivots, p, swaps, T, scales): the eliminated integer
     rows, whose pivot rows hold p at their pivot column and p times their
@@ -148,10 +157,9 @@ def _eliminate(m: Matrix):
     """
     field = m.field
     cleared = [_cleared(field, row) for row in m.data]
-    bound = 1
-    for entries, _ in cleared:
-        bound *= max(1, sum(abs(x) for e in entries for x in e))
-    T = _past(bound)
+    norms = sorted((max(1, sum(abs(x) for e in entries for x in e))
+                    for entries, _ in cleared), reverse=True)
+    T = _past(prod(norms[:min(m.rows, m.cols)]))
     rows = [[_at(e, T) for e in entries] for entries, _ in cleared]
     nr = m.rows
     pivots = []
@@ -347,35 +355,24 @@ def vec_is_zero(field, u):
 
 def span_rref(field, vectors):
     """Matrix whose rows are an RREF basis of the span of the vectors."""
-    if not vectors:
-        return Matrix(field, []), ()
     red, pivots = rref(Matrix(field, list(vectors)))
-    basis_rows = red.data[:len(pivots)]
-    return Matrix(field, basis_rows), pivots
+    return Matrix(field, red.data[:len(pivots)]), pivots
 
 
-def in_span(field, rref_basis: Matrix, pivots, v):
-    """Exact membership of v in the row span of an RREF basis."""
-    return vec_is_zero(field, _reduce(field, rref_basis, pivots, v)[1])
-
-
-def _sub_multiple(r, c, row, is_zero):
-    """r -= c * row in place, over the nonzero entries of row only."""
-    for k, y in enumerate(row):
-        if not is_zero(y):
-            r[k] = r[k] - c * y
-
-
-def _reduce(field, basis: Matrix, pivots, v):
-    """Reduce v against the rows of an RREF basis with the given pivot
-    columns.  Returns (coefficients, remainder): the coefficient taken of
-    each row, and what is left of v, which is zero iff v is in the span."""
-    is_zero = field.is_zero
-    r = list(v)
-    coeffs = []
-    for row, pc in zip(basis.data, pivots):
-        c = r[pc]
-        coeffs.append(c)
-        if not is_zero(c):
-            _sub_multiple(r, c, row, is_zero)
-    return coeffs, r
+def remainder_map(field, basis: Matrix, pivots, n):
+    """(comp, rest) for an RREF basis of a subspace of field^n and its
+    pivot columns: comp lists the other columns, and rest(v) is
+    v - sum_i v[p_i] basis_i read at comp, zero iff v is in the span.
+    Each basis row is 1 at its own pivot and 0 at the others, so the
+    v[p_i] are v's coordinates and rest is one matrix through matvec:
+    the identity on comp, minus the basis entries at the pivots."""
+    pivot_set = set(pivots)
+    comp = [j for j in range(n) if j not in pivot_set]
+    if not comp:  # the whole space; a matrix with no rows has no columns
+        return comp, lambda v: ()
+    z, o = field.zero, field.one
+    q = [[o if c == j else z for c in range(n)] for j in comp]
+    for row, p in zip(basis.data, pivots):
+        for qrow, j in zip(q, comp):
+            qrow[p] = -row[j]
+    return comp, Matrix(field, q).matvec

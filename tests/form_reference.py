@@ -9,9 +9,10 @@ tests/test_algebra.py can compare the two on tampered and degenerate
 structures.
 """
 
-from axia.algebra import Algebra, BilinearForm, is_ideal
+from axia.algebra import Algebra, BilinearForm
 from axia.errors import NotAnIdeal
-from axia.linalg import Matrix, _reduce, span_rref, unit_vec
+from axia.linalg import Matrix, unit_vec
+from elimination_reference import _reduce, is_ideal, span_rref
 
 
 def form_apply_reference(form, u, v):

@@ -8,7 +8,8 @@ echelon basis of the allowed eigenspaces over the algebra's field, so
 tests/test_fusion.py can compare the two record for record.
 """
 
-from axia.linalg import in_span, span_rref, vec_is_zero
+from axia.linalg import vec_is_zero
+from elimination_reference import in_span, span_rref
 
 
 def verify_fusion(alg, dec, rule):

@@ -7,11 +7,12 @@ import pytest
 from axia import certify as cert
 from axia.algebra import axis_decomposition, quotient, radical
 from axia.catalog import DIHEDRAL_TYPES, dihedral, f4a_rule, monster_rule
-from axia.linalg import Matrix, in_span, ldlt, span_rref
+from axia.linalg import Matrix, ldlt, span_rref
 from axia.m4 import reference_v_eigenvectors, specialize_m4a
 from axia.scalars import QQ, QT, rat
 
 from conftest import rf
+from elimination_reference import in_span
 from norton_reference import norton_block_reference, norton_matrix
 
 MONSTER_EVS = tuple(QQ.of(x) for x in ("1", "0", "1/4", "1/32"))

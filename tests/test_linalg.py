@@ -2,6 +2,7 @@
 elimination kernel against the field loop it replaced and sympy."""
 
 import random
+from math import prod
 
 import pytest
 import sympy
@@ -11,9 +12,9 @@ import elimination_reference
 from axia import certify as cert
 from axia import linalg
 from axia.errors import DimensionMismatch
-from axia.linalg import (LDLTResult, Matrix, _expand_l, determinant, in_span,
-                         kernel_basis, ldlt, reconstruct_ldlt, rref,
-                         span_rref, vec_is_zero)
+from axia.linalg import (LDLTResult, Matrix, _expand_l, determinant,
+                         kernel_basis, ldlt, reconstruct_ldlt,
+                         remainder_map, rref, span_rref, vec_is_zero)
 from axia.scalars import QQ, QT, rat
 
 
@@ -111,6 +112,13 @@ def test_kernel_dimension_plus_rank_equals_cols():
         assert len(rref(m)[1]) + len(ker) == cols
         for v in ker:
             assert vec_is_zero(QQ, m.matvec(v))
+
+
+def in_span(field, basis, pivots, v):
+    """Membership in the span of an RREF basis as Q v = 0, Q the remainder
+    matrix of remainder_map."""
+    return vec_is_zero(field, remainder_map(field, basis, pivots,
+                                            len(v))[1](v))
 
 
 def test_in_span():
@@ -450,9 +458,10 @@ def _perm_sign(perm):
 
 @pytest.mark.parametrize("k", [1, 2, 3, 7, 8, 31, 32, 33, 63, 64, 100])
 def test_minors_at_the_bound_unpack_exactly(k):
-    # B = prod_i max(1, sum_j ||m_ij||_1).  A monomial permutation matrix
-    # has one nonzero entry a_i t^e_i per row, so B = prod |a_i|, and its
-    # determinant's one coefficient is +-B: unpacking it needs every digit
+    # B is the product of the min(rows, cols) largest row norms
+    # max(1, sum_j ||m_ij||_1), here of every row.  A monomial permutation
+    # matrix has one nonzero entry a_i t^e_i per row, so B = prod |a_i|, and
+    # its determinant's one coefficient is +-B: unpacking it needs every digit
     # of T = 2^(bitlen(B) + 1).  The row (1, a t^e) has B = 1 + |a|, and
     # its RREF entry a t^e has a coefficient next to B.
     t = QT.t
@@ -475,6 +484,30 @@ def test_minors_at_the_bound_unpack_exactly(k):
             assert_equals_field_loop(m)
             assert_equals_field_loop(Matrix(QT, [[entry, QT.one],
                                                  [QT.one, QT.zero]]))
+
+
+@pytest.mark.parametrize("k", [1, 2, 7, 8, 31, 32, 33, 64])
+def test_tall_minor_at_the_bound_unpacks_exactly(k):
+    # B is the product of the min(rows, cols) largest row norms.  Over the
+    # rows (1, 0, c t^e) and (0, b, 0), with c = +-2^k and b = 2^3, sit
+    # rows of norm at most 1, so B = (1 + 2^k) b.  The RREF entry c t^e is
+    # x/p with p = b and x = b c t^e, whose one coefficient, +-2^(k + 3),
+    # has the bit length of B: unpacking it needs every digit of T.
+    t, z, o = QT.t, QT.zero, QT.one
+    b = QT.of(8)
+    for c in (QT.of(2 ** k), QT.of(-(2 ** k))):
+        for e in (0, 2):
+            top = [[o, z, c * t ** e], [z, b, z]]
+            m = Matrix(QT, top + [[z, o, z], [z, -o, z], [z, z, z], [z, z, z]])
+            red = [[o, z, c * t ** e], [z, o, z]] + [[z, z, z]] * 4
+            _same(rref(m), (Matrix(QT, red), (0, 1)))
+            _same(kernel_basis(m), [(-c * t ** e, z, o)])
+            assert_equals_field_loop(m)
+            # rows past the third leave T as it is, however large
+            m = Matrix(QT, top + [[QT.of(5), z, QT.of(5) * c * t ** e]] * 3)
+            norms = sorted((5 * (1 + 2 ** k),) * 3 + (1 + 2 ** k, 8))
+            assert linalg._eliminate(m)[4] == linalg._past(prod(norms[-3:]))
+            assert_equals_field_loop(m)
 
 
 def _record_eliminations(monkeypatch):
