@@ -3,7 +3,9 @@ decompositions, fusion/Frobenius verification, Miyamoto involutions from
 the eigenspace projectors of the adjoint, closures, ideals, radicals,
 quotients, gradings.
 
-Vectors are coordinate tuples over the algebra's scalar field.
+Vectors are coordinate tuples over the algebra's scalar field.  Algebra
+and BilinearForm take one product or form value per basis pair i <= j and
+mirror it once, so an asymmetric table cannot be written down.
 """
 
 from __future__ import annotations
@@ -11,42 +13,45 @@ from __future__ import annotations
 from .errors import (DimensionMismatch, NotAnIdeal, NotIdempotent,
                      NotSemisimple)
 from .linalg import (Matrix, _at, _cleared, _l1, _past, kernel_basis,
-                     remainder_map, span_rref, unit_vec, vec_is_zero)
+                     remainder_map, span_rref, symmetric, unit_vec,
+                     upper_pairs, vec_is_zero)
+
+
+def _mirrored(n, entries):
+    """The n x n rows of a symmetric table given by its entries at the
+    pairs (i, j), i <= j < n; ValueError for any other key set."""
+    if set(entries) != set(upper_pairs(n)):
+        raise ValueError(f"expected one entry per pair i <= j < {n}")
+    return symmetric(n, lambda i, j: entries[i, j])
 
 
 class Algebra:
-    """Finite-dimensional commutative algebra via a symmetric product table.
+    """Finite-dimensional commutative algebra: products[(i, j)], i <= j,
+    is the coordinate vector of (basis i) * (basis j), and mul_table[i][j]
+    holds it at (i, j) and (j, i)."""
 
-    mul_table[i][j] is the coordinate vector of (basis i) * (basis j).
-    """
-
-    def __init__(self, field, labels, mul_table):
+    def __init__(self, field, labels, products):
         self.field = field
         self.labels = list(labels)
-        self.dim = len(self.labels)
-        if len(set(self.labels)) != self.dim:
+        self.dim = n = len(self.labels)
+        if len(set(self.labels)) != n:
             raise ValueError(f"repeated basis labels in {self.labels}")
-        self.mul_table = [[tuple(mul_table[i][j]) for j in range(self.dim)]
-                          for i in range(self.dim)]
-        for i in range(self.dim):
-            for j in range(i):
-                if self.mul_table[i][j] != self.mul_table[j][i]:
-                    raise ValueError(
-                        f"product table not symmetric at ({i}, {j})")
-            for j in range(self.dim):
-                if len(self.mul_table[i][j]) != self.dim:
-                    raise DimensionMismatch("product entry of wrong length")
+        products = {p: tuple(v) for p, v in products.items()}
+        self.mul_table = _mirrored(n, products)
+        if any(len(v) != n for v in products.values()):
+            raise DimensionMismatch("product entry of wrong length")
         # table_nums[i][j]: the nonzero structure constants of
         # (basis i) * (basis j) as (k, numerator) over the one common
-        # denominator table_den
+        # denominator table_den, cleared once per pair i <= j
         is_zero = field.is_zero
-        nonzero = [[[(k, w) for k, w in enumerate(entry) if not is_zero(w)]
-                    for entry in row] for row in self.mul_table]
+        nonzero = {p: [(k, w) for k, w in enumerate(products[p])
+                       if not is_zero(w)] for p in upper_pairs(n)}
         nums, self.table_den = field.clear(
-            [w for row in nonzero for entry in row for _, w in entry])
+            [w for entry in nonzero.values() for _, w in entry])
         nums = iter(nums)
-        self.table_nums = [[[(k, next(nums)) for k, _ in entry]
-                            for entry in row] for row in nonzero]
+        cleared = {p: [(k, next(nums)) for k, _ in entry]
+                   for p, entry in nonzero.items()}
+        self.table_nums = symmetric(n, lambda i, j: cleared[i, j])
 
     def index(self, label):
         return self.labels.index(label)
@@ -131,13 +136,13 @@ class ConstructedAlgebra:
 
 
 class BilinearForm:
-    """Symmetric bilinear form via its Gram matrix on the algebra basis."""
+    """Symmetric bilinear form: values[(i, j)], i <= j, is
+    <basis i, basis j>, and gram is the full Gram matrix."""
 
-    def __init__(self, field, gram: Matrix):
-        if not gram.is_symmetric():
-            raise ValueError("Gram matrix not symmetric")
+    def __init__(self, field, values):
         self.field = field
-        self.gram = gram
+        n = max(map(max, values), default=-1) + 1  # one past the last index
+        self.gram = Matrix(field, _mirrored(n, values))
 
     def apply(self, u, v):
         """<u, v> = u . (G v)."""
@@ -336,12 +341,8 @@ def form_products(alg: Algebra, form: BilinearForm):
     table = alg.table_nums
     gnums, gden = alg.field.clear([x for row in form.gram.data for x in row])
     gram = [gnums[r * n:(r + 1) * n] for r in range(n)]
-    prods = [[None] * n for _ in range(n)]
-    for i in range(n):
-        for k in range(i, n):
-            prod = table[i][k]
-            prods[i][k] = prods[k][i] = [sum(g[c] * w for c, w in prod)
-                                         for g in gram]
+    prods = symmetric(n, lambda i, k: [sum(g[c] * w for c, w in table[i][k])
+                                       for g in gram])
     return prods, alg.table_den * gden
 
 
@@ -365,14 +366,14 @@ def verify_frobenius(alg: Algebra, form: BilinearForm):
 
 
 def miyamoto(alg: Algebra, dec: AxisDecomposition, negative_eigenvalues,
-             form: BilinearForm = None) -> Matrix:
+             form: BilinearForm) -> Matrix:
     """The involution I - 2 sum_{lam in neg} P_lam, which negates the given
     eigenspaces of ad_a and fixes the rest; P_lam is the eigenspace
     projector prod_{kappa != lam} (ad_a - kappa) / (lam - kappa) over the
     decomposition's other eigenvalues kappa.
 
-    Checked to be an involutive algebra automorphism (and an isometry of
-    the form when one is supplied); raises on violation.
+    Checked to be an involutive algebra automorphism and an isometry of
+    the form; raises on violation.
     """
     field = alg.field
     neg = {field.of(x) for x in negative_eigenvalues}
@@ -399,17 +400,15 @@ def miyamoto(alg: Algebra, dec: AxisDecomposition, negative_eigenvalues,
     return T
 
 
-def is_automorphism(alg: Algebra, T: Matrix, form: BilinearForm = None) -> bool:
-    """True iff T maps every basis product e_i e_j to T e_i . T e_j and,
-    when a form is given, T^T G T == G for its Gram matrix G."""
+def is_automorphism(alg: Algebra, T: Matrix, form: BilinearForm) -> bool:
+    """True iff T maps every basis product e_i e_j to T e_i . T e_j and
+    T^T G T == G for the Gram matrix G of the form."""
     n = alg.dim
     cols = [tuple(row[i] for row in T.data) for i in range(n)]
-    for i in range(n):
-        for j in range(i, n):
-            if T.matvec(alg.mul_table[i][j]) != alg.mul(cols[i], cols[j]):
-                return False
-    return (form is None
-            or T.transpose().matmul(form.gram.matmul(T)) == form.gram)
+    for i, j in upper_pairs(n):
+        if T.matvec(alg.mul_table[i][j]) != alg.mul(cols[i], cols[j]):
+            return False
+    return T.transpose().matmul(form.gram.matmul(T)) == form.gram
 
 
 def subalgebra_closure(alg: Algebra, generators):
@@ -442,10 +441,11 @@ def subalgebra_algebra(alg: Algebra, basis_vectors):
             raise ValueError("vector outside the subalgebra")
         return tuple(v[p] for p in pivots)
 
-    k = len(pivots)
-    table = [[coords(alg.mul(tuple(m.data[i]), tuple(m.data[j])))
-              for j in range(k)] for i in range(k)]
-    return Algebra(field, [f"s_{i}" for i in range(k)], table), coords
+    rows = [tuple(r) for r in m.data]
+    products = {(i, j): coords(alg.mul(rows[i], rows[j]))
+                for i, j in upper_pairs(len(rows))}
+    return (Algebra(field, [f"s_{i}" for i in range(len(rows))], products),
+            coords)
 
 
 def radical(form: BilinearForm):
@@ -482,14 +482,17 @@ def quotient(alg: Algebra, form: BilinearForm, ideal):
     if not _absorbs(alg, ideal_m):
         raise NotAnIdeal("subspace does not absorb products")
     comp, project = remainder_map(field, ideal_m, pivots, alg.dim)
+    pairs = upper_pairs(len(comp))
     qalg = Algebra(field, [alg.labels[j] for j in comp],
-                   [[project(alg.mul_table[i][j]) for j in comp] for i in comp])
+                   {(a, b): project(alg.mul_table[comp[a]][comp[b]])
+                    for a, b in pairs})
     # induced form well-defined <=> ideal is in the kernel of the form
     if not all(vec_is_zero(field, form.gram.matvec(v)) for v in ideal_m.data):
         raise NotAnIdeal("ideal not contained in the form kernel; "
                          "induced form undefined")
-    qgram = Matrix(field, [[form.gram.data[i][j] for j in comp] for i in comp])
-    return qalg, BilinearForm(field, qgram), project
+    qform = BilinearForm(field, {(a, b): form.gram.data[comp[a]][comp[b]]
+                                 for a, b in pairs})
+    return qalg, qform, project
 
 
 def verify_grading(rule: FusionRule, grading) -> bool:

@@ -46,23 +46,12 @@ def jordan_half_rule(field=QQ) -> FusionRule:
     return FusionRule(field, (one, zero, h), table)
 
 
-def f4a_rule(t=None) -> FusionRule:
-    """The 4A-axis fusion rule on {1, 0, 1/2, 3/8, t}.
-
-    By default t is the indeterminate of Q(t); a rational value may be
-    substituted provided it stays distinct from 1, 0, 1/2 and 3/8.
-    """
-    if t is None:
-        field = QT
-        t = field.t
-    else:
-        field = QQ
-        t = field.of(t)
-    one, zero, h, s = (field.of(1), field.of(0), field.of("1/2"),
-                       field.of("3/8"))
-    if t in (one, zero, h, s):
-        raise ValueError("t collides with a fixed eigenvalue; the printed "
-                         "rule requires t not in {1, 0, 1/2, 3/8}")
+def f4a_rule() -> FusionRule:
+    """The 4A-axis fusion rule on {1, 0, 1/2, 3/8, t} over Q(t), t the
+    indeterminate."""
+    field = QT
+    one, zero, h, s, t = (field.of(1), field.of(0), field.of("1/2"),
+                          field.of("3/8"), field.t)
     table = {
         (one, one): {one}, (one, zero): set(), (one, h): {h},
         (one, s): {s}, (one, t): {t},

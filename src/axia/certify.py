@@ -9,9 +9,10 @@ property and the 9-dimensional quotients at the boundary, and verifies
 the 4A-axis fusion rule, its C2 x C2 grading and the Jordan-type
 subalgebra generated by the three 4A axes.
 
-Every verdict is decided here.  A report that carries one holds it as
-"pass" (a verification suite, gram, each quotient row); the command line
-only emits the report and exits 1 when a "pass" is false.
+Every certification report is built and every verdict decided here.  A
+report that carries a verdict holds it as "pass" (a verification suite,
+gram, each quotient row); the command line only emits the report and
+exits 1 when a "pass" is false.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from .algebra import (axis_decomposition, form_products, quotient, radical,
                       verify_frobenius, verify_grading, is_automorphism)
 from .catalog import dihedral, f4a_rule, jordan_half_rule, monster_rule
 from .errors import NotIdempotent, NotSemisimple, PoleAtPoint
-from .linalg import Matrix, determinant, ldlt
+from .linalg import Matrix, determinant, ldlt, symmetric
 from .m4 import (build_m4a, build_m4b, reference_v_eigenvectors,
                  specialize_form, specialize_m4a, verify_dependencies)
 from .scalars import (QT, RationalFunction, count_roots_open,
@@ -142,6 +143,12 @@ def radical_dimension(t0) -> int:
     return len(radical(specialize_form(build_m4a().form, t0)))
 
 
+def radical_report(points):
+    """The radical dimension of M(t0) at each point."""
+    return [{"t0": format_rational(rat(p)),
+             "radical_dim": radical_dimension(p)} for p in points]
+
+
 def definiteness_report(grid=DEFAULT_GRID):
     report = []
     for point in grid:
@@ -177,18 +184,13 @@ def norton_block(alg, form) -> Matrix:
     den *= alg.table_den
     join = alg.field.join
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    size = len(pairs)
-    data = [[None] * size for _ in range(size)]
-    for r, (i, j) in enumerate(pairs):
-        ti, tj, gi, gj = table[i], table[j], gp[i], gp[j]
-        for s in range(r, size):
-            k, l = pairs[s]
-            gjl, gil = gj[l], gi[l]
-            val = join(sum(w * gjl[c] for c, w in ti[k])
-                       - sum(w * gil[c] for c, w in tj[k]), den)
-            data[r][s] = val
-            data[s][r] = val
-    return Matrix(alg.field, data)
+
+    def entry(r, s):
+        (i, j), (k, l) = pairs[r], pairs[s]
+        gjl, gil = gp[j][l], gp[i][l]
+        return join(sum(w * gjl[c] for c, w in table[i][k])
+                    - sum(w * gil[c] for c, w in table[j][k]), den)
+    return Matrix(alg.field, symmetric(len(pairs), entry))
 
 
 def norton_check(t0, spec=None) -> bool:
@@ -203,6 +205,12 @@ def norton_check(t0, spec=None) -> bool:
 def norton_grid_report(grid=DEFAULT_GRID):
     return [{"t0": format_rational(rat(p)), "norton_psd": norton_check(p)}
             for p in grid]
+
+
+def grid_report():
+    """The definiteness and Norton verdicts on DEFAULT_GRID."""
+    return {"definiteness": definiteness_report(),
+            "norton": norton_grid_report()}
 
 
 def norton_symbolic():

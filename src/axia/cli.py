@@ -4,11 +4,12 @@ Verbs: build, verify, gram, norton, radical, certify, catalog.
 Targets: m4a, m4b, dihedral:<TYPE>.  Parameters are exact rationals
 ("p/q" or integer strings; decimals are rejected).
 
-Each verb parses its arguments and returns its report; certify decides
-every verdict.  run() emits the report in one place: --out writes it as
-JSON, otherwise a human-readable summary is printed.  Exit codes: 1 when
-the report, or a dict row of a list report, has "pass": false; 0
-otherwise; 2 on a usage or build error.
+Each verb parses its arguments and returns its report from one call;
+certify builds every certification report and decides every verdict.
+run() emits the report in one place: --out writes it as JSON, otherwise
+a human-readable summary is printed.  Exit codes: 1 when the report, or
+a dict row of a list report, has "pass": false; 0 otherwise; 2 on a
+usage or build error.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from . import certify as cert
 from .catalog import DIHEDRAL_TYPES, dihedral, dihedral_dimension
 from .errors import AxiaError
 from .m4 import build_m4a, build_m4b
-from .scalars import format_rational, parse_rational
+from .scalars import parse_rational
 from .serialize import algebra_to_json, dump_json
 
 
@@ -120,9 +121,7 @@ def _cmd_gram(args):
 
 
 def _cmd_radical(args):
-    return [{"t0": format_rational(t0),
-             "radical_dim": cert.radical_dimension(t0)}
-            for t0 in _points(args)]
+    return cert.radical_report(_points(args))
 
 
 def _cmd_norton(args):
@@ -135,10 +134,8 @@ def _cmd_norton(args):
 def _cmd_certify(args):
     if args.what in ("v4a", "grid"):
         _points(args, f"certify {args.what}")
-        if args.what == "v4a":
-            return cert.v4a_certify()
-        return {"definiteness": cert.definiteness_report(),
-                "norton": cert.norton_grid_report()}
+        return (cert.v4a_certify() if args.what == "v4a"
+                else cert.grid_report())
     points = _points(args)
     if args.what == "majorana":
         return [cert.majorana_certify(t0).to_json() for t0 in points]

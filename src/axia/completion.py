@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from .algebra import Algebra, BilinearForm
 from .errors import CompletionInconsistent, CompletionInsufficient
-from .linalg import Matrix
+from .linalg import Matrix, upper_pairs
 
 
 def label_map(field, labels, image):
@@ -99,7 +99,7 @@ def complete_table(field, dim, known, generators, describe=None):
         if left == combos:  # the pass used no combination
             break
         combos = left
-    missing = {(i, j) for i in range(dim) for j in range(i, dim)} - set(known)
+    missing = set(upper_pairs(dim)) - set(known)
     if missing:
         raise CompletionInsufficient([describe(p) for p in missing])
     return known
@@ -127,14 +127,9 @@ def complete_algebra(field, labels, seeds, generators):
     def describe(p):
         return f"({labels[p[0]]}, {labels[p[1]]})"
 
-    table = [[None] * dim for _ in range(dim)]
-    gram = [[None] * dim for _ in range(dim)]
-    for (i, j), value in complete_table(field, dim, known, generators,
-                                        describe).items():
-        table[i][j] = table[j][i] = value[:dim]
-        gram[i][j] = gram[j][i] = value[dim]
-    return (Algebra(field, labels, table),
-            BilinearForm(field, Matrix(field, gram)))
+    done = complete_table(field, dim, known, generators, describe)
+    return (Algebra(field, labels, {p: v[:dim] for p, v in done.items()}),
+            BilinearForm(field, {p: v[dim] for p, v in done.items()}))
 
 
 def _norm(pair):

@@ -12,6 +12,8 @@ one matrix through matvec (remainder_map), with no elimination of their
 own.  The semidefinite-aware LDLT is the only other elimination loop;
 its Schur-complement sums go through the field's sub_dot, which over Q
 runs on integer numerators.
+A symmetric table is computed at the pairs i <= j (upper_pairs) and
+mirrored once into its full rows (symmetric).
 """
 
 from __future__ import annotations
@@ -53,12 +55,6 @@ class Matrix:
                       [[self.data[i][j] for i in range(self.rows)]
                        for j in range(self.cols)])
 
-    def is_symmetric(self):
-        if self.rows != self.cols:
-            return False
-        return all(self.data[i][j] == self.data[j][i]
-                   for i in range(self.rows) for j in range(i))
-
     def matmul(self, other):
         """Product over the nonzero pairs only; most entries here are zero."""
         if self.cols != other.rows:
@@ -70,7 +66,7 @@ class Matrix:
         out = []
         for arow in self.data:
             anz = [not is_zero(a) for a in arow]
-            out.append([sum((arow[k] * b for k, b in bcol if anz[k]), z)
+            out.append([_sum((arow[k] * b for k, b in bcol if anz[k]), z)
                         for bcol in bcols])
         return Matrix(self.field, out)
 
@@ -81,8 +77,31 @@ class Matrix:
         is_zero = self.field.is_zero
         z = self.field.zero
         nz = [(k, x) for k, x in enumerate(v) if not is_zero(x)]
-        return tuple(sum((row[k] * x for k, x in nz if not is_zero(row[k])), z)
+        return tuple(_sum((row[k] * x for k, x in nz if not is_zero(row[k])),
+                          z)
                      for row in self.data)
+
+
+def _sum(terms, zero):
+    """The sum of the terms from the first one on; zero if there is none."""
+    terms = iter(terms)
+    for first in terms:
+        return sum(terms, first)
+    return zero
+
+
+def upper_pairs(n):
+    """The index pairs (i, j), i <= j < n, in lexicographic order."""
+    return [(i, j) for i in range(n) for j in range(i, n)]
+
+
+def symmetric(n, entry):
+    """The n x n rows of entry(i, j), each computed once for i <= j and
+    reused at (j, i)."""
+    rows = [[None] * n for _ in range(n)]
+    for i, j in upper_pairs(n):
+        rows[i][j] = rows[j][i] = entry(i, j)
+    return rows
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,7 @@ from __future__ import annotations
 from .algebra import Algebra, BilinearForm, ConstructedAlgebra
 from .catalog import dihedral_seeds
 from .completion import complete_algebra, label_map
-from .linalg import Matrix
+from .linalg import upper_pairs
 from .scalars import QQ, QT, rat
 
 M4B_LABELS = ("a_1", "a_-1", "a_2", "a_-2", "a_3", "a_-3", "a_rho")
@@ -183,31 +183,22 @@ def build_m4a() -> ConstructedAlgebra:
     return result
 
 
-def _symmetric(n, entry):
-    """The n x n rows of entry(i, j), each computed once for i <= j and
-    reused at (j, i)."""
-    rows = [[None] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(i, n):
-            rows[i][j] = rows[j][i] = entry(i, j)
-    return rows
-
-
 def specialize(alg: Algebra, form: BilinearForm, t0):
     """Evaluate a symbolic algebra and form at a rational point t = t0."""
     t0 = rat(t0)
     z = QQ.zero
-    table = _symmetric(alg.dim, lambda i, j: tuple(
-        z if x.is_zero() else x.evaluate(t0) for x in alg.mul_table[i][j]))
-    return Algebra(QQ, alg.labels, table), specialize_form(form, t0)
+    products = {(i, j): tuple(z if x.is_zero() else x.evaluate(t0)
+                              for x in alg.mul_table[i][j])
+                for i, j in upper_pairs(alg.dim)}
+    return Algebra(QQ, alg.labels, products), specialize_form(form, t0)
 
 
 def specialize_form(form: BilinearForm, t0) -> BilinearForm:
     """Evaluate a symbolic form alone at t = t0."""
     t0 = rat(t0)
     gram = form.gram.data
-    return BilinearForm(QQ, Matrix(QQ, _symmetric(
-        len(gram), lambda i, j: gram[i][j].evaluate(t0))))
+    return BilinearForm(QQ, {(i, j): gram[i][j].evaluate(t0)
+                             for i, j in upper_pairs(len(gram))})
 
 
 def specialize_m4a(t0) -> ConstructedAlgebra:

@@ -2,8 +2,9 @@
 
 Rationals are serialized as exact "p/q" strings (decimals rejected);
 rational functions as {"num": [...], "den": [...]} coefficient lists in
-ascending degree.  Algebras: {field, labels, mul_table, gram?} storing only
-the upper triangle (pairs (i, j) with i <= j in lexicographic order).
+ascending degree.  Algebras: {field, labels, mul_table, gram?} storing one
+entry per unordered pair (i, j), i <= j, in the lexicographic order of
+linalg.upper_pairs; these are exactly what Algebra and BilinearForm take.
 """
 
 from __future__ import annotations
@@ -11,12 +12,8 @@ from __future__ import annotations
 import json
 
 from .algebra import Algebra, BilinearForm
-from .linalg import Matrix
+from .linalg import upper_pairs
 from .scalars import FIELDS_BY_KIND
-
-
-def _upper_pairs(n):
-    return [(i, j) for i in range(n) for j in range(i, n)]
 
 
 def algebra_to_json(alg: Algebra, form: BilinearForm = None) -> dict:
@@ -25,11 +22,11 @@ def algebra_to_json(alg: Algebra, form: BilinearForm = None) -> dict:
         "field": field.kind,
         "labels": list(alg.labels),
         "mul_table": [[field.to_json(x) for x in alg.mul_table[i][j]]
-                      for i, j in _upper_pairs(alg.dim)],
+                      for i, j in upper_pairs(alg.dim)],
     }
     if form is not None:
         out["gram"] = [field.to_json(form.gram.data[i][j])
-                       for i, j in _upper_pairs(alg.dim)]
+                       for i, j in upper_pairs(alg.dim)]
     return out
 
 
@@ -38,22 +35,17 @@ def algebra_from_json(d: dict):
     field = FIELDS_BY_KIND[d["field"]]
     labels = d["labels"]
     n = len(labels)
-    pairs = _upper_pairs(n)
+    pairs = upper_pairs(n)
     for key in ("mul_table", "gram"):
         if d.get(key) is not None and len(d[key]) != len(pairs):
             raise ValueError(f"{key} length does not match upper triangle")
-    table = [[None] * n for _ in range(n)]
-    for (i, j), entry in zip(pairs, d["mul_table"]):
-        vec = tuple(field.from_json(x) for x in entry)
-        table[i][j] = vec
-        table[j][i] = vec
-    alg = Algebra(field, labels, table)
+    alg = Algebra(field, labels,
+                  {p: tuple(field.from_json(x) for x in entry)
+                   for p, entry in zip(pairs, d["mul_table"])})
     form = None
     if d.get("gram") is not None:
-        g = [[field.zero] * n for _ in range(n)]
-        for (i, j), x in zip(pairs, d["gram"]):
-            g[i][j] = g[j][i] = field.from_json(x)
-        form = BilinearForm(field, Matrix(field, g))
+        form = BilinearForm(field, {p: field.from_json(x)
+                                    for p, x in zip(pairs, d["gram"])})
     return alg, form
 
 

@@ -19,7 +19,17 @@ tests/test_spans.py can compare the two value for value.
 
 from axia.algebra import Algebra, BilinearForm
 from axia.errors import NonSquare, NotAnIdeal
-from axia.linalg import Matrix, unit_vec, vec_is_zero
+from axia.linalg import Matrix, unit_vec, upper_pairs, vec_is_zero
+
+
+def upper_triangle(table):
+    """The entries of a full n x n table at the pairs i <= j, as Algebra
+    and BilinearForm take them; ValueError if the table is not
+    symmetric."""
+    n = len(table)
+    if any(table[i][j] != table[j][i] for i, j in upper_pairs(n)):
+        raise ValueError("table not symmetric")
+    return {(i, j): table[i][j] for i, j in upper_pairs(n)}
 
 
 def _eliminate(m):
@@ -162,7 +172,8 @@ def subalgebra_algebra(alg, basis_vectors):
 
     table = [[coords(alg.mul(tuple(m.data[i]), tuple(m.data[j])))
               for j in range(k)] for i in range(k)]
-    return Algebra(field, [f"s_{i}" for i in range(k)], table), coords
+    return (Algebra(field, [f"s_{i}" for i in range(k)],
+                    upper_triangle(table)), coords)
 
 
 def is_ideal(alg, subspace):
@@ -196,10 +207,11 @@ def quotient(alg, form, ideal):
         return tuple(rest[j] for j in comp)
 
     qalg = Algebra(field, [alg.labels[j] for j in comp],
-                   [[project(alg.mul_table[i][j]) for j in comp] for i in comp])
+                   upper_triangle([[project(alg.mul_table[i][j]) for j in comp]
+                                   for i in comp]))
     # induced form well-defined <=> ideal is in the kernel of the form
     if not all(vec_is_zero(field, form.gram.matvec(v)) for v in ideal_m.data):
         raise NotAnIdeal("ideal not contained in the form kernel; "
                          "induced form undefined")
     qgram = Matrix(field, [[form.gram.data[i][j] for j in comp] for i in comp])
-    return qalg, BilinearForm(field, qgram), project
+    return qalg, BilinearForm(field, upper_triangle(qgram.data)), project

@@ -12,7 +12,8 @@ structures.
 from axia.algebra import Algebra, BilinearForm
 from axia.errors import NotAnIdeal
 from axia.linalg import Matrix, unit_vec
-from elimination_reference import _reduce, is_ideal, span_rref
+from elimination_reference import (_reduce, is_ideal, span_rref,
+                                   upper_triangle)
 
 
 def form_apply_reference(form, u, v):
@@ -78,7 +79,8 @@ def quotient_reference(alg, form, ideal):
     reps = [unit_vec(field, alg.dim, j) for j in comp]
     table = [[project(alg.mul(reps[i], reps[j])) for j in range(len(comp))]
              for i in range(len(comp))]
-    qalg = Algebra(field, [alg.labels[j] for j in comp], table)
+    qalg = Algebra(field, [alg.labels[j] for j in comp],
+                   upper_triangle(table))
     for v in ideal_m.data:
         for i in range(alg.dim):
             if form_apply_reference(form, tuple(v),
@@ -87,4 +89,4 @@ def quotient_reference(alg, form, ideal):
     qgram = Matrix(field, [[form_apply_reference(form, reps[i], reps[j])
                             for j in range(len(comp))]
                            for i in range(len(comp))])
-    return qalg, BilinearForm(field, qgram), project
+    return qalg, BilinearForm(field, upper_triangle(qgram.data)), project

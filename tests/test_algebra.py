@@ -12,10 +12,12 @@ from axia.algebra import (Algebra, BilinearForm, FusionRule,
                           subalgebra_algebra, subalgebra_closure,
                           verify_frobenius, verify_fusion, verify_grading)
 from axia.catalog import dihedral, f4a_rule, monster_rule
-from axia.errors import (NotAnIdeal, NotIdempotent, NotSemisimple)
-from axia.linalg import Matrix, span_rref
+from axia.errors import (DimensionMismatch, NotAnIdeal, NotIdempotent,
+                         NotSemisimple)
+from axia.linalg import Matrix, span_rref, upper_pairs
 from axia.m4 import specialize_m4a
 from axia.scalars import QQ, QT, rat
+from axia.serialize import algebra_to_json
 
 from form_reference import (form_apply_reference, quotient_reference,
                             verify_frobenius_reference)
@@ -26,6 +28,12 @@ MONSTER_EVS = tuple(QQ.of(x) for x in ("1", "0", "1/4", "1/32"))
 
 def qm(rows):
     return Matrix(QQ, [[rat(x) for x in row] for row in rows])
+
+
+def qform(rows):
+    """The form over Q with the symmetric Gram matrix rows."""
+    return BilinearForm(QQ, {(i, j): rat(rows[i][j])
+                             for i, j in upper_pairs(len(rows))})
 
 
 # ---------------------------------------------------------------------------
@@ -64,12 +72,9 @@ def _qq_entries():
 
 
 def _random_algebra(field, entries, rng, dim):
-    table = [[None] * dim for _ in range(dim)]
-    for i in range(dim):
-        for j in range(i, dim):
-            table[i][j] = table[j][i] = tuple(
-                rng.choice(entries) for _ in range(dim))
-    return Algebra(field, [f"b_{i}" for i in range(dim)], table)
+    products = {p: tuple(rng.choice(entries) for _ in range(dim))
+                for p in upper_pairs(dim)}
+    return Algebra(field, [f"b_{i}" for i in range(dim)], products)
 
 
 @pytest.mark.parametrize("field", [QQ, QT], ids=["QQ", "QT"])
@@ -103,23 +108,57 @@ def test_mul_cancels_to_normalised_zero_and_constants():
     # [TRIVIAL] (1/(t-1)) b * (t-1) b = b and x b - x b = 0 need the
     # joined numerator over the common denominator reduced
     t = QT.t
-    alg = Algebra(QT, ["b"], [[(QT.of(1) / (t * t - 1),)]])
+    alg = Algebra(QT, ["b"], {(0, 0): (QT.of(1) / (t * t - 1),)})
     p = alg.mul((t * t - 1,), (QT.of(1) / (t + 1),))
     assert p == (QT.of(1) / (t + 1),)
     assert p[0].den == (t + 1).num and hash(p[0]) == hash(QT.of(1) / (t + 1))
-    two = Algebra(QT, ["b", "c"], [[(QT.of(1), QT.of(1) / (t - 1)),
-                                    (QT.of(1), -QT.of(1) / (t - 1))],
-                                   [(QT.of(1), -QT.of(1) / (t - 1)),
-                                    (QT.zero, QT.zero)]])
+    two = Algebra(QT, ["b", "c"], {(0, 0): (QT.of(1), QT.of(1) / (t - 1)),
+                                   (0, 1): (QT.of(1), -QT.of(1) / (t - 1)),
+                                   (1, 1): (QT.zero, QT.zero)})
     assert two.mul((QT.of(1), QT.of(1)), (QT.of(1), QT.zero)) == \
         (QT.of(2), QT.zero)
 
 
 def test_asymmetric_table_rejected():
+    # x*y and y*x cannot be given apart: the key (1, 0) is rejected
     z = (rat(0), rat(0))
     e0 = (rat(1), rat(0))
     with pytest.raises(ValueError):
-        Algebra(QQ, ["x", "y"], [[e0, e0], [z, z]])
+        Algebra(QQ, ["x", "y"], {(0, 0): e0, (0, 1): e0, (1, 0): z,
+                                 (1, 1): z})
+
+
+def _pair_entries():
+    """Valid constructor input on two basis vectors: the products of
+    Algebra and the values of BilinearForm at (0, 0), (0, 1), (1, 1)."""
+    one, z = rat(1), rat(0)
+    return ({(0, 0): (one, z), (0, 1): (z, z), (1, 1): (z, one)},
+            {(0, 0): one, (0, 1): z, (1, 1): rat(2)})
+
+
+def _key_edits(entries):
+    """entries with a missing pair, with (0, 1) given as (1, 0), and with
+    an extra pair (2, 2)."""
+    missing = {p: x for p, x in entries.items() if p != (0, 1)}
+    lower = {(1, 0) if p == (0, 1) else p: x for p, x in entries.items()}
+    extra = {**entries, (2, 2): entries[0, 0]}
+    return {"missing": missing, "lower": lower, "extra": extra}
+
+
+@pytest.mark.parametrize("edit", ["missing", "lower", "extra"])
+def test_constructors_reject_any_other_key_set(edit):
+    products, values = _pair_entries()
+    with pytest.raises(ValueError):
+        Algebra(QQ, ["x", "y"], _key_edits(products)[edit])
+    with pytest.raises(ValueError):
+        BilinearForm(QQ, _key_edits(values)[edit])
+
+
+def test_algebra_rejects_a_product_of_the_wrong_length():
+    products, _ = _pair_entries()
+    for short_or_long in ((rat(1),), (rat(1), rat(0), rat(0))):
+        with pytest.raises(DimensionMismatch):
+            Algebra(QQ, ["x", "y"], {**products, (1, 1): short_or_long})
 
 
 def test_fusion_rule_requires_total_table():
@@ -154,7 +193,7 @@ def test_primitive_flag():
     # a_rho in 2A is idempotent with ad eigenvalues {1, 0, 1/4} and a
     # 1-dimensional 1-eigenspace too, so use the full-space idempotent of
     # a 1-dimensional algebra instead
-    one = Algebra(QQ, ["e"], [[(rat(1),)]])
+    one = Algebra(QQ, ["e"], {(0, 0): (rat(1),)})
     dec1 = axis_decomposition(one, (rat(1),), (QQ.of(1),))
     assert dec1.is_primitive
 
@@ -166,22 +205,19 @@ def test_primitive_flag():
 def test_verify_fusion_detects_tampered_product():
     d = dihedral("3C")
     alg = d.algebra
-    table = [[list(alg.mul_table[i][j]) for j in range(alg.dim)]
-             for i in range(alg.dim)]
-    i, j = alg.index("a_0"), alg.index("a_1")
-    table[i][j][alg.index("a_-1")] += rat("1/7")
-    table[j][i] = table[i][j]
-    bad = Algebra(QQ, alg.labels, table)
+    products = {(i, j): list(alg.mul_table[i][j])
+                for i, j in upper_pairs(alg.dim)}
+    pair = tuple(sorted((alg.index("a_0"), alg.index("a_1"))))
+    products[pair][alg.index("a_-1")] += rat("1/7")
+    bad = Algebra(QQ, alg.labels, products)
     dec = axis_decomposition(bad, bad.basis_vector("a_-1"), MONSTER_EVS)
     assert verify_fusion(bad, dec, monster_rule())
 
 
 def test_verify_frobenius_detects_perturbed_gram_entry():
     d = dihedral("3A")
-    gram = [list(row) for row in d.form.gram.data]
-    i, j = d.algebra.index("a_0"), d.algebra.index("u_rho")
-    gram[i][j] = gram[j][i] = gram[i][j] + rat("1/1000")
-    bad = BilinearForm(QQ, Matrix(QQ, gram))
+    i, j = sorted((d.algebra.index("a_0"), d.algebra.index("u_rho")))
+    bad = _tampered_gram(d.form, i, j, rat("1/1000"))
     violations = verify_frobenius(d.algebra, bad)
     assert violations
     # the offending label must occur in some reported triple
@@ -195,16 +231,19 @@ def test_verify_frobenius_passes_on_catalog():
 
 
 def _tampered_table(alg, i, j, k, delta):
-    table = [[list(entry) for entry in row] for row in alg.mul_table]
-    table[i][j][k] = table[i][j][k] + delta
-    table[j][i] = table[i][j]
-    return Algebra(alg.field, alg.labels, table)
+    """alg with delta added to coordinate k of e_i e_j, i <= j."""
+    products = {(a, b): list(alg.mul_table[a][b])
+                for a, b in upper_pairs(alg.dim)}
+    products[i, j][k] = products[i, j][k] + delta
+    return Algebra(alg.field, alg.labels, products)
 
 
 def _tampered_gram(form, i, j, delta):
-    gram = [list(row) for row in form.gram.data]
-    gram[i][j] = gram[j][i] = gram[i][j] + delta
-    return BilinearForm(form.field, Matrix(form.field, gram))
+    """form with delta added to <e_i, e_j>, i <= j."""
+    gram = form.gram.data
+    values = {(a, b): gram[a][b] for a, b in upper_pairs(len(gram))}
+    values[i, j] = values[i, j] + delta
+    return BilinearForm(form.field, values)
 
 
 @pytest.mark.parametrize("name", ["m4b", "m4a", "6A"])
@@ -345,7 +384,7 @@ def test_miyamoto_of_4a_axes_follows_c2xc2_grading(i, j, m4a):
 def test_is_automorphism_rejects_non_automorphism():
     d = dihedral("2B")
     not_auto = qm([[1, 1], [0, 1]])
-    assert not is_automorphism(d.algebra, not_auto)
+    assert not is_automorphism(d.algebra, not_auto, d.form)
 
 
 def test_is_automorphism_rejects_non_isometry():
@@ -353,10 +392,8 @@ def test_is_automorphism_rejects_non_isometry():
     # entry <a_0, a_0> = 1 to <a_1, a_1> = 2 of this form
     d = dihedral("2B")
     swap = d.symmetries["swap_01"]
-    assert is_automorphism(d.algebra, swap)
     assert is_automorphism(d.algebra, swap, d.form)
-    assert not is_automorphism(d.algebra, swap,
-                               BilinearForm(QQ, qm([[1, 0], [0, 2]])))
+    assert not is_automorphism(d.algebra, swap, qform([[1, 0], [0, 2]]))
 
 
 # ---------------------------------------------------------------------------
@@ -386,8 +423,7 @@ def test_subalgebra_algebra_coords_roundtrip():
 def _degenerate_pair():
     """2B with a degenerate form: span{a_1} is an ideal in the kernel."""
     d = dihedral("2B")
-    gram = qm([[1, 0], [0, 0]])
-    return d.algebra, BilinearForm(QQ, gram)
+    return d.algebra, qform([[1, 0], [0, 0]])
 
 
 def test_radical_and_quotient():
@@ -425,7 +461,7 @@ def test_quotient_rejects_non_ideal():
 
 def test_quotient_rejects_ideal_outside_form_kernel():
     alg, _ = _degenerate_pair()
-    nondeg = BilinearForm(QQ, qm([[1, 0], [0, 1]]))
+    nondeg = qform([[1, 0], [0, 1]])
     with pytest.raises(NotAnIdeal):
         quotient(alg, nondeg, [alg.basis_vector("a_1")])
 
@@ -454,14 +490,16 @@ def _skewed_idempotents(field, p_rows, d2):
     p = Matrix(field, p_rows)
     pinv = inverse(p)
     e = [tuple(row[k] for row in pinv.data) for k in range(3)]
-    table = [[pinv.matvec([p.data[k][i] * p.data[k][j] for k in range(3)])
-              for j in range(3)] for i in range(3)]
+    products = {(i, j): pinv.matvec([p.data[k][i] * p.data[k][j]
+                                     for k in range(3)])
+                for i, j in upper_pairs(3)}
     z = field.zero
     diag = Matrix(field, [[field.one, z, z], [z, field.of(d2), z],
                           [z, z, z]])
-    gram = p.transpose().matmul(diag).matmul(p)
-    return (Algebra(field, ["b_0", "b_1", "b_2"], table),
-            BilinearForm(field, gram), e)
+    gram = p.transpose().matmul(diag).matmul(p).data
+    return (Algebra(field, ["b_0", "b_1", "b_2"], products),
+            BilinearForm(field, {(i, j): gram[i][j]
+                                 for i, j in upper_pairs(3)}), e)
 
 
 @pytest.mark.parametrize("field", [QQ, QT], ids=["QQ", "QT"])
@@ -500,3 +538,83 @@ def test_records_place_each_axis_at_its_key(catalog, m4a, m4b):
         assert built.n_axes == len(built.axis_keys) > 0
         for ax, key in zip(built.axes, built.axis_keys):
             assert ax == built.algebra.basis_vector(f"a_{key}")
+
+
+# ---------------------------------------------------------------------------
+# one entry per unordered pair: the tables equal a full-table clearing
+# ---------------------------------------------------------------------------
+
+def _cleared_full_table(field, full):
+    """(table_nums, table_den) from clearing every ordered pair of a full
+    n x n product table over one common denominator."""
+    nonzero = [[[(k, w) for k, w in enumerate(entry) if not field.is_zero(w)]
+                for entry in row] for row in full]
+    nums, den = field.clear([w for row in nonzero for entry in row
+                             for _, w in entry])
+    nums = iter(nums)
+    return [[[(k, next(nums)) for k, _ in entry] for entry in row]
+            for row in nonzero], den
+
+
+def _exported_full_table(alg):
+    """The full table mirrored here from the exported upper triangle."""
+    field, n = alg.field, alg.dim
+    doc = algebra_to_json(alg)
+    entries = {p: tuple(field.from_json(x) for x in e)
+               for p, e in zip(upper_pairs(n), doc["mul_table"])}
+    return [[entries[min(i, j), max(i, j)] for j in range(n)]
+            for i in range(n)]
+
+
+def _specialized_full_table(m4a, t0):
+    """specialize_m4a(t0) and M_4A's table evaluated at every ordered
+    pair."""
+    spec = specialize_m4a(t0).algebra
+    table = m4a.algebra.mul_table
+    return spec, [[tuple(x.evaluate(rat(t0)) for x in entry) for entry in row]
+                  for row in table]
+
+
+def _jordan_full_table(m4a):
+    """The Jordan subalgebra of the three 4A axes and its products at
+    every ordered pair of its basis rows."""
+    alg = m4a.algebra
+    closure = subalgebra_closure(
+        alg, [alg.basis_vector(f"v_{i}{j}") for i, j in ((1, 2), (1, 3),
+                                                        (2, 3))])
+    sub, coords = subalgebra_algebra(alg, closure)
+    rows = span_rref(alg.field, closure)[0].data
+    return sub, [[coords(alg.mul(tuple(u), tuple(v))) for v in rows]
+                 for u in rows]
+
+
+def _quotient_full_table(t0):
+    """The quotient of M(t0) by its radical and the projected products
+    at every ordered pair of its complement columns."""
+    spec = specialize_m4a(t0)
+    qalg, _, project = quotient(spec.algebra, spec.form, radical(spec.form))
+    comp = [spec.algebra.index(lab) for lab in qalg.labels]
+    table = spec.algebra.mul_table
+    return qalg, [[project(table[i][j]) for j in comp] for i in comp]
+
+
+FULL_TABLE_CASES = (["2A", "2B", "3A", "3C", "4A", "4B", "5A", "6A", "m4b",
+                     "m4a", "m4a@0", "m4a@1/6", "m4a@9/4", "jordan"]
+                    + [f"quotient@{t0}" for t0 in ("0", "1/6", "9/4")])
+
+
+@pytest.mark.parametrize("name", FULL_TABLE_CASES)
+def test_tables_equal_a_full_table_clearing(name, catalog, m4a, m4b):
+    kind, _, t0 = name.partition("@")
+    if kind == "m4a" and t0:
+        alg, full = _specialized_full_table(m4a, t0)
+    elif kind == "jordan":
+        alg, full = _jordan_full_table(m4a)
+    elif kind == "quotient":
+        alg, full = _quotient_full_table(t0)
+    else:
+        alg = ({"m4a": m4a, "m4b": m4b}.get(name) or catalog[name]).algebra
+        full = _exported_full_table(alg)
+    assert alg.mul_table == full
+    assert (alg.table_nums, alg.table_den) == _cleared_full_table(alg.field,
+                                                                  full)

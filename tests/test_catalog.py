@@ -56,14 +56,6 @@ def test_f4a_rule_symbolic_and_specialized():
     s = QT.of("3/8")
     assert rule[(s, t)] == frozenset()
     assert rule[(t, t)] == {QT.of(1), QT.of(0), QT.of("1/2")}
-    spec = f4a_rule("1/5")
-    assert QQ.of("1/5") in spec.eigenvalues
-
-
-@pytest.mark.parametrize("bad", ["1", "0", "1/2", "3/8"])
-def test_f4a_rule_rejects_eigenvalue_collisions(bad):
-    with pytest.raises(ValueError):
-        f4a_rule(bad)
 
 
 # ---------------------------------------------------------------------------

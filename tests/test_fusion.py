@@ -18,6 +18,7 @@ from axia.algebra import (Algebra, FusionRule, _at, axis_decomposition,
                           quotient, radical, subalgebra_algebra,
                           subalgebra_closure, verify_fusion)
 from axia.catalog import f4a_rule, jordan_half_rule, monster_rule
+from axia.linalg import upper_pairs
 from axia.m4 import specialize_m4a
 from axia.scalars import POLY_T, QQ, QT
 
@@ -46,11 +47,11 @@ def _tampered_rule(pair, targets):
 
 def _tampered_table(alg, x, y, coord, delta):
     """alg with delta added to the coord coordinate of x*y (and y*x)."""
-    table = [[list(entry) for entry in row] for row in alg.mul_table]
-    i, j = alg.index(x), alg.index(y)
-    table[i][j][alg.index(coord)] += delta
-    table[j][i] = table[i][j]
-    return Algebra(alg.field, alg.labels, table)
+    products = {(i, j): list(alg.mul_table[i][j])
+                for i, j in upper_pairs(alg.dim)}
+    pair = tuple(sorted((alg.index(x), alg.index(y))))
+    products[pair][alg.index(coord)] += delta
+    return Algebra(alg.field, alg.labels, products)
 
 
 # ---------------------------------------------------------------------------
@@ -131,7 +132,7 @@ def _root_at(m):
     product vanishes at t = m only."""
     z, one = QT.zero, QT.one
     alg = Algebra(QT, ["a", "b"],
-                  [[(one, z), (z, z)], [(z, z), (QT.t - m, z)]])
+                  {(0, 0): (one, z), (0, 1): (z, z), (1, 1): (QT.t - m, z)})
     rule = FusionRule(QT, ("1", "0"), {("1", "1"): {"1"}, ("1", "0"): set(),
                                        ("0", "0"): {"0"}})
     return alg, axis_decomposition(alg, alg.basis_vector("a"),
@@ -163,10 +164,10 @@ def test_a_violation_is_reported_past_the_factors_of_the_test():
     # U^2 W = 13^2 * 455 < 2^17, which would put the point at 2^18; the
     # factors (ad_a - nu) of the test carry the rest of the bound.
     z, c = QT.zero, QT.of
-    alg = Algebra(QT, ["a", "b", "c"], [
-        [(c(1), z, z), (c(-16), c(-16), c(-4)), (c(72), c(72), c(18))],
-        [(c(-16), c(-16), c(-4)), (z, z, z), (z, z, c(455))],
-        [(c(72), c(72), c(18)), (z, z, c(455)), (QT.t, z, z)]])
+    alg = Algebra(QT, ["a", "b", "c"], {
+        (0, 0): (c(1), z, z), (0, 1): (c(-16), c(-16), c(-4)),
+        (0, 2): (c(72), c(72), c(18)), (1, 1): (z, z, z),
+        (1, 2): (z, z, c(455)), (2, 2): (QT.t, z, z)})
     evs = ("1", "0", "2")
     table = {(x, y): set(evs) for x in evs for y in evs}
     table[("2", "2")] = {"0", "2"}

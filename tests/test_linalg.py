@@ -57,15 +57,20 @@ def random_sparse(field, rng, rows, cols, density):
 
 @pytest.mark.parametrize("field", [QQ, QT], ids=["QQ", "QT"])
 def test_sparse_products_equal_dense_reference(field):
+    # each sum starts at its first nonzero product; it equals the dense sum
+    # started at zero by value and by repr, and the appended zero row of a
+    # has no nonzero product and stays zero
     rng = random.Random(11)
     for density in (0.0, 0.1, 0.3, 1.0):
         for _ in range(4):
             r, k, c = rng.randint(1, 6), rng.randint(1, 6), rng.randint(1, 6)
             a = random_sparse(field, rng, r, k, density)
+            a = Matrix(field, a.data + [[field.zero] * k])
             b = random_sparse(field, rng, k, c, density)
             v = tuple(random_entry(field, rng, density) for _ in range(k))
-            assert a.matvec(v) == dense_matvec(a, v)
-            assert a.matmul(b) == dense_matmul(a, b)
+            for got, want in ((a.matvec(v), dense_matvec(a, v)),
+                              (a.matmul(b).data, dense_matmul(a, b).data)):
+                assert got == want and repr(got) == repr(want)
 
 
 @pytest.mark.parametrize("field", [QQ, QT], ids=["QQ", "QT"])

@@ -1,8 +1,11 @@
 """JSON serialization round-trips for algebras."""
 
+import json
+
 import pytest
 
-from axia.catalog import dihedral
+from axia.catalog import DIHEDRAL_TYPES, dihedral
+from axia.m4 import build_m4a, build_m4b
 from axia.serialize import (algebra_from_json, algebra_to_json, dump_json,
                             load_json)
 
@@ -51,3 +54,20 @@ def test_repeated_labels_rejected():
     doc = algebra_to_json(d.algebra, d.form)
     with pytest.raises(ValueError, match="repeated basis labels"):
         algebra_from_json({**doc, "labels": ["a_0", "a_0"]})
+
+
+BUILDERS = {"m4a": build_m4a, "m4b": build_m4b,
+            **{f"dihedral:{name}": (lambda name=name: dihedral(name))
+               for name in DIHEDRAL_TYPES}}
+
+
+@pytest.mark.parametrize("target", BUILDERS)
+def test_round_trip_of_every_build_target_keeps_the_tables(target):
+    built = BUILDERS[target]()
+    doc = json.loads(json.dumps(algebra_to_json(built.algebra, built.form)))
+    alg, form = algebra_from_json(doc)
+    assert alg.labels == built.algebra.labels
+    assert alg.mul_table == built.algebra.mul_table
+    assert alg.table_nums == built.algebra.table_nums
+    assert alg.table_den == built.algebra.table_den
+    assert form.gram == built.form.gram
