@@ -10,11 +10,21 @@ mirror it once, so an asymmetric table cannot be written down.
 
 from __future__ import annotations
 
-from .errors import (DimensionMismatch, NotAnIdeal, NotIdempotent,
-                     NotSemisimple)
-from .linalg import (Matrix, _at, _cleared, _l1, _past, kernel_basis,
-                     remainder_map, span_rref, symmetric, unit_vec,
-                     upper_pairs, vec_is_zero)
+from .errors import (DimensionMismatch, NotAnIdeal, NotGraded,
+                     NotIdempotent, NotSemisimple)
+from .linalg import (Matrix, determinant, kernel_basis, remainder_map, rref,
+                     span_rref, symmetric, unit_vec, upper_pairs,
+                     vec_is_zero)
+from .scalars import _at, _l1, _past
+
+
+def _cleared(field, xs):
+    """(nums, den): the scalars xs times one nonzero scale, as integer
+    polynomials (ascending coefficient tuples) nums, and that scale den,
+    also as an integer polynomial."""
+    nums, den = field.clear(xs)
+    *nums, den = field.int_coeffs(nums + [den])
+    return nums, den
 
 
 def _mirrored(n, entries):
@@ -123,6 +133,7 @@ class ConstructedAlgebra:
 
     def __init__(self, algebra, form, axis_keys, symmetries=None,
                  reference_eigenvectors=None):
+        check_pairing(algebra, form)
         self.algebra = algebra
         self.form = form
         self.axis_keys = list(axis_keys)
@@ -149,6 +160,15 @@ class BilinearForm:
         is_zero = self.field.is_zero
         return sum((a * b for a, b in zip(u, self.gram.matvec(v))
                     if not is_zero(a)), self.field.zero)
+
+
+def check_pairing(alg: Algebra, form: BilinearForm):
+    """DimensionMismatch unless the form's Gram matrix is alg.dim x
+    alg.dim.  A BilinearForm takes its size from its largest index, so a
+    form that lacks the last basis vector is silently smaller."""
+    if form.gram.rows != alg.dim:
+        raise DimensionMismatch(f"form of dimension {form.gram.rows} on an "
+                                f"algebra of dimension {alg.dim}")
 
 
 class FusionRule:
@@ -477,6 +497,7 @@ def quotient(alg: Algebra, form: BilinearForm, ideal):
     that containment is checked here as well.  project is the remainder
     modulo the ideal read at the complement columns (remainder_map).
     """
+    check_pairing(alg, form)
     field = alg.field
     ideal_m, pivots = span_rref(field, [tuple(v) for v in ideal])
     if not _absorbs(alg, ideal_m):
@@ -504,3 +525,61 @@ def verify_grading(rule: FusionRule, grading) -> bool:
     return (all(lam in grading for lam in evs)
             and all(grading[nu] == grading[lam] ^ grading[mu]
                     for lam in evs for mu in evs for nu in rule[(lam, mu)]))
+
+
+def graded_by_involutions(alg: Algebra, form: BilinearForm, involutions):
+    """(algebra, form, grades): alg and form over Q(t) rebased on the
+    joint eigenvectors of commuting involutions, and the grade of each new
+    basis vector, an int under xor as in verify_grading.
+
+    Grade g is the joint eigenspace on which involution b acts as -1 when
+    bit b of g is set and as +1 otherwise; its basis is the kernel_basis
+    of the involutions minus those scalars, stacked.  With S the matrix
+    whose columns are the new basis, grade by grade, the new table is
+    S^-1 (S e_i . S e_j) and the new Gram matrix is S^T G S.
+
+    NotGraded unless the eigenvectors number alg.dim; det S is a nonzero
+    constant, so that S is a basis at every t and S^-1 is polynomial;
+    every product of grades g and h lies in grade g ^ h; and every Gram
+    entry between different grades is zero.  Each is an identity in Q(t),
+    so it holds wherever the algebra is specialised.
+    """
+    field = alg.field
+    n = alg.dim
+    is_zero = field.is_zero
+    vectors, grades = [], []
+    for g in range(1 << len(involutions)):
+        stacked = []
+        for b, tau in enumerate(involutions):
+            stacked += _minus_scalar(tau, -field.one if g >> b & 1
+                                     else field.one).data
+        for v in kernel_basis(Matrix(field, stacked)):
+            vectors.append(v)
+            grades.append(g)
+    if len(vectors) != n:
+        raise NotGraded(f"{len(vectors)} joint eigenvectors in dimension {n}")
+    S = Matrix(field, list(zip(*vectors)))
+    det = determinant(S)
+    if is_zero(det) or not det.is_constant():
+        raise NotGraded(f"det S = {det} is not a nonzero constant")
+    red = rref(Matrix(field, [list(row) + list(unit_vec(field, n, i))
+                              for i, row in enumerate(S.data)]))[0]
+    inverse = Matrix(field, [row[n:] for row in red.data])
+    products = {(i, j): inverse.matvec(alg.mul(vectors[i], vectors[j]))
+                for i, j in upper_pairs(n)}
+    for (i, j), p in products.items():
+        if any(grades[k] != grades[i] ^ grades[j] and not is_zero(x)
+               for k, x in enumerate(p)):
+            raise NotGraded(f"the product of basis vectors {i} and {j} "
+                            f"leaves grade {grades[i] ^ grades[j]}")
+    gram = S.transpose().matmul(form.gram.matmul(S)).data
+    for i, j in upper_pairs(n):
+        if grades[i] != grades[j] and not is_zero(gram[i][j]):
+            raise NotGraded(f"Gram entry ({i}, {j}) joins grades "
+                            f"{grades[i]} and {grades[j]}")
+    graded = Algebra(field, [f"g{g}_{k}" for k, g in enumerate(grades)],
+                     products)
+    graded_form = BilinearForm(field, {(i, j): gram[i][j]
+                                       for i, j in upper_pairs(n)})
+    check_pairing(graded, graded_form)
+    return graded, graded_form, grades

@@ -9,6 +9,20 @@ property and the 9-dimensional quotients at the boundary, and verifies
 the 4A-axis fusion rule, its C2 x C2 grading and the Jordan-type
 subalgebra generated by the three 4A axes.
 
+Norton and Majorana verdicts at a point use the C2 x C2 grading of M_4A
+by its Miyamoto involutions tau_1 and tau_2.  Each is an automorphism
+and an isometry, so on a basis of their joint eigenvectors
+(m4.graded_m4a) the product maps grades g and h into grade g ^ h and the
+form joins only equal grades.  The basis change S has a nonzero constant
+determinant, checked once over Q(t), so S^T G S is congruent to G, and
+the Norton form there is congruent to the original through the exterior
+square of S, at every t.  On the graded basis the Norton form is the
+direct sum of its blocks on the pairs of each grade g_i ^ g_j; grade 0
+holds nine basis vectors and grades 1, 2 and 3 one each, so the 66
+pairs split into blocks of 36, 10, 10 and 10, and the form is PSD iff
+each block is.  The symbolic LDLT (norton_symbolic), the Gram verdicts
+(definiteness_report, gram) and the quotients stay on the original basis.
+
 Every certification report is built and every verdict decided here.  A
 report that carries a verdict holds it as "pass" (a verification suite,
 gram, each quotient row); the command line only emits the report and
@@ -24,7 +38,8 @@ from .catalog import dihedral, f4a_rule, jordan_half_rule, monster_rule
 from .errors import NotIdempotent, NotSemisimple, PoleAtPoint
 from .linalg import Matrix, determinant, ldlt, symmetric
 from .m4 import (build_m4a, build_m4b, reference_v_eigenvectors,
-                 specialize_form, specialize_m4a, verify_dependencies)
+                 specialize_form, specialize_graded_m4a, specialize_m4a,
+                 verify_dependencies)
 from .scalars import (QT, RationalFunction, count_roots_open,
                       format_rational, rat, rational_sign)
 
@@ -163,14 +178,23 @@ def definiteness_report(grid=DEFAULT_GRID):
 # Norton's inequality
 # ---------------------------------------------------------------------------
 
-def norton_block(alg, form) -> Matrix:
-    """The Norton form on the exterior square: the block of
+def norton_blocks(alg, form, grades=None):
+    """The Norton form on the exterior square,
     b[(i,j),(k,l)] = <e_i e_k, e_j e_l> - <e_j e_k, e_i e_l>
-    on the pairs i < j, in lexicographic order.
+    on the pairs i < j, split by grade: one Matrix per grade g_i ^ g_j of
+    the pairs, in ascending grade, each on its pairs in lexicographic
+    order.
 
-    b is antisymmetric in (i, j) and in (k, l), so this block is positive
-    semidefinite iff the whole n^2 x n^2 matrix is, i.e. iff Norton's
-    inequality <u.u, v.v> >= <u.v, u.v> holds for all u, v.
+    b is antisymmetric in (i, j) and in (k, l), so the form on the pairs
+    i < j is positive semidefinite iff the whole n^2 x n^2 matrix is, i.e.
+    iff Norton's inequality <u.u, v.v> >= <u.v, u.v> holds for all u, v.
+    grades[i] is the grade of basis vector i, an int under xor, for a
+    basis on which the product and the form are graded
+    (algebra.graded_by_involutions).  Then <e_i e_k, e_j e_l> is zero
+    unless g_i ^ g_k = g_j ^ g_l, that is unless the pairs (i, j) and
+    (k, l) have the same grade, so the form is the direct sum of these
+    blocks and is PSD iff each block is.  With grades None every vector
+    has grade 0, and the one block is the whole form on the pairs.
 
     The entries are computed on numerators: the structure constants
     alg.table_nums over alg.table_den contracted with form_products, the
@@ -179,27 +203,39 @@ def norton_block(alg, form) -> Matrix:
     is normalised once.
     """
     n = alg.dim
+    grades = grades or [0] * n
     table = alg.table_nums
     gp, den = form_products(alg, form)
     den *= alg.table_den
     join = alg.field.join
-    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    by_grade = {}
+    for i in range(n):
+        for j in range(i + 1, n):
+            by_grade.setdefault(grades[i] ^ grades[j], []).append((i, j))
 
-    def entry(r, s):
-        (i, j), (k, l) = pairs[r], pairs[s]
-        gjl, gil = gp[j][l], gp[i][l]
-        return join(sum(w * gjl[c] for c, w in table[i][k])
-                    - sum(w * gil[c] for c, w in table[j][k]), den)
-    return Matrix(alg.field, symmetric(len(pairs), entry))
+    def block(pairs):
+        def entry(r, s):
+            (i, j), (k, l) = pairs[r], pairs[s]
+            gjl, gil = gp[j][l], gp[i][l]
+            return join(sum(w * gjl[c] for c, w in table[i][k])
+                        - sum(w * gil[c] for c, w in table[j][k]), den)
+        return Matrix(alg.field, symmetric(len(pairs), entry))
+    return [block(by_grade[g]) for g in sorted(by_grade)]
 
 
-def norton_check(t0, spec=None) -> bool:
-    """Exact PSD verdict of the Norton form of M(t0), from the LDLT of its
-    66 x 66 block on the exterior square."""
-    if spec is None:
-        spec = specialize_m4a(t0)
-    result = ldlt(norton_block(spec.algebra, spec.form))
-    return result.is_psd()
+def norton_psd(alg, form, grades=None) -> bool:
+    """Exact verdict on Norton's inequality: every block of norton_blocks
+    positive semidefinite, each decided by its LDLT."""
+    return all(ldlt(b).is_psd() for b in norton_blocks(alg, form, grades))
+
+
+def norton_check(t0) -> bool:
+    """Exact PSD verdict of the Norton form of M(t0), on the C2 x C2-graded
+    basis of graded_m4a at t0: blocks of 36, 10, 10 and 10 pairs, not one
+    of 66.  The basis change S has a constant nonzero determinant, so the
+    form there is congruent, through the exterior square of S, to the form
+    on the basis a_{+-k}, v_ij, w_k at every t0."""
+    return norton_psd(*specialize_graded_m4a(t0))
 
 
 def norton_grid_report(grid=DEFAULT_GRID):
@@ -224,7 +260,8 @@ def norton_symbolic():
     depend on this path.
     """
     m4a = build_m4a()
-    result = ldlt(norton_block(m4a.algebra, m4a.form))
+    (block,) = norton_blocks(m4a.algebra, m4a.form)
+    result = ldlt(block)
     diag = _interleave_wedge(result.D, m4a.algebra.dim)
     return {"status": result.status, "columns_processed": len(diag),
             "diagonal": diag}
@@ -277,11 +314,13 @@ class MajoranaVerdict:
 
 
 def majorana_certify(t0) -> MajoranaVerdict:
+    """Both verdicts at t0 from one specialisation of graded_m4a: its Gram
+    matrix S^T G S is congruent to G, and its Norton blocks decide
+    Norton's inequality (norton_check)."""
     t0 = rat(t0)
-    spec = specialize_m4a(t0)
-    gram_pd = ldlt(spec.form.gram).is_pd()
-    norton_psd = norton_check(t0, spec)
-    return MajoranaVerdict(t0, gram_pd, norton_psd)
+    alg, form, grades = specialize_graded_m4a(t0)
+    return MajoranaVerdict(t0, ldlt(form.gram).is_pd(),
+                           norton_psd(alg, form, grades))
 
 
 def quotient_certify(t0):
@@ -309,11 +348,11 @@ def quotient_certify(t0):
         if not dec.is_primitive or verify_fusion(qalg, dec, rule):
             fusion_ok = False
     gram_pd = ldlt(qform.gram).is_pd()
-    norton_psd = ldlt(norton_block(qalg, qform)).is_psd()
+    norton_ok = norton_psd(qalg, qform)
     report.update({
         "fusion_ok": fusion_ok, "gram_pd": gram_pd,
-        "norton_psd": norton_psd,
-        "pass": (qalg.dim == 9 and fusion_ok and gram_pd and norton_psd),
+        "norton_psd": norton_ok,
+        "pass": (qalg.dim == 9 and fusion_ok and gram_pd and norton_ok),
     })
     return report
 

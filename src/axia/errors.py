@@ -33,6 +33,10 @@ class NotAnIdeal(AxiaError):
     """A subspace claimed to be an ideal does not absorb products."""
 
 
+class NotGraded(AxiaError):
+    """A basis claimed to grade an algebra and its form does not."""
+
+
 class CompletionInsufficient(AxiaError):
     """Equivariant table completion left some basis pairs undefined."""
 

@@ -8,7 +8,7 @@ one point past the bound on every minor), every division in the loop is
 exact, and only the results become field elements again.  A subspace is
 an RREF basis from span_rref with its pivot columns: coordinates are read
 at the pivots, and membership and the remainder modulo the subspace are
-one matrix through matvec (remainder_map), with no elimination of their
+read off the basis entries (remainder_map), with no elimination of their
 own.  The semidefinite-aware LDLT is the only other elimination loop;
 its Schur-complement sums go through the field's sub_dot, which over Q
 runs on integer numerators.
@@ -108,34 +108,6 @@ def symmetric(n, entry):
 # Elimination
 # ---------------------------------------------------------------------------
 
-def _l1(c):
-    """l1 norm of an integer polynomial given as its coefficient tuple."""
-    return sum(map(abs, c))
-
-
-def _at(c, x):
-    """Value at the integer x of an integer polynomial given as its
-    ascending coefficient tuple."""
-    v = 0
-    for a in reversed(c):
-        v = v * x + a
-    return v
-
-
-def _cleared(field, xs):
-    """(nums, den): the scalars xs times one nonzero scale, as integer
-    polynomials (ascending coefficient tuples) nums, and that scale den,
-    also as an integer polynomial."""
-    nums, den = field.clear(xs)
-    *nums, den = field.int_coeffs(nums + [den])
-    return nums, den
-
-
-def _past(bound):
-    """The power of two 2^(bitlen(bound) + 1), more than twice bound."""
-    return 1 << (bound.bit_length() + 1)
-
-
 def _eliminate(m: Matrix):
     """Fraction-free Gauss-Jordan elimination on Python ints, the one loop
     behind rref, kernel_basis, span_rref and determinant.
@@ -143,15 +115,16 @@ def _eliminate(m: Matrix):
     Rows in.  The field clears row i to integer polynomials m_ij (integers
     over Q) and a nonzero integer-polynomial scale s_i with
     row_i * s_i = (m_i1, ..., m_in); scaling a row changes neither its
-    row space nor the RREF.  Each m_ij is evaluated once at
-    T = 2^(bitlen(B) + 1), where B is the product of the min(rows, cols)
-    largest row norms N_i = max(1, sum_j ||m_ij||_1).  Every entry the
+    row space nor the RREF.  Over Q(t), field.int_rows evaluates each m_ij
+    once at T = 2^(bitlen(B) + 1), where B is the product of the
+    min(rows, cols) largest row norms N_i = max(1, sum_j ||m_ij||_1).
+    Over Q the cleared integers are the rows themselves, with no norms
+    and no T, and the bound below plays no part.  Every entry the
     loop produces, the last pivot included, is a minor on at most
     min(rows, cols) rows (below).  By the Leibniz expansion, with the l1
     norm sub-additive and sub-multiplicative, a minor's l1 norm is at
     most the product of the N_i of its rows, so at most B, and every
-    coefficient of a minor lies in (-T/2, T/2).  Over Q each m_ij is a
-    constant and T plays no part.
+    coefficient of a minor lies in (-T/2, T/2).
 
     The loop.  With p the new pivot and prev the one before it (1 at
     first), every other row becomes (p * row - c * pivot_row) // prev, c
@@ -172,14 +145,10 @@ def _eliminate(m: Matrix):
     rows, whose pivot rows hold p at their pivot column and p times their
     RREF entries elsewhere, and whose rows past the rank are zero; the
     pivot columns; the last pivot p (1 if there is none); the number of
-    row swaps; T; and each input row's scale as a coefficient tuple.
+    row swaps; T; and each input row's scale s_i (an int over Q, a
+    Polynomial over Q(t)).
     """
-    field = m.field
-    cleared = [_cleared(field, row) for row in m.data]
-    norms = sorted((max(1, sum(abs(x) for e in entries for x in e))
-                    for entries, _ in cleared), reverse=True)
-    T = _past(prod(norms[:min(m.rows, m.cols)]))
-    rows = [[_at(e, T) for e in entries] for entries, _ in cleared]
+    rows, T, scales = m.field.int_rows(m.data, min(m.rows, m.cols))
     nr = m.rows
     pivots = []
     swaps = 0
@@ -206,7 +175,7 @@ def _eliminate(m: Matrix):
                     rows[i] = [p * x // prev for x in row]
         pivots.append(c)
         prev = p
-    return rows, tuple(pivots), prev, swaps, T, [s for _, s in cleared]
+    return rows, tuple(pivots), prev, swaps, T, scales
 
 
 def _quotient(field, p, T):
@@ -253,13 +222,8 @@ def determinant(m: Matrix):
     _, pivots, p, swaps, T, scales = _eliminate(m)
     if len(pivots) != m.rows:
         return field.zero
-    # the product of the scales, each read back through its value at a
-    # point past its own l1 norm
-    den = field.unpack(1, T)
-    for s in scales:
-        ts = _past(_l1(s))
-        den = den * field.unpack(_at(s, ts), ts)
-    return field.join(field.unpack(-p if swaps % 2 else p, T), den)
+    return field.join(field.unpack(-p if swaps % 2 else p, T),
+                      prod(scales, start=field.unpack(1, T)))
 
 
 # ---------------------------------------------------------------------------
@@ -383,15 +347,19 @@ def remainder_map(field, basis: Matrix, pivots, n):
     pivot columns: comp lists the other columns, and rest(v) is
     v - sum_i v[p_i] basis_i read at comp, zero iff v is in the span.
     Each basis row is 1 at its own pivot and 0 at the others, so the
-    v[p_i] are v's coordinates and rest is one matrix through matvec:
-    the identity on comp, minus the basis entries at the pivots."""
+    v[p_i] are v's coordinates, and entry j of rest(v) is v[j] minus
+    their products with the basis entries at column j, summed over the
+    nonzero ones only."""
     pivot_set = set(pivots)
     comp = [j for j in range(n) if j not in pivot_set]
-    if not comp:  # the whole space; a matrix with no rows has no columns
-        return comp, lambda v: ()
-    z, o = field.zero, field.one
-    q = [[o if c == j else z for c in range(n)] for j in comp]
-    for row, p in zip(basis.data, pivots):
-        for qrow, j in zip(q, comp):
-            qrow[p] = -row[j]
-    return comp, Matrix(field, q).matvec
+    is_zero = field.is_zero
+    # column j of the basis, negated, at its nonzero entries
+    cols = [[(i, -row[j]) for i, row in enumerate(basis.data)
+             if not is_zero(row[j])] for j in comp]
+
+    def rest(v):
+        coords = [v[p] for p in pivots]
+        nz = [not is_zero(x) for x in coords]
+        return tuple(sum((b * coords[i] for i, b in col if nz[i]), v[j])
+                     for j, col in zip(comp, cols))
+    return comp, rest

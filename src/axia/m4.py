@@ -12,7 +12,8 @@ symmetry orbit of the remaining products.
 
 from __future__ import annotations
 
-from .algebra import Algebra, BilinearForm, ConstructedAlgebra
+from .algebra import (Algebra, BilinearForm, ConstructedAlgebra,
+                      graded_by_involutions)
 from .catalog import dihedral_seeds
 from .completion import complete_algebra, label_map
 from .linalg import upper_pairs
@@ -183,6 +184,23 @@ def build_m4a() -> ConstructedAlgebra:
     return result
 
 
+_GRADED_CACHE = []
+
+
+def graded_m4a():
+    """(algebra, form, grades): M_4A rebased on the joint eigenvectors of
+    tau_1 and tau_2 (graded_by_involutions), which generate C2 x C2.
+    Grade 0 holds the nine a_k + a_-k, v_ij and w_k - t a_k, and grades
+    1, 2 and 3 one a_-k - a_k each (k = 2, 1, 3).  Built on first use,
+    never by build_m4a, and cached (immutable)."""
+    if not _GRADED_CACHE:
+        m4a = build_m4a()
+        taus = [m4a.symmetries["tau_1"], m4a.symmetries["tau_2"]]
+        _GRADED_CACHE.append(graded_by_involutions(m4a.algebra, m4a.form,
+                                                   taus))
+    return _GRADED_CACHE[0]
+
+
 def specialize(alg: Algebra, form: BilinearForm, t0):
     """Evaluate a symbolic algebra and form at a rational point t = t0."""
     t0 = rat(t0)
@@ -205,6 +223,12 @@ def specialize_m4a(t0) -> ConstructedAlgebra:
     m4a = build_m4a()
     alg, form = specialize(m4a.algebra, m4a.form, t0)
     return ConstructedAlgebra(alg, form, _M4_AXES)
+
+
+def specialize_graded_m4a(t0):
+    """(algebra, form, grades) of graded_m4a at t = t0."""
+    alg, form, grades = graded_m4a()
+    return (*specialize(alg, form, t0), grades)
 
 
 def verify_dependencies(m4a: ConstructedAlgebra):

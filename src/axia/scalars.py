@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction as Rational
-from math import gcd, lcm
+from math import gcd, lcm, prod
 
 from .errors import PoleAtPoint, ZeroPolynomial
 
@@ -278,6 +278,25 @@ def _make(nums, den):
     _set_n(p, tuple(nums))
     _set_d(p, den)
     return p
+
+
+def _l1(c):
+    """l1 norm of an integer polynomial given as its coefficient tuple."""
+    return sum(map(abs, c))
+
+
+def _at(c, x):
+    """Value at the integer x of an integer polynomial given as its
+    ascending coefficient tuple."""
+    v = 0
+    for a in reversed(c):
+        v = v * x + a
+    return v
+
+
+def _past(bound):
+    """The power of two 2^(bitlen(bound) + 1), more than twice bound."""
+    return 1 << (bound.bit_length() + 1)
 
 
 def _from_rational(x):
@@ -603,6 +622,14 @@ class RationalField:
         so (x,), or () for 0."""
         return ((x,) if x else () for x in nums)
 
+    def int_rows(self, rows, k):
+        """(ints, T, scales) for rows of rationals: each row cleared to
+        integers over its least common denominator, that denominator as
+        its scale, and T = 1, since the cleared rows are integers already
+        and unpack ignores T; k plays no part."""
+        cleared = [self.clear(row) for row in rows]
+        return [nums for nums, _ in cleared], 1, [d for _, d in cleared]
+
     def join(self, num, den):
         """The rational num/den, normalised."""
         return Rational(num, den)
@@ -683,6 +710,25 @@ class FunctionField:
         nums = list(nums)
         s = lcm(*[p._d for p in nums])
         return (tuple(c * (s // p._d) for c in p._n) for p in nums)
+
+    def int_rows(self, rows, k):
+        """(ints, T, scales) for rows of rational functions.  Each row
+        times a nonzero integer-polynomial scale, returned as a Polynomial,
+        is a row of integer polynomials m_ij, and each m_ij is returned as
+        its value at T = 2^(bitlen(B) + 1), where B is the product of the k
+        largest row norms max(1, sum_j ||m_ij||_1).  linalg._eliminate
+        shows why every minor on at most k rows unpacks from its value at
+        T."""
+        coeffs, scales, norms = [], [], []
+        for row in rows:
+            nums, den = self.clear(row)
+            *nums, den = self.int_coeffs(nums + [den])
+            coeffs.append(nums)
+            scales.append(_make(list(den), 1))
+            norms.append(max(1, sum(map(_l1, nums))))
+        norms.sort(reverse=True)
+        T = _past(prod(norms[:k]))
+        return [[_at(c, T) for c in row] for row in coeffs], T, scales
 
     def join(self, num, den):
         """num/den, normalised; num may be the int 0 of an empty sum."""

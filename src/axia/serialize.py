@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 
-from .algebra import Algebra, BilinearForm
+from .algebra import Algebra, BilinearForm, check_pairing
 from .linalg import upper_pairs
 from .scalars import FIELDS_BY_KIND
 
@@ -46,6 +46,7 @@ def algebra_from_json(d: dict):
     if d.get("gram") is not None:
         form = BilinearForm(field, {p: field.from_json(x)
                                     for p, x in zip(pairs, d["gram"])})
+        check_pairing(alg, form)
     return alg, form
 
 

@@ -1,15 +1,36 @@
 """Test-only references for the Norton form.
 
-axia decides Norton's inequality on the block over the exterior square
-(axia.certify.norton_block), which it computes on integer or polynomial
-numerators.  norton_block_reference computes the same block entry by entry
-in field arithmetic, and norton_matrix expands that reference to the whole
-n^2 x n^2 matrix.  tests/test_certify.py checks the reference against the
-defining formula, the fast block against the reference, and the block's
-LDLT against the LDLT of the whole matrix.
+axia decides Norton's inequality on the blocks over the exterior square
+(axia.certify.norton_blocks), which it computes on integer or polynomial
+numerators.  norton_block_reference computes the one ungraded block entry
+by entry in field arithmetic, and norton_matrix expands that reference to
+the whole n^2 x n^2 matrix.  tests/test_certify.py checks the reference
+against the defining formula, the fast block against the reference, and
+the block's LDLT against the LDLT of the whole matrix.
+
+norton_check_reference and gram_pd_reference are the point verdicts as
+they were made before the graded basis: on the basis a_{+-k}, v_ij, w_k,
+from one LDLT of the 66 x 66 block and one of the Gram matrix.
+tests/test_norton_graded.py holds the graded verdicts to them.
 """
 
-from axia.linalg import Matrix
+from axia.certify import norton_blocks
+from axia.linalg import Matrix, ldlt
+from axia.m4 import specialize_m4a
+
+
+def norton_check_reference(t0) -> bool:
+    """The Norton verdict at t0 from the LDLT of the ungraded 66 x 66
+    block of specialize_m4a(t0)."""
+    spec = specialize_m4a(t0)
+    (block,) = norton_blocks(spec.algebra, spec.form)
+    return ldlt(block).is_psd()
+
+
+def gram_pd_reference(t0) -> bool:
+    """Positive definiteness at t0 from the LDLT of the Gram matrix of
+    specialize_m4a(t0)."""
+    return ldlt(specialize_m4a(t0).form.gram).is_pd()
 
 
 def norton_block_reference(alg, form) -> Matrix:

@@ -6,8 +6,8 @@ import random
 
 import pytest
 
-from axia.algebra import (Algebra, BilinearForm, FusionRule,
-                          axis_decomposition, is_automorphism,
+from axia.algebra import (Algebra, BilinearForm, ConstructedAlgebra,
+                          FusionRule, axis_decomposition, is_automorphism,
                           is_ideal, miyamoto, quotient, radical,
                           subalgebra_algebra, subalgebra_closure,
                           verify_frobenius, verify_fusion, verify_grading)
@@ -159,6 +159,29 @@ def test_algebra_rejects_a_product_of_the_wrong_length():
     for short_or_long in ((rat(1),), (rat(1), rat(0), rat(0))):
         with pytest.raises(DimensionMismatch):
             Algebra(QQ, ["x", "y"], {**products, (1, 1): short_or_long})
+
+
+def _without_last_vector(form):
+    """The form on all but the last basis vector: a BilinearForm takes its
+    size from its largest index, so this one is one smaller."""
+    n = form.gram.rows
+    return BilinearForm(form.field, {(i, j): form.gram.data[i][j]
+                                     for i, j in upper_pairs(n - 1)})
+
+
+def test_constructed_algebra_rejects_a_form_of_another_dimension():
+    d = dihedral("3A")
+    short = _without_last_vector(d.form)
+    assert short.gram.rows == d.algebra.dim - 1
+    with pytest.raises(DimensionMismatch, match="form of dimension 3"):
+        ConstructedAlgebra(d.algebra, short, d.axis_keys)
+
+
+def test_quotient_rejects_a_form_of_another_dimension():
+    spec = specialize_m4a(rat(0))
+    rad = radical(spec.form)
+    with pytest.raises(DimensionMismatch, match="form of dimension 11"):
+        quotient(spec.algebra, _without_last_vector(spec.form), rad)
 
 
 def test_fusion_rule_requires_total_table():

@@ -198,9 +198,10 @@ def test_norton_matrix_matches_direct_formula(m4b):
 
 
 def assert_same_block(alg, form):
-    """norton_block equals the field-arithmetic reference entry for entry,
-    with the same scalar type and normal form."""
-    fast = cert.norton_block(alg, form)
+    """The one ungraded block of norton_blocks equals the field-arithmetic
+    reference entry for entry, with the same scalar type and normal
+    form."""
+    (fast,) = cert.norton_blocks(alg, form)
     ref = norton_block_reference(alg, form)
     assert fast.rows == ref.rows == alg.dim * (alg.dim - 1) // 2
     for fast_row, ref_row in zip(fast.data, ref.data):
@@ -240,7 +241,8 @@ def test_norton_block_ldlt_matches_full_ldlt(t0):
     spec = specialize_m4a(rat(t0))
     n = spec.algebra.dim
     full = ldlt(norton_matrix(spec.algebra, spec.form))
-    block = ldlt(cert.norton_block(spec.algebra, spec.form))
+    (block,) = cert.norton_blocks(spec.algebra, spec.form)
+    block = ldlt(block)
     assert block.is_psd() == full.is_psd() == cert.norton_check(rat(t0))
     pivots = iter(block.D)
     interleaved = [next(pivots) if i < j else QQ.zero
@@ -269,14 +271,14 @@ def test_norton_symbolic_maps_failures_to_144_space(monkeypatch):
     t = QT.t
     z = QT.zero
     # a zero pivot with a nonzero entry below it: indefinite
-    monkeypatch.setattr(cert, "norton_block",
-                        lambda alg, form: _symbolic_block([[z, t], [t, z]]))
+    monkeypatch.setattr(cert, "norton_blocks",
+                        lambda alg, form: [_symbolic_block([[z, t], [t, z]])])
     rep = cert.norton_symbolic()
     assert rep["status"] == "FAILED_INDEFINITE"
     assert rep["diagonal"] == [z] and rep["columns_processed"] == 1
     # a full run: 66 pivots at the pairs i < j, zeros at i >= j
-    monkeypatch.setattr(cert, "norton_block",
-                        lambda alg, form: _symbolic_block([]))
+    monkeypatch.setattr(cert, "norton_blocks",
+                        lambda alg, form: [_symbolic_block([])])
     rep = cert.norton_symbolic()
     assert rep["status"] == "COMPLETE" and rep["columns_processed"] == 144
     assert rep["diagonal"] == [t if i < j else z

@@ -4,7 +4,11 @@ import json
 
 import pytest
 
+from axia import serialize
+from axia.algebra import BilinearForm
 from axia.catalog import DIHEDRAL_TYPES, dihedral
+from axia.errors import DimensionMismatch
+from axia.linalg import upper_pairs
 from axia.m4 import build_m4a, build_m4b
 from axia.serialize import (algebra_from_json, algebra_to_json, dump_json,
                             load_json)
@@ -47,6 +51,21 @@ def test_upper_triangle_of_wrong_length_rejected(key):
     for entries in (doc[key][:3], doc[key] + doc[key][:1]):
         with pytest.raises(ValueError, match=key):
             algebra_from_json({**doc, key: entries})
+
+
+def test_a_form_of_another_dimension_is_rejected(monkeypatch):
+    # a form built without the last basis vector is one smaller than the
+    # algebra, and pairing the two fails
+    d = dihedral("3A")
+    doc = algebra_to_json(d.algebra, d.form)
+    n = d.algebra.dim
+
+    def without_last(field, values):
+        return BilinearForm(field, {p: values[p]
+                                    for p in upper_pairs(n - 1)})
+    monkeypatch.setattr(serialize, "BilinearForm", without_last)
+    with pytest.raises(DimensionMismatch, match="form of dimension 3"):
+        algebra_from_json(doc)
 
 
 def test_repeated_labels_rejected():
