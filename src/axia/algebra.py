@@ -12,9 +12,8 @@ from __future__ import annotations
 
 from .errors import (DimensionMismatch, NotAnIdeal, NotGraded,
                      NotIdempotent, NotSemisimple)
-from .linalg import (Matrix, determinant, kernel_basis, remainder_map, rref,
-                     span_rref, symmetric, unit_vec, upper_pairs,
-                     vec_is_zero)
+from .linalg import (Matrix, kernel_basis, remainder_map, rref, span_rref,
+                     symmetric, unit_vec, upper_pairs, vec_is_zero)
 from .scalars import _at, _l1, _past
 
 
@@ -527,26 +526,40 @@ def verify_grading(rule: FusionRule, grading) -> bool:
                     for lam in evs for mu in evs for nu in rule[(lam, mu)]))
 
 
+def check_graded(alg: Algebra, form: BilinearForm, grades):
+    """NotGraded unless every product of basis vectors of grades g and h
+    lies in grade g ^ h and every Gram entry between different grades is
+    zero; grades[i], an int under xor as in verify_grading, is e_i's."""
+    is_zero = alg.field.is_zero
+    for i, j in upper_pairs(alg.dim):
+        g = grades[i] ^ grades[j]
+        if any(grades[k] != g and not is_zero(x)
+               for k, x in enumerate(alg.mul_table[i][j])):
+            raise NotGraded(f"the product e_{i} e_{j} leaves grade {g}")
+        if g and not is_zero(form.gram.data[i][j]):
+            raise NotGraded(f"Gram entry ({i}, {j}) joins grades "
+                            f"{grades[i]} and {grades[j]}")
+
+
 def graded_by_involutions(alg: Algebra, form: BilinearForm, involutions):
-    """(algebra, form, grades): alg and form over Q(t) rebased on the
-    joint eigenvectors of commuting involutions, and the grade of each new
-    basis vector, an int under xor as in verify_grading.
+    """(algebra, form, grades, coords): alg and form over Q(t) rebased on
+    the joint eigenvectors of commuting involutions, the grade of each new
+    basis vector, an int under xor as in verify_grading, and the map coords
+    that takes a vector of alg to its new coordinates.
 
     Grade g is the joint eigenspace on which involution b acts as -1 when
     bit b of g is set and as +1 otherwise; its basis is the kernel_basis
     of the involutions minus those scalars, stacked.  With S the matrix
-    whose columns are the new basis, grade by grade, the new table is
-    S^-1 (S e_i . S e_j) and the new Gram matrix is S^T G S.
+    whose columns are the new basis, grade by grade, coords is S^-1, the
+    new table is S^-1 (S e_i . S e_j) and the new Gram matrix is S^T G S.
 
-    NotGraded unless the eigenvectors number alg.dim; det S is a nonzero
-    constant, so that S is a basis at every t and S^-1 is polynomial;
-    every product of grades g and h lies in grade g ^ h; and every Gram
-    entry between different grades is zero.  Each is an identity in Q(t),
-    so it holds wherever the algebra is specialised.
+    NotGraded unless there are alg.dim eigenvectors; S and the S^-1 read
+    off the RREF of [S | I] are polynomial, so det S is a nonzero constant
+    and S a basis at every t; and check_graded passes.  These are
+    identities in Q(t), so they hold wherever the algebra is specialised.
     """
     field = alg.field
     n = alg.dim
-    is_zero = field.is_zero
     vectors, grades = [], []
     for g in range(1 << len(involutions)):
         stacked = []
@@ -559,27 +572,18 @@ def graded_by_involutions(alg: Algebra, form: BilinearForm, involutions):
     if len(vectors) != n:
         raise NotGraded(f"{len(vectors)} joint eigenvectors in dimension {n}")
     S = Matrix(field, list(zip(*vectors)))
-    det = determinant(S)
-    if is_zero(det) or not det.is_constant():
-        raise NotGraded(f"det S = {det} is not a nonzero constant")
-    red = rref(Matrix(field, [list(row) + list(unit_vec(field, n, i))
-                              for i, row in enumerate(S.data)]))[0]
+    red, pivots = rref(Matrix(field, [row + list(unit_vec(field, n, i))
+                                      for i, row in enumerate(S.data)]))
     inverse = Matrix(field, [row[n:] for row in red.data])
+    if pivots != tuple(range(n)) or any(
+            x.den.degree for row in S.data + inverse.data for x in row):
+        raise NotGraded("det S is not a nonzero constant")
     products = {(i, j): inverse.matvec(alg.mul(vectors[i], vectors[j]))
                 for i, j in upper_pairs(n)}
-    for (i, j), p in products.items():
-        if any(grades[k] != grades[i] ^ grades[j] and not is_zero(x)
-               for k, x in enumerate(p)):
-            raise NotGraded(f"the product of basis vectors {i} and {j} "
-                            f"leaves grade {grades[i] ^ grades[j]}")
-    gram = S.transpose().matmul(form.gram.matmul(S)).data
-    for i, j in upper_pairs(n):
-        if grades[i] != grades[j] and not is_zero(gram[i][j]):
-            raise NotGraded(f"Gram entry ({i}, {j}) joins grades "
-                            f"{grades[i]} and {grades[j]}")
     graded = Algebra(field, [f"g{g}_{k}" for k, g in enumerate(grades)],
                      products)
+    gram = S.transpose().matmul(form.gram.matmul(S)).data
     graded_form = BilinearForm(field, {(i, j): gram[i][j]
                                        for i, j in upper_pairs(n)})
-    check_pairing(graded, graded_form)
-    return graded, graded_form, grades
+    check_graded(graded, graded_form, grades)
+    return graded, graded_form, grades, inverse.matvec

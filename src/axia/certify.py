@@ -9,19 +9,11 @@ property and the 9-dimensional quotients at the boundary, and verifies
 the 4A-axis fusion rule, its C2 x C2 grading and the Jordan-type
 subalgebra generated by the three 4A axes.
 
-Norton and Majorana verdicts at a point use the C2 x C2 grading of M_4A
-by its Miyamoto involutions tau_1 and tau_2.  Each is an automorphism
-and an isometry, so on a basis of their joint eigenvectors
-(m4.graded_m4a) the product maps grades g and h into grade g ^ h and the
-form joins only equal grades.  The basis change S has a nonzero constant
-determinant, checked once over Q(t), so S^T G S is congruent to G, and
-the Norton form there is congruent to the original through the exterior
-square of S, at every t.  On the graded basis the Norton form is the
-direct sum of its blocks on the pairs of each grade g_i ^ g_j; grade 0
-holds nine basis vectors and grades 1, 2 and 3 one each, so the 66
-pairs split into blocks of 36, 10, 10 and 10, and the form is PSD iff
-each block is.  The symbolic LDLT (norton_symbolic), the Gram verdicts
-(definiteness_report, gram) and the quotients stay on the original basis.
+Every verdict at a rational point (definiteness, radical, Norton,
+Majorana, the boundary quotients) is decided on the C2 x C2-graded basis
+of m4.graded_m4a.  Its basis change S has a nonzero constant
+determinant, so each verdict is the one on the original basis, which
+only the symbolic reports (gram, norton_symbolic) keep.
 
 Every certification report is built and every verdict decided here.  A
 report that carries a verdict holds it as "pass" (a verification suite,
@@ -31,14 +23,15 @@ exits 1 when a "pass" is false.
 
 from __future__ import annotations
 
-from .algebra import (axis_decomposition, form_products, quotient, radical,
-                      subalgebra_algebra, subalgebra_closure, verify_fusion,
-                      verify_frobenius, verify_grading, is_automorphism)
+from .algebra import (axis_decomposition, check_graded, form_products,
+                      quotient, radical, subalgebra_algebra,
+                      subalgebra_closure, verify_fusion, verify_frobenius,
+                      verify_grading, is_automorphism)
 from .catalog import dihedral, f4a_rule, jordan_half_rule, monster_rule
-from .errors import NotIdempotent, NotSemisimple, PoleAtPoint
+from .errors import NotAnIdeal, NotIdempotent, NotSemisimple, PoleAtPoint
 from .linalg import Matrix, determinant, ldlt, symmetric
-from .m4 import (build_m4a, build_m4b, reference_v_eigenvectors,
-                 specialize_form, specialize_graded_m4a, specialize_m4a,
+from .m4 import (build_m4a, build_m4b, graded_m4a, reference_v_eigenvectors,
+                 specialize_form, specialize_graded_m4a,
                  verify_dependencies)
 from .scalars import (QT, RationalFunction, count_roots_open,
                       format_rational, rat, rational_sign)
@@ -147,15 +140,8 @@ def gram_report():
 # Grid verdicts
 # ---------------------------------------------------------------------------
 
-def definiteness_at(t0):
-    """(pd, psd, radical_dim) of the specialized Gram matrix at t = t0."""
-    form = specialize_form(build_m4a().form, t0)
-    result = ldlt(form.gram)
-    return result.is_pd(), result.is_psd(), len(radical(form))
-
-
 def radical_dimension(t0) -> int:
-    return len(radical(specialize_form(build_m4a().form, t0)))
+    return len(radical(specialize_form(graded_m4a()[1], t0)))
 
 
 def radical_report(points):
@@ -168,9 +154,11 @@ def definiteness_report(grid=DEFAULT_GRID):
     report = []
     for point in grid:
         t0 = rat(point)
-        pd, psd, rad = definiteness_at(t0)
-        report.append({"t0": format_rational(t0), "pd": pd, "psd": psd,
-                       "radical_dim": rad})
+        form = specialize_form(graded_m4a()[1], t0)
+        result = ldlt(form.gram)
+        report.append({"t0": format_rational(t0), "pd": result.is_pd(),
+                       "psd": result.is_psd(),
+                       "radical_dim": len(radical(form))})
     return report
 
 
@@ -178,7 +166,7 @@ def definiteness_report(grid=DEFAULT_GRID):
 # Norton's inequality
 # ---------------------------------------------------------------------------
 
-def norton_blocks(alg, form, grades=None):
+def norton_blocks(alg, form, grades):
     """The Norton form on the exterior square,
     b[(i,j),(k,l)] = <e_i e_k, e_j e_l> - <e_j e_k, e_i e_l>
     on the pairs i < j, split by grade: one Matrix per grade g_i ^ g_j of
@@ -193,8 +181,8 @@ def norton_blocks(alg, form, grades=None):
     (algebra.graded_by_involutions).  Then <e_i e_k, e_j e_l> is zero
     unless g_i ^ g_k = g_j ^ g_l, that is unless the pairs (i, j) and
     (k, l) have the same grade, so the form is the direct sum of these
-    blocks and is PSD iff each block is.  With grades None every vector
-    has grade 0, and the one block is the whole form on the pairs.
+    blocks and is PSD iff each block is.  With every grade 0 the one
+    block is the whole form on the pairs.
 
     The entries are computed on numerators: the structure constants
     alg.table_nums over alg.table_den contracted with form_products, the
@@ -203,7 +191,6 @@ def norton_blocks(alg, form, grades=None):
     is normalised once.
     """
     n = alg.dim
-    grades = grades or [0] * n
     table = alg.table_nums
     gp, den = form_products(alg, form)
     den *= alg.table_den
@@ -223,19 +210,16 @@ def norton_blocks(alg, form, grades=None):
     return [block(by_grade[g]) for g in sorted(by_grade)]
 
 
-def norton_psd(alg, form, grades=None) -> bool:
+def norton_psd(alg, form, grades) -> bool:
     """Exact verdict on Norton's inequality: every block of norton_blocks
     positive semidefinite, each decided by its LDLT."""
     return all(ldlt(b).is_psd() for b in norton_blocks(alg, form, grades))
 
 
 def norton_check(t0) -> bool:
-    """Exact PSD verdict of the Norton form of M(t0), on the C2 x C2-graded
-    basis of graded_m4a at t0: blocks of 36, 10, 10 and 10 pairs, not one
-    of 66.  The basis change S has a constant nonzero determinant, so the
-    form there is congruent, through the exterior square of S, to the form
-    on the basis a_{+-k}, v_ij, w_k at every t0."""
-    return norton_psd(*specialize_graded_m4a(t0))
+    """Exact PSD verdict of the Norton form of M(t0), on the blocks of 36,
+    10, 10 and 10 pairs of graded_m4a at t0."""
+    return norton_psd(*specialize_graded_m4a(t0)[:3])
 
 
 def norton_grid_report(grid=DEFAULT_GRID):
@@ -260,7 +244,7 @@ def norton_symbolic():
     depend on this path.
     """
     m4a = build_m4a()
-    (block,) = norton_blocks(m4a.algebra, m4a.form)
+    (block,) = norton_blocks(m4a.algebra, m4a.form, [0] * m4a.algebra.dim)
     result = ldlt(block)
     diag = _interleave_wedge(result.D, m4a.algebra.dim)
     return {"status": result.status, "columns_processed": len(diag),
@@ -314,31 +298,36 @@ class MajoranaVerdict:
 
 
 def majorana_certify(t0) -> MajoranaVerdict:
-    """Both verdicts at t0 from one specialisation of graded_m4a: its Gram
-    matrix S^T G S is congruent to G, and its Norton blocks decide
-    Norton's inequality (norton_check)."""
+    """Both verdicts at t0 from one specialisation of graded_m4a."""
     t0 = rat(t0)
-    alg, form, grades = specialize_graded_m4a(t0)
+    alg, form, grades, _ = specialize_graded_m4a(t0)
     return MajoranaVerdict(t0, ldlt(form.gram).is_pd(),
                            norton_psd(alg, form, grades))
 
 
 def quotient_certify(t0):
-    """At a boundary point (radical dimension 3): quotient by the radical
-    and re-certify Monster fusion, positive definiteness and Norton."""
+    """At a boundary point (radical dimension 3): quotient graded_m4a at
+    t0 by its radical (one that is no ideal fails the report), check the
+    grading and re-certify fusion on the axes S^-1 a_k, PD and Norton."""
     t0 = rat(t0)
-    spec = specialize_m4a(t0)
-    rad = radical(spec.form)
+    alg, form, grades, axes = specialize_graded_m4a(t0)
+    rad = radical(form)
     report = {"t0": format_rational(t0), "radical_dim": len(rad)}
     if len(rad) != 3:
         report.update({"pass": False,
                        "reason": f"expected radical dim 3, got {len(rad)}"})
         return report
-    qalg, qform, project = quotient(spec.algebra, spec.form, rad)
+    try:
+        qalg, qform, project = quotient(alg, form, rad)
+    except NotAnIdeal as exc:
+        report.update({"pass": False, "reason": f"radical: {exc}"})
+        return report
+    qgrades = [grades[alg.index(lab)] for lab in qalg.labels]
+    check_graded(qalg, qform, qgrades)
     report["quotient_dim"] = qalg.dim
     rule = monster_rule()
     fusion_ok = True
-    for ax, key in zip(spec.axes, spec.axis_keys):
+    for key, ax in axes.items():
         try:
             dec = axis_decomposition(qalg, project(ax), rule.eigenvalues)
         except (NotIdempotent, NotSemisimple) as exc:
@@ -348,7 +337,7 @@ def quotient_certify(t0):
         if not dec.is_primitive or verify_fusion(qalg, dec, rule):
             fusion_ok = False
     gram_pd = ldlt(qform.gram).is_pd()
-    norton_ok = norton_psd(qalg, qform)
+    norton_ok = norton_psd(qalg, qform, qgrades)
     report.update({
         "fusion_ok": fusion_ok, "gram_pd": gram_pd,
         "norton_psd": norton_ok,

@@ -173,7 +173,7 @@ _M4A_CACHE = []
 def build_m4a() -> ConstructedAlgebra:
     """The 12-dimensional symbolic algebra M_4A over Q(t) with its
     Frobenius form, completed from the seeds under the five symmetry
-    generators.  Cached (immutable)."""
+    generators.  Cached (immutable) as _M4A_CACHE[0]."""
     if _M4A_CACHE:
         return _M4A_CACHE[0]
     syms = m4_symmetries(M4A_LABELS, QT)
@@ -184,21 +184,20 @@ def build_m4a() -> ConstructedAlgebra:
     return result
 
 
-_GRADED_CACHE = []
-
-
 def graded_m4a():
-    """(algebra, form, grades): M_4A rebased on the joint eigenvectors of
-    tau_1 and tau_2 (graded_by_involutions), which generate C2 x C2.
-    Grade 0 holds the nine a_k + a_-k, v_ij and w_k - t a_k, and grades
-    1, 2 and 3 one a_-k - a_k each (k = 2, 1, 3).  Built on first use,
-    never by build_m4a, and cached (immutable)."""
-    if not _GRADED_CACHE:
-        m4a = build_m4a()
+    """(algebra, form, grades, axes): M_4A rebased on the joint
+    eigenvectors of tau_1 and tau_2 (graded_by_involutions), and axes
+    maps each axis key k to S^-1 a_k.  Grade 0 holds the nine a_k + a_-k,
+    v_ij and w_k - t a_k, and grades 1, 2 and 3 one a_-k - a_k each
+    (k = 2, 1, 3).  Built on first use, never by build_m4a, and cached as
+    _M4A_CACHE[1], so clearing that cache drops both."""
+    m4a = build_m4a()
+    if len(_M4A_CACHE) == 1:
         taus = [m4a.symmetries["tau_1"], m4a.symmetries["tau_2"]]
-        _GRADED_CACHE.append(graded_by_involutions(m4a.algebra, m4a.form,
-                                                   taus))
-    return _GRADED_CACHE[0]
+        *graded, coords = graded_by_involutions(m4a.algebra, m4a.form, taus)
+        axes = {k: coords(a) for k, a in zip(m4a.axis_keys, m4a.axes)}
+        _M4A_CACHE.append((*graded, axes))
+    return _M4A_CACHE[1]
 
 
 def specialize(alg: Algebra, form: BilinearForm, t0):
@@ -226,9 +225,11 @@ def specialize_m4a(t0) -> ConstructedAlgebra:
 
 
 def specialize_graded_m4a(t0):
-    """(algebra, form, grades) of graded_m4a at t = t0."""
-    alg, form, grades = graded_m4a()
-    return (*specialize(alg, form, t0), grades)
+    """(algebra, form, grades, axes) of graded_m4a at t = t0."""
+    t0 = rat(t0)
+    alg, form, grades, axes = graded_m4a()
+    return (*specialize(alg, form, t0), grades,
+            {k: tuple(x.evaluate(t0) for x in a) for k, a in axes.items()})
 
 
 def verify_dependencies(m4a: ConstructedAlgebra):

@@ -31,7 +31,13 @@ def algebra_to_json(alg: Algebra, form: BilinearForm = None) -> dict:
 
 
 def algebra_from_json(d: dict):
-    """Returns (Algebra, BilinearForm or None)."""
+    """Returns (Algebra, BilinearForm or None); ValueError naming the key
+    when field, labels or mul_table is missing or the field is unknown."""
+    missing = [k for k in ("field", "labels", "mul_table") if k not in d]
+    if missing:
+        raise ValueError(f"algebra JSON lacks the keys {missing}")
+    if d["field"] not in FIELDS_BY_KIND:
+        raise ValueError(f"unknown 'field' kind {d['field']!r}")
     field = FIELDS_BY_KIND[d["field"]]
     labels = d["labels"]
     n = len(labels)

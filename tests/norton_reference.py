@@ -11,19 +11,30 @@ the block's LDLT against the LDLT of the whole matrix.
 norton_check_reference and gram_pd_reference are the point verdicts as
 they were made before the graded basis: on the basis a_{+-k}, v_ij, w_k,
 from one LDLT of the 66 x 66 block and one of the Gram matrix.
-tests/test_norton_graded.py holds the graded verdicts to them.
+definiteness_at, radical_dimension and quotient_certify are the
+definiteness, radical and quotient verdicts as they were made on that
+basis too, copied from axia.certify before every point verdict moved to
+the graded basis; the only edit is the trivial grading that
+quotient_certify now passes to norton_psd.  tests/test_norton_graded.py
+holds the graded verdicts to them.
 """
 
-from axia.certify import norton_blocks
+from axia.algebra import (axis_decomposition, quotient, radical,
+                          verify_fusion)
+from axia.catalog import monster_rule
+from axia.certify import norton_blocks, norton_psd
+from axia.errors import NotIdempotent, NotSemisimple
 from axia.linalg import Matrix, ldlt
-from axia.m4 import specialize_m4a
+from axia.m4 import build_m4a, specialize_form, specialize_m4a
+from axia.scalars import format_rational, rat
 
 
 def norton_check_reference(t0) -> bool:
     """The Norton verdict at t0 from the LDLT of the ungraded 66 x 66
     block of specialize_m4a(t0)."""
     spec = specialize_m4a(t0)
-    (block,) = norton_blocks(spec.algebra, spec.form)
+    (block,) = norton_blocks(spec.algebra, spec.form,
+                             [0] * spec.algebra.dim)
     return ldlt(block).is_psd()
 
 
@@ -31,6 +42,51 @@ def gram_pd_reference(t0) -> bool:
     """Positive definiteness at t0 from the LDLT of the Gram matrix of
     specialize_m4a(t0)."""
     return ldlt(specialize_m4a(t0).form.gram).is_pd()
+
+
+def definiteness_at(t0):
+    """(pd, psd, radical_dim) of the specialized Gram matrix at t = t0."""
+    form = specialize_form(build_m4a().form, t0)
+    result = ldlt(form.gram)
+    return result.is_pd(), result.is_psd(), len(radical(form))
+
+
+def radical_dimension(t0) -> int:
+    return len(radical(specialize_form(build_m4a().form, t0)))
+
+
+def quotient_certify(t0):
+    """At a boundary point (radical dimension 3): quotient by the radical
+    and re-certify Monster fusion, positive definiteness and Norton."""
+    t0 = rat(t0)
+    spec = specialize_m4a(t0)
+    rad = radical(spec.form)
+    report = {"t0": format_rational(t0), "radical_dim": len(rad)}
+    if len(rad) != 3:
+        report.update({"pass": False,
+                       "reason": f"expected radical dim 3, got {len(rad)}"})
+        return report
+    qalg, qform, project = quotient(spec.algebra, spec.form, rad)
+    report["quotient_dim"] = qalg.dim
+    rule = monster_rule()
+    fusion_ok = True
+    for ax, key in zip(spec.axes, spec.axis_keys):
+        try:
+            dec = axis_decomposition(qalg, project(ax), rule.eigenvalues)
+        except (NotIdempotent, NotSemisimple) as exc:
+            report.setdefault("axis_failures", []).append(f"a_{key}: {exc}")
+            fusion_ok = False
+            continue
+        if not dec.is_primitive or verify_fusion(qalg, dec, rule):
+            fusion_ok = False
+    gram_pd = ldlt(qform.gram).is_pd()
+    norton_ok = norton_psd(qalg, qform, [0] * qalg.dim)
+    report.update({
+        "fusion_ok": fusion_ok, "gram_pd": gram_pd,
+        "norton_psd": norton_ok,
+        "pass": (qalg.dim == 9 and fusion_ok and gram_pd and norton_ok),
+    })
+    return report
 
 
 def norton_block_reference(alg, form) -> Matrix:

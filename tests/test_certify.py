@@ -201,7 +201,7 @@ def assert_same_block(alg, form):
     """The one ungraded block of norton_blocks equals the field-arithmetic
     reference entry for entry, with the same scalar type and normal
     form."""
-    (fast,) = cert.norton_blocks(alg, form)
+    (fast,) = cert.norton_blocks(alg, form, [0] * alg.dim)
     ref = norton_block_reference(alg, form)
     assert fast.rows == ref.rows == alg.dim * (alg.dim - 1) // 2
     for fast_row, ref_row in zip(fast.data, ref.data):
@@ -241,7 +241,7 @@ def test_norton_block_ldlt_matches_full_ldlt(t0):
     spec = specialize_m4a(rat(t0))
     n = spec.algebra.dim
     full = ldlt(norton_matrix(spec.algebra, spec.form))
-    (block,) = cert.norton_blocks(spec.algebra, spec.form)
+    (block,) = cert.norton_blocks(spec.algebra, spec.form, [0] * n)
     block = ldlt(block)
     assert block.is_psd() == full.is_psd() == cert.norton_check(rat(t0))
     pivots = iter(block.D)
@@ -272,13 +272,14 @@ def test_norton_symbolic_maps_failures_to_144_space(monkeypatch):
     z = QT.zero
     # a zero pivot with a nonzero entry below it: indefinite
     monkeypatch.setattr(cert, "norton_blocks",
-                        lambda alg, form: [_symbolic_block([[z, t], [t, z]])])
+                        lambda alg, form, grades:
+                        [_symbolic_block([[z, t], [t, z]])])
     rep = cert.norton_symbolic()
     assert rep["status"] == "FAILED_INDEFINITE"
     assert rep["diagonal"] == [z] and rep["columns_processed"] == 1
     # a full run: 66 pivots at the pairs i < j, zeros at i >= j
     monkeypatch.setattr(cert, "norton_blocks",
-                        lambda alg, form: [_symbolic_block([])])
+                        lambda alg, form, grades: [_symbolic_block([])])
     rep = cert.norton_symbolic()
     assert rep["status"] == "COMPLETE" and rep["columns_processed"] == 144
     assert rep["diagonal"] == [t if i < j else z

@@ -14,7 +14,7 @@ from axia import certify as cert
 from axia import m4
 from axia.catalog import DIHEDRAL_TYPES, dihedral
 from axia.cli import run
-from axia.errors import NotSemisimple
+from axia.errors import NotAnIdeal, NotSemisimple
 from axia.scalars import QT
 from axia.serialize import algebra_from_json, load_json
 
@@ -227,6 +227,28 @@ def test_a_quotient_axis_that_does_not_decompose_exits_1(monkeypatch,
     assert rep["axis_failures"][0] == ("a_1: eigenspace dims [1] sum to 1 "
                                        "!= 9")
     assert len(rep["axis_failures"]) == 6
+
+
+def test_a_radical_that_is_no_ideal_exits_1(monkeypatch, tmp_path):
+    def not_an_ideal(alg, form, ideal):
+        raise NotAnIdeal("subspace does not absorb products")
+    monkeypatch.setattr(cert, "quotient", not_an_ideal)
+    path = tmp_path / "quotient.json"
+    assert run(["certify", "quotient", "--t", "0", "--out", str(path)]) == 1
+    (rep,) = json.loads(path.read_text())
+    assert rep == {"t0": "0", "radical_dim": 3, "pass": False,
+                   "reason": "radical: subspace does not absorb products"}
+
+
+def test_a_rebuilt_m4a_rebuilds_its_graded_basis(monkeypatch):
+    # the graded basis is cached with M_4A, so a rebuild from tampered
+    # seeds (w_1 w_2 gains v_12 / 1000) cannot leave a stale graded basis
+    # behind to decide the Norton verdict
+    stale = m4.graded_m4a()
+    assert cert.norton_check("1/12") is True
+    _tamper_m4a_seed(monkeypatch, ("w_1", "w_2"), "v_12")
+    assert m4.graded_m4a() is not stale
+    assert cert.norton_check("1/12") is False
 
 
 def test_verify_runs_the_suite_bound_at_call_time(monkeypatch, capsys):

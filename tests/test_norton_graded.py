@@ -1,10 +1,10 @@
-"""Norton and Majorana verdicts on the C2 x C2-graded basis of M_4A.
+"""Every point verdict on the C2 x C2-graded basis of M_4A.
 
 The graded basis (m4.graded_m4a) is checked against the basis it should
 be, its build against tampered involutions, tables and forms, and its
-verdicts against the verdicts on the original basis
-(norton_reference.norton_check_reference and gram_pd_reference), which
-make one LDLT of the 66 x 66 block and one of the Gram matrix.
+verdicts (definiteness, radical, Norton, Majorana and the boundary
+quotients) against the verdicts on the original basis in
+tests/norton_reference.py.
 """
 
 from fractions import Fraction
@@ -15,11 +15,13 @@ from hypothesis import strategies as st
 
 from axia import certify as cert
 from axia import m4
-from axia.algebra import Algebra, BilinearForm, graded_by_involutions
+from axia.algebra import (Algebra, BilinearForm, check_graded,
+                          graded_by_involutions, quotient, radical)
 from axia.errors import NotGraded
 from axia.linalg import Matrix, upper_pairs
 from axia.scalars import QQ, QT, rat
 
+import norton_reference
 from norton_reference import (gram_pd_reference, norton_block_reference,
                               norton_check_reference)
 
@@ -49,7 +51,7 @@ def test_graded_basis_is_the_expected_one(m4a):
     # S, the expected basis as columns, maps the graded table to M_4A's
     # and carries its Gram matrix to the graded one: S x . S y = S (x y)
     # and S^T G S = G'
-    alg, form, grades = m4.graded_m4a()
+    alg, form, grades, axes = m4.graded_m4a()
     expected = _graded_basis(m4a)
     assert grades == [g for g, _ in expected]
     S = Matrix(QT, list(zip(*[v for _, v in expected])))
@@ -62,19 +64,24 @@ def test_graded_basis_is_the_expected_one(m4a):
     assert all(x.den.degree == 0 for row in alg.mul_table for entry in row
                for x in entry)
     assert all(x.den.degree == 0 for row in form.gram.data for x in row)
+    # the axes are S^-1 a_k: S maps each back to a_k
+    assert list(axes) == m4a.axis_keys
+    for k, a in zip(m4a.axis_keys, m4a.axes):
+        assert S.matvec(axes[k]) == a
 
 
 @pytest.mark.parametrize("t0", [None, "1/12", "-1279/9327841211"])
 def test_norton_blocks_are_36_10_10_10(t0):
     graded = m4.graded_m4a() if t0 is None else m4.specialize_graded_m4a(t0)
-    assert [b.rows for b in cert.norton_blocks(*graded)] == [36, 10, 10, 10]
+    assert ([b.rows for b in cert.norton_blocks(*graded[:3])]
+            == [36, 10, 10, 10])
 
 
 @pytest.mark.parametrize("t0", ["0", "1/6", "9/4", "1/12", "7/103"])
 def test_blocks_are_the_reference_form_by_grade(t0):
     # the field-arithmetic Norton form on the graded basis is zero between
     # pairs of different grades, and equals each block within a grade
-    alg, form, grades = m4.specialize_graded_m4a(rat(t0))
+    alg, form, grades, _ = m4.specialize_graded_m4a(rat(t0))
     ref = norton_block_reference(alg, form).data
     pairs = [(i, j) for i in range(12) for j in range(i + 1, 12)]
     grade = [grades[i] ^ grades[j] for i, j in pairs]
@@ -94,8 +101,8 @@ def test_norton_psd_needs_every_block(monkeypatch, bad):
         blocks[bad] = Matrix(QQ, [[-x for x in row]
                                   for row in blocks[bad].data])
     monkeypatch.setattr(cert, "norton_blocks",
-                        lambda alg, form, grades=None: blocks)
-    assert cert.norton_psd(None, None) is (bad is None)
+                        lambda alg, form, grades: blocks)
+    assert cert.norton_psd(None, None, None) is (bad is None)
 
 
 @pytest.mark.parametrize("t0", POINTS)
@@ -124,6 +131,95 @@ def test_verdicts_equal_the_ungraded_path_at_random_points(t0):
     assert cert.norton_check(t0) is (0 <= t0 <= Fraction(1, 6))
     v = cert.majorana_certify(t0)
     assert (v.gram_pd, v.norton_psd) == (gram_pd_reference(t0), norton)
+
+
+# the grid and the points where the radical or the theorems change
+DIFFERENTIAL_POINTS = tuple(dict.fromkeys(cert.DEFAULT_GRID + (
+    "0", "1/6", "9/4", "1/2", "3/8", "1", "1/4", "1/32")))
+
+
+@pytest.mark.parametrize("t0", DIFFERENTIAL_POINTS)
+def test_definiteness_radical_and_quotient_equal_the_ungraded_path(t0):
+    (row,) = cert.definiteness_report([t0])
+    assert ((row["pd"], row["psd"], row["radical_dim"])
+            == norton_reference.definiteness_at(rat(t0)))
+    assert (cert.radical_dimension(rat(t0))
+            == norton_reference.radical_dimension(rat(t0)))
+    assert cert.quotient_certify(t0) == norton_reference.quotient_certify(t0)
+
+
+@st.composite
+def long_rationals(draw):
+    """A rational in [-1/4, 1/2] over a denominator of 10 to 12 digits."""
+    q = draw(st.integers(10 ** 9, 10 ** 12 - 1))
+    return Fraction(draw(st.integers(-(q // 4), q // 2)), q)
+
+
+@settings(max_examples=40, deadline=None)
+@given(long_rationals())
+def test_point_verdicts_equal_the_ungraded_path_at_random_points(t0):
+    (row,) = cert.definiteness_report([t0])
+    assert ((row["pd"], row["psd"], row["radical_dim"])
+            == norton_reference.definiteness_at(t0))
+    assert cert.radical_dimension(t0) == norton_reference.radical_dimension(t0)
+    assert cert.quotient_certify(t0) == norton_reference.quotient_certify(t0)
+
+
+def _graded_quotient(t0):
+    """The quotient of graded_m4a at t0 by its radical, with the grade of
+    each quotient basis vector, as quotient_certify builds it."""
+    alg, form, grades, _ = m4.specialize_graded_m4a(t0)
+    qalg, qform, _ = quotient(alg, form, radical(form))
+    return qalg, qform, [grades[alg.index(lab)] for lab in qalg.labels]
+
+
+@pytest.mark.parametrize("t0", ["0", "1/6"])
+def test_quotient_norton_blocks_are_15_7_7_7(monkeypatch, t0):
+    sizes = []
+    blocks = cert.norton_blocks
+
+    def recording(alg, form, grades):
+        out = blocks(alg, form, grades)
+        sizes.append([b.rows for b in out])
+        return out
+    monkeypatch.setattr(cert, "norton_blocks", recording)
+    assert cert.quotient_certify(t0)["norton_psd"] is True
+    assert sizes == [[15, 7, 7, 7]]
+
+
+def test_quotient_certify_refuses_a_quotient_off_its_grading(monkeypatch):
+    # e_0 e_0 gains the grade-3 vector: the grading check raises before
+    # the Norton form is split by grade
+    real = cert.quotient
+
+    def off_grade(alg, form, ideal):
+        qalg, qform, project = real(alg, form, ideal)
+        products = {p: qalg.mul_table[p[0]][p[1]]
+                    for p in upper_pairs(qalg.dim)}
+        products[0, 0] = products[0, 0][:-1] + (products[0, 0][-1] + 1,)
+        return Algebra(qalg.field, qalg.labels, products), qform, project
+    monkeypatch.setattr(cert, "quotient", off_grade)
+    with pytest.raises(NotGraded, match="leaves grade"):
+        cert.quotient_certify("0")
+
+
+@pytest.mark.parametrize("t0", ["0", "1/6"])
+def test_one_wrong_grade_in_the_quotient_is_refused(t0):
+    # a vector of grade 0 moved to any other grade is refused.  The three
+    # vectors of grades 1, 2 and 3 multiply to zero among themselves in
+    # the quotient, so the table leaves their grades free: another
+    # grade there is still a grading
+    qalg, qform, qgrades = _graded_quotient(t0)
+    check_graded(qalg, qform, qgrades)
+    odd = [i for i, g in enumerate(qgrades) if g]
+    assert all(not any(qalg.mul_table[i][j]) for i in odd for j in odd
+               if i != j)
+    for i in set(range(qalg.dim)) - set(odd):
+        for g in (1, 2, 3):
+            bad = list(qgrades)
+            bad[i] = g
+            with pytest.raises(NotGraded):
+                check_graded(qalg, qform, bad)
 
 
 # ---------------------------------------------------------------------------
@@ -212,7 +308,7 @@ def test_a_basis_change_that_degenerates_at_a_point_is_refused(m4a):
 # ---------------------------------------------------------------------------
 
 def _counting_builds(monkeypatch):
-    """Empty both caches and count the graded builds."""
+    """Empty the cache and count the graded builds."""
     calls = []
     build = m4.graded_by_involutions
 
@@ -220,20 +316,22 @@ def _counting_builds(monkeypatch):
         calls.append(args)
         return build(*args)
     monkeypatch.setattr(m4, "_M4A_CACHE", [])
-    monkeypatch.setattr(m4, "_GRADED_CACHE", [])
     monkeypatch.setattr(m4, "graded_by_involutions", counting)
     return calls
 
 
 def test_build_m4a_alone_does_not_build_the_graded_algebra(monkeypatch):
     calls = _counting_builds(monkeypatch)
-    m4.build_m4a()
-    assert calls == [] and m4._GRADED_CACHE == []
+    m4a = m4.build_m4a()
+    assert calls == [] and m4._M4A_CACHE == [m4a]
 
 
 def test_graded_checks_run_once_per_process(monkeypatch):
     calls = _counting_builds(monkeypatch)
+    cert.definiteness_report(("0", "1/5"))
+    cert.radical_report(("9/4",))
     cert.norton_grid_report(("0", "1/5"))
     cert.majorana_certify("1/12")
+    cert.quotient_certify("0")
     assert len(calls) == 1
-    assert m4.graded_m4a() is m4._GRADED_CACHE[0]
+    assert m4.graded_m4a() is m4._M4A_CACHE[1]

@@ -53,6 +53,20 @@ def test_upper_triangle_of_wrong_length_rejected(key):
             algebra_from_json({**doc, key: entries})
 
 
+@pytest.mark.parametrize("key", ["field", "labels", "mul_table"])
+def test_a_missing_key_is_named(key):
+    doc = algebra_to_json(dihedral("3A").algebra)
+    del doc[key]
+    with pytest.raises(ValueError, match=repr(key)):
+        algebra_from_json(doc)
+
+
+def test_an_unknown_field_kind_is_named():
+    doc = algebra_to_json(dihedral("3A").algebra)
+    with pytest.raises(ValueError, match="'field' kind 'octonions'"):
+        algebra_from_json({**doc, "field": "octonions"})
+
+
 def test_a_form_of_another_dimension_is_rejected(monkeypatch):
     # a form built without the last basis vector is one smaller than the
     # algebra, and pairing the two fails
