@@ -15,6 +15,13 @@ of m4.graded_m4a.  Its basis change S has a nonzero constant
 determinant, so each verdict is the one on the original basis, which
 only the symbolic reports (gram, norton_symbolic) keep.
 
+The verification suites and v4a_certify decompose one axis per symmetry
+orbit: an automorphism g with g a = b conjugates ad_a to ad_b, so it
+carries each eigenspace and fusion product of a onto those of b.  Only
+passing rows are carried, along generators that is_automorphism accepted
+in the same call; every failing row comes from a direct check.
+quotient_certify has no symmetries and decomposes every quotient axis.
+
 Every certification report is built and every verdict decided here.  A
 report that carries a verdict holds it as "pass" (a verification suite,
 gram, each quotient row); the command line only emits the report and
@@ -22,6 +29,9 @@ exits 1 when a "pass" is false.
 """
 
 from __future__ import annotations
+
+from collections import namedtuple
+from functools import cache
 
 from .algebra import (axis_decomposition, check_graded, form_products,
                       quotient, radical, subalgebra_algebra,
@@ -379,38 +389,50 @@ def v4a_certify():
     """Certify each 4A axis v_(i,j) of the symbolic M_4A: idempotency,
     eigenspace dims (1, 4, 4, 2, 1), published eigenvectors, the 4A-axis
     fusion rule and its C2 x C2 grading; plus the 9-dimensional Jordan
-    subalgebra generated by the three v's."""
+    subalgebra generated by the three v's.  The v's are one orbit under
+    sigma (the tau_i fix them); in the closure sigma acts through coords,
+    which raises unless sigma maps the closure into itself."""
     m4a = build_m4a()
     alg = m4a.algebra
     rule = f4a_rule()
+    verified = _verified_symmetries(m4a)
+    sigma = m4a.symmetries["sigma"]
+    pairs = ((1, 2), (1, 3), (2, 3))
+    vlabs = [f"v_{i}{j}" for i, j in pairs]
+    vgens = [alg.basis_vector(lab) for lab in vlabs]
+    results = _per_orbit(vgens, {"sigma": sigma}, verified,
+                         lambda v: _fusion_result(alg, v, rule),
+                         lambda r: (r.dims == (1, 4, 4, 2, 1)
+                                    and r.violations == 0))
     checks = Checks()
-    for i, j in ((1, 2), (1, 3), (2, 3)):
-        lab = f"v_{i}{j}"
-        v = alg.basis_vector(lab)
+    for (i, j), lab, v, r in zip(pairs, vlabs, vgens, results):
         checks.add(f"{lab} idempotent", True, alg.is_idempotent(v))
-        dec = _decompose(checks, lab, alg, v, rule.eigenvalues)
-        if dec is None:
+        if r.failure is not None:
+            _add_failure(checks, lab, r.failure)
             continue
-        checks.add(f"{lab} eigenspace dims", (1, 4, 4, 2, 1), dec.dims)
+        checks.add(f"{lab} eigenspace dims", (1, 4, 4, 2, 1), r.dims)
         checks.add(f"{lab} reference eigenvectors", True,
                    _in_eigenspaces(alg, v, reference_v_eigenvectors(i, j)))
-        checks.add(f"{lab} fusion violations", 0,
-                   len(verify_fusion(alg, dec, rule)))
+        checks.add(f"{lab} fusion violations", 0, r.violations)
     checks.add("C2xC2 grading", True, verify_grading(rule, f4a_grading()))
 
-    vlabs = [f"v_{i}{j}" for i, j in ((1, 2), (1, 3), (2, 3))]
-    vgens = [alg.basis_vector(lab) for lab in vlabs]
     closure = subalgebra_closure(alg, vgens)
     checks.add("jordan closure dim", 9, len(closure))
     sub, coords = subalgebra_algebra(alg, closure)
     jrule = jordan_half_rule(QT)
-    ok = True
-    for v, lab in zip(vgens, vlabs):
-        dec = _decompose(checks, f"jordan {lab}", sub, coords(v),
-                         jrule.eigenvalues)
-        if dec is None or verify_fusion(sub, dec, jrule):
-            ok = False
-    checks.add("jordan fusion on closure", True, ok)
+    try:  # column k: the image of RREF basis vector k, in coordinates
+        jgens = {"sigma": Matrix(QT, list(zip(*(coords(sigma.matvec(c))
+                                               for c in closure))))}
+    except ValueError:
+        jgens = {}
+    results = _per_orbit([coords(v) for v in vgens], jgens, verified,
+                         lambda v: _fusion_result(sub, v, jrule),
+                         lambda r: r.failure is None and r.violations == 0)
+    for lab, r in zip(vlabs, results):
+        if r.failure is not None:
+            _add_failure(checks, f"jordan {lab}", r.failure)
+    checks.add("jordan fusion on closure", True,
+               all(r.failure is None and r.violations == 0 for r in results))
     return checks.report("v4a")
 
 
@@ -444,31 +466,74 @@ def _in_eigenspaces(alg, axis, references):
                for lam, vecs in references.items() for w in vecs)
 
 
-def _decompose(checks, name, alg, axis, eigenvalues):
-    """axis_decomposition of axis; None, after adding a failing check
-    with the reason, when axis is not idempotent or its adjoint is not
-    semisimple."""
+# failure: why axis_decomposition rejected the axis, or None; then its
+# eigenspace dims, primitivity and number of fusion violations
+_AxisResult = namedtuple("_AxisResult", "failure dims primitive violations")
+
+
+def _fusion_result(alg, axis, rule):
+    """The _AxisResult of decomposing axis and checking the rule on it."""
     try:
-        return axis_decomposition(alg, axis, eigenvalues)
+        dec = axis_decomposition(alg, axis, rule.eigenvalues)
     except (NotIdempotent, NotSemisimple) as exc:
-        checks.add(f"{name} decomposition", "idempotent, semisimple",
-                   str(exc))
-        return None
+        return _AxisResult(str(exc), None, None, None)
+    return _AxisResult(None, dec.dims, dec.is_primitive,
+                       len(verify_fusion(alg, dec, rule)))
 
 
-def _axial_checks(checks, built, rule):
+def _add_failure(checks, name, failure):
+    checks.add(f"{name} decomposition", "idempotent, semisimple", failure)
+
+
+def _verified_symmetries(built):
+    """verified(name): is_automorphism of built.symmetries[name], decided
+    on the first ask; each report makes its own and drops it."""
+    return cache(lambda name: is_automorphism(
+        built.algebra, built.symmetries[name], built.form))
+
+
+def _orbit(start, generators, verified):
+    """The orbit of start under those generators (name -> Matrix) that
+    verified accepts, walked by matvec.  verified is asked about a
+    generator only when it carries an orbit element to a new vector."""
+    orbit = [start]
+    for v in orbit:
+        for name, g in generators.items():
+            w = g.matvec(v)
+            if w not in orbit and verified(name):
+                orbit.append(w)
+    return orbit
+
+
+def _per_orbit(axes, generators, verified, check, passes):
+    """check(axis) for each of the axes (tuples), made once per orbit: a
+    result that passes is copied along its axis's orbit under the verified
+    generators, and every axis that none reaches is checked directly."""
+    results = {}
+    for axis in axes:
+        if axis not in results:
+            results[axis] = result = check(axis)
+            if passes(result):
+                for w in _orbit(axis, generators, verified):
+                    results.setdefault(w, result)
+    return [results[axis] for axis in axes]
+
+
+def _axial_checks(checks, built, rule, verified):
     """Add, for each axis in order, whether it is primitive and its
     number of fusion violations under the rule (or, for an axis that does
     not decompose, the reason), then the number of Frobenius violations
-    of the form."""
+    of the form, checking one axis per orbit (_per_orbit)."""
     alg = built.algebra
-    for ax, key in zip(built.axes, built.axis_keys):
-        dec = _decompose(checks, f"a_{key}", alg, ax, rule.eigenvalues)
-        if dec is None:
+    results = _per_orbit(built.axes, built.symmetries, verified,
+                         lambda ax: _fusion_result(alg, ax, rule),
+                         lambda r: r.primitive and r.violations == 0)
+    for key, r in zip(built.axis_keys, results):
+        if r.failure is not None:
+            _add_failure(checks, f"a_{key}", r.failure)
             continue
-        checks.add(f"a_{key} primitive", True, dec.is_primitive)
-        checks.add(f"a_{key} fusion violations", 0,
-                   len(verify_fusion(alg, dec, rule)))
+        checks.add(f"a_{key} primitive", True, r.primitive)
+        checks.add(f"a_{key} fusion violations", 0, r.violations)
     checks.add("frobenius violations", 0,
                len(verify_frobenius(alg, built.form)))
 
@@ -478,13 +543,13 @@ def verify_m4a():
     all six axes, Frobenius property, linear dependencies, symmetry
     operators (automorphisms and isometries)."""
     m4a = build_m4a()
+    verified = _verified_symmetries(m4a)
     checks = Checks()
     checks.add("dimension", 12, m4a.algebra.dim)
-    _axial_checks(checks, m4a, monster_rule(QT))
+    _axial_checks(checks, m4a, monster_rule(QT), verified)
     checks.add("dependency violations", 0, len(verify_dependencies(m4a)))
-    for name, op in m4a.symmetries.items():
-        checks.add(f"{name} automorphism+isometry", True,
-                   is_automorphism(m4a.algebra, op, m4a.form))
+    for name in m4a.symmetries:
+        checks.add(f"{name} automorphism+isometry", True, verified(name))
     return checks.report("m4a")
 
 
@@ -496,25 +561,22 @@ def verify_m4b():
     checks.add("dimension", 7, m4b.algebra.dim)
     checks.add("closure dim", 7,
                len(subalgebra_closure(m4b.algebra, m4b.axes)))
-    _axial_checks(checks, m4b, monster_rule())
+    _axial_checks(checks, m4b, monster_rule(), _verified_symmetries(m4b))
     return checks.report("m4b")
 
 
 def verify_dihedral(name):
     """Verification suite for one dihedral type: Monster fusion on each
     axis, the Frobenius property, the published eigenvectors of a_0 and
-    the orbit of the first axis under the relabeling generators."""
+    the orbit of the first axis under the relabeling generators that are
+    automorphisms."""
     d = dihedral(name)
+    verified = _verified_symmetries(d)
     checks = Checks()
-    _axial_checks(checks, d, monster_rule())
+    _axial_checks(checks, d, monster_rule(), verified)
     checks.add("reference eigenvectors", True,
                _in_eigenspaces(d.algebra, d.algebra.basis_vector("a_0"),
                                d.reference_eigenvectors))
-    orbit = [d.axes[0]]
-    for v in orbit:
-        for g in d.symmetries.values():
-            w = g.matvec(v)
-            if w not in orbit:
-                orbit.append(w)
-    checks.add("axis orbit size", d.n_axes, len(orbit))
+    checks.add("axis orbit size", d.n_axes,
+               len(_orbit(d.axes[0], d.symmetries, verified)))
     return checks.report(f"dihedral:{name}")

@@ -1,0 +1,135 @@
+"""The direct per-axis verification suites, kept as a differential oracle.
+
+Each suite here decomposes and fusion-checks every axis on its own, with
+no symmetry: the loops of certify's _axial_checks and v4a_certify as they
+were before one representative per orbit carried its rows to the rest.
+tests/test_orbits.py asserts that certify's reports equal these byte for
+byte.  The module names build_m4a, build_m4b, dihedral and
+is_automorphism as its own globals, so a test can rebind them here and in
+certify alike.
+"""
+
+from axia.algebra import (axis_decomposition, subalgebra_algebra,
+                          subalgebra_closure, verify_fusion, verify_frobenius,
+                          verify_grading, is_automorphism)
+from axia.catalog import dihedral, f4a_rule, jordan_half_rule, monster_rule
+from axia.certify import Checks, _in_eigenspaces, f4a_grading
+from axia.errors import NotIdempotent, NotSemisimple
+from axia.m4 import (build_m4a, build_m4b, reference_v_eigenvectors,
+                     verify_dependencies)
+from axia.scalars import QT
+
+
+def v4a_certify():
+    """Certify each 4A axis v_(i,j) of the symbolic M_4A: idempotency,
+    eigenspace dims (1, 4, 4, 2, 1), published eigenvectors, the 4A-axis
+    fusion rule and its C2 x C2 grading; plus the 9-dimensional Jordan
+    subalgebra generated by the three v's."""
+    m4a = build_m4a()
+    alg = m4a.algebra
+    rule = f4a_rule()
+    checks = Checks()
+    for i, j in ((1, 2), (1, 3), (2, 3)):
+        lab = f"v_{i}{j}"
+        v = alg.basis_vector(lab)
+        checks.add(f"{lab} idempotent", True, alg.is_idempotent(v))
+        dec = _decompose(checks, lab, alg, v, rule.eigenvalues)
+        if dec is None:
+            continue
+        checks.add(f"{lab} eigenspace dims", (1, 4, 4, 2, 1), dec.dims)
+        checks.add(f"{lab} reference eigenvectors", True,
+                   _in_eigenspaces(alg, v, reference_v_eigenvectors(i, j)))
+        checks.add(f"{lab} fusion violations", 0,
+                   len(verify_fusion(alg, dec, rule)))
+    checks.add("C2xC2 grading", True, verify_grading(rule, f4a_grading()))
+
+    vlabs = [f"v_{i}{j}" for i, j in ((1, 2), (1, 3), (2, 3))]
+    vgens = [alg.basis_vector(lab) for lab in vlabs]
+    closure = subalgebra_closure(alg, vgens)
+    checks.add("jordan closure dim", 9, len(closure))
+    sub, coords = subalgebra_algebra(alg, closure)
+    jrule = jordan_half_rule(QT)
+    ok = True
+    for v, lab in zip(vgens, vlabs):
+        dec = _decompose(checks, f"jordan {lab}", sub, coords(v),
+                         jrule.eigenvalues)
+        if dec is None or verify_fusion(sub, dec, jrule):
+            ok = False
+    checks.add("jordan fusion on closure", True, ok)
+    return checks.report("v4a")
+
+
+def _decompose(checks, name, alg, axis, eigenvalues):
+    """axis_decomposition of axis; None, after adding a failing check
+    with the reason, when axis is not idempotent or its adjoint is not
+    semisimple."""
+    try:
+        return axis_decomposition(alg, axis, eigenvalues)
+    except (NotIdempotent, NotSemisimple) as exc:
+        checks.add(f"{name} decomposition", "idempotent, semisimple",
+                   str(exc))
+        return None
+
+
+def _axial_checks(checks, built, rule):
+    """Add, for each axis in order, whether it is primitive and its
+    number of fusion violations under the rule (or, for an axis that does
+    not decompose, the reason), then the number of Frobenius violations
+    of the form."""
+    alg = built.algebra
+    for ax, key in zip(built.axes, built.axis_keys):
+        dec = _decompose(checks, f"a_{key}", alg, ax, rule.eigenvalues)
+        if dec is None:
+            continue
+        checks.add(f"a_{key} primitive", True, dec.is_primitive)
+        checks.add(f"a_{key} fusion violations", 0,
+                   len(verify_fusion(alg, dec, rule)))
+    checks.add("frobenius violations", 0,
+               len(verify_frobenius(alg, built.form)))
+
+
+def verify_m4a():
+    """Default verification suite for the symbolic M_4A: Monster fusion on
+    all six axes, Frobenius property, linear dependencies, symmetry
+    operators (automorphisms and isometries)."""
+    m4a = build_m4a()
+    checks = Checks()
+    checks.add("dimension", 12, m4a.algebra.dim)
+    _axial_checks(checks, m4a, monster_rule(QT))
+    checks.add("dependency violations", 0, len(verify_dependencies(m4a)))
+    for name, op in m4a.symmetries.items():
+        checks.add(f"{name} automorphism+isometry", True,
+                   is_automorphism(m4a.algebra, op, m4a.form))
+    return checks.report("m4a")
+
+
+def verify_m4b():
+    """Verification suite for M_4B: dimension, closure of the six axes,
+    Monster fusion on each axis and the Frobenius property."""
+    m4b = build_m4b()
+    checks = Checks()
+    checks.add("dimension", 7, m4b.algebra.dim)
+    checks.add("closure dim", 7,
+               len(subalgebra_closure(m4b.algebra, m4b.axes)))
+    _axial_checks(checks, m4b, monster_rule())
+    return checks.report("m4b")
+
+
+def verify_dihedral(name):
+    """Verification suite for one dihedral type: Monster fusion on each
+    axis, the Frobenius property, the published eigenvectors of a_0 and
+    the orbit of the first axis under the relabeling generators."""
+    d = dihedral(name)
+    checks = Checks()
+    _axial_checks(checks, d, monster_rule())
+    checks.add("reference eigenvectors", True,
+               _in_eigenspaces(d.algebra, d.algebra.basis_vector("a_0"),
+                               d.reference_eigenvectors))
+    orbit = [d.axes[0]]
+    for v in orbit:
+        for g in d.symmetries.values():
+            w = g.matvec(v)
+            if w not in orbit:
+                orbit.append(w)
+    checks.add("axis orbit size", d.n_axes, len(orbit))
+    return checks.report(f"dihedral:{name}")

@@ -11,9 +11,10 @@ Oracle conventions used throughout the tests:
 
 import pytest
 
+from axia import m4
 from axia.catalog import DIHEDRAL_TYPES, dihedral
 from axia.m4 import build_m4a, build_m4b
-from axia.scalars import Polynomial, RationalFunction, rat
+from axia.scalars import QT, Polynomial, RationalFunction, rat
 
 
 def rf(num_coeffs, den_coeffs=("1",)):
@@ -40,3 +41,16 @@ def m4b():
 @pytest.fixture(scope="session")
 def catalog():
     return {name: dihedral(name) for name in DIHEDRAL_TYPES}
+
+
+def tamper_m4a_seed(monkeypatch, pair, label, delta="1/1000"):
+    """Build M_4A from its seeds with delta added to the label coordinate
+    of the seed on pair, in place of the cached build."""
+    seeds = []
+    for seed_pair, product, form_value in m4.m4a_seeds():
+        if seed_pair == pair:
+            product = dict(product)
+            product[label] = QT.of(product.get(label, 0)) + QT.of(delta)
+        seeds.append((seed_pair, product, form_value))
+    monkeypatch.setattr(m4, "m4a_seeds", lambda: seeds)
+    monkeypatch.setattr(m4, "_M4A_CACHE", [])

@@ -18,6 +18,8 @@ from axia.errors import NotAnIdeal, NotSemisimple
 from axia.scalars import QT
 from axia.serialize import algebra_from_json, load_json
 
+from conftest import tamper_m4a_seed
+
 
 def test_catalog_listing(capsys):
     assert run(["catalog"]) == 0
@@ -178,19 +180,6 @@ def test_gram_exits_1_when_the_determinant_differs(monkeypatch, tmp_path):
     assert rep["pass"] is False
 
 
-def _tamper_m4a_seed(monkeypatch, pair, label, delta="1/1000"):
-    """Build M_4A from its seeds with delta added to the label coordinate
-    of the seed on pair, in place of the cached build."""
-    seeds = []
-    for seed_pair, product, form_value in m4.m4a_seeds():
-        if seed_pair == pair:
-            product = dict(product)
-            product[label] = QT.of(product.get(label, 0)) + QT.of(delta)
-        seeds.append((seed_pair, product, form_value))
-    monkeypatch.setattr(m4, "m4a_seeds", lambda: seeds)
-    monkeypatch.setattr(m4, "_M4A_CACHE", [])
-
-
 @pytest.mark.parametrize("argv,pair,label,failed", [
     (["verify", "m4a"], ("a_1", "a_2"), "v_12",
      {"a_1 decomposition": "eigenspace dims [1, 3, 2, 2] sum to 8 != 12"}),
@@ -205,7 +194,7 @@ def test_an_axis_that_does_not_decompose_exits_1(monkeypatch, tmp_path,
                                                  argv, pair, label, failed):
     # the tampered table still completes, but one axis is not
     # semisimple (or not idempotent): a failed check, not a build error
-    _tamper_m4a_seed(monkeypatch, pair, label)
+    tamper_m4a_seed(monkeypatch, pair, label)
     path = tmp_path / "report.json"
     assert run(argv + ["--out", str(path)]) == 1
     rep = json.loads(path.read_text())
@@ -246,7 +235,7 @@ def test_a_rebuilt_m4a_rebuilds_its_graded_basis(monkeypatch):
     # behind to decide the Norton verdict
     stale = m4.graded_m4a()
     assert cert.norton_check("1/12") is True
-    _tamper_m4a_seed(monkeypatch, ("w_1", "w_2"), "v_12")
+    tamper_m4a_seed(monkeypatch, ("w_1", "w_2"), "v_12")
     assert m4.graded_m4a() is not stale
     assert cert.norton_check("1/12") is False
 
