@@ -1,7 +1,7 @@
 """Axial-algebra engine: structure-constant algebras, eigenspace
 decompositions, fusion/Frobenius verification, Miyamoto involutions from
-the eigenspace projectors of the adjoint, closures, ideals, radicals,
-quotients, gradings.
+the eigenspace projectors of the adjoint, subalgebra closures with
+their tables, ideals, radicals, quotients, gradings.
 
 Vectors are coordinate tuples over the algebra's scalar field.  Algebra
 and BilinearForm take one product or form value per basis pair i <= j and
@@ -431,28 +431,22 @@ def is_automorphism(alg: Algebra, T: Matrix, form: BilinearForm) -> bool:
 
 
 def subalgebra_closure(alg: Algebra, generators):
-    """RREF basis of the smallest product-closed subspace containing the
-    generators: the span of the basis and all its pairwise products, taken
-    until the rank stops growing."""
+    """(basis, algebra, coords): the RREF basis of the smallest
+    product-closed subspace containing the generators, grown by all its
+    pairwise products until the rank stops growing; the subspace as an
+    Algebra, its table the last round's products (in the span, as the
+    rank held) read at the pivots; and coords, a vector's entries at the
+    pivots (ValueError for a vector outside the subspace)."""
     field = alg.field
-    basis = span_rref(field, [tuple(g) for g in generators])[0].data
+    m, pivots = span_rref(field, [tuple(g) for g in generators])
     while True:
-        basis = [tuple(r) for r in basis]
-        grown = span_rref(field, basis + [alg.mul(u, v)
-                                          for i, u in enumerate(basis)
-                                          for v in basis[i:]])[0].data
-        if len(grown) == len(basis):
-            return basis
-        basis = grown
-
-
-def subalgebra_algebra(alg: Algebra, basis_vectors):
-    """Materialize a product-closed subspace as an Algebra in its own
-    coordinates; returns (Algebra, coords) where coords maps an ambient
-    vector inside the subspace to subalgebra coordinates, its entries at
-    the pivots of the subspace's RREF basis."""
-    field = alg.field
-    m, pivots = span_rref(field, [tuple(v) for v in basis_vectors])
+        basis = [tuple(r) for r in m.data]
+        prods = {(i, j): alg.mul(basis[i], basis[j])
+                 for i, j in upper_pairs(len(basis))}
+        grown = span_rref(field, basis + list(prods.values()))
+        if len(grown[1]) == len(basis):
+            break
+        m, pivots = grown
     rest = remainder_map(field, m, pivots, alg.dim)[1]
 
     def coords(v):
@@ -460,11 +454,9 @@ def subalgebra_algebra(alg: Algebra, basis_vectors):
             raise ValueError("vector outside the subalgebra")
         return tuple(v[p] for p in pivots)
 
-    rows = [tuple(r) for r in m.data]
-    products = {(i, j): coords(alg.mul(rows[i], rows[j]))
-                for i, j in upper_pairs(len(rows))}
-    return (Algebra(field, [f"s_{i}" for i in range(len(rows))], products),
-            coords)
+    sub = Algebra(field, [f"s_{i}" for i in range(len(basis))],
+                  {p: tuple(v[q] for q in pivots) for p, v in prods.items()})
+    return basis, sub, coords
 
 
 def radical(form: BilinearForm):

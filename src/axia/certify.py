@@ -20,7 +20,7 @@ orbit: an automorphism g with g a = b conjugates ad_a to ad_b, so it
 carries each eigenspace and fusion product of a onto those of b.  Only
 passing rows are carried, along generators that is_automorphism accepted
 in the same call; every failing row comes from a direct check.
-quotient_certify has no symmetries and decomposes every quotient axis.
+quotient_certify has no symmetries: it checks every axis (_fusion_result).
 
 Every certification report is built and every verdict decided here.  A
 report that carries a verdict holds it as "pass" (a verification suite,
@@ -34,9 +34,8 @@ from collections import namedtuple
 from functools import cache
 
 from .algebra import (axis_decomposition, check_graded, form_products,
-                      quotient, radical, subalgebra_algebra,
-                      subalgebra_closure, verify_fusion, verify_frobenius,
-                      verify_grading, is_automorphism)
+                      quotient, radical, subalgebra_closure, verify_fusion,
+                      verify_frobenius, verify_grading, is_automorphism)
 from .catalog import dihedral, f4a_rule, jordan_half_rule, monster_rule
 from .errors import NotAnIdeal, NotIdempotent, NotSemisimple, PoleAtPoint
 from .linalg import Matrix, determinant, ldlt, symmetric
@@ -229,7 +228,7 @@ def norton_psd(alg, form, grades) -> bool:
 def norton_check(t0) -> bool:
     """Exact PSD verdict of the Norton form of M(t0), on the blocks of 36,
     10, 10 and 10 pairs of graded_m4a at t0."""
-    return norton_psd(*specialize_graded_m4a(t0)[:3])
+    return norton_psd(*specialize_graded_m4a(t0))
 
 
 def norton_grid_report(grid=DEFAULT_GRID):
@@ -310,7 +309,7 @@ class MajoranaVerdict:
 def majorana_certify(t0) -> MajoranaVerdict:
     """Both verdicts at t0 from one specialisation of graded_m4a."""
     t0 = rat(t0)
-    alg, form, grades, _ = specialize_graded_m4a(t0)
+    alg, form, grades = specialize_graded_m4a(t0)
     return MajoranaVerdict(t0, ldlt(form.gram).is_pd(),
                            norton_psd(alg, form, grades))
 
@@ -320,7 +319,7 @@ def quotient_certify(t0):
     t0 by its radical (one that is no ideal fails the report), check the
     grading and re-certify fusion on the axes S^-1 a_k, PD and Norton."""
     t0 = rat(t0)
-    alg, form, grades, axes = specialize_graded_m4a(t0)
+    alg, form, grades = specialize_graded_m4a(t0)
     rad = radical(form)
     report = {"t0": format_rational(t0), "radical_dim": len(rad)}
     if len(rad) != 3:
@@ -336,16 +335,13 @@ def quotient_certify(t0):
     check_graded(qalg, qform, qgrades)
     report["quotient_dim"] = qalg.dim
     rule = monster_rule()
-    fusion_ok = True
-    for key, ax in axes.items():
-        try:
-            dec = axis_decomposition(qalg, project(ax), rule.eigenvalues)
-        except (NotIdempotent, NotSemisimple) as exc:
-            report.setdefault("axis_failures", []).append(f"a_{key}: {exc}")
-            fusion_ok = False
-            continue
-        if not dec.is_primitive or verify_fusion(qalg, dec, rule):
-            fusion_ok = False
+    results = {k: _fusion_result(qalg, project([x.evaluate(t0) for x in a]),
+                                 rule) for k, a in graded_m4a()[3].items()}
+    failures = [f"a_{k}: {r.failure}" for k, r in results.items() if r.failure]
+    if failures:
+        report["axis_failures"] = failures
+    fusion_ok = all(r.primitive and r.violations == 0
+                    for r in results.values())
     gram_pd = ldlt(qform.gram).is_pd()
     norton_ok = norton_psd(qalg, qform, qgrades)
     report.update({
@@ -416,9 +412,8 @@ def v4a_certify():
         checks.add(f"{lab} fusion violations", 0, r.violations)
     checks.add("C2xC2 grading", True, verify_grading(rule, f4a_grading()))
 
-    closure = subalgebra_closure(alg, vgens)
+    closure, sub, coords = subalgebra_closure(alg, vgens)
     checks.add("jordan closure dim", 9, len(closure))
-    sub, coords = subalgebra_algebra(alg, closure)
     jrule = jordan_half_rule(QT)
     try:  # column k: the image of RREF basis vector k, in coordinates
         jgens = {"sigma": Matrix(QT, list(zip(*(coords(sigma.matvec(c))
@@ -560,7 +555,7 @@ def verify_m4b():
     checks = Checks()
     checks.add("dimension", 7, m4b.algebra.dim)
     checks.add("closure dim", 7,
-               len(subalgebra_closure(m4b.algebra, m4b.axes)))
+               len(subalgebra_closure(m4b.algebra, m4b.axes)[0]))
     _axial_checks(checks, m4b, monster_rule(), _verified_symmetries(m4b))
     return checks.report("m4b")
 

@@ -225,11 +225,9 @@ def specialize_m4a(t0) -> ConstructedAlgebra:
 
 
 def specialize_graded_m4a(t0):
-    """(algebra, form, grades, axes) of graded_m4a at t = t0."""
-    t0 = rat(t0)
-    alg, form, grades, axes = graded_m4a()
-    return (*specialize(alg, form, t0), grades,
-            {k: tuple(x.evaluate(t0) for x in a) for k, a in axes.items()})
+    """(algebra, form, grades) of graded_m4a at t = t0, without its axes."""
+    alg, form, grades, _ = graded_m4a()
+    return (*specialize(alg, form, t0), grades)
 
 
 def verify_dependencies(m4a: ConstructedAlgebra):

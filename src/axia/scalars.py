@@ -20,7 +20,7 @@ from .errors import PoleAtPoint, ZeroPolynomial
 RAT_ZERO = Rational(0)
 RAT_ONE = Rational(1)
 
-_RATIONAL_RE = re.compile(r"^[+-]?\d+(/\d+)?$")
+_RATIONAL_RE = re.compile(r"([+-]?[0-9]+)(?:/([0-9]+))?")
 
 
 def rat(x) -> Rational:
@@ -36,17 +36,15 @@ def rat(x) -> Rational:
 def parse_rational(s: str) -> Rational:
     """Parse the exact serialization "p/q" (q omitted when 1).
 
-    Decimal notation is rejected: "0.1" is not an exact input.
+    Decimal notation ("0.1") and digits other than ASCII 0-9 are rejected.
     """
-    s = s.strip()
-    if not _RATIONAL_RE.match(s):
+    m = _RATIONAL_RE.fullmatch(s.strip()) if isinstance(s, str) else None
+    if m is None:
         raise ValueError(f"not an exact rational 'p/q': {s!r}")
-    if "/" in s:
-        p, q = s.split("/")
-        if int(q) == 0:
-            raise ZeroDivisionError(f"zero denominator in {s!r}")
-        return Rational(int(p), int(q))
-    return Rational(int(s))
+    p, q = int(m[1]), int(m[2] or 1)
+    if q == 0:
+        raise ZeroDivisionError(f"zero denominator in {s!r}")
+    return Rational(p, q)
 
 
 def format_rational(x) -> str:
@@ -763,8 +761,11 @@ class FunctionField:
                 "den": [format_rational(c) for c in x.den.coeffs]}
 
     def from_json(self, d):
-        return RationalFunction(Polynomial([parse_rational(c) for c in d["num"]]),
-                                Polynomial([parse_rational(c) for c in d["den"]]))
+        if not (isinstance(d, dict) and isinstance(d.get("num"), list)
+                and isinstance(d.get("den"), list)):
+            raise ValueError(f"not a {{'num': [...], 'den': [...]}}: {d!r}")
+        return RationalFunction(*(Polynomial(list(map(parse_rational, d[k])))
+                                  for k in ("num", "den")))
 
     def __repr__(self):
         return "QT"

@@ -32,26 +32,39 @@ def algebra_to_json(alg: Algebra, form: BilinearForm = None) -> dict:
 
 def algebra_from_json(d: dict):
     """Returns (Algebra, BilinearForm or None); ValueError naming the key
-    when field, labels or mul_table is missing or the field is unknown."""
+    when one is missing or malformed, and the index of a malformed entry
+    of mul_table or gram (a zero denominator included)."""
     missing = [k for k in ("field", "labels", "mul_table") if k not in d]
     if missing:
         raise ValueError(f"algebra JSON lacks the keys {missing}")
-    if d["field"] not in FIELDS_BY_KIND:
+    if not isinstance(d["field"], str) or d["field"] not in FIELDS_BY_KIND:
         raise ValueError(f"unknown 'field' kind {d['field']!r}")
     field = FIELDS_BY_KIND[d["field"]]
     labels = d["labels"]
-    n = len(labels)
-    pairs = upper_pairs(n)
-    for key in ("mul_table", "gram"):
-        if d.get(key) is not None and len(d[key]) != len(pairs):
-            raise ValueError(f"{key} length does not match upper triangle")
-    alg = Algebra(field, labels,
-                  {p: tuple(field.from_json(x) for x in entry)
-                   for p, entry in zip(pairs, d["mul_table"])})
+    if not isinstance(labels, list) or any(type(x) is not str for x in labels):
+        raise ValueError(f"'labels' is not a list of strings: {labels!r}")
+    pairs = upper_pairs(len(labels))
+
+    def read(key, entry):
+        if not (isinstance(d[key], list) and len(d[key]) == len(pairs)):
+            raise ValueError(f"{key!r} is not a list of {len(pairs)} entries")
+        out = {}
+        for i, (p, x) in enumerate(zip(pairs, d[key])):
+            try:
+                out[p] = entry(x)
+            except (ValueError, ZeroDivisionError) as exc:
+                raise ValueError(f"{key}[{i}]: {exc}") from exc
+        return out
+
+    def vector(xs):
+        if not isinstance(xs, list) or len(xs) != len(labels):
+            raise ValueError(f"not a list of {len(labels)} scalars: {xs!r}")
+        return tuple(map(field.from_json, xs))
+
+    alg = Algebra(field, labels, read("mul_table", vector))
     form = None
     if d.get("gram") is not None:
-        form = BilinearForm(field, {p: field.from_json(x)
-                                    for p, x in zip(pairs, d["gram"])})
+        form = BilinearForm(field, read("gram", field.from_json))
         check_pairing(alg, form)
     return alg, form
 

@@ -6,18 +6,57 @@ were before one representative per orbit carried its rows to the rest.
 tests/test_orbits.py asserts that certify's reports equal these byte for
 byte.  The module names build_m4a, build_m4b, dihedral and
 is_automorphism as its own globals, so a test can rebind them here and in
-certify alike.
+certify alike.  subalgebra_closure and subalgebra_algebra are the two
+functions that built the Jordan closure and its table before the closure
+returned its own table, copied verbatim.
 """
 
-from axia.algebra import (axis_decomposition, subalgebra_algebra,
-                          subalgebra_closure, verify_fusion, verify_frobenius,
-                          verify_grading, is_automorphism)
+from axia.algebra import (Algebra, axis_decomposition, verify_fusion,
+                          verify_frobenius, verify_grading, is_automorphism)
 from axia.catalog import dihedral, f4a_rule, jordan_half_rule, monster_rule
 from axia.certify import Checks, _in_eigenspaces, f4a_grading
 from axia.errors import NotIdempotent, NotSemisimple
+from axia.linalg import remainder_map, span_rref, upper_pairs, vec_is_zero
 from axia.m4 import (build_m4a, build_m4b, reference_v_eigenvectors,
                      verify_dependencies)
 from axia.scalars import QT
+
+
+def subalgebra_closure(alg: Algebra, generators):
+    """RREF basis of the smallest product-closed subspace containing the
+    generators: the span of the basis and all its pairwise products, taken
+    until the rank stops growing."""
+    field = alg.field
+    basis = span_rref(field, [tuple(g) for g in generators])[0].data
+    while True:
+        basis = [tuple(r) for r in basis]
+        grown = span_rref(field, basis + [alg.mul(u, v)
+                                          for i, u in enumerate(basis)
+                                          for v in basis[i:]])[0].data
+        if len(grown) == len(basis):
+            return basis
+        basis = grown
+
+
+def subalgebra_algebra(alg: Algebra, basis_vectors):
+    """Materialize a product-closed subspace as an Algebra in its own
+    coordinates; returns (Algebra, coords) where coords maps an ambient
+    vector inside the subspace to subalgebra coordinates, its entries at
+    the pivots of the subspace's RREF basis."""
+    field = alg.field
+    m, pivots = span_rref(field, [tuple(v) for v in basis_vectors])
+    rest = remainder_map(field, m, pivots, alg.dim)[1]
+
+    def coords(v):
+        if not vec_is_zero(field, rest(v)):
+            raise ValueError("vector outside the subalgebra")
+        return tuple(v[p] for p in pivots)
+
+    rows = [tuple(r) for r in m.data]
+    products = {(i, j): coords(alg.mul(rows[i], rows[j]))
+                for i, j in upper_pairs(len(rows))}
+    return (Algebra(field, [f"s_{i}" for i in range(len(rows))], products),
+            coords)
 
 
 def v4a_certify():

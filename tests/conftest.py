@@ -13,6 +13,7 @@ import pytest
 
 from axia import m4
 from axia.catalog import DIHEDRAL_TYPES, dihedral
+from axia.cli import run
 from axia.m4 import build_m4a, build_m4b
 from axia.scalars import QT, Polynomial, RationalFunction, rat
 
@@ -41,6 +42,22 @@ def m4b():
 @pytest.fixture(scope="session")
 def catalog():
     return {name: dihedral(name) for name in DIHEDRAL_TYPES}
+
+
+@pytest.fixture(scope="session")
+def written(tmp_path_factory):
+    """The exit code and --out bytes of a CLI command line, run once per
+    session: the golden reports and test_cli share the slow ones, such as
+    norton --symbolic."""
+    cache = {}
+
+    def get(command):
+        if command not in cache:
+            out = tmp_path_factory.mktemp("report") / "report.json"
+            code = run(command.split() + ["--out", str(out)])
+            cache[command] = code, out.read_bytes()
+        return cache[command]
+    return get
 
 
 def tamper_m4a_seed(monkeypatch, pair, label, delta="1/1000"):

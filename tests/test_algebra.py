@@ -9,12 +9,12 @@ import pytest
 from axia.algebra import (Algebra, BilinearForm, ConstructedAlgebra,
                           FusionRule, axis_decomposition, is_automorphism,
                           is_ideal, miyamoto, quotient, radical,
-                          subalgebra_algebra, subalgebra_closure,
+                          subalgebra_closure,
                           verify_frobenius, verify_fusion, verify_grading)
 from axia.catalog import dihedral, f4a_rule, monster_rule
 from axia.errors import (DimensionMismatch, NotAnIdeal, NotIdempotent,
                          NotSemisimple)
-from axia.linalg import Matrix, span_rref, upper_pairs
+from axia.linalg import Matrix, upper_pairs
 from axia.m4 import specialize_m4a
 from axia.scalars import QQ, QT, rat
 from axia.serialize import algebra_to_json
@@ -425,17 +425,17 @@ def test_is_automorphism_rejects_non_isometry():
 
 def test_subalgebra_closure_of_axes_is_whole_algebra():
     d = dihedral("6A")
-    closure = subalgebra_closure(d.algebra, [d.axes[d.axis_keys.index(0)],
-                                             d.axes[d.axis_keys.index(1)]])
+    closure, _, _ = subalgebra_closure(d.algebra,
+                                       [d.axes[d.axis_keys.index(0)],
+                                        d.axes[d.axis_keys.index(1)]])
     assert len(closure) == d.algebra.dim
 
 
-def test_subalgebra_algebra_coords_roundtrip():
+def test_subalgebra_closure_coords_roundtrip():
     d = dihedral("4B")
     alg = d.algebra
     gens = [alg.basis_vector("a_0"), alg.basis_vector("a_2")]
-    closure = subalgebra_closure(alg, gens)
-    sub, coords = subalgebra_algebra(alg, closure)
+    _, sub, coords = subalgebra_closure(alg, gens)
     assert sub.dim == 3  # a 2A copy
     c = coords(gens[0])
     assert sub.is_idempotent(c)
@@ -537,8 +537,7 @@ def test_coords_and_project_reduce_against_rref_rows(field):
     alg, form, e = _skewed_idempotents(
         field, [[one, one, z], [x, one, one], [z, field.of(2), one]], 3)
     assert all(alg.is_idempotent(v) for v in e)
-    sub, coords = subalgebra_algebra(alg, e[:2])
-    rows = span_rref(field, e[:2])[0].data
+    rows, sub, coords = subalgebra_closure(alg, e[:2])
     qalg, _, project = quotient(alg, form, [e[2]])
     assert (sub.dim, qalg.dim) == (2, 2)
     assert project(e[2]) == (z, z)
@@ -602,13 +601,10 @@ def _jordan_full_table(m4a):
     """The Jordan subalgebra of the three 4A axes and its products at
     every ordered pair of its basis rows."""
     alg = m4a.algebra
-    closure = subalgebra_closure(
+    rows, sub, coords = subalgebra_closure(
         alg, [alg.basis_vector(f"v_{i}{j}") for i, j in ((1, 2), (1, 3),
                                                         (2, 3))])
-    sub, coords = subalgebra_algebra(alg, closure)
-    rows = span_rref(alg.field, closure)[0].data
-    return sub, [[coords(alg.mul(tuple(u), tuple(v))) for v in rows]
-                 for u in rows]
+    return sub, [[coords(alg.mul(u, v)) for v in rows] for u in rows]
 
 
 def _quotient_full_table(t0):

@@ -5,7 +5,8 @@ the 4A-axis fusion rule and eigenspace orthogonality."""
 import pytest
 
 from axia import certify as cert
-from axia.algebra import axis_decomposition, quotient, radical
+from axia import linalg
+from axia.algebra import Algebra, axis_decomposition, quotient, radical
 from axia.catalog import DIHEDRAL_TYPES, dihedral, f4a_rule, monster_rule
 from axia.linalg import Matrix, ldlt, span_rref
 from axia.m4 import reference_v_eigenvectors, specialize_m4a
@@ -363,6 +364,25 @@ def test_v4a_eigenvalue_spot_checks(m4a):
     d = tuple(x - y for x, y in zip(alg.basis_vector("a_1"),
                                     alg.basis_vector("a_-1")))
     assert alg.mul(v12, d) == tuple(QT.of("3/8") * x for x in d)
+
+
+def test_v4a_builds_its_jordan_closure_table_once(monkeypatch, m4a):
+    # the closure's last round of products is the subalgebra's table, so
+    # the table costs no product or elimination beyond the closure's own
+    counts = {"mul": 0, "eliminate": 0}
+    mul, eliminate = Algebra.mul, linalg._eliminate
+
+    def counting_mul(self, u, v):
+        counts["mul"] += 1
+        return mul(self, u, v)
+
+    def counting_eliminate(m):
+        counts["eliminate"] += 1
+        return eliminate(m)
+    monkeypatch.setattr(Algebra, "mul", counting_mul)
+    monkeypatch.setattr(linalg, "_eliminate", counting_eliminate)
+    assert cert.v4a_certify()["pass"] is True
+    assert counts == {"mul": 209, "eliminate": 12}
 
 
 def _eigenspace_span_check(alg, axis, references, rule):

@@ -99,10 +99,10 @@ def test_norton_grid(capsys):
     assert "norton_psd=False" in out
 
 
-def test_norton_symbolic_report_keys(tmp_path):
-    path = tmp_path / "norton.json"
-    assert run(["norton", "--symbolic", "--out", str(path)]) == 0
-    rep = json.loads(path.read_text())
+def test_norton_symbolic_report_keys(written):
+    code, data = written("norton --symbolic")
+    assert code == 0
+    rep = json.loads(data)
     assert list(rep) == ["target", "status", "columns_processed", "diagonal"]
     assert rep["target"] == "norton-symbolic"
     assert rep["status"] == "COMPLETE"
@@ -281,6 +281,17 @@ def test_unknown_verb_exits_2(capsys):
 def test_decimal_parameter_rejected(capsys):
     assert run(["radical", "--t", "0.1"]) == 2
     assert "exact rational" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["radical", "--t", "\u0661/\u0661\u0662"],
+    ["norton", "--grid", "0,\uff11/\uff12"],
+    ["certify", "majorana", "--t", "-\u0661"],
+], ids=["arabic-indic", "full-width", "negative-arabic-indic"])
+def test_non_ascii_digits_rejected(argv, capsys):
+    assert run(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "exact rational" in err
 
 
 def test_unknown_dihedral_type_rejected(capsys):

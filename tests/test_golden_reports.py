@@ -14,7 +14,6 @@ from pathlib import Path
 import pytest
 
 from axia.catalog import DIHEDRAL_TYPES
-from axia.cli import run
 
 TARGETS = ["m4a", "m4b"] + [f"dihedral:{name}" for name in DIHEDRAL_TYPES]
 COMMANDS = ([f"{verb} {target}" for verb in ("build", "verify")
@@ -29,20 +28,6 @@ COMMANDS = ([f"{verb} {target}" for verb in ("build", "verify")
                "radical --grid=-1/10,0,1/12,1/6,9/4"])
 GOLDEN = json.loads((Path(__file__).parent / "golden_reports.json")
                     .read_text())
-
-
-@pytest.fixture(scope="module")
-def written(tmp_path_factory):
-    """The exit code and --out bytes of a command, run once per module."""
-    cache = {}
-
-    def get(command):
-        if command not in cache:
-            out = tmp_path_factory.mktemp("report") / "report.json"
-            code = run(command.split() + ["--out", str(out)])
-            cache[command] = code, out.read_bytes()
-        return cache[command]
-    return get
 
 
 def test_golden_file_lists_every_command():

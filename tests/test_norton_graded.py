@@ -81,7 +81,7 @@ def test_norton_blocks_are_36_10_10_10(t0):
 def test_blocks_are_the_reference_form_by_grade(t0):
     # the field-arithmetic Norton form on the graded basis is zero between
     # pairs of different grades, and equals each block within a grade
-    alg, form, grades, _ = m4.specialize_graded_m4a(rat(t0))
+    alg, form, grades = m4.specialize_graded_m4a(rat(t0))
     ref = norton_block_reference(alg, form).data
     pairs = [(i, j) for i in range(12) for j in range(i + 1, 12)]
     grade = [grades[i] ^ grades[j] for i, j in pairs]
@@ -168,7 +168,7 @@ def test_point_verdicts_equal_the_ungraded_path_at_random_points(t0):
 def _graded_quotient(t0):
     """The quotient of graded_m4a at t0 by its radical, with the grade of
     each quotient basis vector, as quotient_certify builds it."""
-    alg, form, grades, _ = m4.specialize_graded_m4a(t0)
+    alg, form, grades = m4.specialize_graded_m4a(t0)
     qalg, qform, _ = quotient(alg, form, radical(form))
     return qalg, qform, [grades[alg.index(lab)] for lab in qalg.labels]
 
@@ -324,6 +324,33 @@ def test_build_m4a_alone_does_not_build_the_graded_algebra(monkeypatch):
     calls = _counting_builds(monkeypatch)
     m4a = m4.build_m4a()
     assert calls == [] and m4._M4A_CACHE == [m4a]
+
+
+def _counting_axis_reads(monkeypatch):
+    """The graded cache with each axis S^-1 a_k replaced by an equal tuple
+    that records each time it is iterated, as evaluating it at a point
+    does; returns the list of those records."""
+    reads = []
+
+    class Counted(tuple):
+        def __iter__(self):
+            reads.append(self)
+            return super().__iter__()
+    m4a = m4.build_m4a()
+    alg, form, grades, axes = m4.graded_m4a()
+    monkeypatch.setattr(m4, "_M4A_CACHE", [m4a, (alg, form, grades, {
+        k: Counted(a) for k, a in axes.items()})])
+    return reads
+
+
+@pytest.mark.parametrize("verdict,reads", [
+    (cert.norton_check, 0), (cert.majorana_certify, 0),
+    (cert.quotient_certify, 6)])
+def test_only_the_quotient_evaluates_the_graded_axes(monkeypatch, verdict,
+                                                     reads):
+    counted = _counting_axis_reads(monkeypatch)
+    verdict("0")
+    assert len(counted) == reads
 
 
 def test_graded_checks_run_once_per_process(monkeypatch):

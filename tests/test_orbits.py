@@ -203,8 +203,7 @@ def test_sigma_restricts_to_an_automorphism_of_the_jordan_closure():
     m4a = m4.build_m4a()
     alg = m4a.algebra
     vgens = [alg.basis_vector(f"v_{p}") for p in ("12", "13", "23")]
-    closure = cert.subalgebra_closure(alg, vgens)
-    sub, coords = cert.subalgebra_algebra(alg, closure)
+    closure, sub, coords = cert.subalgebra_closure(alg, vgens)
     sigma = m4a.symmetries["sigma"]
     R = Matrix(QT, list(zip(*(coords(sigma.matvec(c)) for c in closure))))
     for c in closure:

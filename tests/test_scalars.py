@@ -23,9 +23,13 @@ def test_parse_rational_accepts_exact_forms():
     assert parse_rational("-7") == rat(-7)
     assert parse_rational("+2/6") == rat(1) / 3
     assert format_rational(parse_rational("2/6")) == "1/3"
+    assert parse_rational(" -007/010\n") == rat(-7) / 10
 
 
-@pytest.mark.parametrize("bad", ["0.1", "1e-3", "1/2/3", "", "a", "1 / 2"])
+# Arabic-Indic and full-width digits are Unicode digits that int() reads
+@pytest.mark.parametrize("bad", ["0.1", "1e-3", "1/2/3", "", "a", "1 / 2",
+                                 "\u0661/\u0661\u0662", "\uff11/\uff12",
+                                 "1/\uff12", 0.5, 1, None])
 def test_parse_rational_rejects_inexact_forms(bad):
     with pytest.raises(ValueError):
         parse_rational(bad)

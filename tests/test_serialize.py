@@ -104,3 +104,65 @@ def test_round_trip_of_every_build_target_keeps_the_tables(target):
     assert alg.table_nums == built.algebra.table_nums
     assert alg.table_den == built.algebra.table_den
     assert form.gram == built.form.gram
+
+
+def _qq_doc():
+    d = dihedral("3A")
+    return algebra_to_json(d.algebra, d.form)
+
+
+def _qt_doc():
+    return algebra_to_json(build_m4a().algebra)
+
+
+def _with_entry(doc, key, i, value, k=None):
+    """doc with entry i of key (coordinate k of it, for mul_table)
+    replaced by value."""
+    entries = [list(e) if isinstance(e, list) else e for e in doc[key]]
+    if k is None:
+        entries[i] = value
+    else:
+        entries[i][k] = value
+    return {**doc, key: entries}
+
+
+# each malformed document and the text its ValueError must name
+MALFORMED = {
+    "qq-number": (lambda: _with_entry(_qq_doc(), "mul_table", 4, 0.5, 1),
+                  r"mul_table\[4\]"),
+    "qq-gram-number": (lambda: _with_entry(_qq_doc(), "gram", 2, 1),
+                       r"gram\[2\]"),
+    "qq-zero-denominator": (
+        lambda: _with_entry(_qq_doc(), "mul_table", 3, "1/0", 0),
+        r"mul_table\[3\]"),
+    "qt-string": (lambda: _with_entry(_qt_doc(), "mul_table", 5, "t", 2),
+                  r"mul_table\[5\]"),
+    "qt-no-num": (
+        lambda: _with_entry(_qt_doc(), "mul_table", 6, {"den": ["1"]}, 0),
+        r"mul_table\[6\]"),
+    "qt-num-string": (lambda: _with_entry(
+        _qt_doc(), "mul_table", 7, {"num": "12", "den": ["1"]}, 0),
+        r"mul_table\[7\]"),
+    "qt-zero-denominator": (lambda: _with_entry(
+        _qt_doc(), "mul_table", 8, {"num": ["1"], "den": ["0"]}, 1),
+        r"mul_table\[8\]"),
+    "entry-not-a-list": (lambda: _with_entry(_qq_doc(), "mul_table", 1, "12"),
+                         r"mul_table\[1\]"),
+    "entry-too-short": (
+        lambda: _with_entry(_qq_doc(), "mul_table", 9, ["0", "1"]),
+        r"mul_table\[9\]"),
+    "field-list": (lambda: {**_qq_doc(), "field": ["rationals"]}, "'field'"),
+    "mul-table-null": (lambda: {**_qq_doc(), "mul_table": None},
+                       "'mul_table'"),
+    "labels-string": (lambda: {**algebra_to_json(dihedral("2B").algebra),
+                               "labels": "ab"}, "'labels'"),
+    "labels-not-strings": (lambda: {**_qq_doc(), "labels": [0, 1, 2, 3]},
+                           "'labels'"),
+}
+
+
+@pytest.mark.parametrize("case", list(MALFORMED))
+def test_malformed_json_raises_value_error_naming_the_entry(case):
+    doc, where = MALFORMED[case]
+    with pytest.raises(ValueError, match=where):
+        algebra_from_json(json.loads(json.dumps(doc())))

@@ -7,14 +7,15 @@ pivots of its RREF basis (axia.linalg.remainder_map).  Here they must give
 the same values, by == and by repr, as tests/elimination_reference.py,
 which grows and tests spans one vector at a time in field arithmetic, on
 every span the certifier takes; and the empty and the whole subspace must
-come out as they did.
+come out as they did.  The table that subalgebra_closure reads off its last
+round of products must equal the reference's subalgebra_algebra, which
+multiplies the closure's basis out again.
 """
 
 import pytest
 
 import elimination_reference as ref
-from axia.algebra import (is_ideal, quotient, radical, subalgebra_algebra,
-                          subalgebra_closure)
+from axia.algebra import is_ideal, quotient, radical, subalgebra_closure
 from axia.catalog import DIHEDRAL_TYPES, dihedral
 from axia.errors import NotAnIdeal
 from axia.linalg import unit_vec
@@ -46,7 +47,10 @@ def _axis_pair(name):
 
 CASES = {
     "m4a-v-axes": lambda: (build_m4a(), _v_axes(build_m4a().algebra)),
+    "m4a-axes": lambda: (build_m4a(), build_m4a().axes),
+    "m4a-one-axis": lambda: (build_m4a(), build_m4a().axes[:1]),
     "m4b-axes": lambda: (build_m4b(), build_m4b().axes),
+    "m4b-empty": lambda: (build_m4b(), []),
     **{f"dihedral-{name}": (lambda name=name: _axis_pair(name))
        for name in DIHEDRAL_TYPES},
     **{f"radical@{t0}": (lambda t0=t0: (specialize_m4a(t0),
@@ -59,11 +63,10 @@ CASES = {
 def test_spans_equal_field_loops(case):
     built, gens = CASES[case]()
     alg, form = built.algebra, built.form
-    closure = subalgebra_closure(alg, gens)
-    _same(closure, ref.subalgebra_closure(alg, gens))
-
-    sub, coords = subalgebra_algebra(alg, closure)
-    rsub, rcoords = ref.subalgebra_algebra(alg, closure)
+    closure, sub, coords = subalgebra_closure(alg, gens)
+    rclosure = ref.subalgebra_closure(alg, gens)
+    _same(closure, rclosure)
+    rsub, rcoords = ref.subalgebra_algebra(alg, rclosure)
     _same((sub.labels, sub.mul_table), (rsub.labels, rsub.mul_table))
     basis = [unit_vec(alg.field, alg.dim, i) for i in range(alg.dim)]
     for v in list(gens) + built.axes + basis:
@@ -122,19 +125,20 @@ def _records():
 def test_empty_and_whole_closure(field):
     alg = _records()[field].algebra
     basis = [unit_vec(alg.field, alg.dim, i) for i in range(alg.dim)]
-    assert subalgebra_closure(alg, []) == [] == ref.subalgebra_closure(alg, [])
-    _same(subalgebra_closure(alg, basis), basis)
+    assert subalgebra_closure(alg, [])[0] == [] == ref.subalgebra_closure(
+        alg, [])
+    _same(subalgebra_closure(alg, basis)[0], basis)
 
 
 @pytest.mark.parametrize("field", ["QQ", "QT"])
 def test_empty_and_whole_subalgebra(field):
     alg = _records()[field].algebra
     basis = [unit_vec(alg.field, alg.dim, i) for i in range(alg.dim)]
-    whole, coords = subalgebra_algebra(alg, basis)
+    _, whole, coords = subalgebra_closure(alg, basis)
     _same(whole.mul_table, alg.mul_table)
     for v in basis + [alg.mul(basis[0], basis[-1])]:
         _same(coords(v), v)
-    empty, coords = subalgebra_algebra(alg, [])
+    _, empty, coords = subalgebra_closure(alg, [])
     assert empty.dim == 0 and empty.mul_table == []
     assert coords(tuple(alg.field.zero for _ in basis)) == ()
     for v in basis:
