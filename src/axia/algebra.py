@@ -6,6 +6,11 @@ their tables, ideals, radicals, quotients, gradings.
 Vectors are coordinate tuples over the algebra's scalar field.  Algebra
 and BilinearForm take one product or form value per basis pair i <= j and
 mirror it once, so an asymmetric table cannot be written down.
+
+The fusion rule, automorphisms and the Frobenius identity are decided on
+integers: the inputs are cleared to integer polynomials and each identity
+is compared at one integer point past a bound on its coefficients
+(_at_point).
 """
 
 from __future__ import annotations
@@ -14,16 +19,45 @@ from .errors import (DimensionMismatch, NotAnIdeal, NotGraded,
                      NotIdempotent, NotSemisimple)
 from .linalg import (Matrix, kernel_basis, remainder_map, rref, span_rref,
                      symmetric, unit_vec, upper_pairs, vec_is_zero)
-from .scalars import _at, _l1, _past
+from .scalars import _l1
 
 
-def _cleared(field, xs):
-    """(nums, den): the scalars xs times one nonzero scale, as integer
-    polynomials (ascending coefficient tuples) nums, and that scale den,
-    also as an integer polynomial."""
-    nums, den = field.clear(xs)
-    *nums, den = field.int_coeffs(nums + [den])
-    return nums, den
+def _at_point(alg, parts, bound):
+    """(table, parts): the product table of alg and the parts as ints at
+    one integer point T, past the bound a caller gives for the identity it
+    tests there.
+
+    Each part is a list of numerators under one scale, as field.clear
+    returns them; table[i][j] lists (k, w) as alg.table_nums does.  Over
+    Q(t) the table numerators and each part are scaled to integer
+    polynomials (field.int_coeffs) and every entry is its value at
+    T = 2^(bitlen(C) + 1) for C = bound(w, coeffs): w is the largest l1
+    norm of a table numerator and coeffs the parts as coefficient tuples.
+    A nonzero integer polynomial with coefficients at most C in size has
+    no root at an integer T > C, so a polynomial identity whose two sides
+    differ by at most C in l1 norm holds iff it holds at T.  Over Q the
+    numerators are ints already: they are returned as they are and bound
+    is not called.
+    """
+    table = alg.table_nums
+    # a generator over the pairs i <= j, so that over Q, where it comes
+    # back as it went in, no entry of the table is read
+    flat = (w for i, row in enumerate(table) for entry in row[i:]
+            for _, w in entry)
+    vals, *parts = alg.field.int_parts(
+        [flat, *parts],
+        lambda cs: bound(max(map(_l1, cs[0]), default=0), cs[1:]))
+    if vals is not flat:
+        vals = iter(vals)
+        at = {(i, j): [(k, next(vals)) for k, _ in table[i][j]]
+              for i, j in upper_pairs(alg.dim)}
+        table = symmetric(alg.dim, lambda i, j: at[i, j])
+    return table, parts
+
+
+def _rows(xs, n):
+    """The n rows of the n x n matrix xs, flat in row-major order."""
+    return [xs[r * n:(r + 1) * n] for r in range(n)]
 
 
 def _mirrored(n, entries):
@@ -260,63 +294,54 @@ def verify_fusion(alg: Algebra, dec: AxisDecomposition, rule: FusionRule):
     q = prod_nu (ad_a - nu)(u*v) = 0, since ad_a is diagonalisable and the
     nu are distinct.
 
-    The test runs on integers.  Every eigenvector, ad_a = A/d, each
-    nu = n_nu/d_nu and the table are cleared to integer polynomials, so q
-    is, up to a nonzero scalar, prod_nu (d_nu A - n_nu d I) applied to the
-    integer product.  The l1 norm is sub-additive and sub-multiplicative,
-    so each coordinate of q has l1 norm at most C = U^2 W R^s: U bounds
-    the l1 norms summed over an eigenvector's coordinates, W the l1 norm
-    of a table numerator, R the same sum over a row of any
-    d_nu A - n_nu d I, and s is the largest number of factors.  A
-    nonzero integer polynomial with coefficients at most C in size has no
-    root at an integer T > C, so q = 0 iff q(T) = 0, and everything is
-    evaluated once at T = 2^(bitlen(C) + 1).  Over Q every input has
-    degree 0 and T plays no part.
+    The test runs on integers.  Every eigenvector, ad_a = A/d, the
+    eigenvalues nu = n_nu/D over one denominator D and the table are
+    cleared to integer polynomials, so q is, up to a nonzero scalar,
+    prod_nu (D A - n_nu d I) applied to the integer product.  The l1 norm
+    is sub-additive and sub-multiplicative, so each coordinate of q has l1
+    norm at most C = U^2 W R^s: U bounds the l1 norms summed over an
+    eigenvector's coordinates, W the l1 norm of a table numerator, R the
+    same sum over a row of any D A - n_nu d I, and s is the largest number
+    of factors.  Everything is evaluated once at a T past C (_at_point),
+    so q = 0 iff q(T) = 0.  Over Q every input is an integer and T plays
+    no part.
 
     Returns a list of violation records (empty list = pass).
     """
     field = alg.field
     n = alg.dim
     evs = dec.eigenvalues
-
-    vecs = {lam: [_cleared(field, u)[0] for u in dec.spaces[lam]]
-            for lam in evs}
-    ad, d = _cleared(field, [x for row in dec.ad.data for x in row])
-    ad = [ad[r * n:(r + 1) * n] for r in range(n)]
-    nus = {nu: _cleared(field, [nu]) for nu in evs}
+    vecs = [u for lam in evs for u in dec.spaces[lam]]
+    ad, d = field.clear([x for row in dec.ad.data for x in row])
+    nus, D = field.clear(evs)
     factors = {(lam, mu): tuple(nu for nu in evs if nu in rule[(lam, mu)])
                for i, lam in enumerate(evs) for mu in evs[i:]}
-    flat = list(field.int_coeffs([w for row in alg.table_nums
-                                  for entry in row for _, w in entry]))
-
-    u_norm = max((sum(map(_l1, u)) for us in vecs.values() for u in us),
-                 default=0)
-    w_norm = max(map(_l1, flat), default=0)
-    a_norm = max(sum(map(_l1, row)) for row in ad)
-    r_norm = max(_l1(dn) * a_norm + _l1(nn) * _l1(d)
-                 for (nn,), dn in nus.values())
     s = max(map(len, factors.values()), default=0)
-    T = _past(u_norm * u_norm * w_norm * r_norm ** s)
 
-    vals = (_at(c, T) for c in flat)
-    table = [[[(k, next(vals)) for k, _ in entry] for entry in row]
-             for row in alg.table_nums]
-    at_vecs = {lam: [[(i, x) for i, x in enumerate(_at(c, T) for c in u)
-                      if x] for u in us] for lam, us in vecs.items()}
-    A = [[_at(c, T) for c in row] for row in ad]
-    dT = _at(d, T)
+    def bound(w_norm, parts):
+        (*ad, d), (*nus, D), *us = parts
+        u_norm = max((sum(map(_l1, u)) for u in us), default=0)
+        a_norm = max(sum(map(_l1, row)) for row in _rows(ad, n))
+        r_norm = max(_l1(D) * a_norm + _l1(nn) * _l1(d) for nn in nus)
+        return u_norm * u_norm * w_norm * r_norm ** s
+
+    table, ((*A, dT), (*nus, DT), *us) = _at_point(
+        alg, [ad + [d], nus + [D]] + [field.clear(u)[0] for u in vecs],
+        bound)
+    A, nus, us = _rows(A, n), dict(zip(evs, nus)), iter(us)
+    at_vecs = {lam: [[(i, x) for i, x in enumerate(next(us)) if x]
+                     for _ in dec.spaces[lam]] for lam in evs}
 
     def factor(nu):
-        """d_nu A - n_nu d I at T."""
-        (nn,), dn = nus[nu]
-        a, b = _at(dn, T), _at(nn, T) * dT
-        return [[a * x - (b if i == j else 0) for j, x in enumerate(row)]
+        """D A - n_nu d I at T."""
+        b = nus[nu] * dT
+        return [[DT * x - (b if i == j else 0) for j, x in enumerate(row)]
                 for i, row in enumerate(A)]
 
     products = {}
 
     def product(nus_s):
-        """prod_nu (d_nu A - n_nu d I) at T, as sparse rows."""
+        """prod_nu (D A - n_nu d I) at T, as sparse rows."""
         if nus_s not in products:
             p = (factor(nus_s[0]) if nus_s else
                  [[int(i == j) for j in range(n)] for i in range(n)])
@@ -352,34 +377,59 @@ def verify_fusion(alg: Algebra, dec: AxisDecomposition, rule: FusionRule):
     return violations
 
 
+def _form_sums(table, gram):
+    """prods[i][k][r] = sum_c gram[r][c] w_c over the (c, w_c) listed in
+    table[i][k]: for table and Gram numerators, the numerator of
+    <e_r, e_i e_k>."""
+    return symmetric(len(gram), lambda i, k: [
+        sum(g[c] * w for c, w in table[i][k]) for g in gram])
+
+
 def form_products(alg: Algebra, form: BilinearForm):
     """(prods, den): prods[i][k][r] is the numerator of <e_r, e_i e_k>
     over den = table_den * gram_den, from the numerators alg.table_nums
     and the Gram matrix cleared once over gram_den."""
-    n = alg.dim
-    table = alg.table_nums
     gnums, gden = alg.field.clear([x for row in form.gram.data for x in row])
-    gram = [gnums[r * n:(r + 1) * n] for r in range(n)]
-    prods = symmetric(n, lambda i, k: [sum(g[c] * w for c, w in table[i][k])
-                                       for g in gram])
-    return prods, alg.table_den * gden
+    return (_form_sums(alg.table_nums, _rows(gnums, alg.dim)),
+            alg.table_den * gden)
 
 
 def verify_frobenius(alg: Algebra, form: BilinearForm):
     """Check <b_i, b_j b_k> = <b_i b_j, b_k> on all basis triples, as
-    numerators of form_products over its one denominator."""
-    prods, den = form_products(alg, form)
-    n = alg.dim
+    numerators of form_products over its one denominator;
+    DimensionMismatch unless the Gram matrix is alg.dim x alg.dim.
+
+    The numerators are compared as ints at one point (_at_point).  Each
+    side sum_c G_ic W_jk,c has l1 norm at most g w, where g bounds the l1
+    norms summed over a row of the Gram numerators G and w the l1 norm of
+    a table numerator W, so the point lies past C = 2 g w.  A triple that
+    differs there is recomputed exactly for its record.
+    """
+    check_pairing(alg, form)
+    field, n = alg.field, alg.dim
+    gnums, gden = field.clear([x for row in form.gram.data for x in row])
+
+    def bound(w, parts):
+        norms = [sum(map(_l1, row)) for row in _rows(parts[0], n)]
+        return 2 * w * max(norms, default=0)
+
+    table, (gram,) = _at_point(alg, [gnums], bound)
+    prods = _form_sums(table, _rows(gram, n))
+
+    def side(r, i, k):
+        """<e_r, e_i e_k> in the field."""
+        return str(field.join(sum(gnums[r * n + c] * w
+                                  for c, w in alg.table_nums[i][k]),
+                              alg.table_den * gden))
     violations = []
     for i in range(n):
         for j in range(n):
             for k in range(i, n):  # i <-> k symmetry of the identity
-                left, right = prods[j][k][i], prods[i][j][k]
-                if left != right:
+                if prods[j][k][i] != prods[i][j][k]:
                     violations.append({
                         "triple": (alg.labels[i], alg.labels[j], alg.labels[k]),
-                        "lhs": str(alg.field.join(left, den)),
-                        "rhs": str(alg.field.join(right, den)),
+                        "lhs": side(i, j, k),
+                        "rhs": side(k, i, j),
                     })
     return violations
 
@@ -421,13 +471,57 @@ def miyamoto(alg: Algebra, dec: AxisDecomposition, negative_eigenvalues,
 
 def is_automorphism(alg: Algebra, T: Matrix, form: BilinearForm) -> bool:
     """True iff T maps every basis product e_i e_j to T e_i . T e_j and
-    T^T G T == G for the Gram matrix G of the form."""
-    n = alg.dim
-    cols = [tuple(row[i] for row in T.data) for i in range(n)]
+    T^T G T == G for the Gram matrix G of the form; DimensionMismatch
+    unless T and G are alg.dim x alg.dim.
+
+    Decided on integers at one point (_at_point).  With T = N/d, the table
+    numerators W and the Gram numerators G cleared to integer polynomials,
+    the identities read d N W_ij = sum_ab N_ai N_bj W_ab for i <= j and
+    N^T G N = d^2 G.  Let r and c bound the l1 norms summed over a row
+    and over a column of N, and w and g the l1 norm of a table and of a
+    Gram numerator.  Then a coordinate of either side of the first
+    differs by at most C1 = w (|d| r + c^2) and an entry of the second by
+    at most C2 = g (c^2 + |d|^2), all in l1 norm, and the point lies past
+    max(C1, C2).  A symmetry that relabels the basis up to sign has one
+    nonzero per column of N, so each product is a few integer terms.
+    """
+    check_pairing(alg, form)
+    field, n = alg.field, alg.dim
+    if (T.rows, T.cols) != (n, n):
+        raise DimensionMismatch(f"a {T.rows} x {T.cols} map on an algebra "
+                                f"of dimension {n}")
+    nums, d = field.clear([x for row in T.data for x in row])
+    gnums = field.clear([x for row in form.gram.data for x in row])[0]
+
+    def bound(w, parts):
+        (*N, d), G = parts
+        norms = _rows([_l1(x) for x in N], n)
+        r = max(map(sum, norms), default=0)
+        c = max(map(sum, zip(*norms)), default=0)
+        dn, g = _l1(d), max(map(_l1, G), default=0)
+        return max(w * (dn * r + c * c), g * (c * c + dn * dn))
+
+    table, ((*N, d), G) = _at_point(alg, [nums + [d], gnums], bound)
+    G, N = _rows(G, n), _rows(N, n)
+    cols = [[(k, row[i]) for k, row in enumerate(N) if row[i]]
+            for i in range(n)]
     for i, j in upper_pairs(n):
-        if T.matvec(alg.mul_table[i][j]) != alg.mul(cols[i], cols[j]):
+        lhs, rhs = [0] * n, [0] * n
+        for c, w in table[i][j]:
+            for k, x in cols[c]:
+                lhs[k] += x * w
+        for a, x in cols[i]:
+            row = table[a]
+            for b, y in cols[j]:
+                xy = x * y
+                for k, w in row[b]:
+                    rhs[k] += xy * w
+        if any(d * s != t for s, t in zip(lhs, rhs)):
             return False
-    return T.transpose().matmul(form.gram.matmul(T)) == form.gram
+        if (sum(x * y * G[a][b] for a, x in cols[i] for b, y in cols[j])
+                != d * d * G[i][j]):
+            return False
+    return True
 
 
 def subalgebra_closure(alg: Algebra, generators):

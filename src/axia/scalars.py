@@ -614,11 +614,11 @@ class RationalField:
             d = lcm(d, x.denominator)
         return [x.numerator * (d // x.denominator) for x in xs], d
 
-    def int_coeffs(self, nums):
-        """Numerators as clear returns them, as ascending tuples of integer
-        coefficients under one common positive scale: here ints already,
-        so (x,), or () for 0."""
-        return ((x,) if x else () for x in nums)
+    def int_parts(self, parts, bound):
+        """The parts, each a list of numerators as clear returns them, as
+        they are: cleared rationals are integers already, so no point is
+        needed and bound is not called."""
+        return parts
 
     def int_rows(self, rows, k):
         """(ints, T, scales) for rows of rationals: each row cleared to
@@ -708,6 +708,16 @@ class FunctionField:
         nums = list(nums)
         s = lcm(*[p._d for p in nums])
         return (tuple(c * (s // p._d) for c in p._n) for p in nums)
+
+    def int_parts(self, parts, bound):
+        """The parts, each a list of polynomial numerators as clear returns
+        them, as ints: each part scaled to integer coefficients by
+        int_coeffs, and each entry replaced by its value at
+        T = 2^(bitlen(C) + 1), where C = bound(coeffs) and coeffs are the
+        scaled parts as lists of ascending coefficient tuples."""
+        parts = [list(self.int_coeffs(p)) for p in parts]
+        T = _past(bound(parts))
+        return [[_at(c, T) for c in p] for p in parts]
 
     def int_rows(self, rows, k):
         """(ints, T, scales) for rows of rational functions.  Each row

@@ -31,9 +31,12 @@ def algebra_to_json(alg: Algebra, form: BilinearForm = None) -> dict:
 
 
 def algebra_from_json(d: dict):
-    """Returns (Algebra, BilinearForm or None); ValueError naming the key
-    when one is missing or malformed, and the index of a malformed entry
-    of mul_table or gram (a zero denominator included)."""
+    """Returns (Algebra, BilinearForm or None); ValueError when d is no
+    JSON object, naming the key when one is missing or malformed, and the
+    index of a malformed entry of mul_table or gram (a zero denominator
+    included)."""
+    if not isinstance(d, dict):
+        raise ValueError(f"algebra JSON is not an object: {d!r}")
     missing = [k for k in ("field", "labels", "mul_table") if k not in d]
     if missing:
         raise ValueError(f"algebra JSON lacks the keys {missing}")

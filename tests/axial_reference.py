@@ -4,22 +4,37 @@ Each suite here decomposes and fusion-checks every axis on its own, with
 no symmetry: the loops of certify's _axial_checks and v4a_certify as they
 were before one representative per orbit carried its rows to the rest.
 tests/test_orbits.py asserts that certify's reports equal these byte for
-byte.  The module names build_m4a, build_m4b, dihedral and
-is_automorphism as its own globals, so a test can rebind them here and in
-certify alike.  subalgebra_closure and subalgebra_algebra are the two
-functions that built the Jordan closure and its table before the closure
-returned its own table, copied verbatim.
+byte.  The module names build_m4a, build_m4b and dihedral as its own
+globals, so a test can rebind them here and in certify alike.
+subalgebra_closure and subalgebra_algebra are the two functions that
+built the Jordan closure and its table before the closure returned its
+own table, copied verbatim.  is_automorphism is the check as it was
+before it was decided on integers at one point, copied verbatim: it
+compares each image of a basis product through Algebra.mul and
+Matrix.matvec over the field, and the suites here use it.
 """
 
-from axia.algebra import (Algebra, axis_decomposition, verify_fusion,
-                          verify_frobenius, verify_grading, is_automorphism)
+from axia.algebra import (Algebra, BilinearForm, axis_decomposition,
+                          verify_fusion, verify_frobenius, verify_grading)
 from axia.catalog import dihedral, f4a_rule, jordan_half_rule, monster_rule
 from axia.certify import Checks, _in_eigenspaces, f4a_grading
 from axia.errors import NotIdempotent, NotSemisimple
-from axia.linalg import remainder_map, span_rref, upper_pairs, vec_is_zero
+from axia.linalg import (Matrix, remainder_map, span_rref, upper_pairs,
+                         vec_is_zero)
 from axia.m4 import (build_m4a, build_m4b, reference_v_eigenvectors,
                      verify_dependencies)
 from axia.scalars import QT
+
+
+def is_automorphism(alg: Algebra, T: Matrix, form: BilinearForm) -> bool:
+    """True iff T maps every basis product e_i e_j to T e_i . T e_j and
+    T^T G T == G for the Gram matrix G of the form."""
+    n = alg.dim
+    cols = [tuple(row[i] for row in T.data) for i in range(n)]
+    for i, j in upper_pairs(n):
+        if T.matvec(alg.mul_table[i][j]) != alg.mul(cols[i], cols[j]):
+            return False
+    return T.transpose().matmul(form.gram.matmul(T)) == form.gram
 
 
 def subalgebra_closure(alg: Algebra, generators):

@@ -14,6 +14,8 @@ import pytest
 from axia import m4
 from axia.catalog import DIHEDRAL_TYPES, dihedral
 from axia.cli import run
+from axia.algebra import Algebra, BilinearForm
+from axia.linalg import upper_pairs
 from axia.m4 import build_m4a, build_m4b
 from axia.scalars import QT, Polynomial, RationalFunction, rat
 
@@ -71,3 +73,19 @@ def tamper_m4a_seed(monkeypatch, pair, label, delta="1/1000"):
         seeds.append((seed_pair, product, form_value))
     monkeypatch.setattr(m4, "m4a_seeds", lambda: seeds)
     monkeypatch.setattr(m4, "_M4A_CACHE", [])
+
+
+def tampered_table(alg, i, j, k, delta):
+    """alg with delta added to coordinate k of e_i e_j, i <= j."""
+    products = {(a, b): list(alg.mul_table[a][b])
+                for a, b in upper_pairs(alg.dim)}
+    products[i, j][k] = products[i, j][k] + delta
+    return Algebra(alg.field, alg.labels, products)
+
+
+def tampered_gram(form, i, j, delta):
+    """form with delta added to <e_i, e_j>, i <= j."""
+    gram = form.gram.data
+    values = {(a, b): gram[a][b] for a, b in upper_pairs(len(gram))}
+    values[i, j] = values[i, j] + delta
+    return BilinearForm(form.field, values)

@@ -19,6 +19,7 @@ from axia.m4 import specialize_m4a
 from axia.scalars import QQ, QT, rat
 from axia.serialize import algebra_to_json
 
+from conftest import tampered_gram, tampered_table
 from form_reference import (form_apply_reference, quotient_reference,
                             verify_frobenius_reference)
 from miyamoto_reference import inverse, miyamoto_reference
@@ -240,7 +241,7 @@ def test_verify_fusion_detects_tampered_product():
 def test_verify_frobenius_detects_perturbed_gram_entry():
     d = dihedral("3A")
     i, j = sorted((d.algebra.index("a_0"), d.algebra.index("u_rho")))
-    bad = _tampered_gram(d.form, i, j, rat("1/1000"))
+    bad = tampered_gram(d.form, i, j, rat("1/1000"))
     violations = verify_frobenius(d.algebra, bad)
     assert violations
     # the offending label must occur in some reported triple
@@ -253,22 +254,6 @@ def test_verify_frobenius_passes_on_catalog():
     assert verify_frobenius(d.algebra, d.form) == []
 
 
-def _tampered_table(alg, i, j, k, delta):
-    """alg with delta added to coordinate k of e_i e_j, i <= j."""
-    products = {(a, b): list(alg.mul_table[a][b])
-                for a, b in upper_pairs(alg.dim)}
-    products[i, j][k] = products[i, j][k] + delta
-    return Algebra(alg.field, alg.labels, products)
-
-
-def _tampered_gram(form, i, j, delta):
-    """form with delta added to <e_i, e_j>, i <= j."""
-    gram = form.gram.data
-    values = {(a, b): gram[a][b] for a, b in upper_pairs(len(gram))}
-    values[i, j] = values[i, j] + delta
-    return BilinearForm(form.field, values)
-
-
 @pytest.mark.parametrize("name", ["m4b", "m4a", "6A"])
 def test_verify_frobenius_equals_reference_on_tampered_structures(
         name, m4a, m4b, catalog):
@@ -276,8 +261,8 @@ def test_verify_frobenius_equals_reference_on_tampered_structures(
     alg, form = built.algebra, built.form
     delta = QT.t / QT.of(7) if alg.field is QT else rat("1/7")
     assert verify_frobenius(alg, form) == []
-    for bad_alg, bad_form in [(_tampered_table(alg, 1, 2, 3, delta), form),
-                              (alg, _tampered_gram(form, 0, 2, delta))]:
+    for bad_alg, bad_form in [(tampered_table(alg, 1, 2, 3, delta), form),
+                              (alg, tampered_gram(form, 0, 2, delta))]:
         violations = verify_frobenius(bad_alg, bad_form)
         assert violations
         assert violations == verify_frobenius_reference(bad_alg, bad_form)

@@ -382,7 +382,26 @@ def test_v4a_builds_its_jordan_closure_table_once(monkeypatch, m4a):
     monkeypatch.setattr(Algebra, "mul", counting_mul)
     monkeypatch.setattr(linalg, "_eliminate", counting_eliminate)
     assert cert.v4a_certify()["pass"] is True
-    assert counts == {"mul": 209, "eliminate": 12}
+    assert counts == {"mul": 131, "eliminate": 12}
+
+
+def test_verify_m4a_decides_its_symmetries_on_integers(monkeypatch, m4a):
+    # the products and images left are those of the one decomposition
+    # per orbit; is_automorphism and verify_frobenius make none
+    counts = {"mul": 0, "matvec": 0}
+    mul, matvec = Algebra.mul, Matrix.matvec
+
+    def counting_mul(self, u, v):
+        counts["mul"] += 1
+        return mul(self, u, v)
+
+    def counting_matvec(self, v):
+        counts["matvec"] += 1
+        return matvec(self, v)
+    monkeypatch.setattr(Algebra, "mul", counting_mul)
+    monkeypatch.setattr(Matrix, "matvec", counting_matvec)
+    assert cert.verify_m4a()["pass"] is True
+    assert counts == {"mul": 16, "matvec": 30}
 
 
 def _eigenspace_span_check(alg, axis, references, rule):

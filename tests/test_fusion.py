@@ -14,13 +14,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from axia.algebra import (Algebra, FusionRule, _at, axis_decomposition,
+from axia.algebra import (Algebra, FusionRule, axis_decomposition,
                           quotient, radical, subalgebra_closure,
                           verify_fusion)
 from axia.catalog import f4a_rule, jordan_half_rule, monster_rule
 from axia.linalg import upper_pairs
 from axia.m4 import specialize_m4a
-from axia.scalars import POLY_T, QQ, QT
+from axia.scalars import POLY_T, QQ, QT, _at
 
 from fusion_reference import verify_fusion as verify_fusion_reference
 

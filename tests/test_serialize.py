@@ -61,6 +61,19 @@ def test_a_missing_key_is_named(key):
         algebra_from_json(doc)
 
 
+def test_a_file_holding_null_is_rejected(tmp_path):
+    path = tmp_path / "null.json"
+    path.write_text("null\n")
+    with pytest.raises(ValueError, match="not an object: None"):
+        algebra_from_json(load_json(path))
+
+
+def test_a_string_holding_the_key_names_is_rejected():
+    # "in" finds every key in the string, so only the type check stops it
+    with pytest.raises(ValueError, match="not an object"):
+        algebra_from_json("field labels mul_table")
+
+
 def test_an_unknown_field_kind_is_named():
     doc = algebra_to_json(dihedral("3A").algebra)
     with pytest.raises(ValueError, match="'field' kind 'octonions'"):
