@@ -627,22 +627,26 @@ def check_graded(alg: Algebra, form: BilinearForm, grades):
                             f"{grades[i]} and {grades[j]}")
 
 
-def graded_by_involutions(alg: Algebra, form: BilinearForm, involutions):
-    """(algebra, form, grades, coords): alg and form over Q(t) rebased on
-    the joint eigenvectors of commuting involutions, the grade of each new
-    basis vector, an int under xor as in verify_grading, and the map coords
-    that takes a vector of alg to its new coordinates.
+def graded_by_involutions(alg: Algebra, form: BilinearForm, involutions,
+                          symmetries):
+    """(algebra, form, grades, coords, symmetries): alg and form over Q(t)
+    rebased on the joint eigenvectors of commuting involutions, the grade
+    of each new basis vector, an int under xor as in verify_grading, the
+    map coords that takes a vector of alg to its new coordinates, and the
+    symmetries (name -> Matrix on alg) in the new basis.
 
     Grade g is the joint eigenspace on which involution b acts as -1 when
     bit b of g is set and as +1 otherwise; its basis is the kernel_basis
     of the involutions minus those scalars, stacked.  With S the matrix
     whose columns are the new basis, grade by grade, coords is S^-1, the
-    new table is S^-1 (S e_i . S e_j) and the new Gram matrix is S^T G S.
+    new table is S^-1 (S e_i . S e_j), the new Gram matrix is S^T G S and
+    a symmetry g becomes S^-1 g S, read column by column as coords(g S e_i).
 
     NotGraded unless there are alg.dim eigenvectors; S and the S^-1 read
     off the RREF of [S | I] are polynomial, so det S is a nonzero constant
-    and S a basis at every t; and check_graded passes.  These are
-    identities in Q(t), so they hold wherever the algebra is specialised.
+    and S a basis at every t; check_graded passes; and every S^-1 g S is
+    polynomial.  These are identities in Q(t), so they hold wherever the
+    algebra is specialised.
     """
     field = alg.field
     n = alg.dim
@@ -672,4 +676,10 @@ def graded_by_involutions(alg: Algebra, form: BilinearForm, involutions):
     graded_form = BilinearForm(field, {(i, j): gram[i][j]
                                        for i, j in upper_pairs(n)})
     check_graded(graded, graded_form, grades)
-    return graded, graded_form, grades, inverse.matvec
+    conjugated = {name: Matrix(field, list(zip(*(inverse.matvec(g.matvec(v))
+                                                 for v in vectors))))
+                  for name, g in symmetries.items()}
+    if any(x.den.degree for g in conjugated.values()
+           for row in g.data for x in row):
+        raise NotGraded("a symmetry is not polynomial on the graded basis")
+    return graded, graded_form, grades, inverse.matvec, conjugated

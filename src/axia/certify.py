@@ -20,7 +20,8 @@ orbit: an automorphism g with g a = b conjugates ad_a to ad_b, so it
 carries each eigenspace and fusion product of a onto those of b.  Only
 passing rows are carried, along generators that is_automorphism accepted
 in the same call; every failing row comes from a direct check.
-quotient_certify has no symmetries: it checks every axis (_fusion_result).
+quotient_certify does the same on the quotient, with the generators of
+graded_m4a induced on it.
 
 Every certification report is built and every verdict decided here.  A
 report that carries a verdict holds it as "pass" (a verification suite,
@@ -40,9 +41,9 @@ from .catalog import dihedral, f4a_rule, jordan_half_rule, monster_rule
 from .errors import NotAnIdeal, NotIdempotent, NotSemisimple, PoleAtPoint
 from .linalg import Matrix, determinant, ldlt, symmetric
 from .m4 import (build_m4a, build_m4b, graded_m4a, reference_v_eigenvectors,
-                 specialize_form, specialize_graded_m4a,
+                 specialize_form, specialize_graded_m4a, specialize_matrix,
                  verify_dependencies)
-from .scalars import (QT, RationalFunction, count_roots_open,
+from .scalars import (QQ, QT, RationalFunction, count_roots_open,
                       format_rational, rat, rational_sign)
 
 # 12-point certification grid: both boundary points of [0, 1/6], interior
@@ -317,7 +318,13 @@ def majorana_certify(t0) -> MajoranaVerdict:
 def quotient_certify(t0):
     """At a boundary point (radical dimension 3): quotient graded_m4a at
     t0 by its radical (one that is no ideal fails the report), check the
-    grading and re-certify fusion on the axes S^-1 a_k, PD and Norton."""
+    grading and re-certify fusion on the axes S^-1 a_k, PD and Norton.
+
+    Fusion is checked on one axis per orbit (_per_orbit) under the graded
+    generators induced on the quotient through project.  The quotient
+    form is nondegenerate, the radical being divided out, so a generator
+    that is_automorphism accepts there is injective and carries each
+    eigenspace and fusion product of an axis onto those of its image."""
     t0 = rat(t0)
     alg, form, grades = specialize_graded_m4a(t0)
     rad = radical(form)
@@ -335,13 +342,19 @@ def quotient_certify(t0):
     check_graded(qalg, qform, qgrades)
     report["quotient_dim"] = qalg.dim
     rule = monster_rule()
-    results = {k: _fusion_result(qalg, project([x.evaluate(t0) for x in a]),
-                                 rule) for k, a in graded_m4a()[3].items()}
-    failures = [f"a_{k}: {r.failure}" for k, r in results.items() if r.failure]
+    _, _, _, axes, syms = graded_m4a()
+    lifts = [alg.basis_vector(lab) for lab in qalg.labels]
+    gens = {name: _induced(QQ, specialize_matrix(g, t0), lifts, project)
+            for name, g in syms.items()}
+    results = _per_orbit(
+        [project([x.evaluate(t0) for x in a]) for a in axes.values()], gens,
+        _verified_symmetries(qalg, gens, qform),
+        lambda a: _fusion_result(qalg, a, rule), _is_monster_axis)
+    failures = [f"a_{k}: {r.failure}" for k, r in zip(axes, results)
+                if r.failure]
     if failures:
         report["axis_failures"] = failures
-    fusion_ok = all(r.primitive and r.violations == 0
-                    for r in results.values())
+    fusion_ok = all(map(_is_monster_axis, results))
     gram_pd = ldlt(qform.gram).is_pd()
     norton_ok = norton_psd(qalg, qform, qgrades)
     report.update({
@@ -391,7 +404,7 @@ def v4a_certify():
     m4a = build_m4a()
     alg = m4a.algebra
     rule = f4a_rule()
-    verified = _verified_symmetries(m4a)
+    verified = _verified_symmetries(alg, m4a.symmetries, m4a.form)
     sigma = m4a.symmetries["sigma"]
     pairs = ((1, 2), (1, 3), (2, 3))
     vlabs = [f"v_{i}{j}" for i, j in pairs]
@@ -415,9 +428,8 @@ def v4a_certify():
     closure, sub, coords = subalgebra_closure(alg, vgens)
     checks.add("jordan closure dim", 9, len(closure))
     jrule = jordan_half_rule(QT)
-    try:  # column k: the image of RREF basis vector k, in coordinates
-        jgens = {"sigma": Matrix(QT, list(zip(*(coords(sigma.matvec(c))
-                                               for c in closure))))}
+    try:
+        jgens = {"sigma": _induced(QT, sigma, closure, coords)}
     except ValueError:
         jgens = {}
     results = _per_orbit([coords(v) for v in vgens], jgens, verified,
@@ -476,15 +488,25 @@ def _fusion_result(alg, axis, rule):
                        len(verify_fusion(alg, dec, rule)))
 
 
+def _is_monster_axis(result):
+    """True iff the _AxisResult is primitive with no fusion violations."""
+    return bool(result.primitive) and result.violations == 0
+
+
 def _add_failure(checks, name, failure):
     checks.add(f"{name} decomposition", "idempotent, semisimple", failure)
 
 
-def _verified_symmetries(built):
-    """verified(name): is_automorphism of built.symmetries[name], decided
-    on the first ask; each report makes its own and drops it."""
-    return cache(lambda name: is_automorphism(
-        built.algebra, built.symmetries[name], built.form))
+def _verified_symmetries(alg, symmetries, form):
+    """verified(name): is_automorphism(alg, symmetries[name], form),
+    decided on the first ask; each report makes its own and drops it."""
+    return cache(lambda name: is_automorphism(alg, symmetries[name], form))
+
+
+def _induced(field, g, basis, coords):
+    """The matrix of g on the space with this basis, in the coordinates
+    coords reads off: column k is coords(g basis_k)."""
+    return Matrix(field, list(zip(*(coords(g.matvec(b)) for b in basis))))
 
 
 def _orbit(start, generators, verified):
@@ -522,7 +544,7 @@ def _axial_checks(checks, built, rule, verified):
     alg = built.algebra
     results = _per_orbit(built.axes, built.symmetries, verified,
                          lambda ax: _fusion_result(alg, ax, rule),
-                         lambda r: r.primitive and r.violations == 0)
+                         _is_monster_axis)
     for key, r in zip(built.axis_keys, results):
         if r.failure is not None:
             _add_failure(checks, f"a_{key}", r.failure)
@@ -538,7 +560,7 @@ def verify_m4a():
     all six axes, Frobenius property, linear dependencies, symmetry
     operators (automorphisms and isometries)."""
     m4a = build_m4a()
-    verified = _verified_symmetries(m4a)
+    verified = _verified_symmetries(m4a.algebra, m4a.symmetries, m4a.form)
     checks = Checks()
     checks.add("dimension", 12, m4a.algebra.dim)
     _axial_checks(checks, m4a, monster_rule(QT), verified)
@@ -556,7 +578,8 @@ def verify_m4b():
     checks.add("dimension", 7, m4b.algebra.dim)
     checks.add("closure dim", 7,
                len(subalgebra_closure(m4b.algebra, m4b.axes)[0]))
-    _axial_checks(checks, m4b, monster_rule(), _verified_symmetries(m4b))
+    _axial_checks(checks, m4b, monster_rule(),
+                  _verified_symmetries(m4b.algebra, m4b.symmetries, m4b.form))
     return checks.report("m4b")
 
 
@@ -566,7 +589,7 @@ def verify_dihedral(name):
     the orbit of the first axis under the relabeling generators that are
     automorphisms."""
     d = dihedral(name)
-    verified = _verified_symmetries(d)
+    verified = _verified_symmetries(d.algebra, d.symmetries, d.form)
     checks = Checks()
     _axial_checks(checks, d, monster_rule(), verified)
     checks.add("reference eigenvectors", True,

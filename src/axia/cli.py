@@ -15,6 +15,7 @@ usage or build error.
 from __future__ import annotations
 
 import argparse
+import functools
 import re
 import sys
 
@@ -151,7 +152,9 @@ def _cmd_catalog(args):
 
 # ---------------------------------------------------------------------------
 
+@functools.cache
 def _make_parser():
+    """The argument parser, built on the first run of the process."""
     parser = argparse.ArgumentParser(
         prog="axia",
         description="Exact construction and certification of the axial "

@@ -16,7 +16,7 @@ from .algebra import (Algebra, BilinearForm, ConstructedAlgebra,
                       graded_by_involutions)
 from .catalog import dihedral_seeds
 from .completion import complete_algebra, label_map
-from .linalg import upper_pairs
+from .linalg import Matrix, upper_pairs
 from .scalars import QQ, QT, rat
 
 M4B_LABELS = ("a_1", "a_-1", "a_2", "a_-2", "a_3", "a_-3", "a_rho")
@@ -185,18 +185,21 @@ def build_m4a() -> ConstructedAlgebra:
 
 
 def graded_m4a():
-    """(algebra, form, grades, axes): M_4A rebased on the joint
-    eigenvectors of tau_1 and tau_2 (graded_by_involutions), and axes
-    maps each axis key k to S^-1 a_k.  Grade 0 holds the nine a_k + a_-k,
-    v_ij and w_k - t a_k, and grades 1, 2 and 3 one a_-k - a_k each
-    (k = 2, 1, 3).  Built on first use, never by build_m4a, and cached as
-    _M4A_CACHE[1], so clearing that cache drops both."""
+    """(algebra, form, grades, axes, symmetries): M_4A rebased on the joint
+    eigenvectors of tau_1 and tau_2 (graded_by_involutions), axes maps
+    each axis key k to S^-1 a_k, and symmetries holds the five generators
+    as S^-1 g S, signed permutations of the new basis.  Grade 0 holds the
+    nine a_k + a_-k, v_ij and w_k - t a_k, and grades 1, 2 and 3 one
+    a_-k - a_k each (k = 2, 1, 3).  Built on first use, never by
+    build_m4a, and cached as _M4A_CACHE[1], so clearing that cache drops
+    both."""
     m4a = build_m4a()
     if len(_M4A_CACHE) == 1:
-        taus = [m4a.symmetries["tau_1"], m4a.symmetries["tau_2"]]
-        *graded, coords = graded_by_involutions(m4a.algebra, m4a.form, taus)
+        syms = m4a.symmetries
+        alg, form, grades, coords, graded_syms = graded_by_involutions(
+            m4a.algebra, m4a.form, [syms["tau_1"], syms["tau_2"]], syms)
         axes = {k: coords(a) for k, a in zip(m4a.axis_keys, m4a.axes)}
-        _M4A_CACHE.append((*graded, axes))
+        _M4A_CACHE.append((alg, form, grades, axes, graded_syms))
     return _M4A_CACHE[1]
 
 
@@ -208,6 +211,14 @@ def specialize(alg: Algebra, form: BilinearForm, t0):
                               for x in alg.mul_table[i][j])
                 for i, j in upper_pairs(alg.dim)}
     return Algebra(QQ, alg.labels, products), specialize_form(form, t0)
+
+
+def specialize_matrix(m: Matrix, t0) -> Matrix:
+    """Evaluate a symbolic matrix at t = t0."""
+    t0 = rat(t0)
+    z = QQ.zero
+    return Matrix(QQ, [[z if x.is_zero() else x.evaluate(t0) for x in row]
+                       for row in m.data])
 
 
 def specialize_form(form: BilinearForm, t0) -> BilinearForm:
@@ -225,8 +236,9 @@ def specialize_m4a(t0) -> ConstructedAlgebra:
 
 
 def specialize_graded_m4a(t0):
-    """(algebra, form, grades) of graded_m4a at t = t0, without its axes."""
-    alg, form, grades, _ = graded_m4a()
+    """(algebra, form, grades) of graded_m4a at t = t0, without its axes
+    and symmetries."""
+    alg, form, grades = graded_m4a()[:3]
     return (*specialize(alg, form, t0), grades)
 
 

@@ -489,6 +489,8 @@ class RationalFunction:
     def evaluate(self, t0):
         """Exact value at a rational point; PoleAtPoint if den vanishes."""
         t0 = rat(t0)
+        if not self.den.degree:  # a monic constant: den is 1
+            return self.num(t0)
         d = self.den(t0)
         if d == 0:
             raise PoleAtPoint(f"denominator {self.den} vanishes at t = {t0}")

@@ -12,18 +12,24 @@ own table, copied verbatim.  is_automorphism is the check as it was
 before it was decided on integers at one point, copied verbatim: it
 compares each image of a basis product through Algebra.mul and
 Matrix.matvec over the field, and the suites here use it.
+quotient_certify is the boundary-quotient report as it was before the
+graded generators carried its axis checks along their orbits, copied
+verbatim: it decomposes each of the six quotient axes.
 """
 
 from axia.algebra import (Algebra, BilinearForm, axis_decomposition,
-                          verify_fusion, verify_frobenius, verify_grading)
+                          check_graded, quotient, radical, verify_fusion,
+                          verify_frobenius, verify_grading)
 from axia.catalog import dihedral, f4a_rule, jordan_half_rule, monster_rule
-from axia.certify import Checks, _in_eigenspaces, f4a_grading
-from axia.errors import NotIdempotent, NotSemisimple
-from axia.linalg import (Matrix, remainder_map, span_rref, upper_pairs,
+from axia.certify import (Checks, _fusion_result, _in_eigenspaces,
+                          f4a_grading, norton_psd)
+from axia.errors import NotAnIdeal, NotIdempotent, NotSemisimple
+from axia.linalg import (Matrix, ldlt, remainder_map, span_rref, upper_pairs,
                          vec_is_zero)
-from axia.m4 import (build_m4a, build_m4b, reference_v_eigenvectors,
+from axia.m4 import (build_m4a, build_m4b, graded_m4a,
+                     reference_v_eigenvectors, specialize_graded_m4a,
                      verify_dependencies)
-from axia.scalars import QT
+from axia.scalars import QT, format_rational, rat
 
 
 def is_automorphism(alg: Algebra, T: Matrix, form: BilinearForm) -> bool:
@@ -187,3 +193,41 @@ def verify_dihedral(name):
                 orbit.append(w)
     checks.add("axis orbit size", d.n_axes, len(orbit))
     return checks.report(f"dihedral:{name}")
+
+
+def quotient_certify(t0):
+    """At a boundary point (radical dimension 3): quotient graded_m4a at
+    t0 by its radical (one that is no ideal fails the report), check the
+    grading and re-certify fusion on the axes S^-1 a_k, PD and Norton."""
+    t0 = rat(t0)
+    alg, form, grades = specialize_graded_m4a(t0)
+    rad = radical(form)
+    report = {"t0": format_rational(t0), "radical_dim": len(rad)}
+    if len(rad) != 3:
+        report.update({"pass": False,
+                       "reason": f"expected radical dim 3, got {len(rad)}"})
+        return report
+    try:
+        qalg, qform, project = quotient(alg, form, rad)
+    except NotAnIdeal as exc:
+        report.update({"pass": False, "reason": f"radical: {exc}"})
+        return report
+    qgrades = [grades[alg.index(lab)] for lab in qalg.labels]
+    check_graded(qalg, qform, qgrades)
+    report["quotient_dim"] = qalg.dim
+    rule = monster_rule()
+    results = {k: _fusion_result(qalg, project([x.evaluate(t0) for x in a]),
+                                 rule) for k, a in graded_m4a()[3].items()}
+    failures = [f"a_{k}: {r.failure}" for k, r in results.items() if r.failure]
+    if failures:
+        report["axis_failures"] = failures
+    fusion_ok = all(r.primitive and r.violations == 0
+                    for r in results.values())
+    gram_pd = ldlt(qform.gram).is_pd()
+    norton_ok = norton_psd(qalg, qform, qgrades)
+    report.update({
+        "fusion_ok": fusion_ok, "gram_pd": gram_pd,
+        "norton_psd": norton_ok,
+        "pass": (qalg.dim == 9 and fusion_ok and gram_pd and norton_ok),
+    })
+    return report

@@ -11,6 +11,7 @@ import pytest
 
 import axia
 from axia import certify as cert
+from axia import cli
 from axia import m4
 from axia.catalog import DIHEDRAL_TYPES, dihedral
 from axia.cli import run
@@ -249,6 +250,16 @@ def test_verify_runs_the_suite_bound_at_call_time(monkeypatch, capsys):
     assert capsys.readouterr().out.startswith("m4b: FAIL\n")
 
 
+def _fresh_process(argv):
+    """python -m axia.cli argv, run in a new process."""
+    src = str(Path(axia.__file__).resolve().parents[1])
+    path = [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]
+    return subprocess.run([sys.executable, "-m", "axia.cli", *argv],
+                          env=dict(os.environ,
+                                   PYTHONPATH=os.pathsep.join(path)),
+                          capture_output=True, text=True, timeout=300)
+
+
 @pytest.mark.parametrize("argv,code", [
     (["verify", "dihedral:2B"], 0),
     (["certify", "quotient", "--t", "1/12"], 1),
@@ -256,18 +267,31 @@ def test_verify_runs_the_suite_bound_at_call_time(monkeypatch, capsys):
 ], ids=["pass", "check-failed", "usage-error"])
 def test_module_entry_point_exit_codes(argv, code):
     # python -m axia.cli runs main(), which exits with run()'s code
-    src = str(Path(axia.__file__).resolve().parents[1])
-    path = [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]
-    proc = subprocess.run([sys.executable, "-m", "axia.cli", *argv],
-                          env=dict(os.environ,
-                                   PYTHONPATH=os.pathsep.join(path)),
-                          capture_output=True, text=True, timeout=300)
+    proc = _fresh_process(argv)
     assert proc.returncode == code
     if code == 2:
         assert proc.stderr.startswith("error: ")
         assert proc.stderr.count("\n") == 1 and "9Z" in proc.stderr
     else:
         assert proc.stderr == ""
+
+
+def test_one_parser_serves_every_run_of_a_process(tmp_path):
+    # a success, a usage error that argparse reports and a negative grid
+    # value, run in one process after one another, each give the exit
+    # code and --out bytes of a fresh process; the parser is built once
+    cases = [(["verify", "dihedral:2B"], 0),
+             (["radical", "--t", "2", "--grid", "1"], 2),
+             (["radical", "--grid", "-1/10,0"], 0)]
+    cli._make_parser.cache_clear()
+    for k, (argv, code) in enumerate(cases):
+        here, fresh = tmp_path / f"here{k}.json", tmp_path / f"fresh{k}.json"
+        assert run(argv + ["--out", str(here)]) == code
+        assert _fresh_process(argv + ["--out", str(fresh)]).returncode == code
+        assert here.exists() == fresh.exists() == (code == 0)
+        if code == 0:
+            assert here.read_bytes() == fresh.read_bytes()
+    assert cli._make_parser.cache_info().misses == 1
 
 
 # ---------------------------------------------------------------------------

@@ -51,7 +51,7 @@ def test_graded_basis_is_the_expected_one(m4a):
     # S, the expected basis as columns, maps the graded table to M_4A's
     # and carries its Gram matrix to the graded one: S x . S y = S (x y)
     # and S^T G S = G'
-    alg, form, grades, axes = m4.graded_m4a()
+    alg, form, grades, axes, syms = m4.graded_m4a()
     expected = _graded_basis(m4a)
     assert grades == [g for g, _ in expected]
     S = Matrix(QT, list(zip(*[v for _, v in expected])))
@@ -68,6 +68,10 @@ def test_graded_basis_is_the_expected_one(m4a):
     assert list(axes) == m4a.axis_keys
     for k, a in zip(m4a.axis_keys, m4a.axes):
         assert S.matvec(axes[k]) == a
+    # the symmetries are S^-1 g S: S g' = g S
+    assert list(syms) == list(m4a.symmetries)
+    for name, g in m4a.symmetries.items():
+        assert S.matmul(syms[name]) == g.matmul(S)
 
 
 @pytest.mark.parametrize("t0", [None, "1/12", "-1279/9327841211"])
@@ -241,7 +245,8 @@ def test_every_flipped_sign_in_a_tau_is_refused(m4a):
             bad = list(taus)
             bad[b] = Matrix(QT, data)
             with pytest.raises(NotGraded):
-                graded_by_involutions(m4a.algebra, m4a.form, bad)
+                graded_by_involutions(m4a.algebra, m4a.form, bad,
+                                      m4a.symmetries)
             flipped += 1
     assert flipped == 32
 
@@ -262,10 +267,10 @@ def test_a_product_moved_off_its_grade_is_refused(m4a):
     # (a_1 + a_-1)^2 leaves grade 0
     alg = _tampered_table(m4a, ("a_1", "a_1"), "a_2")
     with pytest.raises(NotGraded, match="leaves grade"):
-        graded_by_involutions(alg, m4a.form, _taus(m4a))
+        graded_by_involutions(alg, m4a.form, _taus(m4a), m4a.symmetries)
     # a control: a change that keeps the grading passes
     graded_by_involutions(_tampered_table(m4a, ("v_12", "v_12"), "v_13"),
-                          m4a.form, _taus(m4a))
+                          m4a.form, _taus(m4a), m4a.symmetries)
 
 
 def test_a_gram_entry_across_grades_is_refused(m4a):
@@ -274,7 +279,7 @@ def test_a_gram_entry_across_grades_is_refused(m4a):
     values[0, 2] = values[0, 2] + QT.one   # <a_1, a_2>
     with pytest.raises(NotGraded, match="joins grades"):
         graded_by_involutions(m4a.algebra, BilinearForm(QT, values),
-                              _taus(m4a))
+                              _taus(m4a), m4a.symmetries)
 
 
 def test_a_tau_that_is_no_involution_leaves_too_few_eigenvectors(m4a):
@@ -285,7 +290,8 @@ def test_a_tau_that_is_no_involution_leaves_too_few_eigenvectors(m4a):
     data[3][2] = -data[3][2]
     with pytest.raises(NotGraded, match="10 joint eigenvectors"):
         graded_by_involutions(m4a.algebra, m4a.form,
-                              [Matrix(QT, data), _taus(m4a)[1]])
+                              [Matrix(QT, data), _taus(m4a)[1]],
+                              m4a.symmetries)
 
 
 def test_a_basis_change_that_degenerates_at_a_point_is_refused(m4a):
@@ -300,7 +306,20 @@ def test_a_basis_change_that_degenerates_at_a_point_is_refused(m4a):
     P, P_inv = Matrix(QT, p), Matrix(QT, p_inv)
     taus = [P.matmul(tau).matmul(P_inv) for tau in _taus(m4a)]
     with pytest.raises(NotGraded, match="not a nonzero constant"):
-        graded_by_involutions(m4a.algebra, m4a.form, taus)
+        graded_by_involutions(m4a.algebra, m4a.form, taus, m4a.symmetries)
+
+
+def test_a_symmetry_that_is_no_polynomial_on_the_graded_basis_is_refused(
+        m4a):
+    # diag(1/t, 1, ..., 1) conjugated into the graded basis has entries
+    # with t in the denominator
+    t = QT.t
+    scaling = Matrix(QT, [[(QT.one / t if i == 0 else QT.one) if i == j
+                           else QT.zero for j in range(12)]
+                          for i in range(12)])
+    with pytest.raises(NotGraded, match="not polynomial"):
+        graded_by_involutions(m4a.algebra, m4a.form, _taus(m4a),
+                              {**m4a.symmetries, "scaling": scaling})
 
 
 # ---------------------------------------------------------------------------
@@ -337,9 +356,9 @@ def _counting_axis_reads(monkeypatch):
             reads.append(self)
             return super().__iter__()
     m4a = m4.build_m4a()
-    alg, form, grades, axes = m4.graded_m4a()
+    alg, form, grades, axes, syms = m4.graded_m4a()
     monkeypatch.setattr(m4, "_M4A_CACHE", [m4a, (alg, form, grades, {
-        k: Counted(a) for k, a in axes.items()})])
+        k: Counted(a) for k, a in axes.items()}, syms)])
     return reads
 
 

@@ -1,12 +1,13 @@
-"""One axis per symmetry orbit: the verification suites and v4a_certify
-decompose one representative per orbit and copy its passing rows along
-verified automorphisms.
+"""One axis per symmetry orbit: the verification suites, v4a_certify and
+quotient_certify decompose one representative per orbit and copy its
+passing rows along verified automorphisms.
 
 Every report is compared byte for byte with the direct per-axis path in
 axial_reference: on the built algebras, and with a generator that is no
 automorphism, an is_automorphism verdict forced to False and a
-representative that does not decompose.  The decomposition counts show
-which path ran.
+representative that does not decompose.  The boundary quotients are
+compared the same way, on tampered builds as well.  The decomposition
+counts show which path ran.
 """
 
 import importlib
@@ -21,6 +22,7 @@ from axia import certify as cert
 from axia import m4
 from axia.algebra import Algebra, BilinearForm, ConstructedAlgebra
 from axia.catalog import DIHEDRAL_TYPES
+from axia.cli import run
 from axia.errors import NotSemisimple
 from axia.linalg import Matrix, upper_pairs
 from axia.scalars import QQ, QT
@@ -94,12 +96,13 @@ def _bench_round(workload, out_dir):
 
 
 @pytest.mark.parametrize("workload,count", [("m4a-symbolic", 3),
-                                            ("point-grid", 21)])
+                                            ("point-grid", 11)])
 def test_a_bench_round_decomposes_one_axis_per_orbit(monkeypatch, tmp_path,
                                                      workload, count):
     # m4a-symbolic: one a_k for verify m4a and one v_ij each in M_4A and
-    # in its Jordan closure (12 on the direct path); point-grid: the 12
-    # quotient axes, one M_4B axis and one axis per dihedral type (47)
+    # in its Jordan closure (12 on the direct path); point-grid: one
+    # quotient axis at each of 0 and 1/6, one M_4B axis and one axis per
+    # dihedral type (47)
     axes = _recording(monkeypatch, cert)
     _bench_round(workload, tmp_path)
     assert len(axes) == count
@@ -213,3 +216,91 @@ def test_sigma_restricts_to_an_automorphism_of_the_jordan_closure():
         assert R.matvec(sub.mul_table[i][j]) == sub.mul(cols[i], cols[j])
     assert [R.matvec(coords(v)) for v in vgens] == [
         coords(v) for v in (vgens[2], vgens[0], vgens[1])]
+
+
+# ---------------------------------------------------------------------------
+# the boundary quotients, under the graded generators
+# ---------------------------------------------------------------------------
+
+QUOTIENT_POINTS = ("0", "1/6", "9/4")
+
+
+def _quotient_counts(monkeypatch):
+    """The number of axes quotient_certify decomposes at each of the
+    QUOTIENT_POINTS, asserting that each report equals the direct path's."""
+    axes = _recording(monkeypatch, cert)
+    counts = []
+    for t0 in QUOTIENT_POINTS:
+        start = len(axes)
+        new = cert.quotient_certify(t0)
+        counts.append(len(axes) - start)
+        assert _bytes(new) == _bytes(ref.quotient_certify(t0))
+    return counts
+
+
+def test_the_graded_generators_are_constant_signed_permutations():
+    one = QQ.one
+    for name, g in m4.graded_m4a()[4].items():
+        assert all(x.is_constant() for row in g.data for x in row)
+        nonzero = [[(j, x.as_rational()) for j, x in enumerate(row)
+                    if not x.is_zero()] for row in g.data]
+        assert all(len(row) == 1 for row in nonzero)
+        assert sorted(j for row in nonzero for j, _ in row) == list(range(12))
+        signs = {c for row in nonzero for _, c in row}
+        assert signs == ({one} if name in ("sigma", "pi") else {one, -one})
+
+
+def test_quotient_reports_equal_the_direct_path(monkeypatch):
+    # the six quotient axes are one orbit at each boundary point; at 9/4
+    # the radical has dimension 5 and no axis is checked
+    assert _quotient_counts(monkeypatch) == [1, 1, 0]
+
+
+def test_certify_quotient_decomposes_one_axis_per_point(monkeypatch,
+                                                        tmp_path):
+    axes = _recording(monkeypatch, cert)
+    out = str(tmp_path / "quotient.json")
+    assert run(["certify", "quotient", "--grid=0,1/6", "--out", out]) == 0
+    assert len(axes) == 2
+
+
+@pytest.mark.parametrize("pair,label", [
+    (("a_1", "a_1"), "v_23"), (("a_1", "a_2"), "v_12"),
+    (("v_12", "v_12"), "v_12"), (("v_12", "v_13"), "v_23"),
+], ids=["not-idempotent", "not-semisimple", "fusion", "norton"])
+def test_quotients_of_tampered_builds_equal_the_direct_path(monkeypatch,
+                                                             pair, label):
+    # at 0 the quotient of each tampered build fails: every axis, none of
+    # which passes, comes from a direct check
+    tamper_m4a_seed(monkeypatch, pair, label)
+    assert _quotient_counts(monkeypatch)[0] == 6
+    assert cert.quotient_certify("0")["pass"] is False
+
+
+def _with_graded_symmetry(monkeypatch, name, op):
+    """graded_m4a as built, with its generator name replaced by op."""
+    alg, form, grades, axes, syms = m4.graded_m4a()
+    monkeypatch.setattr(m4, "_M4A_CACHE", [m4.build_m4a(), (
+        alg, form, grades, axes, {**syms, name: op})])
+
+
+@pytest.mark.parametrize("name", ["tau_1", "tau_2", "tau_3", "sigma", "pi"])
+def test_a_broken_graded_generator_carries_nothing(monkeypatch, name):
+    _with_graded_symmetry(monkeypatch, name, _broken(m4.graded_m4a()[4][name]))
+    verdicts = []
+    is_automorphism = cert.is_automorphism
+
+    def recording(alg, T, form):
+        verdicts.append(is_automorphism(alg, T, form))
+        return verdicts[-1]
+    monkeypatch.setattr(cert, "is_automorphism", recording)
+    counts = _quotient_counts(monkeypatch)
+    assert False in verdicts
+    # without sigma, a_1 reaches a_-1, a_2 and a_-2 by the tau_i and pi,
+    # and a_3 is checked; the others leave one orbit
+    assert counts == ([2, 2, 0] if name == "sigma" else [1, 1, 0])
+
+
+def test_no_verified_generator_checks_every_quotient_axis(monkeypatch):
+    monkeypatch.setattr(cert, "is_automorphism", lambda alg, T, form: False)
+    assert _quotient_counts(monkeypatch) == [6, 6, 0]

@@ -5,6 +5,7 @@ import random
 import pytest
 import sympy
 
+from axia import certify, m4
 from axia.errors import PoleAtPoint, ZeroPolynomial
 from axia.scalars import (POLY_ONE, POLY_T, QQ, QT, Polynomial,
                           RationalFunction, count_roots_open, format_rational,
@@ -149,6 +150,44 @@ def test_rational_function_evaluate_and_pole():
     assert f.evaluate(rat(3)) == rat("1/2")
     with pytest.raises(PoleAtPoint):
         f.evaluate(rat(1))
+
+
+def _evaluate_by_division(f, t0):
+    """The value of f at t0 as num(t0) / den(t0), whatever den is."""
+    return f.num(t0) / f.den(t0)
+
+
+def test_evaluate_on_a_polynomial_equals_the_division():
+    # a normalised denominator is monic, so a constant one is 1 and
+    # evaluate returns num(t0) without dividing: the value and its type
+    # are those of the division, on random polynomials and on every
+    # entry of the graded M_4A table, Gram matrix and generators at the
+    # twelve grid points
+    rng = random.Random(20261020)
+    entries = [RationalFunction(Polynomial([
+        rat(f"{rng.randint(-99, 99)}/{rng.randint(1, 50)}")
+        for _ in range(rng.randint(0, 6))]), Polynomial([rat(c)]))
+        for c in range(1, 5) for _ in range(25)]
+    alg, form, _, _, syms = m4.graded_m4a()
+    entries += [x for row in alg.mul_table for v in row for x in v]
+    entries += [x for row in form.gram.data for x in row]
+    entries += [x for g in syms.values() for row in g.data for x in row]
+    assert all(x.den == POLY_ONE for x in entries)
+    for t0 in map(rat, certify.DEFAULT_GRID):
+        for x in entries:
+            value = x.evaluate(t0)
+            assert value == _evaluate_by_division(x, t0)
+            assert type(value) is type(_evaluate_by_division(x, t0))
+
+
+@pytest.mark.parametrize("f,pole", [
+    (rf((0, 0, 1), (2, 1)), "-2"), (rf((1,), (0, 1)), "0"),
+    (rf((1, 1), ("-1/4", 0, 1)), "1/2")],
+    ids=["t2/(t+2)", "1/t", "1/(t2-1/4)"])
+def test_evaluate_raises_at_a_pole(f, pole):
+    with pytest.raises(PoleAtPoint):
+        f.evaluate(rat(pole))
+    assert f.evaluate(rat(7)) == _evaluate_by_division(f, rat(7))
 
 
 def test_constant_detection():
