@@ -28,23 +28,22 @@ def _at_point(alg, parts, bound):
     tests there.
 
     Each part is a list of numerators under one scale, as field.clear
-    returns them; table[i][j] lists (k, w) as alg.table_nums does.  Over
-    Q(t) the table numerators and each part are scaled to integer
-    polynomials (field.int_coeffs) and every entry is its value at
-    T = 2^(bitlen(C) + 1) for C = bound(w, coeffs): w is the largest l1
-    norm of a table numerator and coeffs the parts as coefficient tuples.
-    A nonzero integer polynomial with coefficients at most C in size has
+    returns them; table[i][j] lists (k, w) as alg.table_nums does.  The
+    table numerators and the parts go through field.at_point, with T past
+    C = bound(w, coeffs): w is the largest l1 norm of a table numerator
+    and coeffs the parts as integer coefficient tuples.  A
+    nonzero integer polynomial with coefficients at most C in size has
     no root at an integer T > C, so a polynomial identity whose two sides
     differ by at most C in l1 norm holds iff it holds at T.  Over Q the
-    numerators are ints already: they are returned as they are and bound
-    is not called.
+    numerators are ints already: they come back as they are and bound is
+    not called.
     """
     table = alg.table_nums
     # a generator over the pairs i <= j, so that over Q, where it comes
     # back as it went in, no entry of the table is read
     flat = (w for i, row in enumerate(table) for entry in row[i:]
             for _, w in entry)
-    vals, *parts = alg.field.int_parts(
+    (vals, *parts), _ = alg.field.at_point(
         [flat, *parts],
         lambda cs: bound(max(map(_l1, cs[0]), default=0), cs[1:]))
     if vals is not flat:

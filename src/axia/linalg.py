@@ -21,6 +21,7 @@ from __future__ import annotations
 from math import prod
 
 from .errors import DimensionMismatch, NonSquare
+from .scalars import _l1
 
 
 class Matrix:
@@ -115,16 +116,19 @@ def _eliminate(m: Matrix):
     Rows in.  The field clears row i to integer polynomials m_ij (integers
     over Q) and a nonzero integer-polynomial scale s_i with
     row_i * s_i = (m_i1, ..., m_in); scaling a row changes neither its
-    row space nor the RREF.  Over Q(t), field.int_rows evaluates each m_ij
-    once at T = 2^(bitlen(B) + 1), where B is the product of the
-    min(rows, cols) largest row norms N_i = max(1, sum_j ||m_ij||_1).
-    Over Q the cleared integers are the rows themselves, with no norms
-    and no T, and the bound below plays no part.  Every entry the
-    loop produces, the last pivot included, is a minor on at most
-    min(rows, cols) rows (below).  By the Leibniz expansion, with the l1
-    norm sub-additive and sub-multiplicative, a minor's l1 norm is at
-    most the product of the N_i of its rows, so at most B, and every
-    coefficient of a minor lies in (-T/2, T/2).
+    row space nor the RREF.  Over Q(t), field.at_point evaluates each m_ij
+    and s_i once at T = 2^(bitlen(B) + 1), where B is the product of the
+    min(rows, cols) largest row norms
+    N_i = max(1, ||s_i||_1, sum_j ||m_ij||_1).  Over Q the cleared
+    integers are the rows and scales themselves, with no norms and no T,
+    and the bound below plays no part.  Every entry the loop produces,
+    the last pivot included, is a minor on at most min(rows, cols) rows
+    (below).  By the Leibniz expansion, with the l1 norm sub-additive and
+    sub-multiplicative, a minor's l1 norm is at most the product of the
+    N_i of its rows, so at most B, and every coefficient of a minor lies
+    in (-T/2, T/2).  For a square matrix the product of all n scales,
+    which determinant unpacks, has l1 norm at most prod ||s_i||_1 <= B
+    too; that is why s_i enters N_i.
 
     The loop.  With p the new pivot and prev the one before it (1 at
     first), every other row becomes (p * row - c * pivot_row) // prev, c
@@ -145,10 +149,19 @@ def _eliminate(m: Matrix):
     rows, whose pivot rows hold p at their pivot column and p times their
     RREF entries elsewhere, and whose rows past the rank are zero; the
     pivot columns; the last pivot p (1 if there is none); the number of
-    row swaps; T; and each input row's scale s_i (an int over Q, a
-    Polynomial over Q(t)).
+    row swaps; T; and each input row's scale s_i as an int (over Q(t),
+    its value at T).
     """
-    rows, T, scales = m.field.int_rows(m.data, min(m.rows, m.cols))
+    field, k = m.field, min(m.rows, m.cols)
+
+    def bound(parts):
+        norms = sorted((max(1, _l1(s), sum(map(_l1, nums)))
+                        for *nums, s in parts), reverse=True)
+        return prod(norms[:k])
+
+    rows, T = field.at_point(
+        [nums + [s] for nums, s in map(field.clear, m.data)], bound)
+    scales = [row.pop() for row in rows]
     nr = m.rows
     pivots = []
     swaps = 0
@@ -223,7 +236,7 @@ def determinant(m: Matrix):
     if len(pivots) != m.rows:
         return field.zero
     return field.join(field.unpack(-p if swaps % 2 else p, T),
-                      prod(scales, start=field.unpack(1, T)))
+                      field.unpack(prod(scales), T))
 
 
 # ---------------------------------------------------------------------------

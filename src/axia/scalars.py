@@ -7,13 +7,16 @@ int denominator that shares no factor with all of them; its arithmetic
 runs on those ints, with pseudo-division for divmod and gcd, and builds
 Rationals only for the `coeffs` view and for values.  RationalFunction keeps gcd(num, den) = 1 with
 a monic denominator, so equality is structural.
+Each field's at_point turns cleared numerators into ints: over Q(t) their
+values at one power of two past a bound that linalg._eliminate and
+algebra._at_point each prove for the identities they test.
 """
 
 from __future__ import annotations
 
 import re
 from fractions import Fraction as Rational
-from math import gcd, lcm, prod
+from math import gcd, lcm
 
 from .errors import PoleAtPoint, ZeroPolynomial
 
@@ -488,7 +491,8 @@ class RationalFunction:
 
     def evaluate(self, t0):
         """Exact value at a rational point; PoleAtPoint if den vanishes."""
-        t0 = rat(t0)
+        if type(t0) is not Rational:
+            t0 = rat(t0)
         if not self.den.degree:  # a monic constant: den is 1
             return self.num(t0)
         d = self.den(t0)
@@ -616,19 +620,12 @@ class RationalField:
             d = lcm(d, x.denominator)
         return [x.numerator * (d // x.denominator) for x in xs], d
 
-    def int_parts(self, parts, bound):
-        """The parts, each a list of numerators as clear returns them, as
-        they are: cleared rationals are integers already, so no point is
-        needed and bound is not called."""
-        return parts
-
-    def int_rows(self, rows, k):
-        """(ints, T, scales) for rows of rationals: each row cleared to
-        integers over its least common denominator, that denominator as
-        its scale, and T = 1, since the cleared rows are integers already
-        and unpack ignores T; k plays no part."""
-        cleared = [self.clear(row) for row in rows]
-        return [nums for nums, _ in cleared], 1, [d for _, d in cleared]
+    def at_point(self, parts, bound):
+        """(parts, 1): the parts, each a list of numerators as clear
+        returns them, as they are, since cleared rationals are integers
+        already; no point is needed, bound is not called, and unpack
+        ignores the T = 1 returned."""
+        return parts, 1
 
     def join(self, num, den):
         """The rational num/den, normalised."""
@@ -703,42 +700,21 @@ class FunctionField:
         return [x.num if x.den == d else x.num * d.exact_div(x.den)
                 for x in xs], d
 
-    def int_coeffs(self, nums):
-        """Polynomial numerators, as clear returns them, scaled by the one
-        positive integer that clears all their coefficients: an iterator
-        of ascending tuples of integer coefficients, () for 0."""
-        nums = list(nums)
-        s = lcm(*[p._d for p in nums])
-        return (tuple(c * (s // p._d) for c in p._n) for p in nums)
-
-    def int_parts(self, parts, bound):
-        """The parts, each a list of polynomial numerators as clear returns
-        them, as ints: each part scaled to integer coefficients by
-        int_coeffs, and each entry replaced by its value at
-        T = 2^(bitlen(C) + 1), where C = bound(coeffs) and coeffs are the
-        scaled parts as lists of ascending coefficient tuples."""
-        parts = [list(self.int_coeffs(p)) for p in parts]
-        T = _past(bound(parts))
-        return [[_at(c, T) for c in p] for p in parts]
-
-    def int_rows(self, rows, k):
-        """(ints, T, scales) for rows of rational functions.  Each row
-        times a nonzero integer-polynomial scale, returned as a Polynomial,
-        is a row of integer polynomials m_ij, and each m_ij is returned as
-        its value at T = 2^(bitlen(B) + 1), where B is the product of the k
-        largest row norms max(1, sum_j ||m_ij||_1).  linalg._eliminate
-        shows why every minor on at most k rows unpacks from its value at
-        T."""
-        coeffs, scales, norms = [], [], []
-        for row in rows:
-            nums, den = self.clear(row)
-            *nums, den = self.int_coeffs(nums + [den])
-            coeffs.append(nums)
-            scales.append(_make(list(den), 1))
-            norms.append(max(1, sum(map(_l1, nums))))
-        norms.sort(reverse=True)
-        T = _past(prod(norms[:k]))
-        return [[_at(c, T) for c in row] for row in coeffs], T, scales
+    def at_point(self, parts, bound):
+        """(ints, T) for parts, each a list of polynomial numerators as
+        clear returns them: each part scaled by the one positive integer
+        that clears all its coefficients, and each entry replaced by its
+        value at T = 2^(bitlen(C) + 1), where C = bound(coeffs) and coeffs
+        are the scaled parts as lists of ascending coefficient tuples, ()
+        for 0."""
+        coeffs = []
+        for part in parts:
+            part = list(part)
+            s = lcm(*[p._d for p in part])
+            coeffs.append([tuple(c * (s // p._d) for c in p._n)
+                           for p in part])
+        T = _past(bound(coeffs))
+        return [[_at(c, T) for c in part] for part in coeffs], T
 
     def join(self, num, den):
         """num/den, normalised; num may be the int 0 of an empty sum."""

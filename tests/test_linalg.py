@@ -515,6 +515,34 @@ def test_tall_minor_at_the_bound_unpacks_exactly(k):
             assert_equals_field_loop(m)
 
 
+@pytest.mark.parametrize("k", [8, 33, 64])
+def test_row_scales_larger_than_the_rows_unpack_in_the_determinant(k):
+    # Row i is (small integers) / (t + a_i) with |a_i| about 2^k, so its
+    # scale s_i = t + a_i has a larger l1 norm than its numerators.  The
+    # determinant unpacks prod s_i, whose constant term is prod a_i: only
+    # a bound that counts ||s_i||_1 in the row norm puts T past it.
+    t, c = QT.t, QT.of
+    cs = [[1, 1, 0, 2], [0, 1, 1, -1], [1, 0, 1, 3], [2, -1, 0, 1]]
+    for n in (2, 3, 4):
+        dens = [t + c((-1) ** i * 2 ** k + i) for i in range(n)]
+        nonsingular = [[c(x) / d for x in row[:n]]
+                       for row, d in zip(cs, dens)]
+        # the last row a multiple of the sum of the others, over its own
+        # denominator
+        total = [sum(col, QT.zero) for col in zip(*nonsingular[:-1])]
+        singular = nonsingular[:-1] + [[x * dens[0] / dens[-1]
+                                        for x in total]]
+        for rows in (nonsingular, singular):
+            m = Matrix(QT, rows)
+            assert_equals_sympy(m)
+            assert_equals_field_loop(m)
+        det = sympy.Matrix([row[:n] for row in cs[:n]]).det()
+        assert det != 0
+        assert determinant(Matrix(QT, nonsingular)) == c(int(det)) / prod(
+            dens, start=QT.one)
+        assert determinant(Matrix(QT, singular)) == QT.zero
+
+
 def _record_eliminations(monkeypatch):
     """The list that every matrix linalg eliminates is appended to."""
     seen = []

@@ -1,6 +1,7 @@
 """Scalar layer: rationals, polynomials, Q(t), Sturm root counting."""
 
 import random
+from math import lcm
 
 import pytest
 import sympy
@@ -8,8 +9,9 @@ import sympy
 from axia import certify, m4
 from axia.errors import PoleAtPoint, ZeroPolynomial
 from axia.scalars import (POLY_ONE, POLY_T, QQ, QT, Polynomial,
-                          RationalFunction, count_roots_open, format_rational,
-                          parse_rational, poly_gcd, rat, rational_sign)
+                          RationalFunction, _at, _l1, _past,
+                          count_roots_open, format_rational, parse_rational,
+                          poly_gcd, rat, rational_sign)
 
 import sturm_reference
 from conftest import poly, rf
@@ -190,6 +192,20 @@ def test_evaluate_raises_at_a_pole(f, pole):
     assert f.evaluate(rat(7)) == _evaluate_by_division(f, rat(7))
 
 
+@pytest.mark.parametrize("t0", ["-3/7", 5, rat("2/9")],
+                         ids=["str", "int", "Fraction"])
+def test_evaluate_takes_a_string_an_int_or_a_fraction(t0):
+    # a Fraction is used as it is, anything else goes through rat
+    f = rf((1, -2, "1/3"), (5, 1))           # (1 - 2t + t^2/3)/(t + 5)
+    assert f.evaluate(t0) == f.evaluate(rat(t0)) == _evaluate_by_division(
+        f, rat(t0))
+    with pytest.raises(TypeError):
+        f.evaluate(float(rat(t0)))
+    for pole in ("-5", -5, rat(-5)):
+        with pytest.raises(PoleAtPoint):
+            f.evaluate(pole)
+
+
 def test_constant_detection():
     assert rf((3,), (6,)).as_rational() == rat("1/2")
     assert not rf((0, 1)).is_constant()
@@ -222,6 +238,39 @@ def test_clear_and_join_roundtrip(field):
     nums, den = field.clear(xs)
     assert [field.join(n, den) for n in nums] == xs
     assert field.clear([]) == ([], field.clear([field.one])[1])
+
+
+def test_at_point_over_q_returns_the_parts_as_given():
+    def bound(coeffs):
+        raise AssertionError("bound called over Q")
+    parts = [[3, -4, 0], [7], []]
+    ints, T = QQ.at_point(parts, bound)
+    assert ints is parts and T == 1
+
+
+@pytest.mark.parametrize("nums", [
+    [poly(1, "-1/2"), poly(0, 0, "3/4"), poly()],
+    [poly("1/6", 2), poly("-7/15")],
+    [POLY_ONE],
+    [],
+], ids=["mixed-denominators", "coprime-denominators", "one", "empty"])
+def test_at_point_over_qt_evaluates_the_scaled_parts_past_the_bound(nums):
+    parts = [nums, nums[:1], [POLY_T * 2]]
+    seen = []
+
+    def bound(coeffs):
+        seen.append(coeffs)
+        return sum(_l1(c) for part in coeffs for c in part)
+
+    ints, T = QT.at_point(parts, bound)
+    (coeffs,) = seen
+    for part, cs in zip(parts, coeffs):
+        # one positive integer scale per part, clearing every coefficient
+        scale = lcm(*(a.denominator for p in part for a in p.coeffs))
+        assert cs == [tuple(int(a * scale) for a in p.coeffs)
+                      for p in part]
+    assert T == _past(bound(coeffs))
+    assert ints == [[_at(c, T) for c in cs] for cs in coeffs]
 
 
 def test_function_field_has_no_sign():
