@@ -15,11 +15,13 @@ is compared at one integer point past a bound on its coefficients
 
 from __future__ import annotations
 
+from functools import cached_property
+
 from .errors import (DimensionMismatch, NotAnIdeal, NotGraded,
                      NotIdempotent, NotSemisimple)
 from .linalg import (Matrix, kernel_basis, remainder_map, rref, span_rref,
                      symmetric, unit_vec, upper_pairs, vec_is_zero)
-from .scalars import _l1
+from .scalars import _at, _l1
 
 
 def _at_point(alg, parts, bound):
@@ -29,29 +31,28 @@ def _at_point(alg, parts, bound):
 
     Each part is a list of numerators under one scale, as field.clear
     returns them; table[i][j] lists (k, w) as alg.table_nums does.  The
-    table numerators and the parts go through field.at_point, with T past
-    C = bound(w, coeffs): w is the largest l1 norm of a table numerator
-    and coeffs the parts as integer coefficient tuples.  A
-    nonzero integer polynomial with coefficients at most C in size has
-    no root at an integer T > C, so a polynomial identity whose two sides
-    differ by at most C in l1 norm holds iff it holds at T.  Over Q the
-    numerators are ints already: they come back as they are and bound is
-    not called.
+    parts go through field.at_point, with T past C = bound(w, coeffs): w
+    is the largest l1 norm of a table numerator and coeffs the parts as
+    integer coefficient tuples.  A nonzero integer polynomial with
+    coefficients at most C in size has no root at an integer T > C, so a
+    polynomial identity whose two sides differ by at most C in l1 norm
+    holds iff it holds at T.  The field asks for the bound only over
+    Q(t): the table is then scaled once per algebra (Algebra.table_coeffs)
+    and only evaluated at T here.  Over Q the numerators are ints
+    already: they come back as they are, bound is not called and the
+    table is table_nums, unread.
     """
-    table = alg.table_nums
-    # a generator over the pairs i <= j, so that over Q, where it comes
-    # back as it went in, no entry of the table is read
-    flat = (w for i, row in enumerate(table) for entry in row[i:]
-            for _, w in entry)
-    (vals, *parts), _ = alg.field.at_point(
-        [flat, *parts],
-        lambda cs: bound(max(map(_l1, cs[0]), default=0), cs[1:]))
-    if vals is not flat:
-        vals = iter(vals)
-        at = {(i, j): [(k, next(vals)) for k, _ in table[i][j]]
-              for i, j in upper_pairs(alg.dim)}
-        table = symmetric(alg.dim, lambda i, j: at[i, j])
-    return table, parts
+    scaled = None
+
+    def table_bound(coeffs):
+        nonlocal scaled
+        scaled, w = alg.table_coeffs
+        return bound(w, coeffs)
+    parts, T = alg.field.at_point(parts, table_bound)
+    if scaled is None:
+        return alg.table_nums, parts
+    return symmetric(alg.dim, lambda i, j: [(k, _at(c, T))
+                                            for k, c in scaled[i, j]]), parts
 
 
 def _rows(xs, n):
@@ -94,6 +95,19 @@ class Algebra:
         cleared = {p: [(k, next(nums)) for k, _ in entry]
                    for p, entry in nonzero.items()}
         self.table_nums = symmetric(n, lambda i, j: cleared[i, j])
+
+    @cached_property
+    def table_coeffs(self):
+        """(coeffs, w) over Q(t): coeffs[i, j], i <= j, lists (k, c) for
+        each (k, w) of table_nums[i][j], with c the coefficient tuple of w
+        scaled by the one integer that clears the whole table
+        (field.scaled), and w the largest l1 norm of a c.  Made on first
+        use, by the first identity _at_point decides on this algebra."""
+        table, pairs = self.table_nums, upper_pairs(self.dim)
+        flat = self.field.scaled(w for i, j in pairs for _, w in table[i][j])
+        cs = iter(flat)
+        return ({(i, j): [(k, next(cs)) for k, _ in table[i][j]]
+                 for i, j in pairs}, max(map(_l1, flat), default=0))
 
     def index(self, label):
         return self.labels.index(label)

@@ -26,7 +26,10 @@ graded_m4a induced on it.
 Every certification report is built and every verdict decided here.  A
 report that carries a verdict holds it as "pass" (a verification suite,
 gram, each quotient row); the command line only emits the report and
-exits 1 when a "pass" is false.
+exits 1 when a "pass" is false.  The constructions of M_4A it reads (the
+build, the graded basis, the Jordan closure of the v_ij) are cached by
+name in m4._M4A_CACHE; no verdict or report is cached, and every check
+runs on every call.
 """
 
 from __future__ import annotations
@@ -40,8 +43,9 @@ from .algebra import (axis_decomposition, check_graded, form_products,
 from .catalog import dihedral, f4a_rule, jordan_half_rule, monster_rule
 from .errors import NotAnIdeal, NotIdempotent, NotSemisimple, PoleAtPoint
 from .linalg import Matrix, determinant, ldlt, symmetric
-from .m4 import (build_m4a, build_m4b, graded_m4a, reference_v_eigenvectors,
-                 specialize_form, specialize_graded_m4a, specialize_matrix,
+from .m4 import (build_m4a, build_m4b, graded_m4a, jordan_m4a,
+                 reference_v_eigenvectors, specialize_form,
+                 specialize_graded_m4a, specialize_matrix,
                  verify_dependencies)
 from .scalars import (QQ, QT, RationalFunction, count_roots_open,
                       format_rational, rat, rational_sign)
@@ -151,7 +155,7 @@ def gram_report():
 # ---------------------------------------------------------------------------
 
 def radical_dimension(t0) -> int:
-    return len(radical(specialize_form(graded_m4a()[1], t0)))
+    return len(radical(specialize_form(graded_m4a().form, t0)))
 
 
 def radical_report(points):
@@ -164,7 +168,7 @@ def definiteness_report(grid=DEFAULT_GRID):
     report = []
     for point in grid:
         t0 = rat(point)
-        form = specialize_form(graded_m4a()[1], t0)
+        form = specialize_form(graded_m4a().form, t0)
         result = ldlt(form.gram)
         report.append({"t0": format_rational(t0), "pd": result.is_pd(),
                        "psd": result.is_psd(),
@@ -342,15 +346,16 @@ def quotient_certify(t0):
     check_graded(qalg, qform, qgrades)
     report["quotient_dim"] = qalg.dim
     rule = monster_rule()
-    _, _, _, axes, syms = graded_m4a()
+    graded = graded_m4a()
     lifts = [alg.basis_vector(lab) for lab in qalg.labels]
     gens = {name: _induced(QQ, specialize_matrix(g, t0), lifts, project)
-            for name, g in syms.items()}
+            for name, g in graded.symmetries.items()}
     results = _per_orbit(
-        [project([x.evaluate(t0) for x in a]) for a in axes.values()], gens,
+        [project([x.evaluate(t0) for x in a])
+         for a in graded.axes.values()], gens,
         _verified_symmetries(qalg, gens, qform),
         lambda a: _fusion_result(qalg, a, rule), _is_monster_axis)
-    failures = [f"a_{k}: {r.failure}" for k, r in zip(axes, results)
+    failures = [f"a_{k}: {r.failure}" for k, r in zip(graded.axes, results)
                 if r.failure]
     if failures:
         report["axis_failures"] = failures
@@ -398,9 +403,10 @@ def v4a_certify():
     """Certify each 4A axis v_(i,j) of the symbolic M_4A: idempotency,
     eigenspace dims (1, 4, 4, 2, 1), published eigenvectors, the 4A-axis
     fusion rule and its C2 x C2 grading; plus the 9-dimensional Jordan
-    subalgebra generated by the three v's.  The v's are one orbit under
-    sigma (the tau_i fix them); in the closure sigma acts through coords,
-    which raises unless sigma maps the closure into itself."""
+    subalgebra generated by the three v's, read from its cache
+    (m4.jordan_m4a) and checked on every call.  The v's are one orbit
+    under sigma (the tau_i fix them); in the closure sigma acts through
+    coords, which raises unless sigma maps the closure into itself."""
     m4a = build_m4a()
     alg = m4a.algebra
     rule = f4a_rule()
@@ -425,7 +431,7 @@ def v4a_certify():
         checks.add(f"{lab} fusion violations", 0, r.violations)
     checks.add("C2xC2 grading", True, verify_grading(rule, f4a_grading()))
 
-    closure, sub, coords = subalgebra_closure(alg, vgens)
+    closure, sub, coords = jordan_m4a()
     checks.add("jordan closure dim", 9, len(closure))
     jrule = jordan_half_rule(QT)
     try:

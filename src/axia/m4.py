@@ -12,8 +12,10 @@ symmetry orbit of the remaining products.
 
 from __future__ import annotations
 
+from collections import namedtuple
+
 from .algebra import (Algebra, BilinearForm, ConstructedAlgebra,
-                      graded_by_involutions)
+                      graded_by_involutions, subalgebra_closure)
 from .catalog import dihedral_seeds
 from .completion import complete_algebra, label_map
 from .linalg import Matrix, upper_pairs
@@ -167,40 +169,64 @@ def m4a_seeds():
     return seeds
 
 
-_M4A_CACHE = []
+# The constructions of the family M_4A by name: "build" (build_m4a),
+# "graded" (graded_m4a) and "jordan" (jordan_m4a), each made on first use
+# from the build; clearing the cache drops all three.
+_M4A_CACHE = {}
+
+
+def _cached(name, make):
+    """The construction cached under name, made by make() on first use."""
+    made = _M4A_CACHE.get(name)
+    if made is None:
+        made = make()
+        _M4A_CACHE.update({name: made})
+    return made
 
 
 def build_m4a() -> ConstructedAlgebra:
     """The 12-dimensional symbolic algebra M_4A over Q(t) with its
     Frobenius form, completed from the seeds under the five symmetry
-    generators.  Cached (immutable) as _M4A_CACHE[0]."""
-    if _M4A_CACHE:
-        return _M4A_CACHE[0]
-    syms = m4_symmetries(M4A_LABELS, QT)
-    alg, form = complete_algebra(QT, M4A_LABELS, m4a_seeds(),
-                                 list(syms.values()))
-    result = ConstructedAlgebra(alg, form, _M4_AXES, syms)
-    _M4A_CACHE.append(result)
-    return result
+    generators.  Cached (immutable) under "build" in _M4A_CACHE."""
+    def build():
+        syms = m4_symmetries(M4A_LABELS, QT)
+        alg, form = complete_algebra(QT, M4A_LABELS, m4a_seeds(),
+                                     list(syms.values()))
+        return ConstructedAlgebra(alg, form, _M4_AXES, syms)
+    return _cached("build", build)
 
 
-def graded_m4a():
-    """(algebra, form, grades, axes, symmetries): M_4A rebased on the joint
-    eigenvectors of tau_1 and tau_2 (graded_by_involutions), axes maps
-    each axis key k to S^-1 a_k, and symmetries holds the five generators
-    as S^-1 g S, signed permutations of the new basis.  Grade 0 holds the
+GradedM4A = namedtuple("GradedM4A", "algebra form grades axes symmetries")
+
+
+def graded_m4a() -> GradedM4A:
+    """M_4A rebased on the joint eigenvectors of tau_1 and tau_2
+    (graded_by_involutions): its algebra, form and grades; axes maps each
+    axis key k to S^-1 a_k, and symmetries holds the five generators as
+    S^-1 g S, signed permutations of the new basis.  Grade 0 holds the
     nine a_k + a_-k, v_ij and w_k - t a_k, and grades 1, 2 and 3 one
     a_-k - a_k each (k = 2, 1, 3).  Built on first use, never by
-    build_m4a, and cached as _M4A_CACHE[1], so clearing that cache drops
-    both."""
-    m4a = build_m4a()
-    if len(_M4A_CACHE) == 1:
+    build_m4a, and cached under "graded" in _M4A_CACHE."""
+    def build():
+        m4a = build_m4a()
         syms = m4a.symmetries
         alg, form, grades, coords, graded_syms = graded_by_involutions(
             m4a.algebra, m4a.form, [syms["tau_1"], syms["tau_2"]], syms)
         axes = {k: coords(a) for k, a in zip(m4a.axis_keys, m4a.axes)}
-        _M4A_CACHE.append((alg, form, grades, axes, graded_syms))
-    return _M4A_CACHE[1]
+        return GradedM4A(alg, form, grades, axes, graded_syms)
+    return _cached("graded", build)
+
+
+def jordan_m4a():
+    """(basis, algebra, coords): the subalgebra_closure of M_4A generated
+    by v_12, v_13 and v_23, the 9-dimensional Jordan subalgebra that
+    certify v4a checks.  Built on first use, never by build_m4a, and
+    cached under "jordan" in _M4A_CACHE."""
+    def build():
+        alg = build_m4a().algebra
+        return subalgebra_closure(
+            alg, [alg.basis_vector(lab) for lab in ("v_12", "v_13", "v_23")])
+    return _cached("jordan", build)
 
 
 def specialize(alg: Algebra, form: BilinearForm, t0):
@@ -238,8 +264,8 @@ def specialize_m4a(t0) -> ConstructedAlgebra:
 def specialize_graded_m4a(t0):
     """(algebra, form, grades) of graded_m4a at t = t0, without its axes
     and symmetries."""
-    alg, form, grades = graded_m4a()[:3]
-    return (*specialize(alg, form, t0), grades)
+    graded = graded_m4a()
+    return (*specialize(graded.algebra, graded.form, t0), graded.grades)
 
 
 def verify_dependencies(m4a: ConstructedAlgebra):

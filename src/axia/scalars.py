@@ -700,19 +700,20 @@ class FunctionField:
         return [x.num if x.den == d else x.num * d.exact_div(x.den)
                 for x in xs], d
 
+    def scaled(self, part):
+        """The polynomial numerators of part, as clear returns them, scaled
+        by the one positive integer that clears all their coefficients: a
+        list of ascending integer coefficient tuples, () for 0."""
+        part = list(part)
+        s = lcm(*[p._d for p in part])
+        return [tuple(c * (s // p._d) for c in p._n) for p in part]
+
     def at_point(self, parts, bound):
         """(ints, T) for parts, each a list of polynomial numerators as
-        clear returns them: each part scaled by the one positive integer
-        that clears all its coefficients, and each entry replaced by its
-        value at T = 2^(bitlen(C) + 1), where C = bound(coeffs) and coeffs
-        are the scaled parts as lists of ascending coefficient tuples, ()
-        for 0."""
-        coeffs = []
-        for part in parts:
-            part = list(part)
-            s = lcm(*[p._d for p in part])
-            coeffs.append([tuple(c * (s // p._d) for c in p._n)
-                           for p in part])
+        clear returns them: each part scaled, and each entry replaced by
+        its value at T = 2^(bitlen(C) + 1), where C = bound(coeffs) and
+        coeffs are the parts through scaled."""
+        coeffs = [self.scaled(part) for part in parts]
         T = _past(bound(coeffs))
         return [[_at(c, T) for c in part] for part in coeffs], T
 

@@ -217,7 +217,7 @@ def quotient_certify(t0):
     report["quotient_dim"] = qalg.dim
     rule = monster_rule()
     results = {k: _fusion_result(qalg, project([x.evaluate(t0) for x in a]),
-                                 rule) for k, a in graded_m4a()[3].items()}
+                                 rule) for k, a in graded_m4a().axes.items()}
     failures = [f"a_{k}: {r.failure}" for k, r in results.items() if r.failure]
     if failures:
         report["axis_failures"] = failures

@@ -72,7 +72,7 @@ def tamper_m4a_seed(monkeypatch, pair, label, delta="1/1000"):
             product[label] = QT.of(product.get(label, 0)) + QT.of(delta)
         seeds.append((seed_pair, product, form_value))
     monkeypatch.setattr(m4, "m4a_seeds", lambda: seeds)
-    monkeypatch.setattr(m4, "_M4A_CACHE", [])
+    monkeypatch.setattr(m4, "_M4A_CACHE", {})
 
 
 def tampered_table(alg, i, j, k, delta):

@@ -5,14 +5,15 @@ the 4A-axis fusion rule and eigenspace orthogonality."""
 import pytest
 
 from axia import certify as cert
-from axia import linalg
+from axia import linalg, m4
 from axia.algebra import Algebra, axis_decomposition, quotient, radical
 from axia.catalog import DIHEDRAL_TYPES, dihedral, f4a_rule, monster_rule
 from axia.linalg import Matrix, ldlt, span_rref
 from axia.m4 import reference_v_eigenvectors, specialize_m4a
 from axia.scalars import QQ, QT, rat
 
-from conftest import rf
+import axial_reference
+from conftest import rf, tamper_m4a_seed
 from elimination_reference import in_span
 from norton_reference import norton_block_reference, norton_matrix
 
@@ -368,7 +369,9 @@ def test_v4a_eigenvalue_spot_checks(m4a):
 
 def test_v4a_builds_its_jordan_closure_table_once(monkeypatch, m4a):
     # the closure's last round of products is the subalgebra's table, so
-    # the table costs no product or elimination beyond the closure's own
+    # the table costs no product or elimination beyond the closure's own;
+    # the closure is cached with M_4A, so a second call builds none
+    monkeypatch.setattr(m4, "_M4A_CACHE", {"build": m4a})
     counts = {"mul": 0, "eliminate": 0}
     mul, eliminate = Algebra.mul, linalg._eliminate
 
@@ -383,6 +386,42 @@ def test_v4a_builds_its_jordan_closure_table_once(monkeypatch, m4a):
     monkeypatch.setattr(linalg, "_eliminate", counting_eliminate)
     assert cert.v4a_certify()["pass"] is True
     assert counts == {"mul": 131, "eliminate": 12}
+    counts.update(mul=0, eliminate=0)
+    assert cert.v4a_certify()["pass"] is True
+    assert counts == {"mul": 59, "eliminate": 8}
+
+
+def test_a_tampered_build_rebuilds_its_jordan_closure(monkeypatch):
+    # a clean run caches the closure; a rebuild from tampered seeds
+    # (v_12 v_13 gains v_23 / 1000) must not check the old one, so the
+    # report equals the reference's, which builds its closure directly
+    assert cert.v4a_certify()["pass"] is True
+    stale = m4.jordan_m4a()
+    tamper_m4a_seed(monkeypatch, ("v_12", "v_13"), "v_23")
+    report = cert.v4a_certify()
+    assert m4.jordan_m4a() is not stale
+    assert report == axial_reference.v4a_certify()
+    assert not [c for c in report["checks"]
+                if c["name"] == "jordan fusion on closure"][0]["pass"]
+
+
+def test_the_jordan_closure_is_built_on_first_use_only(monkeypatch):
+    calls = []
+    closure = m4.subalgebra_closure
+
+    def counting(*args):
+        calls.append(args)
+        return closure(*args)
+    monkeypatch.setattr(m4, "_M4A_CACHE", {})
+    monkeypatch.setattr(m4, "subalgebra_closure", counting)
+    m4a = m4.build_m4a()
+    assert calls == [] and m4._M4A_CACHE == {"build": m4a}
+    first = m4.jordan_m4a()
+    assert m4.jordan_m4a() is first and len(calls) == 1
+    assert len(first[0]) == 9
+    m4._M4A_CACHE.clear()
+    assert m4._M4A_CACHE == {}
+    assert m4.jordan_m4a() is not first and len(calls) == 2
 
 
 def test_verify_m4a_decides_its_symmetries_on_integers(monkeypatch, m4a):

@@ -18,7 +18,7 @@ from axia.algebra import (Algebra, BilinearForm, axis_decomposition,
                           is_automorphism, verify_frobenius)
 from axia.catalog import f4a_rule, monster_rule
 from axia.errors import DimensionMismatch
-from axia.linalg import Matrix
+from axia.linalg import Matrix, upper_pairs
 from axia.scalars import QT
 
 from axial_reference import is_automorphism as is_automorphism_reference
@@ -185,3 +185,29 @@ def test_no_field_product_on_a_passing_input(monkeypatch, m4a):
     for op in m4a.symmetries.values():
         assert is_automorphism(m4a.algebra, op, m4a.form)
     assert verify_frobenius(m4a.algebra, m4a.form) == []
+
+
+def test_the_table_is_scaled_once_per_algebra(monkeypatch, m4a, m4b):
+    # over Q(t) the table's integer coefficients are cleared by the first
+    # identity decided on an algebra, and each later one only evaluates
+    # them at its point; over Q they are never cleared
+    sizes = []
+    scaled = type(QT).scaled
+
+    def counting(self, part):
+        part = list(part)
+        sizes.append(len(part))
+        return scaled(self, part)
+    monkeypatch.setattr(type(QT), "scaled", counting)
+    alg = tampered_table(m4a.algebra, 0, 0, 0, QT.zero)
+    table_size = sum(len(alg.table_nums[i][j]) for i, j in upper_pairs(12))
+    for op in m4a.symmetries.values():
+        assert is_automorphism(alg, op, m4a.form)
+    assert verify_frobenius(alg, m4a.form) == []
+    # two parts per automorphism, one for the Frobenius identity, and the
+    # table once
+    assert len(sizes) == 2 * 5 + 1 + 1 and sizes.count(table_size) == 1
+    for op in m4b.symmetries.values():
+        assert is_automorphism(m4b.algebra, op, m4b.form)
+    assert verify_frobenius(m4b.algebra, m4b.form) == []
+    assert "table_coeffs" not in vars(m4b.algebra)

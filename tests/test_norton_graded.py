@@ -334,7 +334,7 @@ def _counting_builds(monkeypatch):
     def counting(*args):
         calls.append(args)
         return build(*args)
-    monkeypatch.setattr(m4, "_M4A_CACHE", [])
+    monkeypatch.setattr(m4, "_M4A_CACHE", {})
     monkeypatch.setattr(m4, "graded_by_involutions", counting)
     return calls
 
@@ -342,7 +342,7 @@ def _counting_builds(monkeypatch):
 def test_build_m4a_alone_does_not_build_the_graded_algebra(monkeypatch):
     calls = _counting_builds(monkeypatch)
     m4a = m4.build_m4a()
-    assert calls == [] and m4._M4A_CACHE == [m4a]
+    assert calls == [] and m4._M4A_CACHE == {"build": m4a}
 
 
 def _counting_axis_reads(monkeypatch):
@@ -356,9 +356,10 @@ def _counting_axis_reads(monkeypatch):
             reads.append(self)
             return super().__iter__()
     m4a = m4.build_m4a()
-    alg, form, grades, axes, syms = m4.graded_m4a()
-    monkeypatch.setattr(m4, "_M4A_CACHE", [m4a, (alg, form, grades, {
-        k: Counted(a) for k, a in axes.items()}, syms)])
+    graded = m4.graded_m4a()
+    monkeypatch.setattr(m4, "_M4A_CACHE", {
+        "build": m4a, "graded": graded._replace(axes={
+            k: Counted(a) for k, a in graded.axes.items()})})
     return reads
 
 
@@ -380,4 +381,4 @@ def test_graded_checks_run_once_per_process(monkeypatch):
     cert.majorana_certify("1/12")
     cert.quotient_certify("0")
     assert len(calls) == 1
-    assert m4.graded_m4a() is m4._M4A_CACHE[1]
+    assert m4.graded_m4a() is m4._M4A_CACHE["graded"]

@@ -62,8 +62,8 @@ def _with_symmetry(monkeypatch, name, op):
     """M_4A as built, with its symmetry generator name replaced by op."""
     m4a = m4.build_m4a()
     syms = {**m4a.symmetries, name: op}
-    monkeypatch.setattr(m4, "_M4A_CACHE", [ConstructedAlgebra(
-        m4a.algebra, m4a.form, m4a.axis_keys, syms)])
+    monkeypatch.setattr(m4, "_M4A_CACHE", {"build": ConstructedAlgebra(
+        m4a.algebra, m4a.form, m4a.axis_keys, syms)})
 
 
 @pytest.mark.parametrize("suite,args", SUITES,
@@ -240,7 +240,7 @@ def _quotient_counts(monkeypatch):
 
 def test_the_graded_generators_are_constant_signed_permutations():
     one = QQ.one
-    for name, g in m4.graded_m4a()[4].items():
+    for name, g in m4.graded_m4a().symmetries.items():
         assert all(x.is_constant() for row in g.data for x in row)
         nonzero = [[(j, x.as_rational()) for j, x in enumerate(row)
                     if not x.is_zero()] for row in g.data]
@@ -279,14 +279,17 @@ def test_quotients_of_tampered_builds_equal_the_direct_path(monkeypatch,
 
 def _with_graded_symmetry(monkeypatch, name, op):
     """graded_m4a as built, with its generator name replaced by op."""
-    alg, form, grades, axes, syms = m4.graded_m4a()
-    monkeypatch.setattr(m4, "_M4A_CACHE", [m4.build_m4a(), (
-        alg, form, grades, axes, {**syms, name: op})])
+    graded = m4.graded_m4a()
+    monkeypatch.setattr(m4, "_M4A_CACHE", {
+        "build": m4.build_m4a(),
+        "graded": graded._replace(symmetries={**graded.symmetries,
+                                              name: op})})
 
 
 @pytest.mark.parametrize("name", ["tau_1", "tau_2", "tau_3", "sigma", "pi"])
 def test_a_broken_graded_generator_carries_nothing(monkeypatch, name):
-    _with_graded_symmetry(monkeypatch, name, _broken(m4.graded_m4a()[4][name]))
+    _with_graded_symmetry(monkeypatch, name,
+                          _broken(m4.graded_m4a().symmetries[name]))
     verdicts = []
     is_automorphism = cert.is_automorphism
 
