@@ -9,4 +9,4 @@ from .algebra import (Algebra, BilinearForm, FusionRule,  # noqa: F401
                       axis_decomposition, verify_frobenius, verify_fusion)
 from .catalog import (DIHEDRAL_TYPES, dihedral, f4a_rule,  # noqa: F401
                       jordan_half_rule, monster_rule)
-from .m4 import build_m4a, build_m4b, specialize  # noqa: F401
+from .m4 import build_m4a, build_m4b  # noqa: F401

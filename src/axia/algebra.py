@@ -21,7 +21,7 @@ from .errors import (DimensionMismatch, NotAnIdeal, NotGraded,
                      NotIdempotent, NotSemisimple)
 from .linalg import (Matrix, kernel_basis, remainder_map, rref, span_rref,
                      symmetric, unit_vec, upper_pairs, vec_is_zero)
-from .scalars import _at, _l1
+from .scalars import QQ, _at, _l1, rat
 
 
 def _at_point(alg, parts, bound):
@@ -109,6 +109,12 @@ class Algebra:
         return ({(i, j): [(k, next(cs)) for k, _ in table[i][j]]
                  for i, j in pairs}, max(map(_l1, flat), default=0))
 
+    def at(self, t0):
+        """This algebra over Q(t) at t = t0, over Q (field.at)."""
+        at, table = self.field.at, self.mul_table
+        return Algebra(QQ, self.labels, {(i, j): at(table[i][j], t0)
+                                         for i, j in upper_pairs(self.dim)})
+
     def index(self, label):
         return self.labels.index(label)
 
@@ -172,24 +178,37 @@ class Algebra:
 class ConstructedAlgebra:
     """An algebra with its Frobenius form and its axes.
 
-    axes[k] is the basis vector a_{axis_keys[k]}; symmetries maps names
-    to generating symmetry operators, and reference_eigenvectors maps each
-    eigenvalue to the published eigenvectors of one axis.
+    axes[k] is the axis a_{axis_keys[k]}, by default a basis vector;
+    symmetries maps names to generating symmetry operators, and
+    reference_eigenvectors maps each eigenvalue to the published
+    eigenvectors of one axis.  grades is set by graded_by_involutions.
     """
 
     def __init__(self, algebra, form, axis_keys, symmetries=None,
-                 reference_eigenvectors=None):
+                 reference_eigenvectors=None, *, axes=None, grades=None):
         check_pairing(algebra, form)
         self.algebra = algebra
         self.form = form
         self.axis_keys = list(axis_keys)
-        self.axes = [algebra.basis_vector(f"a_{k}") for k in self.axis_keys]
+        self.axes = (list(axes) if axes is not None else
+                     [algebra.basis_vector(f"a_{k}") for k in self.axis_keys])
         self.symmetries = symmetries or {}
         self.reference_eigenvectors = reference_eigenvectors or {}
+        self.grades = grades
 
     @property
     def n_axes(self):
         return len(self.axes)
+
+    def at(self, t0):
+        """This record over Q(t) at t = t0, over Q: algebra, form, axes and
+        symmetries evaluated there (field.at); keys and grades kept."""
+        t0 = rat(t0)
+        at = self.algebra.field.at
+        return ConstructedAlgebra(
+            self.algebra.at(t0), self.form.at(t0), self.axis_keys,
+            {name: g.at(t0) for name, g in self.symmetries.items()},
+            axes=[tuple(at(a, t0)) for a in self.axes], grades=self.grades)
 
 
 class BilinearForm:
@@ -200,6 +219,13 @@ class BilinearForm:
         self.field = field
         n = max(map(max, values), default=-1) + 1  # one past the last index
         self.gram = Matrix(field, _mirrored(n, values))
+
+    def at(self, t0):
+        """This form over Q(t) at t = t0, over Q (field.at)."""
+        pairs = upper_pairs(self.gram.rows)
+        gram = self.gram.data
+        return BilinearForm(QQ, dict(zip(pairs, self.field.at(
+            [gram[i][j] for i, j in pairs], t0))))
 
     def apply(self, u, v):
         """<u, v> = u . (G v)."""
@@ -640,27 +666,27 @@ def check_graded(alg: Algebra, form: BilinearForm, grades):
                             f"{grades[i]} and {grades[j]}")
 
 
-def graded_by_involutions(alg: Algebra, form: BilinearForm, involutions,
-                          symmetries):
-    """(algebra, form, grades, coords, symmetries): alg and form over Q(t)
-    rebased on the joint eigenvectors of commuting involutions, the grade
-    of each new basis vector, an int under xor as in verify_grading, the
-    map coords that takes a vector of alg to its new coordinates, and the
-    symmetries (name -> Matrix on alg) in the new basis.
+def graded_by_involutions(built: ConstructedAlgebra, involutions):
+    """The record built, over Q(t), rebased on the joint eigenvectors of
+    commuting involutions: the same record type and axis keys, with grades
+    set to the grade of each new basis vector, an int under xor as in
+    verify_grading.
 
     Grade g is the joint eigenspace on which involution b acts as -1 when
     bit b of g is set and as +1 otherwise; its basis is the kernel_basis
     of the involutions minus those scalars, stacked.  With S the matrix
-    whose columns are the new basis, grade by grade, coords is S^-1, the
-    new table is S^-1 (S e_i . S e_j), the new Gram matrix is S^T G S and
-    a symmetry g becomes S^-1 g S, read column by column as coords(g S e_i).
+    whose columns are the new basis, grade by grade, the new table is
+    S^-1 (S e_i . S e_j), the new Gram matrix is S^T G S, each axis a
+    becomes S^-1 a and each symmetry g becomes S^-1 g S, read column by
+    column as S^-1 (g S e_i).
 
     NotGraded unless there are alg.dim eigenvectors; S and the S^-1 read
     off the RREF of [S | I] are polynomial, so det S is a nonzero constant
     and S a basis at every t; check_graded passes; and every S^-1 g S is
-    polynomial.  These are identities in Q(t), so they hold wherever the
-    algebra is specialised.
+    polynomial.  These are identities in Q(t), so they hold at every point
+    where the record is evaluated (at).
     """
+    alg, form = built.algebra, built.form
     field = alg.field
     n = alg.dim
     vectors, grades = [], []
@@ -691,8 +717,10 @@ def graded_by_involutions(alg: Algebra, form: BilinearForm, involutions,
     check_graded(graded, graded_form, grades)
     conjugated = {name: Matrix(field, list(zip(*(inverse.matvec(g.matvec(v))
                                                  for v in vectors))))
-                  for name, g in symmetries.items()}
+                  for name, g in built.symmetries.items()}
     if any(x.den.degree for g in conjugated.values()
            for row in g.data for x in row):
         raise NotGraded("a symmetry is not polynomial on the graded basis")
-    return graded, graded_form, grades, inverse.matvec, conjugated
+    return ConstructedAlgebra(graded, graded_form, built.axis_keys,
+                              conjugated, grades=grades,
+                              axes=[inverse.matvec(a) for a in built.axes])

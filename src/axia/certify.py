@@ -11,9 +11,9 @@ subalgebra generated by the three 4A axes.
 
 Every verdict at a rational point (definiteness, radical, Norton,
 Majorana, the boundary quotients) is decided on the C2 x C2-graded basis
-of m4.graded_m4a.  Its basis change S has a nonzero constant
-determinant, so each verdict is the one on the original basis, which
-only the symbolic reports (gram, norton_symbolic) keep.
+of m4.graded_m4a at the point (at).  Its basis change S has a nonzero
+constant determinant, so each verdict is the one on the original basis,
+which only the symbolic reports (gram, norton_symbolic) keep.
 
 The verification suites and v4a_certify decompose one axis per symmetry
 orbit: an automorphism g with g a = b conjugates ad_a to ad_b, so it
@@ -44,9 +44,7 @@ from .catalog import dihedral, f4a_rule, jordan_half_rule, monster_rule
 from .errors import NotAnIdeal, NotIdempotent, NotSemisimple, PoleAtPoint
 from .linalg import Matrix, determinant, ldlt, symmetric
 from .m4 import (build_m4a, build_m4b, graded_m4a, jordan_m4a,
-                 reference_v_eigenvectors, specialize_form,
-                 specialize_graded_m4a, specialize_matrix,
-                 verify_dependencies)
+                 reference_v_eigenvectors, verify_dependencies)
 from .scalars import (QQ, QT, RationalFunction, count_roots_open,
                       format_rational, rat, rational_sign)
 
@@ -155,7 +153,7 @@ def gram_report():
 # ---------------------------------------------------------------------------
 
 def radical_dimension(t0) -> int:
-    return len(radical(specialize_form(graded_m4a().form, t0)))
+    return len(radical(graded_m4a().form.at(t0)))
 
 
 def radical_report(points):
@@ -168,7 +166,7 @@ def definiteness_report(grid=DEFAULT_GRID):
     report = []
     for point in grid:
         t0 = rat(point)
-        form = specialize_form(graded_m4a().form, t0)
+        form = graded_m4a().form.at(t0)
         result = ldlt(form.gram)
         report.append({"t0": format_rational(t0), "pd": result.is_pd(),
                        "psd": result.is_psd(),
@@ -233,7 +231,9 @@ def norton_psd(alg, form, grades) -> bool:
 def norton_check(t0) -> bool:
     """Exact PSD verdict of the Norton form of M(t0), on the blocks of 36,
     10, 10 and 10 pairs of graded_m4a at t0."""
-    return norton_psd(*specialize_graded_m4a(t0))
+    graded = graded_m4a()
+    return norton_psd(graded.algebra.at(t0), graded.form.at(t0),
+                      graded.grades)
 
 
 def norton_grid_report(grid=DEFAULT_GRID):
@@ -312,11 +312,12 @@ class MajoranaVerdict:
 
 
 def majorana_certify(t0) -> MajoranaVerdict:
-    """Both verdicts at t0 from one specialisation of graded_m4a."""
+    """Both verdicts at t0 from the algebra and form of graded_m4a there."""
     t0 = rat(t0)
-    alg, form, grades = specialize_graded_m4a(t0)
+    graded = graded_m4a()
+    alg, form = graded.algebra.at(t0), graded.form.at(t0)
     return MajoranaVerdict(t0, ldlt(form.gram).is_pd(),
-                           norton_psd(alg, form, grades))
+                           norton_psd(alg, form, graded.grades))
 
 
 def quotient_certify(t0):
@@ -330,7 +331,8 @@ def quotient_certify(t0):
     that is_automorphism accepts there is injective and carries each
     eigenspace and fusion product of an axis onto those of its image."""
     t0 = rat(t0)
-    alg, form, grades = specialize_graded_m4a(t0)
+    spec = graded_m4a().at(t0)
+    alg, form, grades = spec.algebra, spec.form, spec.grades
     rad = radical(form)
     report = {"t0": format_rational(t0), "radical_dim": len(rad)}
     if len(rad) != 3:
@@ -346,17 +348,15 @@ def quotient_certify(t0):
     check_graded(qalg, qform, qgrades)
     report["quotient_dim"] = qalg.dim
     rule = monster_rule()
-    graded = graded_m4a()
     lifts = [alg.basis_vector(lab) for lab in qalg.labels]
-    gens = {name: _induced(QQ, specialize_matrix(g, t0), lifts, project)
-            for name, g in graded.symmetries.items()}
+    gens = {name: _induced(QQ, g, lifts, project)
+            for name, g in spec.symmetries.items()}
     results = _per_orbit(
-        [project([x.evaluate(t0) for x in a])
-         for a in graded.axes.values()], gens,
+        [project(a) for a in spec.axes], gens,
         _verified_symmetries(qalg, gens, qform),
         lambda a: _fusion_result(qalg, a, rule), _is_monster_axis)
-    failures = [f"a_{k}: {r.failure}" for k, r in zip(graded.axes, results)
-                if r.failure]
+    failures = [f"a_{k}: {r.failure}"
+                for k, r in zip(spec.axis_keys, results) if r.failure]
     if failures:
         report["axis_failures"] = failures
     fusion_ok = all(map(_is_monster_axis, results))

@@ -21,7 +21,7 @@ from __future__ import annotations
 from math import prod
 
 from .errors import DimensionMismatch, NonSquare
-from .scalars import _l1
+from .scalars import QQ, _l1
 
 
 class Matrix:
@@ -50,6 +50,11 @@ class Matrix:
 
     def __repr__(self):
         return f"Matrix({self.rows}x{self.cols} over {self.field!r})"
+
+    def at(self, t0):
+        """This matrix over Q(t) at t = t0, over Q (field.at)."""
+        at = self.field.at
+        return Matrix(QQ, [at(row, t0) for row in self.data])
 
     def transpose(self):
         return Matrix(self.field,

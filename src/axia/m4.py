@@ -12,14 +12,11 @@ symmetry orbit of the remaining products.
 
 from __future__ import annotations
 
-from collections import namedtuple
-
-from .algebra import (Algebra, BilinearForm, ConstructedAlgebra,
-                      graded_by_involutions, subalgebra_closure)
+from .algebra import (ConstructedAlgebra, graded_by_involutions,
+                      subalgebra_closure)
 from .catalog import dihedral_seeds
 from .completion import complete_algebra, label_map
-from .linalg import Matrix, upper_pairs
-from .scalars import QQ, QT, rat
+from .scalars import QQ, QT
 
 M4B_LABELS = ("a_1", "a_-1", "a_2", "a_-2", "a_3", "a_-3", "a_rho")
 M4A_LABELS = ("a_1", "a_-1", "a_2", "a_-2", "a_3", "a_-3",
@@ -196,24 +193,19 @@ def build_m4a() -> ConstructedAlgebra:
     return _cached("build", build)
 
 
-GradedM4A = namedtuple("GradedM4A", "algebra form grades axes symmetries")
-
-
-def graded_m4a() -> GradedM4A:
+def graded_m4a() -> ConstructedAlgebra:
     """M_4A rebased on the joint eigenvectors of tau_1 and tau_2
-    (graded_by_involutions): its algebra, form and grades; axes maps each
-    axis key k to S^-1 a_k, and symmetries holds the five generators as
+    (graded_by_involutions): the record of build_m4a with its grades set,
+    its axes S^-1 a_k under the same axis keys and its five generators
     S^-1 g S, signed permutations of the new basis.  Grade 0 holds the
     nine a_k + a_-k, v_ij and w_k - t a_k, and grades 1, 2 and 3 one
-    a_-k - a_k each (k = 2, 1, 3).  Built on first use, never by
+    a_-k - a_k each (k = 2, 1, 3).  A point verdict evaluates it, or
+    only the parts it reads, at t0 (at).  Built on first use, never by
     build_m4a, and cached under "graded" in _M4A_CACHE."""
     def build():
         m4a = build_m4a()
         syms = m4a.symmetries
-        alg, form, grades, coords, graded_syms = graded_by_involutions(
-            m4a.algebra, m4a.form, [syms["tau_1"], syms["tau_2"]], syms)
-        axes = {k: coords(a) for k, a in zip(m4a.axis_keys, m4a.axes)}
-        return GradedM4A(alg, form, grades, axes, graded_syms)
+        return graded_by_involutions(m4a, [syms["tau_1"], syms["tau_2"]])
     return _cached("graded", build)
 
 
@@ -229,43 +221,9 @@ def jordan_m4a():
     return _cached("jordan", build)
 
 
-def specialize(alg: Algebra, form: BilinearForm, t0):
-    """Evaluate a symbolic algebra and form at a rational point t = t0."""
-    t0 = rat(t0)
-    z = QQ.zero
-    products = {(i, j): tuple(z if x.is_zero() else x.evaluate(t0)
-                              for x in alg.mul_table[i][j])
-                for i, j in upper_pairs(alg.dim)}
-    return Algebra(QQ, alg.labels, products), specialize_form(form, t0)
-
-
-def specialize_matrix(m: Matrix, t0) -> Matrix:
-    """Evaluate a symbolic matrix at t = t0."""
-    t0 = rat(t0)
-    z = QQ.zero
-    return Matrix(QQ, [[z if x.is_zero() else x.evaluate(t0) for x in row]
-                       for row in m.data])
-
-
-def specialize_form(form: BilinearForm, t0) -> BilinearForm:
-    """Evaluate a symbolic form alone at t = t0."""
-    t0 = rat(t0)
-    gram = form.gram.data
-    return BilinearForm(QQ, {(i, j): gram[i][j].evaluate(t0)
-                             for i, j in upper_pairs(len(gram))})
-
-
 def specialize_m4a(t0) -> ConstructedAlgebra:
-    m4a = build_m4a()
-    alg, form = specialize(m4a.algebra, m4a.form, t0)
-    return ConstructedAlgebra(alg, form, _M4_AXES)
-
-
-def specialize_graded_m4a(t0):
-    """(algebra, form, grades) of graded_m4a at t = t0, without its axes
-    and symmetries."""
-    graded = graded_m4a()
-    return (*specialize(graded.algebra, graded.form, t0), graded.grades)
+    """M(t0) over Q, under its earlier name: build_m4a().at(t0)."""
+    return build_m4a().at(t0)
 
 
 def verify_dependencies(m4a: ConstructedAlgebra):

@@ -742,8 +742,16 @@ class FunctionField:
         clearing to one polynomial denominator is slower here."""
         return x - sum((u * v for u, v in zip(us, vs)), self.zero)
 
+    def at(self, xs, t0):
+        """The rational functions xs at t = t0, a list of rationals, for
+        every at(t0): zeros are not evaluated, PoleAtPoint at a pole and
+        TypeError for a float t0 (rat)."""
+        if type(t0) is not Rational:
+            t0 = rat(t0)
+        return [RAT_ZERO if x.is_zero() else x.evaluate(t0) for x in xs]
+
     def sign(self, x):
-        raise TypeError("no sign on Q(t); specialize first")
+        raise TypeError("no sign on Q(t); evaluate at a point first (at)")
 
     def to_json(self, x):
         return {"num": [format_rational(c) for c in x.num.coeffs],

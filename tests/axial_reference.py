@@ -14,7 +14,9 @@ compares each image of a basis product through Algebra.mul and
 Matrix.matvec over the field, and the suites here use it.
 quotient_certify is the boundary-quotient report as it was before the
 graded generators carried its axis checks along their orbits, copied
-verbatim: it decomposes each of the six quotient axes.
+verbatim: it decomposes each of the six quotient axes, evaluated at t0
+through m4_reference's specialize_graded_m4a and the earlier inline
+loop, not through at(t0); the graded axes are read by their keys.
 """
 
 from axia.algebra import (Algebra, BilinearForm, axis_decomposition,
@@ -27,9 +29,9 @@ from axia.errors import NotAnIdeal, NotIdempotent, NotSemisimple
 from axia.linalg import (Matrix, ldlt, remainder_map, span_rref, upper_pairs,
                          vec_is_zero)
 from axia.m4 import (build_m4a, build_m4b, graded_m4a,
-                     reference_v_eigenvectors, specialize_graded_m4a,
-                     verify_dependencies)
+                     reference_v_eigenvectors, verify_dependencies)
 from axia.scalars import QT, format_rational, rat
+from m4_reference import specialize_graded_m4a
 
 
 def is_automorphism(alg: Algebra, T: Matrix, form: BilinearForm) -> bool:
@@ -216,8 +218,10 @@ def quotient_certify(t0):
     check_graded(qalg, qform, qgrades)
     report["quotient_dim"] = qalg.dim
     rule = monster_rule()
+    graded = graded_m4a()
     results = {k: _fusion_result(qalg, project([x.evaluate(t0) for x in a]),
-                                 rule) for k, a in graded_m4a().axes.items()}
+                                 rule)
+               for k, a in zip(graded.axis_keys, graded.axes)}
     failures = [f"a_{k}: {r.failure}" for k, r in results.items() if r.failure]
     if failures:
         report["axis_failures"] = failures

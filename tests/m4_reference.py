@@ -7,12 +7,22 @@ the one index pair {1, 2} and completes them under the M_4 generators
 dihedral copies instead, with all three definitions w_i = a_i . v_(j,k),
 their dependency rewrites and a_-1 . w_1; tests/test_m4.py asserts that
 both builds agree entry for entry.
+
+specialize, specialize_matrix, specialize_form, specialize_m4a and
+specialize_graded_m4a are the five evaluators at a point that axia.m4
+had before every record over Q(t) took its own at(t0), copied verbatim.
+They evaluate each entry with RationalFunction.evaluate, independently
+of at; tests/test_m4.py holds at to them, and the Norton and axial
+oracles evaluate through them.
 """
 
+from axia.algebra import Algebra, BilinearForm, ConstructedAlgebra
 from axia.catalog import dihedral
 from axia.completion import complete_algebra
-from axia.m4 import M4A_LABELS, M4B_LABELS, m4_symmetries, m4a_seeds
-from axia.scalars import QQ, QT
+from axia.linalg import Matrix, upper_pairs
+from axia.m4 import (M4A_LABELS, M4B_LABELS, _M4_AXES, build_m4a,
+                     graded_m4a, m4_symmetries, m4a_seeds)
+from axia.scalars import QQ, QT, rat
 
 INDEX_PAIRS = ((1, 2), (1, 3), (2, 3))
 
@@ -61,3 +71,42 @@ def m4a_three_copies():
               or any(lab.startswith("w") for lab in seed[0])]
     return complete_algebra(QT, M4A_LABELS, seeds,
                             list(m4_symmetries(M4A_LABELS, QT).values()))
+
+
+def specialize(alg: Algebra, form: BilinearForm, t0):
+    """Evaluate a symbolic algebra and form at a rational point t = t0."""
+    t0 = rat(t0)
+    z = QQ.zero
+    products = {(i, j): tuple(z if x.is_zero() else x.evaluate(t0)
+                              for x in alg.mul_table[i][j])
+                for i, j in upper_pairs(alg.dim)}
+    return Algebra(QQ, alg.labels, products), specialize_form(form, t0)
+
+
+def specialize_matrix(m: Matrix, t0) -> Matrix:
+    """Evaluate a symbolic matrix at t = t0."""
+    t0 = rat(t0)
+    z = QQ.zero
+    return Matrix(QQ, [[z if x.is_zero() else x.evaluate(t0) for x in row]
+                       for row in m.data])
+
+
+def specialize_form(form: BilinearForm, t0) -> BilinearForm:
+    """Evaluate a symbolic form alone at t = t0."""
+    t0 = rat(t0)
+    gram = form.gram.data
+    return BilinearForm(QQ, {(i, j): gram[i][j].evaluate(t0)
+                             for i, j in upper_pairs(len(gram))})
+
+
+def specialize_m4a(t0) -> ConstructedAlgebra:
+    m4a = build_m4a()
+    alg, form = specialize(m4a.algebra, m4a.form, t0)
+    return ConstructedAlgebra(alg, form, _M4_AXES)
+
+
+def specialize_graded_m4a(t0):
+    """(algebra, form, grades) of graded_m4a at t = t0, without its axes
+    and symmetries."""
+    graded = graded_m4a()
+    return (*specialize(graded.algebra, graded.form, t0), graded.grades)

@@ -16,7 +16,8 @@ definiteness, radical and quotient verdicts as they were made on that
 basis too, copied from axia.certify before every point verdict moved to
 the graded basis; the only edit is the trivial grading that
 quotient_certify now passes to norton_psd.  tests/test_norton_graded.py
-holds the graded verdicts to them.
+holds the graded verdicts to them.  Every evaluation at a point here goes
+through the earlier evaluators in m4_reference, not through at(t0).
 """
 
 from axia.algebra import (axis_decomposition, quotient, radical,
@@ -25,8 +26,9 @@ from axia.catalog import monster_rule
 from axia.certify import norton_blocks, norton_psd
 from axia.errors import NotIdempotent, NotSemisimple
 from axia.linalg import Matrix, ldlt
-from axia.m4 import build_m4a, specialize_form, specialize_m4a
+from axia.m4 import build_m4a
 from axia.scalars import format_rational, rat
+from m4_reference import specialize_form, specialize_m4a
 
 
 def norton_check_reference(t0) -> bool:

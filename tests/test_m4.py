@@ -1,19 +1,39 @@
 """The 7-dimensional M_4B and the 12-dimensional symbolic family M_4A."""
 
+import importlib.util
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
-from axia.algebra import axis_decomposition, is_automorphism, verify_fusion
+import m4_reference
+from axia.algebra import (BilinearForm, axis_decomposition, is_automorphism,
+                          verify_fusion)
 from axia.catalog import monster_rule
+from axia.certify import DEFAULT_GRID
+from axia.errors import PoleAtPoint
 from axia.linalg import Matrix, determinant, ldlt
-from axia.m4 import (M4A_LABELS, M4B_LABELS, m4_symmetries,
-                     reference_a1_eigenvectors, specialize, specialize_form,
-                     specialize_m4a, verify_dependencies)
+from axia.m4 import (M4A_LABELS, M4B_LABELS, graded_m4a, m4_symmetries,
+                     reference_a1_eigenvectors, specialize_m4a,
+                     verify_dependencies)
 from axia.scalars import QQ, QT, rat
 from group_reference import mulclose
 from m4_reference import m4a_three_copies, m4b_three_copies
 from m4a_gram_reference import m4a_gram
+
+
+def _bench_workloads():
+    """bench/workloads.py, loaded from its file; it imports nothing from
+    axia."""
+    path = Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("bench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+# the certification grid and the point-grid workload's seeded points
+AT_POINTS = DEFAULT_GRID + _bench_workloads().seeded_points(1)
 
 MONSTER_EVS = tuple(QQ.of(x) for x in ("1", "0", "1/4", "1/32"))
 
@@ -252,13 +272,14 @@ def test_specialize_evaluates_every_entry(m4a, t0):
     # each symmetric pair is evaluated once; the result equals evaluating
     # every entry of the table and the Gram matrix on its own
     t0 = rat(t0)
-    alg, form = specialize(m4a.algebra, m4a.form, t0)
+    spec = m4a.at(t0)
+    alg, form = spec.algebra, spec.form
     table = [[tuple(x.evaluate(t0) for x in entry) for entry in row]
              for row in m4a.algebra.mul_table]
     gram = [[x.evaluate(t0) for x in row] for row in m4a.form.gram.data]
     assert alg.mul_table == table
     assert form.gram.data == gram
-    assert specialize_form(m4a.form, t0).gram.data == gram
+    assert m4a.form.at(t0).gram.data == gram
 
 
 def test_specialize_refuses_a_float():
@@ -290,8 +311,49 @@ def test_specialize_then_ldlt_commutes_with_symbolic_ldlt(m4a):
 
 def test_specialize_preserves_products(m4a):
     t0 = rat("1/8")
-    alg, form = specialize(m4a.algebra, m4a.form, t0)
+    alg = m4a.at(t0).algebra
     sym = m4a.algebra.mul(m4a.algebra.basis_vector("w_1"),
                           m4a.algebra.basis_vector("w_2"))
     num = alg.mul(alg.basis_vector("w_1"), alg.basis_vector("w_2"))
     assert tuple(x.evaluate(t0) for x in sym) == num
+
+
+@pytest.mark.parametrize("t0", AT_POINTS)
+def test_at_equals_the_reference_evaluators(m4a, t0):
+    # the build and the graded record at t0 against the evaluators m4 had
+    # before at, entry by entry: table, Gram matrix, symmetries and axes
+    t0 = rat(t0)
+    for built in (m4a, graded_m4a()):
+        spec = built.at(t0)
+        alg, form = m4_reference.specialize(built.algebra, built.form, t0)
+        assert spec.algebra.field is spec.form.field is QQ
+        assert spec.algebra.labels == alg.labels
+        assert spec.algebra.mul_table == alg.mul_table
+        assert spec.form.gram == form.gram
+        assert spec.symmetries == {
+            name: m4_reference.specialize_matrix(g, t0)
+            for name, g in built.symmetries.items()}
+        assert spec.axes == [tuple(x.evaluate(t0) for x in a)
+                             for a in built.axes]
+        assert (spec.axis_keys, spec.grades) == (built.axis_keys,
+                                                 built.grades)
+    ref = m4_reference.specialize_m4a(t0)
+    spec = specialize_m4a(t0)
+    assert spec.algebra.mul_table == ref.algebra.mul_table
+    assert spec.form.gram == ref.form.gram and spec.axes == ref.axes
+    alg, form, grades = m4_reference.specialize_graded_m4a(t0)
+    spec = graded_m4a().at(t0)
+    assert spec.algebra.mul_table == alg.mul_table
+    assert (spec.form.gram, spec.grades) == (form.gram, grades)
+
+
+def test_at_refuses_a_float_and_raises_at_a_pole(m4a):
+    for built in (m4a, graded_m4a()):
+        with pytest.raises(TypeError, match="float"):
+            built.at(0.1)
+    t = QT.t
+    form = BilinearForm(QT, {(0, 0): QT.one / (t - 1), (0, 1): t,
+                             (1, 1): QT.zero})
+    with pytest.raises(PoleAtPoint):
+        form.at(1)
+    assert form.at(2).gram.data == [[1, 2], [2, 0]]

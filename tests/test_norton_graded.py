@@ -15,8 +15,9 @@ from hypothesis import strategies as st
 
 from axia import certify as cert
 from axia import m4
-from axia.algebra import (Algebra, BilinearForm, check_graded,
-                          graded_by_involutions, quotient, radical)
+from axia.algebra import (Algebra, BilinearForm, ConstructedAlgebra,
+                          check_graded, graded_by_involutions, quotient,
+                          radical)
 from axia.errors import NotGraded
 from axia.linalg import Matrix, upper_pairs
 from axia.scalars import QQ, QT, rat
@@ -51,7 +52,10 @@ def test_graded_basis_is_the_expected_one(m4a):
     # S, the expected basis as columns, maps the graded table to M_4A's
     # and carries its Gram matrix to the graded one: S x . S y = S (x y)
     # and S^T G S = G'
-    alg, form, grades, axes, syms = m4.graded_m4a()
+    graded = m4.graded_m4a()
+    alg, form, grades, syms = (graded.algebra, graded.form, graded.grades,
+                               graded.symmetries)
+    axes = dict(zip(graded.axis_keys, graded.axes))
     expected = _graded_basis(m4a)
     assert grades == [g for g, _ in expected]
     S = Matrix(QT, list(zip(*[v for _, v in expected])))
@@ -76,16 +80,17 @@ def test_graded_basis_is_the_expected_one(m4a):
 
 @pytest.mark.parametrize("t0", [None, "1/12", "-1279/9327841211"])
 def test_norton_blocks_are_36_10_10_10(t0):
-    graded = m4.graded_m4a() if t0 is None else m4.specialize_graded_m4a(t0)
-    assert ([b.rows for b in cert.norton_blocks(*graded[:3])]
-            == [36, 10, 10, 10])
+    graded = m4.graded_m4a() if t0 is None else m4.graded_m4a().at(t0)
+    assert ([b.rows for b in cert.norton_blocks(
+        graded.algebra, graded.form, graded.grades)] == [36, 10, 10, 10])
 
 
 @pytest.mark.parametrize("t0", ["0", "1/6", "9/4", "1/12", "7/103"])
 def test_blocks_are_the_reference_form_by_grade(t0):
     # the field-arithmetic Norton form on the graded basis is zero between
     # pairs of different grades, and equals each block within a grade
-    alg, form, grades = m4.specialize_graded_m4a(rat(t0))
+    spec = m4.graded_m4a().at(rat(t0))
+    alg, form, grades = spec.algebra, spec.form, spec.grades
     ref = norton_block_reference(alg, form).data
     pairs = [(i, j) for i in range(12) for j in range(i + 1, 12)]
     grade = [grades[i] ^ grades[j] for i, j in pairs]
@@ -172,7 +177,8 @@ def test_point_verdicts_equal_the_ungraded_path_at_random_points(t0):
 def _graded_quotient(t0):
     """The quotient of graded_m4a at t0 by its radical, with the grade of
     each quotient basis vector, as quotient_certify builds it."""
-    alg, form, grades = m4.specialize_graded_m4a(t0)
+    spec = m4.graded_m4a().at(t0)
+    alg, form, grades = spec.algebra, spec.form, spec.grades
     qalg, qform, _ = quotient(alg, form, radical(form))
     return qalg, qform, [grades[alg.index(lab)] for lab in qalg.labels]
 
@@ -234,6 +240,14 @@ def _taus(m4a):
     return [m4a.symmetries["tau_1"], m4a.symmetries["tau_2"]]
 
 
+def _graded(alg, form, involutions, symmetries):
+    """graded_by_involutions on the record of alg and form with M_4A's
+    axes and those symmetries."""
+    return graded_by_involutions(
+        ConstructedAlgebra(alg, form, m4.build_m4a().axis_keys, symmetries),
+        involutions)
+
+
 def test_every_flipped_sign_in_a_tau_is_refused(m4a):
     taus = _taus(m4a)
     flipped = 0
@@ -245,8 +259,7 @@ def test_every_flipped_sign_in_a_tau_is_refused(m4a):
             bad = list(taus)
             bad[b] = Matrix(QT, data)
             with pytest.raises(NotGraded):
-                graded_by_involutions(m4a.algebra, m4a.form, bad,
-                                      m4a.symmetries)
+                _graded(m4a.algebra, m4a.form, bad, m4a.symmetries)
             flipped += 1
     assert flipped == 32
 
@@ -267,10 +280,10 @@ def test_a_product_moved_off_its_grade_is_refused(m4a):
     # (a_1 + a_-1)^2 leaves grade 0
     alg = _tampered_table(m4a, ("a_1", "a_1"), "a_2")
     with pytest.raises(NotGraded, match="leaves grade"):
-        graded_by_involutions(alg, m4a.form, _taus(m4a), m4a.symmetries)
+        _graded(alg, m4a.form, _taus(m4a), m4a.symmetries)
     # a control: a change that keeps the grading passes
-    graded_by_involutions(_tampered_table(m4a, ("v_12", "v_12"), "v_13"),
-                          m4a.form, _taus(m4a), m4a.symmetries)
+    _graded(_tampered_table(m4a, ("v_12", "v_12"), "v_13"),
+            m4a.form, _taus(m4a), m4a.symmetries)
 
 
 def test_a_gram_entry_across_grades_is_refused(m4a):
@@ -278,8 +291,8 @@ def test_a_gram_entry_across_grades_is_refused(m4a):
     values = {(i, j): gram[i][j] for i, j in upper_pairs(12)}
     values[0, 2] = values[0, 2] + QT.one   # <a_1, a_2>
     with pytest.raises(NotGraded, match="joins grades"):
-        graded_by_involutions(m4a.algebra, BilinearForm(QT, values),
-                              _taus(m4a), m4a.symmetries)
+        _graded(m4a.algebra, BilinearForm(QT, values),
+                _taus(m4a), m4a.symmetries)
 
 
 def test_a_tau_that_is_no_involution_leaves_too_few_eigenvectors(m4a):
@@ -289,9 +302,9 @@ def test_a_tau_that_is_no_involution_leaves_too_few_eigenvectors(m4a):
     data = [list(row) for row in tau.data]
     data[3][2] = -data[3][2]
     with pytest.raises(NotGraded, match="10 joint eigenvectors"):
-        graded_by_involutions(m4a.algebra, m4a.form,
-                              [Matrix(QT, data), _taus(m4a)[1]],
-                              m4a.symmetries)
+        _graded(m4a.algebra, m4a.form,
+                [Matrix(QT, data), _taus(m4a)[1]],
+                m4a.symmetries)
 
 
 def test_a_basis_change_that_degenerates_at_a_point_is_refused(m4a):
@@ -306,7 +319,7 @@ def test_a_basis_change_that_degenerates_at_a_point_is_refused(m4a):
     P, P_inv = Matrix(QT, p), Matrix(QT, p_inv)
     taus = [P.matmul(tau).matmul(P_inv) for tau in _taus(m4a)]
     with pytest.raises(NotGraded, match="not a nonzero constant"):
-        graded_by_involutions(m4a.algebra, m4a.form, taus, m4a.symmetries)
+        _graded(m4a.algebra, m4a.form, taus, m4a.symmetries)
 
 
 def test_a_symmetry_that_is_no_polynomial_on_the_graded_basis_is_refused(
@@ -318,8 +331,8 @@ def test_a_symmetry_that_is_no_polynomial_on_the_graded_basis_is_refused(
                            else QT.zero for j in range(12)]
                           for i in range(12)])
     with pytest.raises(NotGraded, match="not polynomial"):
-        graded_by_involutions(m4a.algebra, m4a.form, _taus(m4a),
-                              {**m4a.symmetries, "scaling": scaling})
+        _graded(m4a.algebra, m4a.form, _taus(m4a),
+                {**m4a.symmetries, "scaling": scaling})
 
 
 # ---------------------------------------------------------------------------
@@ -358,8 +371,10 @@ def _counting_axis_reads(monkeypatch):
     m4a = m4.build_m4a()
     graded = m4.graded_m4a()
     monkeypatch.setattr(m4, "_M4A_CACHE", {
-        "build": m4a, "graded": graded._replace(axes={
-            k: Counted(a) for k, a in graded.axes.items()})})
+        "build": m4a, "graded": ConstructedAlgebra(
+            graded.algebra, graded.form, graded.axis_keys,
+            graded.symmetries, grades=graded.grades,
+            axes=[Counted(a) for a in graded.axes])})
     return reads
 
 
@@ -371,6 +386,20 @@ def test_only_the_quotient_evaluates_the_graded_axes(monkeypatch, verdict,
     counted = _counting_axis_reads(monkeypatch)
     verdict("0")
     assert len(counted) == reads
+
+
+def test_the_form_only_verdicts_never_evaluate_the_table(monkeypatch):
+    # definiteness and the radical read the graded Gram matrix alone: at
+    # each point they evaluate the form and never the algebra
+    def forbidden(self, t0):
+        raise AssertionError("Algebra.at in a form-only verdict")
+    graded = m4.graded_m4a()
+    monkeypatch.setattr(Algebra, "at", forbidden)
+    # a control: the whole record evaluates its algebra
+    with pytest.raises(AssertionError, match="form-only"):
+        graded.at("0")
+    assert len(cert.definiteness_report(cert.DEFAULT_GRID)) == 12
+    assert len(cert.radical_report(cert.DEFAULT_GRID)) == 12
 
 
 def test_graded_checks_run_once_per_process(monkeypatch):

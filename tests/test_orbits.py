@@ -282,8 +282,10 @@ def _with_graded_symmetry(monkeypatch, name, op):
     graded = m4.graded_m4a()
     monkeypatch.setattr(m4, "_M4A_CACHE", {
         "build": m4.build_m4a(),
-        "graded": graded._replace(symmetries={**graded.symmetries,
-                                              name: op})})
+        "graded": ConstructedAlgebra(
+            graded.algebra, graded.form, graded.axis_keys,
+            {**graded.symmetries, name: op}, grades=graded.grades,
+            axes=graded.axes)})
 
 
 @pytest.mark.parametrize("name", ["tau_1", "tau_2", "tau_3", "sigma", "pi"])

@@ -170,7 +170,8 @@ def test_evaluate_on_a_polynomial_equals_the_division():
         rat(f"{rng.randint(-99, 99)}/{rng.randint(1, 50)}")
         for _ in range(rng.randint(0, 6))]), Polynomial([rat(c)]))
         for c in range(1, 5) for _ in range(25)]
-    alg, form, _, _, syms = m4.graded_m4a()
+    graded = m4.graded_m4a()
+    alg, form, syms = graded.algebra, graded.form, graded.symmetries
     entries += [x for row in alg.mul_table for v in row for x in v]
     entries += [x for row in form.gram.data for x in row]
     entries += [x for g in syms.values() for row in g.data for x in row]
