@@ -9,11 +9,18 @@ property and the 9-dimensional quotients at the boundary, and verifies
 the 4A-axis fusion rule, its C2 x C2 grading and the Jordan-type
 subalgebra generated by the three 4A axes.
 
-Every verdict at a rational point (definiteness, radical, Norton,
-Majorana, the boundary quotients) is decided on the C2 x C2-graded basis
-of m4.graded_m4a at the point (at).  Its basis change S has a nonzero
-constant determinant, so each verdict is the one on the original basis,
-which only the symbolic reports (gram, norton_symbolic) keep.
+Definiteness, the radical, Norton and Majorana at a rational point are
+read off the signs at t0 of LDLT pivots over Q(t) (linalg.pivot_signs):
+those of the Gram matrix of build_m4a, and those of the four Norton
+blocks of the C2 x C2-graded basis of m4.graded_m4a, whose basis change
+S has a nonzero constant determinant, so that its verdicts are the ones
+on the original basis.  Each matrix is factored once (_family_pivots);
+away from the poles of its L and D no matrix is built at t0.  At a pole
+(-1/4 and 3/8 for the Gram matrix, -7/8, -1/4 and 3/8 for the blocks),
+or when a factorisation did not complete, the one fallback in
+_definiteness evaluates the matrices at t0 and decides each by its own
+LDLT.  The boundary quotients are taken at t0 on the graded basis
+(at), since they need the radical itself.
 
 The verification suites and v4a_certify decompose one axis per symmetry
 orbit: an automorphism g with g a = b conjugates ad_a to ad_b, so it
@@ -27,9 +34,11 @@ Every certification report is built and every verdict decided here.  A
 report that carries a verdict holds it as "pass" (a verification suite,
 gram, each quotient row); the command line only emits the report and
 exits 1 when a "pass" is false.  The constructions of M_4A it reads (the
-build, the graded basis, the Jordan closure of the v_ij) are cached by
-name in m4._M4A_CACHE; no verdict or report is cached, and every check
-runs on every call.
+build, the graded basis, the Jordan closure of the v_ij, and the
+factorisations of the Gram matrix and of the Norton blocks over Q(t))
+are cached by name in m4._M4A_CACHE; no verdict or report is cached,
+and every check runs on every call, the signs of the pivots at t0
+included.
 """
 
 from __future__ import annotations
@@ -42,8 +51,9 @@ from .algebra import (axis_decomposition, check_graded, form_products,
                       verify_frobenius, verify_grading, is_automorphism)
 from .catalog import dihedral, f4a_rule, jordan_half_rule, monster_rule
 from .errors import NotAnIdeal, NotIdempotent, NotSemisimple, PoleAtPoint
-from .linalg import Matrix, determinant, ldlt, symmetric
-from .m4 import (build_m4a, build_m4b, graded_m4a, jordan_m4a,
+from .linalg import (Matrix, determinant, kernel_basis, ldlt, ldlt_pivots,
+                     pivot_signs, symmetric)
+from .m4 import (build_m4a, build_m4b, cached, graded_m4a, jordan_m4a,
                  reference_v_eigenvectors, verify_dependencies)
 from .scalars import (QQ, QT, RationalFunction, count_roots_open,
                       format_rational, rat, rational_sign)
@@ -60,9 +70,10 @@ DEFAULT_GRID = ("-1/10", "-1/100", "0", "1/24", "1/12", "1/8", "1/6",
 
 def gram_analysis():
     """Exact determinant and natural-order LDLT diagonal of the Gram
-    matrix of the symbolic M_4A."""
-    gram = build_m4a().form.gram
-    return determinant(gram), tuple(ldlt(gram).D)
+    matrix of the symbolic M_4A; the diagonal is the D of its cached
+    factorisation (_family_pivots)."""
+    (pivots,) = _family_pivots("gram")
+    return determinant(build_m4a().form.gram), pivots.D
 
 
 def gram_det_closed_form() -> RationalFunction:
@@ -149,11 +160,64 @@ def gram_report():
 
 
 # ---------------------------------------------------------------------------
-# Grid verdicts
+# Point verdicts, read off the family's pivots
 # ---------------------------------------------------------------------------
 
+def _family_matrices(name, t0=None):
+    """The matrices a point verdict reads, over Q(t) or at t0: for "gram"
+    the Gram matrix of build_m4a, and for "norton" the four
+    norton_blocks of graded_m4a, at t0 built from its algebra and form
+    there."""
+    if name == "gram":
+        gram = build_m4a().form.gram
+        return [gram if t0 is None else gram.at(t0)]
+    graded = graded_m4a()
+    alg, form = graded.algebra, graded.form
+    if t0 is not None:
+        alg, form = alg.at(t0), form.at(t0)
+    return norton_blocks(alg, form, graded.grades)
+
+
+def _family_pivots(name):
+    """The ldlt_pivots of each of the _family_matrices name over Q(t).
+    Made on first use, never by build_m4a, and cached under
+    "<name>_pivots" in m4._M4A_CACHE, so they go with the build."""
+    return cached(f"{name}_pivots", lambda: [
+        ldlt_pivots(m) for m in _family_matrices(name)])
+
+
+# whether matrices are all positive definite, all positive semidefinite,
+# and their total nullity
+_Definiteness = namedtuple("_Definiteness", "pd psd nullity")
+
+
+def _definiteness(name, t0):
+    """The _Definiteness of the _family_matrices name at t0.
+
+    It is read off the signs of their pivots over Q(t) at t0
+    (pivot_signs), with no matrix built at t0.  The table and form of
+    M_4A are polynomial in t, so these matrices at t0 are the ones over
+    Q(t) evaluated there, which pivot_signs decides.  Where it gives None,
+    at a pole of a factorisation or when one did not complete, each
+    matrix is evaluated at t0 and decided by its own ldlt, with its
+    kernel_basis for the nullity."""
+    t0 = rat(t0)
+    signs = [pivot_signs(p, t0) for p in _family_pivots(name)]
+    if None not in signs:
+        signs = [s for block in signs for s in block]
+        return _Definiteness(all(s > 0 for s in signs),
+                             all(s >= 0 for s in signs), signs.count(0))
+    mats = _family_matrices(name, t0)
+    results = [ldlt(m) for m in mats]
+    return _Definiteness(all(r.is_pd() for r in results),
+                         all(r.is_psd() for r in results),
+                         sum(len(kernel_basis(m)) for m in mats))
+
+
 def radical_dimension(t0) -> int:
-    return len(radical(graded_m4a().form.at(t0)))
+    """The dimension of the radical of M(t0), the nullity of its Gram
+    matrix."""
+    return _definiteness("gram", t0).nullity
 
 
 def radical_report(points):
@@ -163,14 +227,14 @@ def radical_report(points):
 
 
 def definiteness_report(grid=DEFAULT_GRID):
+    """Whether the form of M(t0) is positive definite and semidefinite,
+    and its radical dimension, at each point of the grid."""
     report = []
     for point in grid:
         t0 = rat(point)
-        form = graded_m4a().form.at(t0)
-        result = ldlt(form.gram)
-        report.append({"t0": format_rational(t0), "pd": result.is_pd(),
-                       "psd": result.is_psd(),
-                       "radical_dim": len(radical(form))})
+        d = _definiteness("gram", t0)
+        report.append({"t0": format_rational(t0), "pd": d.pd, "psd": d.psd,
+                       "radical_dim": d.nullity})
     return report
 
 
@@ -230,10 +294,8 @@ def norton_psd(alg, form, grades) -> bool:
 
 def norton_check(t0) -> bool:
     """Exact PSD verdict of the Norton form of M(t0), on the blocks of 36,
-    10, 10 and 10 pairs of graded_m4a at t0."""
-    graded = graded_m4a()
-    return norton_psd(graded.algebra.at(t0), graded.form.at(t0),
-                      graded.grades)
+    10, 10 and 10 pairs of graded_m4a (_definiteness)."""
+    return _definiteness("norton", t0).psd
 
 
 def norton_grid_report(grid=DEFAULT_GRID):
@@ -312,12 +374,11 @@ class MajoranaVerdict:
 
 
 def majorana_certify(t0) -> MajoranaVerdict:
-    """Both verdicts at t0 from the algebra and form of graded_m4a there."""
+    """Both verdicts at t0: the Gram matrix and the Norton blocks
+    (_definiteness)."""
     t0 = rat(t0)
-    graded = graded_m4a()
-    alg, form = graded.algebra.at(t0), graded.form.at(t0)
-    return MajoranaVerdict(t0, ldlt(form.gram).is_pd(),
-                           norton_psd(alg, form, graded.grades))
+    return MajoranaVerdict(t0, _definiteness("gram", t0).pd,
+                           _definiteness("norton", t0).psd)
 
 
 def quotient_certify(t0):

@@ -18,10 +18,12 @@ mirrored once into its full rows (symmetric).
 
 from __future__ import annotations
 
+from collections import namedtuple
+from itertools import chain
 from math import prod
 
 from .errors import DimensionMismatch, NonSquare
-from .scalars import QQ, _l1
+from .scalars import QQ, _l1, rat, rational_sign
 
 
 class Matrix:
@@ -340,6 +342,45 @@ def reconstruct_ldlt(result: LDLTResult) -> Matrix:
     Ld = Matrix(field, [[result.L.data[i][j] * result.D[j] for j in range(n)]
                         for i in range(n)])
     return Ld.matmul(result.L.transpose())
+
+
+# What a point verdict keeps of an ldlt over Q(t) (ldlt_pivots): its
+# status, its pivots D and the distinct non-constant denominators of the
+# entries of L and D.  L itself is not kept.
+Pivots = namedtuple("Pivots", "status D poles")
+
+
+def ldlt_pivots(m: Matrix) -> Pivots:
+    """The Pivots of ldlt(m), for m over Q(t)."""
+    result = ldlt(m)
+    dens = {x.den for x in chain(result.D, *result.L.data)}
+    return Pivots(result.status, tuple(result.D),
+                  tuple(d for d in dens if d.degree))
+
+
+def pivot_signs(pivots: Pivots, t0):
+    """The signs (1, 0 or -1) of the pivots D at t = t0, or None when the
+    ldlt did not complete or one of its poles vanishes at t0; TypeError
+    for a float t0 (rat).
+
+    Why the signs decide the matrix B that was factored, at t0.  A
+    complete ldlt gives B = L diag(D) L^T over Q(t), with L unit lower
+    triangular.  Evaluation at t0 is a ring map on the rational functions
+    whose denominator does not vanish at t0, and at a point that is no
+    pole it is defined on every entry of L and D, so on every entry of B,
+    a sum of products of them.  So B(t0) = L(t0) diag(D(t0)) L(t0)^T, and
+    L(t0) is unit lower triangular, hence invertible: B(t0) is congruent
+    to diag(D(t0)).  By Sylvester's law of inertia B(t0) has as many
+    positive, zero and negative eigenvalues as D(t0) has positive, zero
+    and negative entries.  So B(t0) is positive definite iff every sign
+    is 1, positive semidefinite iff none is -1, and its nullity is the
+    number of zeros.
+    """
+    t0 = rat(t0)
+    if (pivots.status != LDLTResult.COMPLETE
+            or any(not p(t0) for p in pivots.poles)):
+        return None
+    return tuple(rational_sign(d.evaluate(t0)) for d in pivots.D)
 
 
 # ---------------------------------------------------------------------------

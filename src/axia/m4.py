@@ -167,12 +167,14 @@ def m4a_seeds():
 
 
 # The constructions of the family M_4A by name: "build" (build_m4a),
-# "graded" (graded_m4a) and "jordan" (jordan_m4a), each made on first use
-# from the build; clearing the cache drops all three.
+# "graded" (graded_m4a), "jordan" (jordan_m4a), and the factorisations
+# over Q(t) that point verdicts read, "gram_pivots" and "norton_pivots"
+# (certify._family_pivots), each made on first use from the build;
+# clearing the cache drops them all.
 _M4A_CACHE = {}
 
 
-def _cached(name, make):
+def cached(name, make):
     """The construction cached under name, made by make() on first use."""
     made = _M4A_CACHE.get(name)
     if made is None:
@@ -190,7 +192,7 @@ def build_m4a() -> ConstructedAlgebra:
         alg, form = complete_algebra(QT, M4A_LABELS, m4a_seeds(),
                                      list(syms.values()))
         return ConstructedAlgebra(alg, form, _M4_AXES, syms)
-    return _cached("build", build)
+    return cached("build", build)
 
 
 def graded_m4a() -> ConstructedAlgebra:
@@ -199,14 +201,15 @@ def graded_m4a() -> ConstructedAlgebra:
     its axes S^-1 a_k under the same axis keys and its five generators
     S^-1 g S, signed permutations of the new basis.  Grade 0 holds the
     nine a_k + a_-k, v_ij and w_k - t a_k, and grades 1, 2 and 3 one
-    a_-k - a_k each (k = 2, 1, 3).  A point verdict evaluates it, or
-    only the parts it reads, at t0 (at).  Built on first use, never by
-    build_m4a, and cached under "graded" in _M4A_CACHE."""
+    a_-k - a_k each (k = 2, 1, 3).  The Norton blocks are factored on
+    it over Q(t), and the boundary quotients evaluate it at t0 (at).
+    Built on first use, never by build_m4a, and cached under "graded" in
+    _M4A_CACHE."""
     def build():
         m4a = build_m4a()
         syms = m4a.symmetries
         return graded_by_involutions(m4a, [syms["tau_1"], syms["tau_2"]])
-    return _cached("graded", build)
+    return cached("graded", build)
 
 
 def jordan_m4a():
@@ -218,7 +221,7 @@ def jordan_m4a():
         alg = build_m4a().algebra
         return subalgebra_closure(
             alg, [alg.basis_vector(lab) for lab in ("v_12", "v_13", "v_23")])
-    return _cached("jordan", build)
+    return cached("jordan", build)
 
 
 def specialize_m4a(t0) -> ConstructedAlgebra:

@@ -9,6 +9,9 @@ Oracle conventions used throughout the tests:
              reproduces
 """
 
+import importlib.util
+from pathlib import Path
+
 import pytest
 
 from axia import m4
@@ -18,6 +21,16 @@ from axia.algebra import Algebra, BilinearForm
 from axia.linalg import upper_pairs
 from axia.m4 import build_m4a, build_m4b
 from axia.scalars import QT, Polynomial, RationalFunction, rat
+
+
+def bench_workloads():
+    """bench/workloads.py, loaded from its file; it imports nothing from
+    axia."""
+    path = Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("bench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def rf(num_coeffs, den_coeffs=("1",)):

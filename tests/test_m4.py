@@ -1,8 +1,6 @@
 """The 7-dimensional M_4B and the 12-dimensional symbolic family M_4A."""
 
-import importlib.util
 from fractions import Fraction
-from pathlib import Path
 
 import pytest
 
@@ -17,23 +15,14 @@ from axia.m4 import (M4A_LABELS, M4B_LABELS, graded_m4a, m4_symmetries,
                      reference_a1_eigenvectors, specialize_m4a,
                      verify_dependencies)
 from axia.scalars import QQ, QT, rat
+from conftest import bench_workloads
 from group_reference import mulclose
 from m4_reference import m4a_three_copies, m4b_three_copies
 from m4a_gram_reference import m4a_gram
 
 
-def _bench_workloads():
-    """bench/workloads.py, loaded from its file; it imports nothing from
-    axia."""
-    path = Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
-    spec = importlib.util.spec_from_file_location("bench_workloads", path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
 # the certification grid and the point-grid workload's seeded points
-AT_POINTS = DEFAULT_GRID + _bench_workloads().seeded_points(1)
+AT_POINTS = DEFAULT_GRID + bench_workloads().seeded_points(1)
 
 MONSTER_EVS = tuple(QQ.of(x) for x in ("1", "0", "1/4", "1/32"))
 

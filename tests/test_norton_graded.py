@@ -1,8 +1,8 @@
-"""Every point verdict on the C2 x C2-graded basis of M_4A.
+"""The C2 x C2-graded basis of M_4A and the point verdicts that read it.
 
 The graded basis (m4.graded_m4a) is checked against the basis it should
-be, its build against tampered involutions, tables and forms, and its
-verdicts (definiteness, radical, Norton, Majorana and the boundary
+be, its build against tampered involutions, tables and forms, and the
+point verdicts (definiteness, radical, Norton, Majorana and the boundary
 quotients) against the verdicts on the original basis in
 tests/norton_reference.py.
 """
@@ -389,8 +389,8 @@ def test_only_the_quotient_evaluates_the_graded_axes(monkeypatch, verdict,
 
 
 def test_the_form_only_verdicts_never_evaluate_the_table(monkeypatch):
-    # definiteness and the radical read the graded Gram matrix alone: at
-    # each point they evaluate the form and never the algebra
+    # definiteness and the radical read the Gram matrix alone: they
+    # never evaluate the algebra
     def forbidden(self, t0):
         raise AssertionError("Algebra.at in a form-only verdict")
     graded = m4.graded_m4a()
