@@ -607,12 +607,6 @@ def _absorbs(alg: Algebra, basis: Matrix):
     return len(span_rref(field, rows + products)[1]) == len(rows)
 
 
-def is_ideal(alg: Algebra, subspace):
-    """True iff the span of the subspace absorbs products with the basis."""
-    return _absorbs(alg, span_rref(alg.field,
-                                   [tuple(v) for v in subspace])[0])
-
-
 def quotient(alg: Algebra, form: BilinearForm, ideal):
     """Quotient algebra and induced form on a complement basis.
 

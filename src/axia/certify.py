@@ -10,7 +10,7 @@ the 4A-axis fusion rule, its C2 x C2 grading and the Jordan-type
 subalgebra generated by the three 4A axes.
 
 Definiteness, the radical, Norton and Majorana at a rational point are
-read off the signs at t0 of LDLT pivots over Q(t) (linalg.pivot_signs):
+read off the signs at t0 of LDLT pivots over Q(t) (LDLTResult.signs):
 those of the Gram matrix of build_m4a, and those of the four Norton
 blocks of the C2 x C2-graded basis of m4.graded_m4a, whose basis change
 S has a nonzero constant determinant, so that its verdicts are the ones
@@ -18,9 +18,10 @@ on the original basis.  Each matrix is factored once (_family_pivots);
 away from the poles of its L and D no matrix is built at t0.  At a pole
 (-1/4 and 3/8 for the Gram matrix, -7/8, -1/4 and 3/8 for the blocks),
 or when a factorisation did not complete, the one fallback in
-_definiteness evaluates the matrices at t0 and decides each by its own
-LDLT.  The boundary quotients are taken at t0 on the graded basis
-(at), since they need the radical itself.
+_point_signs decides the factored matrix at t0 by its own LDLT, with a
+kernel only for a Gram matrix whose LDLT fails there.  The boundary
+quotients are taken at t0 on the graded basis (at), since they need the
+radical itself.
 
 The verification suites and v4a_certify decompose one axis per symmetry
 orbit: an automorphism g with g a = b conjugates ad_a to ad_b, so it
@@ -51,8 +52,7 @@ from .algebra import (axis_decomposition, check_graded, form_products,
                       verify_frobenius, verify_grading, is_automorphism)
 from .catalog import dihedral, f4a_rule, jordan_half_rule, monster_rule
 from .errors import NotAnIdeal, NotIdempotent, NotSemisimple, PoleAtPoint
-from .linalg import (Matrix, determinant, kernel_basis, ldlt, ldlt_pivots,
-                     pivot_signs, symmetric)
+from .linalg import Matrix, determinant, kernel_basis, ldlt, symmetric
 from .m4 import (build_m4a, build_m4b, cached, graded_m4a, jordan_m4a,
                  reference_v_eigenvectors, verify_dependencies)
 from .scalars import (QQ, QT, RationalFunction, count_roots_open,
@@ -72,8 +72,8 @@ def gram_analysis():
     """Exact determinant and natural-order LDLT diagonal of the Gram
     matrix of the symbolic M_4A; the diagonal is the D of its cached
     factorisation (_family_pivots)."""
-    (pivots,) = _family_pivots("gram")
-    return determinant(build_m4a().form.gram), pivots.D
+    (gram,) = _family_pivots("gram")
+    return determinant(gram.m), gram.D
 
 
 def gram_det_closed_form() -> RationalFunction:
@@ -163,61 +163,63 @@ def gram_report():
 # Point verdicts, read off the family's pivots
 # ---------------------------------------------------------------------------
 
-def _family_matrices(name, t0=None):
-    """The matrices a point verdict reads, over Q(t) or at t0: for "gram"
-    the Gram matrix of build_m4a, and for "norton" the four
-    norton_blocks of graded_m4a, at t0 built from its algebra and form
-    there."""
-    if name == "gram":
-        gram = build_m4a().form.gram
-        return [gram if t0 is None else gram.at(t0)]
-    graded = graded_m4a()
-    alg, form = graded.algebra, graded.form
-    if t0 is not None:
-        alg, form = alg.at(t0), form.at(t0)
-    return norton_blocks(alg, form, graded.grades)
-
-
 def _family_pivots(name):
-    """The ldlt_pivots of each of the _family_matrices name over Q(t).
-    Made on first use, never by build_m4a, and cached under
-    "<name>_pivots" in m4._M4A_CACHE, so they go with the build."""
-    return cached(f"{name}_pivots", lambda: [
-        ldlt_pivots(m) for m in _family_matrices(name)])
+    """The ldlt over Q(t) of each matrix a point verdict reads: for "gram"
+    the Gram matrix of build_m4a, and for "norton" the four norton_blocks
+    of graded_m4a.  Made on first use, never by build_m4a, and cached
+    under "<name>_pivots" in m4._M4A_CACHE, so they go with the build."""
+    def factor():
+        if name == "gram":
+            return [ldlt(build_m4a().form.gram)]
+        graded = graded_m4a()
+        return [ldlt(m) for m in norton_blocks(graded.algebra, graded.form,
+                                               graded.grades)]
+    return cached(f"{name}_pivots", factor)
 
 
-# whether matrices are all positive definite, all positive semidefinite,
-# and their total nullity
-_Definiteness = namedtuple("_Definiteness", "pd psd nullity")
+def _point_signs(name, t0):
+    """The signs at t0 of the pivots of the _family_pivots name, in one
+    list, or None when one of their matrices is not PSD at t0.
 
-
-def _definiteness(name, t0):
-    """The _Definiteness of the _family_matrices name at t0.
-
-    It is read off the signs of their pivots over Q(t) at t0
-    (pivot_signs), with no matrix built at t0.  The table and form of
-    M_4A are polynomial in t, so these matrices at t0 are the ones over
-    Q(t) evaluated there, which pivot_signs decides.  Where it gives None,
-    at a pole of a factorisation or when one did not complete, each
-    matrix is evaluated at t0 and decided by its own ldlt, with its
-    kernel_basis for the nullity."""
+    The table and form of M_4A are polynomial in t, so each matrix at t0
+    is its cached ldlt r's matrix r.m evaluated there, and r.signs(t0)
+    decide it with nothing built at t0.  Where those are None, at a pole
+    of r or when r did not complete, r.m.at(t0), which meets no pole, is
+    factored instead; a matrix whose ldlt fails there is not PSD."""
     t0 = rat(t0)
-    signs = [pivot_signs(p, t0) for p in _family_pivots(name)]
-    if None not in signs:
-        signs = [s for block in signs for s in block]
-        return _Definiteness(all(s > 0 for s in signs),
-                             all(s >= 0 for s in signs), signs.count(0))
-    mats = _family_matrices(name, t0)
-    results = [ldlt(m) for m in mats]
-    return _Definiteness(all(r.is_pd() for r in results),
-                         all(r.is_psd() for r in results),
-                         sum(len(kernel_basis(m)) for m in mats))
+    signs = []
+    for r in _family_pivots(name):
+        s = r.signs(t0)
+        if s is None:
+            s = ldlt(r.m.at(t0)).signs()
+            if s is None:
+                return None
+        signs += s
+    return signs
+
+
+def _pd(signs):
+    return signs is not None and all(s > 0 for s in signs)
+
+
+def _psd(signs):
+    return signs is not None and all(s >= 0 for s in signs)
+
+
+def _gram_nullity(t0, signs):
+    """The nullity of the Gram matrix at the rational t0: the number of
+    zeros among its _point_signs, or the size of its kernel at t0."""
+    if signs is not None:
+        return signs.count(0)
+    (gram,) = _family_pivots("gram")
+    return len(kernel_basis(gram.m.at(t0)))
 
 
 def radical_dimension(t0) -> int:
     """The dimension of the radical of M(t0), the nullity of its Gram
     matrix."""
-    return _definiteness("gram", t0).nullity
+    t0 = rat(t0)
+    return _gram_nullity(t0, _point_signs("gram", t0))
 
 
 def radical_report(points):
@@ -232,9 +234,10 @@ def definiteness_report(grid=DEFAULT_GRID):
     report = []
     for point in grid:
         t0 = rat(point)
-        d = _definiteness("gram", t0)
-        report.append({"t0": format_rational(t0), "pd": d.pd, "psd": d.psd,
-                       "radical_dim": d.nullity})
+        signs = _point_signs("gram", t0)
+        report.append({"t0": format_rational(t0), "pd": _pd(signs),
+                       "psd": _psd(signs),
+                       "radical_dim": _gram_nullity(t0, signs)})
     return report
 
 
@@ -294,8 +297,8 @@ def norton_psd(alg, form, grades) -> bool:
 
 def norton_check(t0) -> bool:
     """Exact PSD verdict of the Norton form of M(t0), on the blocks of 36,
-    10, 10 and 10 pairs of graded_m4a (_definiteness)."""
-    return _definiteness("norton", t0).psd
+    10, 10 and 10 pairs of graded_m4a (_point_signs)."""
+    return _psd(_point_signs("norton", t0))
 
 
 def norton_grid_report(grid=DEFAULT_GRID):
@@ -375,10 +378,10 @@ class MajoranaVerdict:
 
 def majorana_certify(t0) -> MajoranaVerdict:
     """Both verdicts at t0: the Gram matrix and the Norton blocks
-    (_definiteness)."""
+    (_point_signs)."""
     t0 = rat(t0)
-    return MajoranaVerdict(t0, _definiteness("gram", t0).pd,
-                           _definiteness("norton", t0).psd)
+    return MajoranaVerdict(t0, _pd(_point_signs("gram", t0)),
+                           _psd(_point_signs("norton", t0)))
 
 
 def quotient_certify(t0):

@@ -18,7 +18,7 @@ mirrored once into its full rows (symmetric).
 
 from __future__ import annotations
 
-from collections import namedtuple
+from functools import cached_property
 from itertools import chain
 from math import prod
 
@@ -251,7 +251,7 @@ def determinant(m: Matrix):
 # ---------------------------------------------------------------------------
 
 class LDLTResult:
-    """Outcome of a natural-order, no-pivoting LDLT decomposition.
+    """Outcome of a natural-order, no-pivoting LDLT decomposition of m.
 
     status is "COMPLETE" or "FAILED_INDEFINITE"; on failure, certificate
     is the (row, col) of a nonzero entry below an exactly-zero pivot,
@@ -262,21 +262,56 @@ class LDLTResult:
     COMPLETE = "COMPLETE"
     FAILED_INDEFINITE = "FAILED_INDEFINITE"
 
-    def __init__(self, field, L, D, status, certificate=None):
-        self.field = field
+    def __init__(self, m, L, D, status, certificate=None):
+        self.field = m.field
+        self.m = m
         self.L = L
         self.D = D
         self.status = status
         self.certificate = certificate
 
+    @cached_property
+    def poles(self):
+        """The distinct non-constant denominators of the entries of L and
+        D, over Q(t)."""
+        dens = {x.den for x in chain(self.D, *self.L.data)}
+        return tuple(d for d in dens if d.degree)
+
+    def signs(self, t0=None):
+        """The signs (1, 0 or -1) of the pivots D, or None when the LDLT
+        did not complete.  Over Q(t), the signs of D(t0), or None too
+        where a pole vanishes at t0; TypeError for a float t0 (rat), and
+        for no t0 (field.sign).
+
+        Why they decide m.  A complete LDLT gives m = L diag(D) L^T with L
+        unit lower triangular, hence invertible, so m is congruent to
+        diag(D).  Over Q(t), evaluation at t0 is a ring map on the
+        rational functions whose denominator does not vanish at t0; at a
+        point that is no pole it is defined on every entry of L and D, so
+        on every entry of m, a sum of products of them, and m(t0) =
+        L(t0) diag(D(t0)) L(t0)^T with L(t0) unit lower triangular.  By
+        Sylvester's law of inertia the matrix then has as many positive,
+        zero and negative eigenvalues as there are signs 1, 0 and -1: it
+        is positive definite iff every sign is 1, positive semidefinite
+        iff none is -1, and its nullity is the number of zeros.
+        """
+        if t0 is None:
+            if self.status != self.COMPLETE:
+                return None
+            return tuple(map(self.field.sign, self.D))
+        t0 = rat(t0)
+        if (self.status != self.COMPLETE
+                or any(not p(t0) for p in self.poles)):
+            return None
+        return tuple(rational_sign(d.evaluate(t0)) for d in self.D)
+
     def is_psd(self):
-        if self.status != self.COMPLETE:
-            return False
-        return all(self.field.sign(d) >= 0 for d in self.D)
+        signs = self.signs()
+        return signs is not None and all(s >= 0 for s in signs)
 
     def is_pd(self):
-        return (self.status == self.COMPLETE
-                and all(self.field.sign(d) > 0 for d in self.D))
+        signs = self.signs()
+        return signs is not None and all(s > 0 for s in signs)
 
 
 def ldlt(m: Matrix) -> LDLTResult:
@@ -311,7 +346,7 @@ def ldlt(m: Matrix) -> LDLTResult:
             for i in range(j + 1, n):
                 if not is_zero(col[i - j]):
                     L = _expand_l(field, lrows, active, n)
-                    return LDLTResult(field, L, D,
+                    return LDLTResult(m, L, D,
                                       LDLTResult.FAILED_INDEFINITE, (i, j))
             D.append(z)
             continue
@@ -321,7 +356,7 @@ def ldlt(m: Matrix) -> LDLTResult:
             lrows[i].append(c if is_zero(c) else c / dj)
         active.append(j)
     L = _expand_l(field, lrows, active, n)
-    return LDLTResult(field, L, D, LDLTResult.COMPLETE)
+    return LDLTResult(m, L, D, LDLTResult.COMPLETE)
 
 
 def _expand_l(field, lrows, active, n):
@@ -342,45 +377,6 @@ def reconstruct_ldlt(result: LDLTResult) -> Matrix:
     Ld = Matrix(field, [[result.L.data[i][j] * result.D[j] for j in range(n)]
                         for i in range(n)])
     return Ld.matmul(result.L.transpose())
-
-
-# What a point verdict keeps of an ldlt over Q(t) (ldlt_pivots): its
-# status, its pivots D and the distinct non-constant denominators of the
-# entries of L and D.  L itself is not kept.
-Pivots = namedtuple("Pivots", "status D poles")
-
-
-def ldlt_pivots(m: Matrix) -> Pivots:
-    """The Pivots of ldlt(m), for m over Q(t)."""
-    result = ldlt(m)
-    dens = {x.den for x in chain(result.D, *result.L.data)}
-    return Pivots(result.status, tuple(result.D),
-                  tuple(d for d in dens if d.degree))
-
-
-def pivot_signs(pivots: Pivots, t0):
-    """The signs (1, 0 or -1) of the pivots D at t = t0, or None when the
-    ldlt did not complete or one of its poles vanishes at t0; TypeError
-    for a float t0 (rat).
-
-    Why the signs decide the matrix B that was factored, at t0.  A
-    complete ldlt gives B = L diag(D) L^T over Q(t), with L unit lower
-    triangular.  Evaluation at t0 is a ring map on the rational functions
-    whose denominator does not vanish at t0, and at a point that is no
-    pole it is defined on every entry of L and D, so on every entry of B,
-    a sum of products of them.  So B(t0) = L(t0) diag(D(t0)) L(t0)^T, and
-    L(t0) is unit lower triangular, hence invertible: B(t0) is congruent
-    to diag(D(t0)).  By Sylvester's law of inertia B(t0) has as many
-    positive, zero and negative eigenvalues as D(t0) has positive, zero
-    and negative entries.  So B(t0) is positive definite iff every sign
-    is 1, positive semidefinite iff none is -1, and its nullity is the
-    number of zeros.
-    """
-    t0 = rat(t0)
-    if (pivots.status != LDLTResult.COMPLETE
-            or any(not p(t0) for p in pivots.poles)):
-        return None
-    return tuple(rational_sign(d.evaluate(t0)) for d in pivots.D)
 
 
 # ---------------------------------------------------------------------------

@@ -167,10 +167,10 @@ def m4a_seeds():
 
 
 # The constructions of the family M_4A by name: "build" (build_m4a),
-# "graded" (graded_m4a), "jordan" (jordan_m4a), and the factorisations
-# over Q(t) that point verdicts read, "gram_pivots" and "norton_pivots"
-# (certify._family_pivots), each made on first use from the build;
-# clearing the cache drops them all.
+# "graded" (graded_m4a), "jordan" (jordan_m4a), and the LDLTResult over
+# Q(t), with its matrix, L and D, of each matrix that point verdicts read,
+# "gram_pivots" and "norton_pivots" (certify._family_pivots); each is made
+# on first use from the build, and clearing the cache drops them all.
 _M4A_CACHE = {}
 
 
@@ -249,49 +249,6 @@ def verify_dependencies(m4a: ConstructedAlgebra):
 # ---------------------------------------------------------------------------
 # Reference eigenvectors (verification inputs only)
 # ---------------------------------------------------------------------------
-
-def reference_a1_eigenvectors():
-    """Published eigenvectors of ad_{a_1} on M_4A, as {eigenvalue: [vector]}.
-
-    Three entries are stored with a_k + a_-k where the source prints
-    a_k - a_-k (the 1/4-eigenspace is fixed by tau(a_1), which forces the
-    symmetric combination), one v_12 is corrected to v_13, and the first
-    1/4-eigenvector carries the sign pattern forced by tau(a_1)-invariance.
-    """
-    field = QT
-    t = field.t
-    c = field.of
-    m4a = build_m4a()
-    vec = m4a.algebra.vector
-    return {
-        c(0): [
-            vec({"a_1": c("-1/4") * t, "a_2": c("-1/2") * t,
-                 "a_-2": c("1/2") * t, "a_3": c("-1/2") * t,
-                 "a_-3": c("1/2") * t, "v_23": c("-1/8"),
-                 "w_2": c(1), "w_3": c(1)}),
-            vec({"a_1": c("-3/4") * t, "v_23": c("-1/4"), "w_1": c(1)}),
-            vec({"a_1": c("-1/2"), "a_2": c(2), "a_-2": c(2),
-                 "v_12": c(1)}),
-            vec({"a_1": c("-1/2"), "a_3": c(2), "a_-3": c(2),
-                 "v_13": c(1)}),
-            vec({"a_-1": c(1)}),
-        ],
-        c("1/4"): [
-            vec({"a_2": c("1/2") * t, "a_-2": c("-1/2") * t,
-                 "a_3": c("-1/2") * t, "a_-3": c("1/2") * t,
-                 "w_2": c(-1), "w_3": c(1)}),
-            vec({"a_1": -t, "w_1": c(1)}),
-            vec({"a_1": c("-1/3"), "a_-1": c("-1/3"), "a_2": c("-2/3"),
-                 "a_-2": c("-2/3"), "v_12": c(1)}),
-            vec({"a_1": c("-1/3"), "a_-1": c("-1/3"), "a_3": c("-2/3"),
-                 "a_-3": c("-2/3"), "v_13": c(1)}),
-        ],
-        c("1/32"): [
-            vec({"a_2": c(1), "a_-2": c(-1)}),
-            vec({"a_3": c(1), "a_-3": c(-1)}),
-        ],
-    }
-
 
 def reference_v_eigenvectors(i, j):
     """Published eigenvectors of ad_{v_(i,j)} ({i,j,k} = {1,2,3}),

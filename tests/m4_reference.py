@@ -14,6 +14,10 @@ had before every record over Q(t) took its own at(t0), copied verbatim.
 They evaluate each entry with RationalFunction.evaluate, independently
 of at; tests/test_m4.py holds at to them, and the Norton and axial
 oracles evaluate through them.
+
+reference_a1_eigenvectors, the published eigenvectors of ad_{a_1}, moved
+here from axia.m4, where no command reached it; tests/test_m4.py checks
+them against the product of build_m4a.
 """
 
 from axia.algebra import Algebra, BilinearForm, ConstructedAlgebra
@@ -110,3 +114,46 @@ def specialize_graded_m4a(t0):
     and symmetries."""
     graded = graded_m4a()
     return (*specialize(graded.algebra, graded.form, t0), graded.grades)
+
+
+def reference_a1_eigenvectors():
+    """Published eigenvectors of ad_{a_1} on M_4A, as {eigenvalue: [vector]}.
+
+    Three entries are stored with a_k + a_-k where the source prints
+    a_k - a_-k (the 1/4-eigenspace is fixed by tau(a_1), which forces the
+    symmetric combination), one v_12 is corrected to v_13, and the first
+    1/4-eigenvector carries the sign pattern forced by tau(a_1)-invariance.
+    """
+    field = QT
+    t = field.t
+    c = field.of
+    m4a = build_m4a()
+    vec = m4a.algebra.vector
+    return {
+        c(0): [
+            vec({"a_1": c("-1/4") * t, "a_2": c("-1/2") * t,
+                 "a_-2": c("1/2") * t, "a_3": c("-1/2") * t,
+                 "a_-3": c("1/2") * t, "v_23": c("-1/8"),
+                 "w_2": c(1), "w_3": c(1)}),
+            vec({"a_1": c("-3/4") * t, "v_23": c("-1/4"), "w_1": c(1)}),
+            vec({"a_1": c("-1/2"), "a_2": c(2), "a_-2": c(2),
+                 "v_12": c(1)}),
+            vec({"a_1": c("-1/2"), "a_3": c(2), "a_-3": c(2),
+                 "v_13": c(1)}),
+            vec({"a_-1": c(1)}),
+        ],
+        c("1/4"): [
+            vec({"a_2": c("1/2") * t, "a_-2": c("-1/2") * t,
+                 "a_3": c("-1/2") * t, "a_-3": c("1/2") * t,
+                 "w_2": c(-1), "w_3": c(1)}),
+            vec({"a_1": -t, "w_1": c(1)}),
+            vec({"a_1": c("-1/3"), "a_-1": c("-1/3"), "a_2": c("-2/3"),
+                 "a_-2": c("-2/3"), "v_12": c(1)}),
+            vec({"a_1": c("-1/3"), "a_-1": c("-1/3"), "a_3": c("-2/3"),
+                 "a_-3": c("-2/3"), "v_13": c(1)}),
+        ],
+        c("1/32"): [
+            vec({"a_2": c(1), "a_-2": c(-1)}),
+            vec({"a_3": c(1), "a_-3": c(-1)}),
+        ],
+    }

@@ -8,8 +8,7 @@ import pytest
 
 from axia.algebra import (Algebra, BilinearForm, ConstructedAlgebra,
                           FusionRule, axis_decomposition, is_automorphism,
-                          is_ideal, miyamoto, quotient, radical,
-                          subalgebra_closure,
+                          miyamoto, quotient, radical, subalgebra_closure,
                           verify_frobenius, verify_fusion, verify_grading)
 from axia.catalog import dihedral, f4a_rule, monster_rule
 from axia.errors import (DimensionMismatch, NotAnIdeal, NotIdempotent,
@@ -22,6 +21,7 @@ from axia.serialize import algebra_to_json
 from conftest import tampered_gram, tampered_table
 from form_reference import (form_apply_reference, quotient_reference,
                             verify_frobenius_reference)
+from ideal_reference import is_ideal
 from miyamoto_reference import inverse, miyamoto_reference
 
 MONSTER_EVS = tuple(QQ.of(x) for x in ("1", "0", "1/4", "1/32"))

@@ -516,8 +516,8 @@ def test_eigenspace_orthogonality_m4a(m4a):
 # ---------------------------------------------------------------------------
 
 def test_radical_is_an_ideal_at_boundary():
-    from axia.algebra import is_ideal
     from axia.m4 import specialize_m4a
+    from ideal_reference import is_ideal
     spec = specialize_m4a(rat(0))
     rad = radical(spec.form)
     assert len(rad) == 3

@@ -12,10 +12,9 @@ import elimination_reference
 from axia import certify as cert
 from axia import linalg
 from axia.errors import DimensionMismatch
-from axia.linalg import (LDLTResult, Matrix, Pivots, _expand_l, determinant,
-                         kernel_basis, ldlt, ldlt_pivots, pivot_signs,
-                         reconstruct_ldlt, remainder_map, rref, span_rref,
-                         vec_is_zero)
+from axia.linalg import (LDLTResult, Matrix, _expand_l, determinant,
+                         kernel_basis, ldlt, reconstruct_ldlt, remainder_map,
+                         rref, span_rref, vec_is_zero)
 from axia.scalars import QQ, QT, _past, rat
 
 
@@ -661,38 +660,47 @@ def test_pivot_signs_of_a_polynomial_factorisation():
     # [[1, t], [t, 1]] = L diag(1, 1 - t^2) L^T with L = [[1, 0], [t, 1]]:
     # no pole, so every point is read
     t = QT.t
-    pivots = ldlt_pivots(Matrix(QT, [[QT.one, t], [t, QT.one]]))
-    assert pivots == Pivots(LDLTResult.COMPLETE, (QT.one, 1 - t * t), ())
-    assert pivot_signs(pivots, "0") == (1, 1)
-    assert pivot_signs(pivots, "-1") == (1, 0)
-    assert pivot_signs(pivots, rat("3/2")) == (1, -1)
+    m = Matrix(QT, [[QT.one, t], [t, QT.one]])
+    result = ldlt(m)
+    assert result.m is m
+    assert (result.status, result.D, result.poles) == (
+        LDLTResult.COMPLETE, [QT.one, 1 - t * t], ())
+    assert result.signs("0") == (1, 1)
+    assert result.signs("-1") == (1, 0)
+    assert result.signs(rat("3/2")) == (1, -1)
 
 
 def test_pivot_signs_is_none_at_a_pole_and_after_a_failed_ldlt():
     # [[t, 1], [1, 0]] has D = (t, -1/t) and L[1][0] = 1/t: its pole is 0
     t = QT.t
-    pivots = ldlt_pivots(Matrix(QT, [[t, QT.one], [QT.one, QT.zero]]))
-    assert [str(p) for p in pivots.poles] == ["t"]
-    assert pivot_signs(pivots, "0") is None
-    assert pivot_signs(pivots, "1/2") == (1, -1)
-    assert pivot_signs(pivots, "-1/2") == (-1, 1)
+    result = ldlt(Matrix(QT, [[t, QT.one], [QT.one, QT.zero]]))
+    assert [str(p) for p in result.poles] == ["t"]
+    assert result.signs("0") is None
+    assert result.signs("1/2") == (1, -1)
+    assert result.signs("-1/2") == (-1, 1)
     # [[t^2, t], [t, 0]] has D = (t^2, -1) and L[1][0] = 1/t: at 0 the
     # matrix is zero, so PSD with nullity 2, while D(0) reads (0, -1);
     # the pole of L alone must stop the reading
-    pivots = ldlt_pivots(Matrix(QT, [[t * t, t], [t, QT.zero]]))
-    assert pivots.D == (t * t, -QT.one)
-    assert [str(p) for p in pivots.poles] == ["t"]
-    assert pivot_signs(pivots, "0") is None
-    assert pivot_signs(pivots, "1") == (1, -1)
-    failed = ldlt_pivots(Matrix(QT, [[QT.zero, t], [t, QT.zero]]))
+    result = ldlt(Matrix(QT, [[t * t, t], [t, QT.zero]]))
+    assert result.D == [t * t, -QT.one]
+    assert [str(p) for p in result.poles] == ["t"]
+    assert result.signs("0") is None
+    assert result.signs("1") == (1, -1)
+    failed = ldlt(Matrix(QT, [[QT.zero, t], [t, QT.zero]]))
     assert failed.status == LDLTResult.FAILED_INDEFINITE
-    assert pivot_signs(failed, "1") is None
+    assert failed.signs("1") is None
+    assert failed.signs() is None
+    # over Q the signs are read with no point, and None after a failure
+    assert ldlt(qm([[2, 1], [1, 0]])).signs() == (1, -1)
+    assert ldlt(qm([[0, 1], [1, 0]])).signs() is None
 
 
 def test_pivot_signs_refuses_a_float():
-    pivots = ldlt_pivots(Matrix(QT, [[QT.one]]))
+    result = ldlt(Matrix(QT, [[QT.one]]))
     with pytest.raises(TypeError, match="float"):
-        pivot_signs(pivots, 0.5)
+        result.signs(0.5)
+    with pytest.raises(TypeError, match="no sign on Q"):
+        result.signs()
 
 
 def _random_symbolic_symmetric(rng, n):
@@ -714,9 +722,9 @@ def test_pivot_signs_give_the_inertia_sympy_finds():
     read = 0
     for _ in range(12):
         m = _random_symbolic_symmetric(rng, 4)
-        pivots = ldlt_pivots(m)
+        result = ldlt(m)
         for t0 in ("-2", "-1/3", "0", "1/5", "7/4"):
-            signs = pivot_signs(pivots, t0)
+            signs = result.signs(t0)
             if signs is None:
                 continue
             read += 1

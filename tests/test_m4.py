@@ -12,12 +12,12 @@ from axia.certify import DEFAULT_GRID
 from axia.errors import PoleAtPoint
 from axia.linalg import Matrix, determinant, ldlt
 from axia.m4 import (M4A_LABELS, M4B_LABELS, graded_m4a, m4_symmetries,
-                     reference_a1_eigenvectors, specialize_m4a,
-                     verify_dependencies)
+                     specialize_m4a, verify_dependencies)
 from axia.scalars import QQ, QT, rat
 from conftest import bench_workloads
 from group_reference import mulclose
-from m4_reference import m4a_three_copies, m4b_three_copies
+from m4_reference import (m4a_three_copies, m4b_three_copies,
+                          reference_a1_eigenvectors)
 from m4a_gram_reference import m4a_gram
 
 

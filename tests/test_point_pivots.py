@@ -2,11 +2,12 @@
 
 Definiteness, the radical, Norton and Majorana at a point read the signs
 at t0 of the cached LDLT pivots of the Gram matrix and of the four
-graded Norton blocks (certify._definiteness).  They are checked here
+graded Norton blocks (certify._point_signs).  They are checked here
 against the verdicts on the original basis in tests/norton_reference.py,
 and counted: at a point that is no pole nothing is built or eliminated
 at t0, and at each rational pole, or after a factorisation that did not
-complete, the one fallback decides the point at t0.
+complete, the one fallback evaluates the factored matrix at t0 and
+factors it there, with a kernel only for a Gram matrix whose LDLT fails.
 """
 
 import random
@@ -17,8 +18,8 @@ import pytest
 from axia import certify as cert
 from axia import linalg, m4
 from axia.algebra import Algebra, BilinearForm
-from axia.linalg import LDLTResult, Matrix, Pivots
-from axia.scalars import rat
+from axia.linalg import LDLTResult, Matrix, reconstruct_ldlt
+from axia.scalars import QQ, QT, rat
 from conftest import bench_workloads
 
 import norton_reference
@@ -29,6 +30,8 @@ from norton_reference import gram_pd_reference, norton_check_reference
 POLES = {"-1/4": {"gram", "norton"}, "3/8": {"gram", "norton"},
          "-7/8": {"norton"}}
 ZEROS = ("0", "1/6", "9/4")
+# the family of a factored matrix, by its size
+FAMILY = {12: "gram", 36: "norton", 10: "norton"}
 
 
 def _random_points(count, seed=20261020):
@@ -117,33 +120,82 @@ def test_no_verdict_works_at_a_point_that_is_no_pole(monkeypatch):
 
 
 def _recording_fallbacks(monkeypatch):
-    """The names of the families that the fallback evaluates at a
-    point, one per fallback."""
-    names = []
-    family = cert._family_matrices
+    """The sizes of the matrices that the fallback factors at a point,
+    one per factorisation."""
+    sizes = []
+    factor = cert.ldlt
 
-    def recording(name, t0=None):
-        if t0 is not None:
-            names.append(name)
-        return family(name, t0)
-    monkeypatch.setattr(cert, "_family_matrices", recording)
-    return names
+    def recording(m):
+        if m.field is QQ:
+            sizes.append(m.rows)
+        return factor(m)
+    monkeypatch.setattr(cert, "ldlt", recording)
+    return sizes
 
 
 @pytest.mark.parametrize("t0", sorted(POLES))
 def test_the_fallback_runs_at_each_rational_pole(monkeypatch, t0):
-    names = _recording_fallbacks(monkeypatch)
+    sizes = _recording_fallbacks(monkeypatch)
     assert cert.norton_check(t0) is False
     (row,) = cert.definiteness_report([t0])
-    assert set(names) == POLES[t0]
+    assert {FAMILY[k] for k in sizes} == POLES[t0]
     assert (row["pd"], row["psd"], row["radical_dim"]) == (False, False, 0)
 
 
 @pytest.mark.parametrize("t0", ZEROS + ("1/12", "-1/10"))
 def test_no_fallback_where_no_factorisation_has_a_pole(monkeypatch, t0):
-    names = _recording_fallbacks(monkeypatch)
+    sizes = _recording_fallbacks(monkeypatch)
     _all_verdicts(t0)
-    assert names == []
+    assert sizes == []
+
+
+@pytest.mark.parametrize("t0", sorted(POLES))
+def test_the_fallback_evaluates_the_factored_matrices(monkeypatch, t0):
+    # at a pole the fallback reads each cached record's matrix at t0,
+    # which is the one rebuilt from the graded algebra there; it builds
+    # no algebra, form or Norton block at t0
+    t0 = rat(t0)
+    spec = m4.graded_m4a().at(t0)
+    blocks = cert.norton_blocks(spec.algebra, spec.form, spec.grades)
+    assert [r.m.at(t0) for r in cert._family_pivots("norton")] == blocks
+    (gram,) = cert._family_pivots("gram")
+    assert gram.m.at(t0) == m4.build_m4a().form.gram.at(t0)
+
+    def forbidden(name):
+        def call(*args):
+            raise AssertionError(f"{name} in the fallback")
+        return call
+    monkeypatch.setattr(cert, "norton_blocks", forbidden("norton_blocks"))
+    for cls in (Algebra, BilinearForm):
+        monkeypatch.setattr(cls, "at", forbidden(f"{cls.__name__}.at"))
+    (row,) = cert.definiteness_report([t0])
+    assert ((row["pd"], row["psd"], row["radical_dim"])
+            == norton_reference.definiteness_at(t0))
+    assert cert.norton_check(t0) is norton_check_reference(t0)
+
+
+def test_a_kernel_only_for_a_gram_matrix_whose_point_ldlt_fails(
+        monkeypatch):
+    sizes = []
+    kernel = cert.kernel_basis
+
+    def counting(m):
+        sizes.append(m.rows)
+        return kernel(m)
+    monkeypatch.setattr(cert, "kernel_basis", counting)
+    for t0 in POLES:
+        assert cert.norton_check(t0) is norton_check_reference(t0)
+    assert sizes == []
+    for t0 in ("3/8", "-1/4"):
+        assert (cert.radical_dimension(t0)
+                == norton_reference.radical_dimension(rat(t0)))
+        assert sizes == [12]
+        sizes.clear()
+    # at -7/8 the Gram matrix has no pole, and at the zeros its signs
+    # give the nullity
+    for t0 in ("-7/8",) + ZEROS:
+        cert.radical_dimension(t0)
+    assert sizes == []
 
 
 def test_the_form_only_verdicts_never_build_the_graded_algebra(monkeypatch):
@@ -158,42 +210,67 @@ def test_the_form_only_verdicts_never_build_the_graded_algebra(monkeypatch):
     assert set(m4._M4A_CACHE) == {"build", "gram_pivots"}
 
 
+def _failed(records):
+    """The records with their status set to FAILED_INDEFINITE."""
+    return [LDLTResult(r.m, r.L, r.D, LDLTResult.FAILED_INDEFINITE)
+            for r in records]
+
+
 def test_a_factorisation_that_failed_falls_back_to_the_point_path(
         monkeypatch):
-    failed = Pivots(LDLTResult.FAILED_INDEFINITE, (), ())
-    monkeypatch.setattr(m4, "_M4A_CACHE", {
-        "build": m4.build_m4a(), "graded": m4.graded_m4a(),
-        "gram_pivots": [failed], "norton_pivots": [failed] * 4})
-    names = _recording_fallbacks(monkeypatch)
-    for t0 in ("-1/10", "0", "1/12", "1/6", "9/4"):
+    for name in ("gram", "norton"):
+        monkeypatch.setitem(m4._M4A_CACHE, f"{name}_pivots",
+                            _failed(cert._family_pivots(name)))
+    sizes = _recording_fallbacks(monkeypatch)
+    points = ("-1/10", "0", "1/12", "1/6", "9/4")
+    for t0 in points:
         t0 = rat(t0)
         (row,) = cert.definiteness_report([t0])
         assert ((row["pd"], row["psd"], row["radical_dim"])
                 == norton_reference.definiteness_at(t0))
         assert cert.norton_check(t0) is norton_check_reference(t0)
-    assert names == ["gram", "norton"] * 5
+    # each point factors the Gram matrix, and the Norton blocks up to the
+    # first that is not PSD there, the block of 36 pairs first
+    assert sizes.count(12) == sizes.count(36) == len(points)
 
 
 def test_the_verdicts_read_the_cached_pivots(monkeypatch):
     # the Gram pivots negated: every point that is no pole now reads as
     # negative definite, with no radical
     (gram,) = cert._family_pivots("gram")
-    negated = gram._replace(D=tuple(-d for d in gram.D))
+    negated = LDLTResult(gram.m, gram.L, [-d for d in gram.D], gram.status)
     monkeypatch.setitem(m4._M4A_CACHE, "gram_pivots", [negated])
     assert cert.definiteness_report(["1/12", "0"]) == [
         {"t0": "1/12", "pd": False, "psd": False, "radical_dim": 0},
         {"t0": "0", "pd": False, "psd": False, "radical_dim": 3}]
 
 
+def test_each_cached_factorisation_reconstructs_its_matrix():
+    # L diag(D) L^T = m over Q(t) for the Gram matrix and each Norton
+    # block, with L unit lower triangular: the congruence that the signs
+    # at a point rest on
+    records = cert._family_pivots("gram") + cert._family_pivots("norton")
+    assert [r.m.rows for r in records] == [12, 36, 10, 10, 10]
+    for r in records:
+        assert r.status == LDLTResult.COMPLETE
+        assert r.m.field is QT
+        assert reconstruct_ldlt(r) == r.m
+        n = r.m.rows
+        assert all(r.L.data[i][i] == QT.one for i in range(n))
+        assert all(r.L.data[i][j] == QT.zero
+                   for i in range(n) for j in range(i + 1, n))
+
+
 def test_factorisations_are_made_once_and_go_with_the_build(monkeypatch):
     calls = []
-    pivots = linalg.ldlt_pivots
+    factor = cert.ldlt
 
     def counting(m):
-        calls.append(m.rows)
-        return pivots(m)
+        if m.field is QT:
+            calls.append(m.rows)
+        return factor(m)
     monkeypatch.setattr(m4, "_M4A_CACHE", {})
-    monkeypatch.setattr(cert, "ldlt_pivots", counting)
+    monkeypatch.setattr(cert, "ldlt", counting)
     m4a = m4.build_m4a()
     assert m4._M4A_CACHE == {"build": m4a}
     for t0 in ("0", "1/12", "2"):
