@@ -513,16 +513,8 @@ def is_automorphism(alg: Algebra, T: Matrix, form: BilinearForm) -> bool:
     T^T G T == G for the Gram matrix G of the form; DimensionMismatch
     unless T and G are alg.dim x alg.dim.
 
-    Decided on integers at one point (_at_point).  With T = N/d, the table
-    numerators W and the Gram numerators G cleared to integer polynomials,
-    the identities read d N W_ij = sum_ab N_ai N_bj W_ab for i <= j and
-    N^T G N = d^2 G.  Let r and c bound the l1 norms summed over a row
-    and over a column of N, and w and g the l1 norm of a table and of a
-    Gram numerator.  Then a coordinate of either side of the first
-    differs by at most C1 = w (|d| r + c^2) and an entry of the second by
-    at most C2 = g (c^2 + |d|^2), all in l1 norm, and the point lies past
-    max(C1, C2).  A symmetry that relabels the basis up to sign has one
-    nonzero per column of N, so each product is a few integer terms.
+    Decided on integers at one point (_at_point), by _symmetry_failure
+    under _symmetry_bound.
     """
     check_pairing(alg, form)
     field, n = alg.field, alg.dim
@@ -534,17 +526,50 @@ def is_automorphism(alg: Algebra, T: Matrix, form: BilinearForm) -> bool:
 
     def bound(w, parts):
         (*N, d), G = parts
-        norms = _rows([_l1(x) for x in N], n)
-        r = max(map(sum, norms), default=0)
-        c = max(map(sum, zip(*norms)), default=0)
-        dn, g = _l1(d), max(map(_l1, G), default=0)
-        return max(w * (dn * r + c * c), g * (c * c + dn * dn))
+        return _symmetry_bound(w, max(map(_l1, G), default=0), N, d, n)
 
     table, ((*N, d), G) = _at_point(alg, [nums + [d], gnums], bound)
-    G, N = _rows(G, n), _rows(N, n)
-    cols = [[(k, row[i]) for k, row in enumerate(N) if row[i]]
-            for i in range(n)]
-    for i, j in upper_pairs(n):
+    return _symmetry_failure(table, [_rows(G, n)], N, d,
+                             upper_pairs(n)) is None
+
+
+def _symmetry_bound(w, g, N, d, n):
+    """The l1 bound past which _symmetry_failure decides its identities
+    at one integer point, for the map N/d, N given as n * n coefficient
+    tuples in row-major order and d as one, and table and form
+    numerators of l1 norm at most w and g.
+
+    Let r and c bound the l1 norms summed over a row and over a column
+    of N.  The l1 norm is sub-additive and sub-multiplicative, so a
+    coordinate of d N W_ij has l1 norm at most w |d| r and one of
+    sum_ab N_ai N_bj W_ab at most w c^2, while d^2 F_ij and
+    sum_ab N_ai N_bj F_ab are at most g |d|^2 and g c^2.  Their
+    differences are therefore at most max(w (|d| r + c^2),
+    g (c^2 + |d|^2)).
+    """
+    norms = _rows([_l1(x) for x in N], n)
+    r = max(map(sum, norms), default=0)
+    c = max(map(sum, zip(*norms)), default=0)
+    dn = _l1(d)
+    return max(w * (dn * r + c * c), g * (c * c + dn * dn))
+
+
+def _symmetry_failure(table, forms, N, d, pairs):
+    """The first pair (i, j) of pairs at which the map g = N/d breaks an
+    identity, or None: d N W_ij = sum_ab N_ai N_bj W_ab, that is
+    (e_i e_j)^g = e_i^g e_j^g, and d^2 F_ij = sum_ab N_ai N_bj F_ab, that
+    is <e_i^g, e_j^g> = <e_i, e_j>, for each form F.  Everything is an
+    int: N is n * n entries in row-major order, each F a list of rows,
+    and table[i][j] lists (k, w) for the nonzero coordinates w of the
+    table numerator W_ij, as Algebra.table_nums does.  Only the entries
+    at pairs (a, b) with N_ai N_bj != 0 for some (i, j) of pairs are
+    read.  A symmetry that relabels the basis up to sign has one nonzero
+    per column of N, so each product is a few integer terms.
+    """
+    n = len(table)
+    cols = [[(k, x) for k, x in enumerate(N[i::n]) if x] for i in range(n)]
+    dd = d * d
+    for i, j in pairs:
         lhs, rhs = [0] * n, [0] * n
         for c, w in table[i][j]:
             for k, x in cols[c]:
@@ -555,12 +580,13 @@ def is_automorphism(alg: Algebra, T: Matrix, form: BilinearForm) -> bool:
                 xy = x * y
                 for k, w in row[b]:
                     rhs[k] += xy * w
-        if any(d * s != t for s, t in zip(lhs, rhs)):
-            return False
-        if (sum(x * y * G[a][b] for a, x in cols[i] for b, y in cols[j])
-                != d * d * G[i][j]):
-            return False
-    return True
+        if [d * s for s in lhs] != rhs:
+            return i, j
+        for F in forms:
+            if (sum(x * y * F[a][b] for a, x in cols[i] for b, y in cols[j])
+                    != dd * F[i][j]):
+                return i, j
+    return None
 
 
 def subalgebra_closure(alg: Algebra, generators):

@@ -178,8 +178,9 @@ def _family_pivots(name):
 
 
 def _point_signs(name, t0):
-    """The signs at t0 of the pivots of the _family_pivots name, in one
-    list, or None when one of their matrices is not PSD at t0.
+    """(signs, failed): the signs at t0 of the pivots of the
+    _family_pivots name, in one list, or None with failed the first of
+    their matrices at t0 that is not PSD there (else failed is None).
 
     The table and form of M_4A are polynomial in t, so each matrix at t0
     is its cached ldlt r's matrix r.m evaluated there, and r.signs(t0)
@@ -191,11 +192,12 @@ def _point_signs(name, t0):
     for r in _family_pivots(name):
         s = r.signs(t0)
         if s is None:
-            s = ldlt(r.m.at(t0)).signs()
+            m = r.m.at(t0)
+            s = ldlt(m).signs()
             if s is None:
-                return None
+                return None, m
         signs += s
-    return signs
+    return signs, None
 
 
 def _pd(signs):
@@ -206,20 +208,19 @@ def _psd(signs):
     return signs is not None and all(s >= 0 for s in signs)
 
 
-def _gram_nullity(t0, signs):
-    """The nullity of the Gram matrix at the rational t0: the number of
-    zeros among its _point_signs, or the size of its kernel at t0."""
-    if signs is not None:
+def _gram_nullity(signs, failed):
+    """The nullity of the Gram matrix at a point, from its _point_signs:
+    the number of zeros among the signs, or the size of the kernel of
+    the matrix whose LDLT failed there."""
+    if failed is None:
         return signs.count(0)
-    (gram,) = _family_pivots("gram")
-    return len(kernel_basis(gram.m.at(t0)))
+    return len(kernel_basis(failed))
 
 
 def radical_dimension(t0) -> int:
     """The dimension of the radical of M(t0), the nullity of its Gram
     matrix."""
-    t0 = rat(t0)
-    return _gram_nullity(t0, _point_signs("gram", t0))
+    return _gram_nullity(*_point_signs("gram", t0))
 
 
 def radical_report(points):
@@ -234,10 +235,10 @@ def definiteness_report(grid=DEFAULT_GRID):
     report = []
     for point in grid:
         t0 = rat(point)
-        signs = _point_signs("gram", t0)
+        signs, failed = _point_signs("gram", t0)
         report.append({"t0": format_rational(t0), "pd": _pd(signs),
                        "psd": _psd(signs),
-                       "radical_dim": _gram_nullity(t0, signs)})
+                       "radical_dim": _gram_nullity(signs, failed)})
     return report
 
 
@@ -298,7 +299,7 @@ def norton_psd(alg, form, grades) -> bool:
 def norton_check(t0) -> bool:
     """Exact PSD verdict of the Norton form of M(t0), on the blocks of 36,
     10, 10 and 10 pairs of graded_m4a (_point_signs)."""
-    return _psd(_point_signs("norton", t0))
+    return _psd(_point_signs("norton", t0)[0])
 
 
 def norton_grid_report(grid=DEFAULT_GRID):
@@ -380,8 +381,8 @@ def majorana_certify(t0) -> MajoranaVerdict:
     """Both verdicts at t0: the Gram matrix and the Norton blocks
     (_point_signs)."""
     t0 = rat(t0)
-    return MajoranaVerdict(t0, _pd(_point_signs("gram", t0)),
-                           _psd(_point_signs("norton", t0)))
+    return MajoranaVerdict(t0, _pd(_point_signs("gram", t0)[0]),
+                           _psd(_point_signs("norton", t0)[0]))
 
 
 def quotient_certify(t0):

@@ -396,7 +396,12 @@ def _monic_lcm(a: Polynomial, b: Polynomial) -> Polynomial:
 
 
 class RationalFunction:
-    """Element of Q(t): Polynomials num/den, gcd 1, monic den.  Immutable."""
+    """Element of Q(t): Polynomials num/den, gcd 1, monic den.  Immutable.
+
+    When both operands have den POLY_ONE itself, as every entry of the
+    M_4A table and form does, their sum, difference and product, and the
+    quotient by a constant, are in that normal form already and skip the
+    normalisation."""
 
     __slots__ = ("num", "den")
 
@@ -442,6 +447,9 @@ class RationalFunction:
         other = _as_rf(other)
         if other is None:
             return NotImplemented
+        if self.den is POLY_ONE and other.den is POLY_ONE:
+            return RationalFunction(_sum(self.num, other.num, 1), POLY_ONE,
+                                    _normalized=True)
         if self.den == other.den:
             return RationalFunction(self.num + other.num, self.den)
         return RationalFunction(self.num * other.den + other.num * self.den,
@@ -456,6 +464,9 @@ class RationalFunction:
         other = _as_rf(other)
         if other is None:
             return NotImplemented
+        if self.den is POLY_ONE and other.den is POLY_ONE:
+            return RationalFunction(_sum(self.num, other.num, -1), POLY_ONE,
+                                    _normalized=True)
         return self + (-other)
 
     def __rsub__(self, other):
@@ -468,6 +479,9 @@ class RationalFunction:
         other = _as_rf(other)
         if other is None:
             return NotImplemented
+        if self.den is POLY_ONE and other.den is POLY_ONE:
+            return RationalFunction(self.num * other.num, POLY_ONE,
+                                    _normalized=True)
         return RationalFunction(self.num * other.num, self.den * other.den)
 
     __rmul__ = __mul__
@@ -478,6 +492,11 @@ class RationalFunction:
             return NotImplemented
         if other.is_zero():
             raise ZeroDivisionError("division by the zero rational function")
+        if (self.den is POLY_ONE and other.den is POLY_ONE
+                and len(other.num._n) == 1):
+            c = other.num
+            return RationalFunction(_scale(self.num, c._d, c._n[0]),
+                                    POLY_ONE, _normalized=True)
         return RationalFunction(self.num * other.den, self.den * other.num)
 
     def __rtruediv__(self, other):

@@ -1,7 +1,10 @@
 """Equivariant completion of product tables and forms."""
 
+import re
+
 import pytest
 
+from axia import completion
 from axia.catalog import DIHEDRAL_TYPES, dihedral, dihedral_seeds
 from axia.completion import complete_algebra, complete_table
 from axia.errors import CompletionInconsistent, CompletionInsufficient
@@ -9,6 +12,7 @@ from axia.linalg import Matrix
 from axia.m4 import (M4A_LABELS, M4B_LABELS, _dihedral_seeds_on_12,
                      m4_symmetries, m4a_seeds)
 from axia.scalars import QQ, QT, rat
+import completion_reference
 from group_reference import mulclose
 from m4_reference import embed
 
@@ -185,3 +189,109 @@ def test_generator_order_does_not_change_the_completion(name):
                                          generators[::-1])
     assert alg.mul_table == rev_alg.mul_table
     assert form.gram == rev_form.gram
+
+
+BUILDS = DIHEDRAL_TYPES + ("M_4A", "M_4B")
+
+
+class _Args(Exception):
+    pass
+
+
+def _table_args(field, labels, seeds, generators):
+    """The arguments complete_algebra passes complete_table for these
+    seeds; the table itself is not completed."""
+    def record(*args):
+        raise _Args(args)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(completion, "complete_table", record)
+        with pytest.raises(_Args) as exc:
+            complete_algebra(field, labels, seeds, generators)
+    return exc.value.args[0]
+
+
+def _outcome(complete, args):
+    """complete(*args): the completed dict, or the completion error."""
+    try:
+        return complete(*args)
+    except (CompletionInconsistent, CompletionInsufficient) as exc:
+        return exc
+
+
+def _reference_outcome(args):
+    """_outcome of complete_table, after asserting that the reference
+    sweep gives the same dict or raises the same error class."""
+    done = _outcome(complete_table, args)
+    ref = _outcome(completion_reference.complete_table, args)
+    if isinstance(ref, Exception):
+        assert type(done) is type(ref), (done, ref)
+    else:
+        assert done == ref
+    return done
+
+
+@pytest.mark.parametrize("name", BUILDS)
+def test_completed_tables_equal_the_reference_sweep(name):
+    field, labels, seeds, generators = _assembly(name)
+    done = _reference_outcome(_table_args(field, labels, seeds, generators))
+    # every pair, each with its product and its form coordinate
+    assert len(done) == len(labels) * (len(labels) + 1) // 2
+    assert {len(v) for v in done.values()} == {len(labels) + 1}
+
+
+@pytest.mark.parametrize("name", BUILDS)
+def test_the_sweep_evaluates_only_the_combinations_that_derive(
+        monkeypatch, name):
+    # one matvec per derived pair: a combination whose expansion has no
+    # unknown pair is dropped unevaluated, and its identity is decided
+    # after the sweep, on integers
+    args = _table_args(*_assembly(name))
+    calls = []
+    matvec = Matrix.matvec
+
+    def counting(self, v):
+        calls.append(v)
+        return matvec(self, v)
+    monkeypatch.setattr(Matrix, "matvec", counting)
+    done = complete_table(*args)
+    assert len(calls) == len(done) - len(args[2]) > 0
+
+
+def _tampered(field, labels, seeds):
+    """One tampered copy of the seeds per seed and delta: seed s gains
+    delta at coordinate s mod (dim + 1) of its product, or in its form
+    value when that is dim; the deltas are 1/1000 and, over Q(t),
+    t/1000."""
+    deltas = [rat("1/1000")] + ([QT.t / 1000] if field is QT else [])
+    for s, ((u, v), product, value) in enumerate(seeds):
+        k = s % (len(labels) + 1)
+        for delta in deltas:
+            if k < len(labels):
+                lab = labels[k]
+                seed = ((u, v), {**product, lab: field.of(product.get(lab, 0))
+                                 + delta}, value)
+            else:
+                seed = ((u, v), product, field.of(value) + delta)
+            yield seeds[:s] + [seed] + seeds[s + 1:]
+
+
+@pytest.mark.parametrize("name", BUILDS)
+def test_tampered_seeds_get_the_reference_outcome(name):
+    field, labels, seeds, generators = _assembly(name)
+    for tampered in _tampered(field, labels, seeds):
+        done = _reference_outcome(
+            _table_args(field, labels, tampered, generators))
+        if isinstance(done, CompletionInconsistent):
+            pair = re.search(r"\(([^,()]+), ([^,()]+)\)", str(done))
+            assert pair and set(pair.groups()) <= set(labels), str(done)
+
+
+@pytest.mark.parametrize("name", BUILDS)
+def test_dropped_seeds_get_the_reference_outcome(name):
+    # each seed dropped from the seeds and from their first tampered copy,
+    # so that some tables are both incomplete and inconsistent
+    field, labels, seeds, generators = _assembly(name)
+    for base in (seeds, next(_tampered(field, labels, seeds))):
+        for s in range(len(base)):
+            _reference_outcome(_table_args(
+                field, labels, base[:s] + base[s + 1:], generators))

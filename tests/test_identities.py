@@ -14,8 +14,9 @@ bound, for every root a fixed or misjudged point could pick.
 
 import pytest
 
-from axia.algebra import (Algebra, BilinearForm, axis_decomposition,
-                          is_automorphism, verify_frobenius)
+from axia.algebra import (Algebra, BilinearForm, _symmetry_bound,
+                          axis_decomposition, is_automorphism,
+                          verify_frobenius)
 from axia.catalog import f4a_rule, monster_rule
 from axia.errors import DimensionMismatch
 from axia.linalg import Matrix, upper_pairs
@@ -211,3 +212,22 @@ def test_the_table_is_scaled_once_per_algebra(monkeypatch, m4a, m4b):
         assert is_automorphism(m4b.algebra, op, m4b.form)
     assert verify_frobenius(m4b.algebra, m4b.form) == []
     assert "table_coeffs" not in vars(m4b.algebra)
+
+
+@pytest.mark.parametrize("w, g", [(1000, 1), (1, 1000)],
+                         ids=["table", "form"])
+def test_the_symmetry_bound_covers_both_sides_of_each_identity(w, g):
+    # Nonnegative coefficients never cancel, so the l1 norm of a sum or a
+    # product of such polynomials is its value at t = 1.  With every entry
+    # of N equal, every table numerator of l1 norm w and every form entry
+    # of l1 norm g, each side of each identity reaches the term of the
+    # bound that covers it, and the bound is exactly the larger sum of two
+    # sides: without any one of its four terms it leaves the two sides of
+    # the table identity (w large) or the form identity (g large)
+    # uncovered.
+    n, entry, d = 3, (1, 2), (2, 0, 1)  # N_ab = 1 + 2t, d = 2 + t^2
+    x, dn = sum(entry), sum(d)
+    table_sides = dn * n * x * w + n * n * x * x * w  # d N W_ij, N W N
+    form_sides = dn * dn * g + n * n * x * x * g      # d^2 F_ij, N F N
+    bound = _symmetry_bound(w, g, [entry] * (n * n), d, n)
+    assert bound >= max(table_sides, form_sides)

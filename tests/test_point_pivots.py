@@ -198,6 +198,27 @@ def test_a_kernel_only_for_a_gram_matrix_whose_point_ldlt_fails(
     assert sizes == []
 
 
+@pytest.mark.parametrize("t0", ["3/8", "-1/4"])
+def test_the_gram_matrix_is_evaluated_once_at_its_poles(monkeypatch, t0):
+    # the failed point LDLT and the kernel read one evaluation of the
+    # factored Gram matrix
+    cert._family_pivots("gram")
+    sizes = []
+    at = Matrix.at
+
+    def counting(self, t0):
+        sizes.append(self.rows)
+        return at(self, t0)
+    monkeypatch.setattr(Matrix, "at", counting)
+    assert (cert.radical_dimension(t0)
+            == norton_reference.radical_dimension(rat(t0)))
+    assert sizes == [12]
+    sizes.clear()
+    (row,) = cert.definiteness_report([t0])
+    assert row["radical_dim"] == norton_reference.radical_dimension(rat(t0))
+    assert sizes == [12]
+
+
 def test_the_form_only_verdicts_never_build_the_graded_algebra(monkeypatch):
     def forbidden():
         raise AssertionError("graded_m4a in a form-only verdict")

@@ -219,3 +219,26 @@ def test_rational_function_normal_form(f, g, op):
               for x in (f, g))
     value = sym(h.num.coeffs).as_expr() / sym(h.den.coeffs).as_expr()
     assert sympy.cancel(value - OPS[op](sf, sg)) == 0
+
+
+# Operands with denominator 1 take the fast paths of RationalFunction; the
+# same values over an equal denominator that is another object than
+# POLY_ONE take the general, normalising path.
+den_one = st.builds(lambda n: RationalFunction(Polynomial(n)), coeff_lists)
+constants = st.builds(lambda c: RationalFunction(Polynomial([c])), nonzero)
+
+
+def _general(f):
+    return RationalFunction(f.num, Polynomial([1]), _normalized=True)
+
+
+@settings(max_examples=120, deadline=None)
+@given(den_one, st.one_of(den_one, constants), st.sampled_from(sorted(OPS)))
+def test_den_one_fast_paths_equal_the_general_path(f, g, op):
+    assume(op != "/" or not g.is_zero())
+    assert f.den is POLY_ONE and g.den is POLY_ONE
+    assert _general(f).den is not POLY_ONE
+    fast = OPS[op](f, g)
+    general = OPS[op](_general(f), _general(g))
+    assert (fast.num, fast.den) == (general.num, general.den)
+    assert fast == general and hash(fast) == hash(general)
