@@ -19,8 +19,8 @@ from functools import cached_property
 
 from .errors import (DimensionMismatch, NotAnIdeal, NotGraded,
                      NotIdempotent, NotSemisimple)
-from .linalg import (Matrix, kernel_basis, remainder_map, rref, span_rref,
-                     symmetric, unit_vec, upper_pairs, vec_is_zero)
+from .linalg import (Matrix, induced, kernel_basis, remainder_map, rref,
+                     span_rref, symmetric, unit_vec, upper_pairs, vec_is_zero)
 from .scalars import QQ, _at, _l1, rat
 
 
@@ -263,8 +263,7 @@ class FusionRule:
                     raise ValueError(f"fusion table missing ({lam}, {mu})")
 
     def __getitem__(self, pair):
-        lam, mu = pair
-        return self.table[(self.field.of(lam), self.field.of(mu))]
+        return self.table[pair]
 
 
 class AxisDecomposition:
@@ -697,8 +696,8 @@ def graded_by_involutions(built: ConstructedAlgebra, involutions):
     of the involutions minus those scalars, stacked.  With S the matrix
     whose columns are the new basis, grade by grade, the new table is
     S^-1 (S e_i . S e_j), the new Gram matrix is S^T G S, each axis a
-    becomes S^-1 a and each symmetry g becomes S^-1 g S, read column by
-    column as S^-1 (g S e_i).
+    becomes S^-1 a and each symmetry g becomes S^-1 g S, the map g induced
+    on the new basis in the coordinates S^-1 reads off (linalg.induced).
 
     NotGraded unless there are alg.dim eigenvectors; S and the S^-1 read
     off the RREF of [S | I] are polynomial, so det S is a nonzero constant
@@ -735,8 +734,7 @@ def graded_by_involutions(built: ConstructedAlgebra, involutions):
     graded_form = BilinearForm(field, {(i, j): gram[i][j]
                                        for i, j in upper_pairs(n)})
     check_graded(graded, graded_form, grades)
-    conjugated = {name: Matrix(field, list(zip(*(inverse.matvec(g.matvec(v))
-                                                 for v in vectors))))
+    conjugated = {name: induced(g, vectors, inverse.matvec)
                   for name, g in built.symmetries.items()}
     if any(x.den.degree for g in conjugated.values()
            for row in g.data for x in row):

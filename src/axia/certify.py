@@ -10,11 +10,12 @@ the 4A-axis fusion rule, its C2 x C2 grading and the Jordan-type
 subalgebra generated by the three 4A axes.
 
 Definiteness, the radical, Norton and Majorana at a rational point are
-read off the signs at t0 of LDLT pivots over Q(t) (LDLTResult.signs):
-those of the Gram matrix of build_m4a, and those of the four Norton
-blocks of the C2 x C2-graded basis of m4.graded_m4a, whose basis change
-S has a nonzero constant determinant, so that its verdicts are the ones
-on the original basis.  Each matrix is factored once (_family_pivots);
+read off the signs at t0 of LDLT pivots over Q(t) (LDLTResult.signs),
+by linalg.pd and psd as every LDLT verdict is: the signs of the Gram
+matrix of build_m4a, and those of the four Norton blocks of the
+C2 x C2-graded basis of m4.graded_m4a, whose basis change S has a
+nonzero constant determinant, so that its verdicts are the ones on the
+original basis.  Each matrix is factored once (_family_pivots);
 away from the poles of its L and D no matrix is built at t0.  At a pole
 (-1/4 and 3/8 for the Gram matrix, -7/8, -1/4 and 3/8 for the blocks),
 or when a factorisation did not complete, the one fallback in
@@ -29,7 +30,8 @@ carries each eigenspace and fusion product of a onto those of b.  Only
 passing rows are carried, along generators that is_automorphism accepted
 in the same call; every failing row comes from a direct check.
 quotient_certify does the same on the quotient, with the generators of
-graded_m4a induced on it.
+graded_m4a induced on it, and v4a_certify on the Jordan closure with
+sigma induced on it (linalg.induced).
 
 Every certification report is built and every verdict decided here.  A
 report that carries a verdict holds it as "pass" (a verification suite,
@@ -52,10 +54,11 @@ from .algebra import (axis_decomposition, check_graded, form_products,
                       verify_frobenius, verify_grading, is_automorphism)
 from .catalog import dihedral, f4a_rule, jordan_half_rule, monster_rule
 from .errors import NotAnIdeal, NotIdempotent, NotSemisimple, PoleAtPoint
-from .linalg import Matrix, determinant, kernel_basis, ldlt, symmetric
+from .linalg import (Matrix, determinant, induced, kernel_basis, ldlt, pd,
+                     psd, symmetric)
 from .m4 import (build_m4a, build_m4b, cached, graded_m4a, jordan_m4a,
                  reference_v_eigenvectors, verify_dependencies)
-from .scalars import (QQ, QT, RationalFunction, count_roots_open,
+from .scalars import (QT, RationalFunction, count_roots_open,
                       format_rational, rat, rational_sign)
 
 # 12-point certification grid: both boundary points of [0, 1/6], interior
@@ -200,14 +203,6 @@ def _point_signs(name, t0):
     return signs, None
 
 
-def _pd(signs):
-    return signs is not None and all(s > 0 for s in signs)
-
-
-def _psd(signs):
-    return signs is not None and all(s >= 0 for s in signs)
-
-
 def _gram_nullity(signs, failed):
     """The nullity of the Gram matrix at a point, from its _point_signs:
     the number of zeros among the signs, or the size of the kernel of
@@ -236,8 +231,8 @@ def definiteness_report(grid=DEFAULT_GRID):
     for point in grid:
         t0 = rat(point)
         signs, failed = _point_signs("gram", t0)
-        report.append({"t0": format_rational(t0), "pd": _pd(signs),
-                       "psd": _psd(signs),
+        report.append({"t0": format_rational(t0), "pd": pd(signs),
+                       "psd": psd(signs),
                        "radical_dim": _gram_nullity(signs, failed)})
     return report
 
@@ -299,7 +294,7 @@ def norton_psd(alg, form, grades) -> bool:
 def norton_check(t0) -> bool:
     """Exact PSD verdict of the Norton form of M(t0), on the blocks of 36,
     10, 10 and 10 pairs of graded_m4a (_point_signs)."""
-    return _psd(_point_signs("norton", t0)[0])
+    return psd(_point_signs("norton", t0)[0])
 
 
 def norton_grid_report(grid=DEFAULT_GRID):
@@ -381,8 +376,8 @@ def majorana_certify(t0) -> MajoranaVerdict:
     """Both verdicts at t0: the Gram matrix and the Norton blocks
     (_point_signs)."""
     t0 = rat(t0)
-    return MajoranaVerdict(t0, _pd(_point_signs("gram", t0)[0]),
-                           _psd(_point_signs("norton", t0)[0]))
+    return MajoranaVerdict(t0, pd(_point_signs("gram", t0)[0]),
+                           psd(_point_signs("norton", t0)[0]))
 
 
 def quotient_certify(t0):
@@ -414,7 +409,7 @@ def quotient_certify(t0):
     report["quotient_dim"] = qalg.dim
     rule = monster_rule()
     lifts = [alg.basis_vector(lab) for lab in qalg.labels]
-    gens = {name: _induced(QQ, g, lifts, project)
+    gens = {name: induced(g, lifts, project)
             for name, g in spec.symmetries.items()}
     results = _per_orbit(
         [project(a) for a in spec.axes], gens,
@@ -500,7 +495,7 @@ def v4a_certify():
     checks.add("jordan closure dim", 9, len(closure))
     jrule = jordan_half_rule(QT)
     try:
-        jgens = {"sigma": _induced(QT, sigma, closure, coords)}
+        jgens = {"sigma": induced(sigma, closure, coords)}
     except ValueError:
         jgens = {}
     results = _per_orbit([coords(v) for v in vgens], jgens, verified,
@@ -572,12 +567,6 @@ def _verified_symmetries(alg, symmetries, form):
     """verified(name): is_automorphism(alg, symmetries[name], form),
     decided on the first ask; each report makes its own and drops it."""
     return cache(lambda name: is_automorphism(alg, symmetries[name], form))
-
-
-def _induced(field, g, basis, coords):
-    """The matrix of g on the space with this basis, in the coordinates
-    coords reads off: column k is coords(g basis_k)."""
-    return Matrix(field, list(zip(*(coords(g.matvec(b)) for b in basis))))
 
 
 def _orbit(start, generators, verified):

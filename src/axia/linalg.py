@@ -64,19 +64,12 @@ class Matrix:
                        for j in range(self.cols)])
 
     def matmul(self, other):
-        """Product over the nonzero pairs only; most entries here are zero."""
+        """The product: column k is the matvec of column k of other."""
         if self.cols != other.rows:
             raise DimensionMismatch("matmul shape mismatch")
-        is_zero = self.field.is_zero
-        z = self.field.zero
-        bcols = [[(k, b) for k, b in enumerate(col) if not is_zero(b)]
-                 for col in zip(*other.data)]
-        out = []
-        for arow in self.data:
-            anz = [not is_zero(a) for a in arow]
-            out.append([_sum((arow[k] * b for k, b in bcol if anz[k]), z)
-                        for bcol in bcols])
-        return Matrix(self.field, out)
+        cols = [self.matvec(col) for col in zip(*other.data)]
+        return Matrix(self.field, [[col[i] for col in cols]
+                                   for i in range(self.rows)])
 
     def matvec(self, v):
         """Product over the nonzero pairs only; most entries here are zero."""
@@ -293,7 +286,7 @@ class LDLTResult:
         Sylvester's law of inertia the matrix then has as many positive,
         zero and negative eigenvalues as there are signs 1, 0 and -1: it
         is positive definite iff every sign is 1, positive semidefinite
-        iff none is -1, and its nullity is the number of zeros.
+        iff none is -1 (pd, psd), and its nullity is the number of zeros.
         """
         if t0 is None:
             if self.status != self.COMPLETE:
@@ -306,12 +299,22 @@ class LDLTResult:
         return tuple(rational_sign(d.evaluate(t0)) for d in self.D)
 
     def is_psd(self):
-        signs = self.signs()
-        return signs is not None and all(s >= 0 for s in signs)
+        return psd(self.signs())
 
     def is_pd(self):
-        signs = self.signs()
-        return signs is not None and all(s > 0 for s in signs)
+        return pd(self.signs())
+
+
+def pd(signs):
+    """Positive definite by the signs of LDLT pivots (LDLTResult.signs):
+    every sign is 1.  None, from an LDLT that failed and so found the
+    matrix not positive semidefinite, is neither pd nor psd."""
+    return signs is not None and all(s > 0 for s in signs)
+
+
+def psd(signs):
+    """Positive semidefinite by the signs, as pd reads them: no sign is -1."""
+    return signs is not None and all(s >= 0 for s in signs)
 
 
 def ldlt(m: Matrix) -> LDLTResult:
@@ -389,6 +392,12 @@ def unit_vec(field, n, i):
 
 def vec_is_zero(field, u):
     return all(field.is_zero(a) for a in u)
+
+
+def induced(g, basis, coords):
+    """The matrix of the map g on the space with this basis, in the
+    coordinates that coords reads off: column k is coords(g basis_k)."""
+    return Matrix(g.field, list(zip(*(coords(g.matvec(b)) for b in basis))))
 
 
 def span_rref(field, vectors):

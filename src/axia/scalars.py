@@ -499,12 +499,6 @@ class RationalFunction:
                                     POLY_ONE, _normalized=True)
         return RationalFunction(self.num * other.den, self.den * other.num)
 
-    def __rtruediv__(self, other):
-        other = _as_rf(other)
-        if other is None:
-            return NotImplemented
-        return other / self
-
     def __pow__(self, n):
         return RationalFunction(self.num ** n, self.den ** n)
 

@@ -543,6 +543,40 @@ def test_row_scales_larger_than_the_rows_unpack_in_the_determinant(k):
         assert determinant(Matrix(QT, singular)) == QT.zero
 
 
+def _over_half(rows):
+    """The Q(t) matrix whose row i is nums_i / (t - 1/2)^e_i for the pairs
+    (nums_i, e_i) of rows, each numerator an ascending tuple of integer
+    coefficients."""
+    t, c = QT.t, QT.of
+    return Matrix(QT, [[sum((c(a) * t ** k for k, a in enumerate(x)),
+                            QT.zero) / (t - c("1/2")) ** e for x in nums]
+                       for nums, e in rows])
+
+
+def test_row_scales_with_fractional_coefficients_against_sympy():
+    # [DERIVED] sympy's DomainMatrix as the oracle.  A row over t - 1/2 is
+    # cleared by the monic scale t - 1/2, whose coefficients are not
+    # integers: its numerators and its scale are scaled by one integer,
+    # the content 2, or the determinant, which unpacks the scales, is off
+    # by that factor
+    t, c = QT.t, QT.of
+    cases = [[(((1,), (3,)), 1), (((3,), (0, 1)), e)] for e in (0, 1)]
+    cases.append([(((1,), (3,)), 2), (((3,), (0, 1)), 1)])
+    for rows in cases:
+        assert_equals_sympy(_over_half(rows))
+    assert determinant(_over_half(cases[0])) == (t - c(9)) / (t - c("1/2"))
+    # kernels: a 2 x 3 matrix, and a singular 3 x 3 one whose last row is
+    # the first plus twice the second
+    first, second = ((1,), (3,), (0, 1)), ((3,), (0, 1), (1,))
+    wide = _over_half([(first, 1), (second, 1)])
+    singular = _over_half([(first, 1), (second, 1),
+                           (((7,), (3, 2), (2, 1)), 1)])
+    for m in (wide, singular):
+        assert_equals_sympy(m)
+        assert len(kernel_basis(m)) == 1
+    assert determinant(singular) == QT.zero
+
+
 def _record_eliminations(monkeypatch):
     """The list that every matrix linalg eliminates is appended to."""
     seen = []
