@@ -8,11 +8,16 @@ tau_0 (k -> -k on axis indices) and swap_01 (k -> 1-k), both with the
 extra basis vectors fixed; they are stored as the algebra's symmetries,
 and any inconsistency fails loudly.
 
+The fusion rules and each type's completion depend only on the data
+below, so each is made once per process, on first use.
+
 Basis ordering follows the published tables: axes in index order, then the
 extra vectors (a_rho, u_rho, v_rho, w_rho as applicable).
 """
 
 from __future__ import annotations
+
+from functools import cache
 
 from .algebra import ConstructedAlgebra, FusionRule
 from .completion import complete_algebra, label_map
@@ -23,6 +28,7 @@ from .scalars import QQ, QT
 # ---------------------------------------------------------------------------
 
 
+@cache
 def monster_rule(field=QQ) -> FusionRule:
     """The Monster (Majorana) fusion rule on {1, 0, 1/4, 1/32}."""
     one, zero, q, e = "1", "0", "1/4", "1/32"
@@ -35,6 +41,7 @@ def monster_rule(field=QQ) -> FusionRule:
     return FusionRule(field, (one, zero, q, e), table)
 
 
+@cache
 def jordan_half_rule(field=QQ) -> FusionRule:
     """The Jordan-type-1/2 fusion rule on {1, 0, 1/2}."""
     one, zero, h = field.of(1), field.of(0), field.of("1/2")
@@ -46,6 +53,7 @@ def jordan_half_rule(field=QQ) -> FusionRule:
     return FusionRule(field, (one, zero, h), table)
 
 
+@cache
 def f4a_rule() -> FusionRule:
     """The 4A-axis fusion rule on {1, 0, 1/2, 3/8, t} over Q(t), t the
     indeterminate."""
@@ -261,16 +269,26 @@ def dihedral_seeds(name: str):
     return labels, seeds, generators
 
 
-def dihedral(name: str) -> ConstructedAlgebra:
-    """Construct a dihedral catalog algebra (over Q) by orbit completion;
-    its symmetries are the two relabeling generators."""
+@cache
+def _completed(name):
+    """(algebra, form, generators) of a dihedral type: complete_algebra
+    on its seeds under its two generators, made once per process."""
     labels, seeds, generators = dihedral_seeds(name)
     alg, form = complete_algebra(QQ, labels, seeds,
                                  list(generators.values()))
+    return alg, form, generators
+
+
+def dihedral(name: str) -> ConstructedAlgebra:
+    """A dihedral catalog algebra (over Q), completed from its seeds on
+    the first call (_completed); its symmetries are the two relabeling
+    generators.  Each call returns a fresh record, with its own
+    symmetries dict, around the shared algebra, form and generators."""
+    alg, form, generators = _completed(name)
     ref = {QQ.of(lam): [alg.vector({_label(k): c for k, c in combo.items()})
                         for combo in vecs]
            for lam, vecs in REFERENCE_EIGENVECTORS[name].items()}
     axis_keys = sorted(k for k in _DIHEDRAL_DATA[name]["basis"]
                        if isinstance(k, int))
-    return ConstructedAlgebra(alg, form, axis_keys, generators,
+    return ConstructedAlgebra(alg, form, axis_keys, dict(generators),
                               reference_eigenvectors=ref)

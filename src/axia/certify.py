@@ -37,11 +37,12 @@ Every certification report is built and every verdict decided here.  A
 report that carries a verdict holds it as "pass" (a verification suite,
 gram, each quotient row); the command line only emits the report and
 exits 1 when a "pass" is false.  The constructions of M_4A it reads (the
-build, the graded basis, the Jordan closure of the v_ij, and the
-factorisations of the Gram matrix and of the Norton blocks over Q(t))
-are cached by name in m4._M4A_CACHE; no verdict or report is cached,
-and every check runs on every call, the signs of the pivots at t0
-included.
+build, the graded basis, the Jordan closure of the v_ij, their published
+eigenvectors, and the factorisations of the Gram matrix and of the
+Norton blocks over Q(t)) are cached by name in m4._M4A_CACHE, and the
+dihedral catalog, M_4B and the fusion rules once per process in catalog
+and m4; no verdict or report is cached, and every check runs on every
+call, the signs of the pivots at t0 included.
 """
 
 from __future__ import annotations

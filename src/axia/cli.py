@@ -145,6 +145,10 @@ def _cmd_certify(args):
 
 def _cmd_catalog(args):
     if args.target is not None:
+        typ = args.target.partition(":")[2]
+        if typ not in DIHEDRAL_TYPES:
+            raise UsageError(f"unknown dihedral type {typ!r}; expected one "
+                             f"of {', '.join(DIHEDRAL_TYPES)}")
         return _cmd_build(args)
     return [{"type": name, "dimension": dihedral_dimension(name)}
             for name in DIHEDRAL_TYPES]

@@ -12,6 +12,8 @@ symmetry orbit of the remaining products.
 
 from __future__ import annotations
 
+from functools import cache
+
 from .algebra import (ConstructedAlgebra, graded_by_involutions,
                       subalgebra_closure)
 from .catalog import dihedral_seeds
@@ -90,19 +92,28 @@ def _dihedral_seeds_on_12(name, extra):
 # M_4B
 # ---------------------------------------------------------------------------
 
+@cache
+def _m4b():
+    """(algebra, form, symmetries) of M_4B, completed once per process."""
+    syms = m4_symmetries(M4B_LABELS, QQ)
+    alg, form = complete_algebra(QQ, M4B_LABELS,
+                                 _dihedral_seeds_on_12("4B", "a_rho"),
+                                 list(syms.values()))
+    return alg, form, syms
+
+
 def build_m4b() -> ConstructedAlgebra:
     """The 7-dimensional algebra on six axes a_{+-1}, a_{+-2}, a_{+-3}
     sharing one extra vector a_rho = a_i + a_-i - 8 a_i . a_-i.
 
     Pairs with different absolute index generate dihedral 4B; pairs
     {a_i, a_-i} generate 2A, all with the same a_rho.  Seeded with the 4B
-    representatives on {1, 2} and completed under m4_symmetries.
+    representatives on {1, 2} and completed under m4_symmetries on the
+    first call (_m4b); each call returns a fresh record, with its own
+    symmetries dict, around the shared algebra, form and generators.
     """
-    syms = m4_symmetries(M4B_LABELS, QQ)
-    alg, form = complete_algebra(QQ, M4B_LABELS,
-                                 _dihedral_seeds_on_12("4B", "a_rho"),
-                                 list(syms.values()))
-    return ConstructedAlgebra(alg, form, _M4_AXES, syms)
+    alg, form, syms = _m4b()
+    return ConstructedAlgebra(alg, form, _M4_AXES, dict(syms))
 
 
 # ---------------------------------------------------------------------------
@@ -169,8 +180,10 @@ def m4a_seeds():
 # The constructions of the family M_4A by name: "build" (build_m4a),
 # "graded" (graded_m4a), "jordan" (jordan_m4a), and the LDLTResult over
 # Q(t), with its matrix, L and D, of each matrix that point verdicts read,
-# "gram_pivots" and "norton_pivots" (certify._family_pivots); each is made
-# on first use from the build, and clearing the cache drops them all.
+# "gram_pivots" and "norton_pivots" (certify._family_pivots), and the
+# published eigenvectors of each v_ij, "v_ij eigenvectors"
+# (reference_v_eigenvectors); each is made on first use from the build,
+# and clearing the cache drops them all.
 _M4A_CACHE = {}
 
 
@@ -252,13 +265,21 @@ def verify_dependencies(m4a: ConstructedAlgebra):
 
 def reference_v_eigenvectors(i, j):
     """Published eigenvectors of ad_{v_(i,j)} ({i,j,k} = {1,2,3}),
-    as {eigenvalue: [vector]}; eigenvalues {0, 1/2, 3/8, t}.
+    as {eigenvalue: [vector]}; eigenvalues {0, 1/2, 3/8, t}.  Made on
+    first use from build_m4a and cached under "v_ij eigenvectors" in
+    _M4A_CACHE; each call returns its own dict and lists.
 
     Three 0-eigenvectors are stored with corrections forced by the exact
     eigenspace computation: the w_i and w_j rows gain the omitted
     -3/16 (v_(i,k) + v_(j,k)) terms, and in the w_k row the printed
     coefficient -(2t+1)/4 of a_-k is actually (2t-1)/4.
     """
+    refs = cached(f"v_{i}{j} eigenvectors",
+                  lambda: _reference_v_eigenvectors(i, j))
+    return {lam: list(vecs) for lam, vecs in refs.items()}
+
+
+def _reference_v_eigenvectors(i, j):
     field = QT
     t = field.t
     c = field.of

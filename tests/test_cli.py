@@ -385,14 +385,22 @@ def test_points_where_none_are_read_are_rejected(argv, tmp_path, capsys):
     assert not path.exists()
 
 
-@pytest.mark.parametrize("argv", [
-    ["build", "dihedral:9Z"], ["verify", "dihedral:9Z"], ["catalog", "9Z"],
-], ids=["build", "verify", "catalog"])
-def test_unknown_dihedral_type_is_one_error_line(argv, capsys):
+_TYPES = "expected one of 2A, 2B, 3A, 3C, 4A, 4B, 5A, 6A"
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["build", "dihedral:9Z"], "unknown target 'dihedral:9Z'; expected m4a, "
+                               "m4b or dihedral:<TYPE> with TYPE one of"),
+    (["verify", "dihedral:9Z"], "unknown target 'dihedral:9Z'; expected m4a, "
+                                "m4b or dihedral:<TYPE> with TYPE one of"),
+    # catalog takes a type only, so its hint names no other target
+    (["catalog", "9Z"], f"unknown dihedral type '9Z'; {_TYPES}\n"),
+    (["catalog", "m4a"], f"unknown dihedral type 'm4a'; {_TYPES}\n"),
+], ids=["build", "verify", "catalog", "catalog-m4a"])
+def test_unknown_dihedral_type_is_one_error_line(argv, message, capsys):
     assert run(argv) == 2
     err = capsys.readouterr().err
-    assert err.startswith("error: ") and err.count("\n") == 1
-    assert "9Z" in err
+    assert err.startswith("error: " + message) and err.count("\n") == 1
 
 
 def _axis_checks(keys):
