@@ -60,7 +60,10 @@ def complete_table(field, dim, known, generators, describe=None):
     pair) combinations in a fixed order and uses every one with exactly
     one unknown pair in its expansion to derive that pair; a combination
     with none is dropped unevaluated, and a derived pair opens its own
-    combinations.  The sweep stops after a pass that derives nothing and
+    combinations.  The expansion names a subset of the pairs the
+    generator's nonzero column entries at p and q span, so when all of
+    those are known the combination is dropped before anything is
+    multiplied.  The sweep stops after a pass that derives nothing and
     drops nothing.  Then every combination whose expansion is known is
     decided at once (_check_known), those that derived an entry, which
     hold by construction, among them: on a complete table, every
@@ -79,8 +82,11 @@ def complete_table(field, dim, known, generators, describe=None):
             gi, (p, q) = combo
             coeffs = expansions.get(combo)
             if coeffs is None:
-                coeffs = expansions[combo] = _pair_coefficients(
-                    field, cols[gi][p], cols[gi][q])
+                u, v = cols[gi][p], cols[gi][q]
+                if all(((i, j) if i <= j else (j, i)) in known
+                       for i, _ in u for j, _ in v):
+                    continue
+                coeffs = expansions[combo] = _pair_coefficients(field, u, v)
             unknown = [pair for pair in coeffs if pair not in known]
             if len(unknown) > 1:
                 left.append(combo)

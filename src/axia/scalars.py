@@ -708,10 +708,10 @@ class FunctionField:
         their monic least common denominator d."""
         d = POLY_ONE
         for x in xs:
-            if x.den != d:
+            if x.den is not d and x.den != d:
                 d = _monic_lcm(d, x.den)
-        return [x.num if x.den == d else x.num * d.exact_div(x.den)
-                for x in xs], d
+        return [x.num if x.den is d or x.den == d
+                else x.num * d.exact_div(x.den) for x in xs], d
 
     def scaled(self, part):
         """The polynomial numerators of part, as clear returns them, scaled
@@ -767,8 +767,11 @@ class FunctionField:
         raise TypeError("no sign on Q(t); evaluate at a point first (at)")
 
     def to_json(self, x):
-        return {"num": [format_rational(c) for c in x.num.coeffs],
-                "den": [format_rational(c) for c in x.den.coeffs]}
+        """{"num": [...], "den": [...]}, each coefficient written as
+        format_rational writes it, straight from the integer numerators
+        and denominator: no Rational is built and coeffs stays unbuilt."""
+        return {"num": _coefficient_strings(x.num),
+                "den": _coefficient_strings(x.den)}
 
     def from_json(self, d):
         if not (isinstance(d, dict) and isinstance(d.get("num"), list)
@@ -779,6 +782,19 @@ class FunctionField:
 
     def __repr__(self):
         return "QT"
+
+
+def _coefficient_strings(p):
+    """The coefficients of the Polynomial p, ascending, each as "c" or
+    "c/d" in lowest terms."""
+    d = p._d
+    if d == 1:
+        return [str(c) for c in p._n]
+    out = []
+    for c in p._n:
+        g = gcd(c, d)
+        out.append(str(c // g) if g == d else f"{c // g}/{d // g}")
+    return out
 
 
 QQ = RationalField()

@@ -5,15 +5,25 @@ rational functions as {"num": [...], "den": [...]} coefficient lists in
 ascending degree.  Algebras: {field, labels, mul_table, gram?} storing one
 entry per unordered pair (i, j), i <= j, in the lexicographic order of
 linalg.upper_pairs; these are exactly what Algebra and BilinearForm take.
+
+dump_json writes a report byte for byte as json.dump(obj, fh, indent=2)
+followed by a newline would, through its own writer: on Python 3.10-3.13
+json runs its C encoder only without indent, and its pure-Python encoder
+makes one write call per token.  The whole text is encoded before the file
+is opened, so a value json cannot encode raises TypeError, as json does,
+and leaves no truncated report.
 """
 
 from __future__ import annotations
 
 import json
+from json.encoder import encode_basestring_ascii as _quote
 
 from .algebra import Algebra, BilinearForm, check_pairing
 from .linalg import upper_pairs
 from .scalars import FIELDS_BY_KIND
+
+_INF = float("inf")
 
 
 def algebra_to_json(alg: Algebra, form: BilinearForm = None) -> dict:
@@ -73,9 +83,68 @@ def algebra_from_json(d: dict):
 
 
 def dump_json(obj, path):
+    """Write obj to path as json.dump(obj, fh, indent=2) and a newline
+    would."""
+    text = _text(obj, "\n") + "\n"
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(obj, fh, indent=2, sort_keys=False)
-        fh.write("\n")
+        fh.write(text)
+
+
+def _text(o, nl):
+    """o as json.dumps(o, indent=2) writes it, nested where the line break
+    and indent nl starts a line.  Plain list and dict go straight to
+    their case, and their plain str members are quoted in place; every
+    other value, subclasses included, is tried in json's order.  A cycle
+    raises RecursionError, where json raises ValueError."""
+    t = type(o)
+    if t is not list and t is not dict:
+        if isinstance(o, str):
+            return _quote(o)
+        if o is None:
+            return "null"
+        if o is True:
+            return "true"
+        if o is False:
+            return "false"
+        if isinstance(o, int):
+            return int.__repr__(o)
+        if isinstance(o, float):
+            if o != o:
+                return "NaN"
+            if o == _INF:
+                return "Infinity"
+            if o == -_INF:
+                return "-Infinity"
+            return float.__repr__(o)
+        if isinstance(o, (list, tuple)):
+            t = list
+        elif isinstance(o, dict):
+            t = dict
+        else:
+            raise TypeError(f"Object of type {o.__class__.__name__} "
+                            f"is not JSON serializable")
+    if not o:
+        return "[]" if t is list else "{}"
+    inner = nl + "  "
+    if t is list:
+        return ("[" + inner + ("," + inner).join([
+            _quote(x) if type(x) is str else _text(x, inner) for x in o])
+            + nl + "]")
+    return ("{" + inner + ("," + inner).join([
+        _quote(k if type(k) is str else _key(k)) + ": "
+        + (_quote(v) if type(v) is str else _text(v, inner))
+        for k, v in o.items()]) + nl + "}")
+
+
+def _key(k):
+    """The dict key k as the string json writes for it: a str as it is,
+    and a float, int, bool or None as _text writes the value."""
+    if isinstance(k, str):
+        return k
+    if isinstance(k, (int, float)) or k is None:
+        return _text(k, "")
+    raise TypeError(f"keys must be str, int, float, bool or None, "
+                    f"not {k.__class__.__name__}")
 
 
 def load_json(path):

@@ -257,6 +257,29 @@ def test_the_sweep_evaluates_only_the_combinations_that_derive(
     assert len(calls) == len(done) - len(args[2]) > 0
 
 
+# _pair_coefficients calls of each completion: a combination is expanded
+# only while some pair its generator's nonzero column entries span is
+# unknown (390, 140 and 224 over the dihedral types when every combination
+# that was looked at was expanded)
+EXPANSIONS = {"2A": 2, "2B": 1, "3A": 6, "3C": 4, "4A": 10, "4B": 10,
+              "5A": 16, "6A": 27, "M_4A": 65, "M_4B": 23}
+
+
+@pytest.mark.parametrize("name", BUILDS)
+def test_the_sweep_expands_only_combinations_spanning_an_unknown_pair(
+        monkeypatch, name):
+    args = _table_args(*_assembly(name))
+    calls = []
+    expand = completion._pair_coefficients
+
+    def counting(*a):
+        calls.append(a)
+        return expand(*a)
+    monkeypatch.setattr(completion, "_pair_coefficients", counting)
+    assert complete_table(*args) == completion_reference.complete_table(*args)
+    assert len(calls) == EXPANSIONS[name]
+
+
 def _tampered(field, labels, seeds):
     """One tampered copy of the seeds per seed and delta: seed s gains
     delta at coordinate s mod (dim + 1) of its product, or in its form

@@ -18,7 +18,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from axia.scalars import (POLY_ONE, POLY_T, QT, Polynomial, RationalFunction,
-                          poly_gcd, rat)
+                          _monic_lcm, format_rational, poly_gcd, rat)
 
 from fraction_poly import FractionPolynomial, fraction_poly_gcd
 
@@ -242,3 +242,38 @@ def test_den_one_fast_paths_equal_the_general_path(f, g, op):
     general = OPS[op](_general(f), _general(g))
     assert (fast.num, fast.den) == (general.num, general.den)
     assert fast == general and hash(fast) == hash(general)
+
+
+@SETTINGS
+@given(rfs)
+def test_to_json_formats_the_coefficients_as_format_rational_does(f):
+    # a copy whose coeffs no repr or hash has built yet
+    f = RationalFunction(Polynomial(f.num.coeffs), Polynomial(f.den.coeffs),
+                         _normalized=True)
+    doc = QT.to_json(f)
+    assert not hasattr(f.num, "_c") and not hasattr(f.den, "_c")
+    assert doc == {"num": [format_rational(c) for c in f.num.coeffs],
+                   "den": [format_rational(c) for c in f.den.coeffs]}
+
+
+def _clear_by_equality(xs):
+    """FunctionField.clear comparing denominators by == alone."""
+    d = POLY_ONE
+    for x in xs:
+        if x.den != d:
+            d = _monic_lcm(d, x.den)
+    return [x.num if x.den == d else x.num * d.exact_div(x.den)
+            for x in xs], d
+
+
+# lists that repeat one value, so that some denominators are one object,
+# and mix in denominator 1 (POLY_ONE itself) and its equal copies
+@SETTINGS
+@given(st.lists(st.one_of(rfs, den_one, den_one.map(_general)), max_size=6),
+       st.lists(st.integers(0, 5), max_size=4))
+def test_clear_equals_clearing_by_equality(xs, repeats):
+    xs = xs + [xs[i % len(xs)] for i in repeats if xs]
+    nums, d = QT.clear(xs)
+    ref_nums, ref_d = _clear_by_equality(xs)
+    assert d == ref_d
+    assert [(n._n, n._d) for n in nums] == [(n._n, n._d) for n in ref_nums]

@@ -1,8 +1,13 @@
-"""JSON serialization round-trips for algebras."""
+"""JSON serialization round-trips for algebras, and the report writer
+against json.dumps(indent=2)."""
 
 import json
+from collections import OrderedDict
+from fractions import Fraction
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from axia import serialize
 from axia.algebra import BilinearForm
@@ -179,3 +184,77 @@ def test_malformed_json_raises_value_error_naming_the_entry(case):
     doc, where = MALFORMED[case]
     with pytest.raises(ValueError, match=where):
         algebra_from_json(json.loads(json.dumps(doc())))
+
+
+# json.dumps(obj, indent=2) is the oracle of dump_json: the file holds its
+# text and a newline.
+def _dumps(obj):
+    return json.dumps(obj, indent=2) + "\n"
+
+
+odd_strings = st.sampled_from(["", "\x00\x1f\x7f\"\\/\b\f\n\r\t",
+                               "\u00e9\u2200\u2028\U0001f600", "\ud800"])
+floats = st.one_of(st.floats(), st.sampled_from(
+    [float("nan"), float("inf"), float("-inf"), -0.0, 1e300, 5e-324]))
+ints = st.one_of(st.integers(), st.integers(-10 ** 60, 10 ** 60))
+leaves = st.one_of(st.none(), st.booleans(), ints, floats, st.text(),
+                   odd_strings)
+keys = st.one_of(st.text(), odd_strings, ints, floats, st.booleans(),
+                 st.none())
+documents = st.recursive(
+    leaves, lambda inner: st.one_of(
+        st.lists(inner, max_size=4), st.lists(inner, max_size=4).map(tuple),
+        st.dictionaries(keys, inner, max_size=4)),
+    max_leaves=30)
+
+
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(documents)
+def test_dump_json_writes_what_json_dumps_writes(tmp_path, doc):
+    path = tmp_path / "report.json"
+    dump_json(doc, path)
+    assert path.read_bytes() == _dumps(doc).encode("utf-8")
+
+
+class Label(str):
+    pass
+
+
+class Count(int):
+    def __repr__(self):
+        return "Count()"
+
+    __str__ = __repr__
+
+
+class Weight(float):
+    def __repr__(self):
+        return "Weight()"
+
+
+@pytest.mark.parametrize("doc", [
+    OrderedDict([("b", [Label("x"), Count(3)]), (Label("a"), Weight(0.5))]),
+    {Count(7): True, 2.5: None, False: (), None: {}, True: [[]]},
+    [Count(-1), Weight(float("nan")), (Label("\n"),), OrderedDict()],
+], ids=["subclasses", "keys", "nested"])
+def test_dump_json_follows_json_on_subclasses(tmp_path, doc):
+    path = tmp_path / "report.json"
+    dump_json(doc, path)
+    assert path.read_text(encoding="utf-8") == _dumps(doc)
+
+
+@pytest.mark.parametrize("doc", [
+    {"report": [{"t0": "1/12", "value": Fraction(1, 12)}]},
+    {"report": {(0, 1): "pair"}},
+], ids=["fraction-value", "tuple-key"])
+def test_dump_json_raises_json_type_error_and_keeps_the_file(tmp_path, doc):
+    with pytest.raises(TypeError) as expected:
+        json.dumps(doc, indent=2)
+    path = tmp_path / "report.json"
+    path.write_text("earlier report\n")
+    with pytest.raises(TypeError) as exc:
+        dump_json(doc, path)
+    assert str(exc.value) == str(expected.value)
+    assert path.read_text() == "earlier report\n"
+
