@@ -9,8 +9,12 @@ mirror it once, so an asymmetric table cannot be written down.
 
 The fusion rule, automorphisms and the Frobenius identity are decided on
 integers: the inputs are cleared to integer polynomials and each identity
-is compared at one integer point past a bound on its coefficients
-(_at_point).
+is compared at one integer point (_at_point) past the bound K * M^m of
+scalars._products_bound: the two sides differ by a sum of at most K
+products of at most m cleared inputs, each of l1 norm at most M.
+K = n^2 + n, m = 3 for is_automorphism; K = 2n, m = 2 for
+verify_frobenius; and K = 2^s n^(s+2), m = 2s + 3 for verify_fusion,
+s the most factors of its test.
 """
 
 from __future__ import annotations
@@ -21,33 +25,27 @@ from .errors import (DimensionMismatch, NotAnIdeal, NotGraded,
                      NotIdempotent, NotSemisimple)
 from .linalg import (Matrix, induced, kernel_basis, remainder_map, rref,
                      span_rref, symmetric, unit_vec, upper_pairs, vec_is_zero)
-from .scalars import QQ, _at, _l1, rat
+from .scalars import QQ, _at, _l1, _products_bound, rat
 
 
-def _at_point(alg, parts, bound):
+def _at_point(alg, parts, K, m):
     """(table, parts): the product table of alg and the parts as ints at
-    one integer point T, past the bound a caller gives for the identity it
-    tests there.
+    one integer point T, past the bound K * M^m (_products_bound) on an
+    identity that sums at most K products of at most m of them.
 
     Each part is a list of numerators under one scale, as field.clear
     returns them; table[i][j] lists (k, w) as alg.table_nums does.  The
-    parts go through field.at_point, with T past C = bound(w, coeffs): w
-    is the largest l1 norm of a table numerator and coeffs the parts as
-    integer coefficient tuples.  A nonzero integer polynomial with
-    coefficients at most C in size has no root at an integer T > C, so a
-    polynomial identity whose two sides differ by at most C in l1 norm
-    holds iff it holds at T.  The field asks for the bound only over
-    Q(t): the table is then scaled once per algebra (Algebra.table_coeffs)
-    and only evaluated at T here.  Over Q the numerators are ints
-    already: they come back as they are, bound is not called and the
-    table is table_nums, unread.
+    field asks for the bound only over Q(t): the table is then scaled
+    once per algebra (Algebra.table_coeffs) and only evaluated at T here.
+    Over Q the numerators are ints already: they come back as they are,
+    no bound is computed and the table is table_nums, unread.
     """
     scaled = None
 
     def table_bound(coeffs):
         nonlocal scaled
         scaled, w = alg.table_coeffs
-        return bound(w, coeffs)
+        return _products_bound(K, m, coeffs, w)
     parts, T = alg.field.at_point(parts, table_bound)
     if scaled is None:
         return alg.table_nums, parts
@@ -247,7 +245,6 @@ class FusionRule:
     """Symmetric map (eigenvalue pair) -> subset of eigenvalues."""
 
     def __init__(self, field, eigenvalues, table):
-        self.field = field
         self.eigenvalues = tuple(field.of(x) for x in eigenvalues)
         self.table = {}
         for (lam, mu), vals in table.items():
@@ -277,8 +274,7 @@ class AxisDecomposition:
     solutions are exactly the sum of those kernels.
     """
 
-    def __init__(self, axis, spaces, one, ad):
-        self.axis = tuple(axis)
+    def __init__(self, spaces, one, ad):
         self.spaces = {lam: [tuple(v) for v in vs]
                        for lam, vs in spaces.items()}
         self.one = one
@@ -320,7 +316,7 @@ def axis_decomposition(alg: Algebra, a, eigenvalues) -> AxisDecomposition:
     if sum(dims) != alg.dim:
         raise NotSemisimple(
             f"eigenspace dims {dims} sum to {sum(dims)} != {alg.dim}")
-    return AxisDecomposition(a, spaces, field.one, ada)
+    return AxisDecomposition(spaces, field.one, ada)
 
 
 def verify_fusion(alg: Algebra, dec: AxisDecomposition, rule: FusionRule):
@@ -335,14 +331,13 @@ def verify_fusion(alg: Algebra, dec: AxisDecomposition, rule: FusionRule):
     The test runs on integers.  Every eigenvector, ad_a = A/d, the
     eigenvalues nu = n_nu/D over one denominator D and the table are
     cleared to integer polynomials, so q is, up to a nonzero scalar,
-    prod_nu (D A - n_nu d I) applied to the integer product.  The l1 norm
-    is sub-additive and sub-multiplicative, so each coordinate of q has l1
-    norm at most C = U^2 W R^s: U bounds the l1 norms summed over an
-    eigenvector's coordinates, W the l1 norm of a table numerator, R the
-    same sum over a row of any D A - n_nu d I, and s is the largest number
-    of factors.  Everything is evaluated once at a T past C (_at_point),
-    so q = 0 iff q(T) = 0.  Over Q every input is an integer and T plays
-    no part.
+    prod_nu (D A - n_nu d I) applied to the integer product.  Expanded,
+    a coordinate of the product sums n^2 terms u_i v_j W_ij,k, and each
+    of at most s factors takes n entries, each at most two products of
+    two inputs, so a coordinate of q sums at most 2^s n^(s+2) products of
+    at most 2s + 3 inputs.  Everything is evaluated once at a T past the
+    lemma's bound on that (_at_point), so q = 0 iff q(T) = 0.  Over Q
+    every input is an integer and T plays no part.
 
     Returns a list of violation records (empty list = pass).
     """
@@ -355,17 +350,9 @@ def verify_fusion(alg: Algebra, dec: AxisDecomposition, rule: FusionRule):
     factors = {(lam, mu): tuple(nu for nu in evs if nu in rule[(lam, mu)])
                for i, lam in enumerate(evs) for mu in evs[i:]}
     s = max(map(len, factors.values()), default=0)
-
-    def bound(w_norm, parts):
-        (*ad, d), (*nus, D), *us = parts
-        u_norm = max((sum(map(_l1, u)) for u in us), default=0)
-        a_norm = max(sum(map(_l1, row)) for row in _rows(ad, n))
-        r_norm = max(_l1(D) * a_norm + _l1(nn) * _l1(d) for nn in nus)
-        return u_norm * u_norm * w_norm * r_norm ** s
-
     table, ((*A, dT), (*nus, DT), *us) = _at_point(
         alg, [ad + [d], nus + [D]] + [field.clear(u)[0] for u in vecs],
-        bound)
+        2 ** s * n ** (s + 2), 2 * s + 3)
     A, nus, us = _rows(A, n), dict(zip(evs, nus)), iter(us)
     at_vecs = {lam: [[(i, x) for i, x in enumerate(next(us)) if x]
                      for _ in dec.spaces[lam]] for lam in evs}
@@ -437,21 +424,15 @@ def verify_frobenius(alg: Algebra, form: BilinearForm):
     numerators of form_products over its one denominator;
     DimensionMismatch unless the Gram matrix is alg.dim x alg.dim.
 
-    The numerators are compared as ints at one point (_at_point).  Each
-    side sum_c G_ic W_jk,c has l1 norm at most g w, where g bounds the l1
-    norms summed over a row of the Gram numerators G and w the l1 norm of
-    a table numerator W, so the point lies past C = 2 g w.  A triple that
-    differs there is recomputed exactly for its record.
+    The numerators are compared as ints at one point (_at_point): the
+    two sides sum_c G_ic W_jk,c of Gram and table numerators differ by a
+    sum of 2n products of two.  A triple that differs there is recomputed
+    exactly for its record.
     """
     check_pairing(alg, form)
     field, n = alg.field, alg.dim
     gnums, gden = field.clear([x for row in form.gram.data for x in row])
-
-    def bound(w, parts):
-        norms = [sum(map(_l1, row)) for row in _rows(parts[0], n)]
-        return 2 * w * max(norms, default=0)
-
-    table, (gram,) = _at_point(alg, [gnums], bound)
+    table, (gram,) = _at_point(alg, [gnums], 2 * n, 2)
     prods = _form_sums(table, _rows(gram, n))
 
     def side(r, i, k):
@@ -512,8 +493,7 @@ def is_automorphism(alg: Algebra, T: Matrix, form: BilinearForm) -> bool:
     T^T G T == G for the Gram matrix G of the form; DimensionMismatch
     unless T and G are alg.dim x alg.dim.
 
-    Decided on integers at one point (_at_point), by _symmetry_failure
-    under _symmetry_bound.
+    Decided on integers at one point (_at_point), by _symmetry_failure.
     """
     check_pairing(alg, form)
     field, n = alg.field, alg.dim
@@ -522,42 +502,19 @@ def is_automorphism(alg: Algebra, T: Matrix, form: BilinearForm) -> bool:
                                 f"of dimension {n}")
     nums, d = field.clear([x for row in T.data for x in row])
     gnums = field.clear([x for row in form.gram.data for x in row])[0]
-
-    def bound(w, parts):
-        (*N, d), G = parts
-        return _symmetry_bound(w, max(map(_l1, G), default=0), N, d, n)
-
-    table, ((*N, d), G) = _at_point(alg, [nums + [d], gnums], bound)
+    table, ((*N, d), G) = _at_point(alg, [nums + [d], gnums], n * n + n, 3)
     return _symmetry_failure(table, [_rows(G, n)], N, d,
                              upper_pairs(n)) is None
-
-
-def _symmetry_bound(w, g, N, d, n):
-    """The l1 bound past which _symmetry_failure decides its identities
-    at one integer point, for the map N/d, N given as n * n coefficient
-    tuples in row-major order and d as one, and table and form
-    numerators of l1 norm at most w and g.
-
-    Let r and c bound the l1 norms summed over a row and over a column
-    of N.  The l1 norm is sub-additive and sub-multiplicative, so a
-    coordinate of d N W_ij has l1 norm at most w |d| r and one of
-    sum_ab N_ai N_bj W_ab at most w c^2, while d^2 F_ij and
-    sum_ab N_ai N_bj F_ab are at most g |d|^2 and g c^2.  Their
-    differences are therefore at most max(w (|d| r + c^2),
-    g (c^2 + |d|^2)).
-    """
-    norms = _rows([_l1(x) for x in N], n)
-    r = max(map(sum, norms), default=0)
-    c = max(map(sum, zip(*norms)), default=0)
-    dn = _l1(d)
-    return max(w * (dn * r + c * c), g * (c * c + dn * dn))
 
 
 def _symmetry_failure(table, forms, N, d, pairs):
     """The first pair (i, j) of pairs at which the map g = N/d breaks an
     identity, or None: d N W_ij = sum_ab N_ai N_bj W_ab, that is
     (e_i e_j)^g = e_i^g e_j^g, and d^2 F_ij = sum_ab N_ai N_bj F_ab, that
-    is <e_i^g, e_j^g> = <e_i, e_j>, for each form F.  Everything is an
+    is <e_i^g, e_j^g> = <e_i, e_j>, for each form F.  At each coordinate
+    the two sides of either identity differ by a sum of at most n^2 + n
+    products of three inputs: the counts its callers pass to the lemma
+    (scalars._products_bound).  Everything is an
     int: N is n * n entries in row-major order, each F a list of rows,
     and table[i][j] lists (k, w) for the nonzero coordinates w of the
     table numerator W_ij, as Algebra.table_nums does.  Only the entries

@@ -7,7 +7,10 @@ invariance <u^g, v^g> = <u, v>, lets unknown entries be solved one at a
 time.  Once nothing more can be derived, every such identity whose
 entries are all known is decided at once, on integers at one point
 (algebra._symmetry_failure), so a seed that contradicts a derivation or
-another seed is caught.  A table equivariant under every generator is
+another seed is caught.  Each identity's two sides differ by a sum of at
+most K = dim^2 + dim products of m = 3 cleared inputs, as in
+algebra.is_automorphism, so the point lies past the lemma's bound K * M^m
+(scalars._products_bound).  A table equivariant under every generator is
 equivariant under the group they generate, so the group itself is never
 enumerated.  Each generator is a matrix built by label_map from the
 images of the basis labels.
@@ -15,11 +18,10 @@ images of the basis labels.
 
 from __future__ import annotations
 
-from .algebra import (Algebra, BilinearForm, _symmetry_bound,
-                      _symmetry_failure)
+from .algebra import Algebra, BilinearForm, _symmetry_failure
 from .errors import CompletionInconsistent, CompletionInsufficient
 from .linalg import Matrix, upper_pairs
-from .scalars import _l1
+from .scalars import _products_bound
 
 
 def label_map(field, labels, image):
@@ -126,9 +128,8 @@ def _check_known(field, dim, known, generators, waiting, describe):
     values are cleared to integer numerators over one denominator, the
     product coordinates forming the table and each extra coordinate a
     form, and each generator g = N/d is cleared on its own.  Over Q(t)
-    they are all evaluated at one T past algebra._symmetry_bound of each
-    generator, with the largest l1 norm of a value numerator as both w
-    and g; over Q they are ints already.
+    they are all evaluated at one T past the lemma's bound with
+    K = dim^2 + dim and m = 3; over Q they are ints already.
     """
     pairs = [p for p in upper_pairs(dim) if p in known]
     entries = [(p, k, x) for p in pairs for k, x in enumerate(known[p])
@@ -136,14 +137,9 @@ def _check_known(field, dim, known, generators, waiting, describe):
     nums = field.clear([x for _, _, x in entries])[0]
     gens = [field.clear([x for row in g.data for x in row])
             for g in generators]
-
-    def bound(coeffs):
-        vals, *gs = coeffs
-        w = max(map(_l1, vals), default=0)
-        return max((_symmetry_bound(w, w, N, d, dim) for *N, d in gs),
-                   default=0)
-    (vals, *gs), _ = field.at_point([nums] + [n + [d] for n, d in gens],
-                                    bound)
+    (vals, *gs), _ = field.at_point(
+        [nums] + [n + [d] for n, d in gens],
+        lambda coeffs: _products_bound(dim * dim + dim, 3, coeffs))
     table = [[[] for _ in range(dim)] for _ in range(dim)]
     forms = {}  # an extra coordinate that is 0 everywhere holds trivially
     for ((i, j), k, _), v in zip(entries, vals):

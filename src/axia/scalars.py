@@ -8,8 +8,17 @@ runs on those ints, with pseudo-division for divmod and gcd, and builds
 Rationals only for the `coeffs` view and for values.  RationalFunction keeps gcd(num, den) = 1 with
 a monic denominator, so equality is structural.
 Each field's at_point turns cleared numerators into ints: over Q(t) their
-values at one power of two past a bound that linalg._eliminate and
-algebra._at_point each prove for the identities they test.
+values at one power of two past a bound on the l1 norm of the polynomials
+compared there.  Every identity decided at one point takes its bound from
+one lemma (_products_bound): a sum of at most K products of at most m
+integer polynomials, each of l1 norm at most M >= 1, has l1 norm at most
+K * M^m.  Each caller reads (K, m) off its own formula: K = n^2 + n and
+m = 3 for algebra.is_automorphism and completion._check_known, K = 2n and
+m = 2 for algebra.verify_frobenius, and K = 2^s n^(s+2), m = 2s + 3 for
+algebra.verify_fusion with s factors.  linalg._eliminate keeps its own
+bound on the minors it makes, the product of the largest row norms: that
+bound also sizes the base-T digits unpack reads back, and the lemma's
+k! M^k for a k x k minor made elimination slower.
 """
 
 from __future__ import annotations
@@ -298,6 +307,21 @@ def _at(c, x):
 def _past(bound):
     """The power of two 2^(bitlen(bound) + 1), more than twice bound."""
     return 1 << (bound.bit_length() + 1)
+
+
+def _products_bound(K, m, parts, w=0):
+    """K * M^m, with M the largest of 1, w and the l1 norms of the
+    coefficient tuples in parts (lists of them, as at_point passes).
+
+    The lemma: a sum of at most K products of at most m integer
+    polynomials, each of l1 norm at most M >= 1, has l1 norm at most
+    K * M^m, as the l1 norm is sub-additive and sub-multiplicative.  A
+    nonzero integer polynomial of l1 norm at most C has no root at an
+    integer past C, so two sides that differ by such a sum, of the inputs
+    in parts and of table numerators of l1 norm at most w, are equal iff
+    they are equal at a point past this bound."""
+    norm = max(w, 1, *(_l1(c) for part in parts for c in part))
+    return K * norm ** m
 
 
 def _from_rational(x):

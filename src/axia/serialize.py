@@ -9,9 +9,11 @@ linalg.upper_pairs; these are exactly what Algebra and BilinearForm take.
 dump_json writes a report byte for byte as json.dump(obj, fh, indent=2)
 followed by a newline would, through its own writer: on Python 3.10-3.13
 json runs its C encoder only without indent, and its pure-Python encoder
-makes one write call per token.  The whole text is encoded before the file
-is opened, so a value json cannot encode raises TypeError, as json does,
-and leaves no truncated report.
+makes one write call per token.  It writes only the exact kinds a report
+holds: str, int, bool, None, lists, tuples and dicts with str keys.  Any
+other value, a float included, or key raises TypeError.  The whole text
+is encoded before the file is opened, so that error leaves no truncated
+report.
 """
 
 from __future__ import annotations
@@ -22,8 +24,6 @@ from json.encoder import encode_basestring_ascii as _quote
 from .algebra import Algebra, BilinearForm, check_pairing
 from .linalg import upper_pairs
 from .scalars import FIELDS_BY_KIND
-
-_INF = float("inf")
 
 
 def algebra_to_json(alg: Algebra, form: BilinearForm = None) -> dict:
@@ -83,8 +83,8 @@ def algebra_from_json(d: dict):
 
 
 def dump_json(obj, path):
-    """Write obj to path as json.dump(obj, fh, indent=2) and a newline
-    would."""
+    """Write obj, built of the exact kinds only, to path as
+    json.dump(obj, fh, indent=2) and a newline would."""
     text = _text(obj, "\n") + "\n"
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(text)
@@ -108,14 +108,6 @@ def _text(o, nl):
             return "false"
         if isinstance(o, int):
             return int.__repr__(o)
-        if isinstance(o, float):
-            if o != o:
-                return "NaN"
-            if o == _INF:
-                return "Infinity"
-            if o == -_INF:
-                return "-Infinity"
-            return float.__repr__(o)
         if isinstance(o, (list, tuple)):
             t = list
         elif isinstance(o, dict):
@@ -137,14 +129,10 @@ def _text(o, nl):
 
 
 def _key(k):
-    """The dict key k as the string json writes for it: a str as it is,
-    and a float, int, bool or None as _text writes the value."""
+    """The dict key k, which must be a str: reports hold no other key."""
     if isinstance(k, str):
         return k
-    if isinstance(k, (int, float)) or k is None:
-        return _text(k, "")
-    raise TypeError(f"keys must be str, int, float, bool or None, "
-                    f"not {k.__class__.__name__}")
+    raise TypeError(f"keys must be str, not {k.__class__.__name__}")
 
 
 def load_json(path):

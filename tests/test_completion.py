@@ -15,6 +15,7 @@ from axia.scalars import QQ, QT, rat
 import completion_reference
 from group_reference import mulclose
 from m4_reference import embed
+from test_identities import _ROOTS
 
 
 def qm(rows):
@@ -318,3 +319,16 @@ def test_dropped_seeds_get_the_reference_outcome(name):
         for s in range(len(base)):
             _reference_outcome(_table_args(
                 field, labels, base[:s] + base[s + 1:], generators))
+
+
+def test_a_seed_that_fails_off_one_root_is_named():
+    # e e = e under the generator 1/(t - m + 1): the symmetry identity
+    # d N W = N N W, cleared with N = 1 and d = t - m + 1, reads
+    # t - m + 1 = 1 and holds at t = m only, so a point that lands on the
+    # root m would let the seed through; the roots are those of the
+    # automorphism test in test_identities
+    seeds = [(("e", "e"), {"e": 1}, 0)]
+    for m in _ROOTS:
+        g = Matrix(QT, [[QT.one / (QT.t - m + 1)]])
+        with pytest.raises(CompletionInconsistent, match=r"\(e, e\)"):
+            complete_algebra(QT, ["e"], seeds, [g])

@@ -159,10 +159,11 @@ def test_a_violation_is_reported_past_the_factors_of_the_test():
     # ad_a = [[1, -16, 72], [0, -16, 72], [0, -4, 18]] has eigenvectors a
     # (1), 9b + 2c (0) and w = 8a + 4b + c (2).  Here
     # w*w = (t + 192) a + 128 b + 3672 c, whose 1-component is
-    # (t - 2^18) a, off the rule 2 * 2 = {0, 2}.  The eigenvectors and
-    # the table alone bound the product's coefficients by
-    # U^2 W = 13^2 * 455 < 2^17, which would put the point at 2^18; the
-    # factors (ad_a - nu) of the test carry the rest of the bound.
+    # (t - 2^18) a, off the rule 2 * 2 = {0, 2}.  A bound on the product
+    # alone, U^2 W = 13^2 * 455 < 2^17 (U the l1 norm summed over an
+    # eigenvector, W that of a table numerator), would put the point on
+    # the root 2^18; the lemma's counts take in the factors (ad_a - nu)
+    # of the test as well.
     z, c = QT.zero, QT.of
     alg = Algebra(QT, ["a", "b", "c"], {
         (0, 0): (c(1), z, z), (0, 1): (c(-16), c(-16), c(-4)),

@@ -8,19 +8,22 @@ axial_reference.is_automorphism and form_reference's
 verify_frobenius_reference, which compute each side over the algebra's
 field: on every symmetry of the built algebras, on Miyamoto maps that
 relabel nothing, on tampered maps, tables and forms, and on small
-algebras whose identity fails only off a root placed just inside the
-bound, for every root a fixed or misjudged point could pick.
+algebras whose identity fails only off one root, for every root a fixed
+or misjudged point could pick.  The point lies past the bound of one
+lemma (scalars._products_bound), and each identity's counts for it are
+pinned here.
 """
 
 import pytest
 
-from axia.algebra import (Algebra, BilinearForm, _symmetry_bound,
-                          axis_decomposition, is_automorphism,
-                          verify_frobenius)
+from axia import algebra, completion
+from axia.algebra import (Algebra, BilinearForm, axis_decomposition,
+                          is_automorphism, verify_frobenius, verify_fusion)
 from axia.catalog import f4a_rule, monster_rule
+from axia.completion import complete_algebra, label_map
 from axia.errors import DimensionMismatch
 from axia.linalg import Matrix, upper_pairs
-from axia.scalars import QT
+from axia.scalars import QT, _at, _l1, _products_bound
 
 from axial_reference import is_automorphism as is_automorphism_reference
 from conftest import tampered_gram, tampered_table
@@ -136,9 +139,8 @@ _ROOTS = sorted({2 ** k + e for k in range(201) for e in (-1, 0, 1)}
 def test_a_map_that_fails_off_one_root_is_rejected():
     # e e = e with the zero form and T = 1/(t - m + 1): T(e e) = T e . T e
     # iff T = 1, that is at t = m only.  Cleared, the identity reads
-    # d N W = N N W with N = 1 and d = t - m + 1, and its bound is
-    # m + 1 for m >= 1, so the point one bit short of passing it,
-    # 2^(bitlen(m + 1) - 1), is m itself at m = 2^k
+    # d N W = N N W with N = 1 and d = t - m + 1, whose sides differ by
+    # t - m, so a point that lands on the root m would accept the map
     alg = Algebra(QT, ["e"], {(0, 0): (QT.one,)})
     zero = BilinearForm(QT, {(0, 0): QT.zero})
     for m in _ROOTS:
@@ -148,9 +150,8 @@ def test_a_map_that_fails_off_one_root_is_rejected():
 
 def test_a_frobenius_violation_off_one_root_is_reported():
     # e_0 e_0 = m e_1 and e_0 e_1 = (t - m) e_0 with the identity Gram
-    # matrix: <e_0, e_0 e_1> - <e_0 e_0, e_1> = t - 2m.  Its bound is
-    # 2 (m + 1), so the point one bit short of passing it is 2m itself
-    # at m = 2^k
+    # matrix: <e_0, e_0 e_1> - <e_0 e_0, e_1> = t - 2m, so a point that
+    # lands on the root 2m would miss the violation
     z = QT.zero
     form = BilinearForm(QT, {(0, 0): QT.one, (0, 1): z, (1, 1): QT.one})
     for m in _ROOTS:
@@ -214,20 +215,71 @@ def test_the_table_is_scaled_once_per_algebra(monkeypatch, m4a, m4b):
     assert "table_coeffs" not in vars(m4b.algebra)
 
 
-@pytest.mark.parametrize("w, g", [(1000, 1), (1, 1000)],
-                         ids=["table", "form"])
-def test_the_symmetry_bound_covers_both_sides_of_each_identity(w, g):
+def _times(f, g):
+    """The product of two integer polynomials as coefficient tuples."""
+    out = [0] * (len(f) + len(g) - 1)
+    for i, x in enumerate(f):
+        for j, y in enumerate(g):
+            out[i + j] += x * y
+    return tuple(out)
+
+
+@pytest.mark.parametrize("K, m", [(1, 1), (3, 2), (12, 3), (2, 9)])
+def test_the_lemma_bound_is_attained(K, m):
     # Nonnegative coefficients never cancel, so the l1 norm of a sum or a
-    # product of such polynomials is its value at t = 1.  With every entry
-    # of N equal, every table numerator of l1 norm w and every form entry
-    # of l1 norm g, each side of each identity reaches the term of the
-    # bound that covers it, and the bound is exactly the larger sum of two
-    # sides: without any one of its four terms it leaves the two sides of
-    # the table identity (w large) or the form identity (g large)
-    # uncovered.
-    n, entry, d = 3, (1, 2), (2, 0, 1)  # N_ab = 1 + 2t, d = 2 + t^2
-    x, dn = sum(entry), sum(d)
-    table_sides = dn * n * x * w + n * n * x * x * w  # d N W_ij, N W N
-    form_sides = dn * dn * g + n * n * x * x * g      # d^2 F_ij, N F N
-    bound = _symmetry_bound(w, g, [entry] * (n * n), d, n)
-    assert bound >= max(table_sides, form_sides)
+    # product of such polynomials is its value at t = 1.  K equal products
+    # of m factors of l1 norm M = 7 then sum to exactly K * 7^m, while a
+    # smaller input (1 + t) and a smaller table norm w leave M as it is.
+    factors = [(2, 0, 1, 4) if i % 2 else (1, 6) for i in range(m)]
+    p = (1,)
+    for f in factors:
+        p = _times(p, f)
+    total = tuple(K * c for c in p)
+    assert min(total) >= 0
+    assert _l1(total) == _at(total, 1) == K * 7 ** m
+    assert _products_bound(K, m, [factors, [(1, 1)]], w=5) == _l1(total)
+    # M >= 1: a product of fewer than m factors stays covered
+    assert _products_bound(K, m, [[(0,), ()]]) == K
+
+
+def _complete_swap():
+    """complete_algebra over Q(t) on a dimension-2 algebra whose seeds
+    are consistent under the swap of its basis vectors."""
+    swap = label_map(QT, ["a", "b"],
+                     lambda lab: {"b" if lab == "a" else "a": 1})
+    complete_algebra(QT, ["a", "b"], [(("a", "a"), {"a": T}, 1),
+                                      (("a", "b"), {}, 0)], [swap])
+
+
+# (K, m) read off each identity's formula, n the dimension: 12 for M_4A,
+# 2 for the swap completion; the Monster rule's fusion test has s = 3
+# factors at most
+_COUNTS = {"is_automorphism": (12 * 12 + 12, 3),
+           "verify_frobenius": (2 * 12, 2),
+           "verify_fusion": (2 ** 3 * 12 ** 5, 2 * 3 + 3),
+           "check_known": (2 * 2 + 2, 3)}
+
+
+@pytest.mark.parametrize("caller", list(_COUNTS))
+def test_each_identity_passes_its_own_counts_to_the_lemma(monkeypatch, m4a,
+                                                         caller):
+    counts = []
+
+    def recording(K, m, parts, w=0):
+        counts.append((K, m))
+        return _products_bound(K, m, parts, w)
+    monkeypatch.setattr(algebra, "_products_bound", recording)
+    monkeypatch.setattr(completion, "_products_bound", recording)
+    alg, form = m4a.algebra, m4a.form
+    run = {
+        "is_automorphism": lambda: is_automorphism(
+            alg, m4a.symmetries["sigma"], form),
+        "verify_frobenius": lambda: verify_frobenius(alg, form),
+        "verify_fusion": lambda: verify_fusion(
+            alg, axis_decomposition(alg, alg.basis_vector("a_1"),
+                                    monster_rule(QT).eigenvalues),
+            monster_rule(QT)),
+        "check_known": _complete_swap,
+    }[caller]
+    run()
+    assert counts == [_COUNTS[caller]]

